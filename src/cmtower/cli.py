@@ -60,7 +60,6 @@ class RunConfig:
         self.trunc = overrides.get("trunc")
         self.oracle_mode = overrides.get("oracle") or self.get(
             "wedge", "oracle", "axiom")
-        self.jobs = overrides.get("jobs") or 1
 
     @classmethod
     def load(cls, command: str, path: "str | None", overrides: dict):
@@ -318,7 +317,7 @@ def _run_elliptic_match(cfg: RunConfig):
     root = gauss_embed_root(p, N)
     ap = point_count_ap(E, p)
     reports = [frobenius_check(data, p, c, root)
-               for c in frobenius_candidates(p, ap)]
+               for c in frobenius_candidates(p, ap, root)]
     passing = [r for r in reports if r["passes"]]
     if len(passing) != 1:
         raise InvariantError(
@@ -387,9 +386,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--out", help="write the JSON report here "
                                       "(default stdout)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallelism bound for sweeps (runs are "
-                             "deterministic regardless)")
     parser.add_argument("--precision", type=int, help="digits mod p^N")
     parser.add_argument("--trunc", type=int, help="series truncation degree")
     parser.add_argument("--oracle", choices=("axiom", "deny"),
@@ -401,7 +397,6 @@ def main(argv=None) -> int:
             "precision": args.precision,
             "trunc": args.trunc,
             "oracle": args.oracle,
-            "jobs": args.jobs,
         })
         report = dispatch(cfg)
     except ValidationError as e:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InvariantError, ValidationError
 from .lubin_tate import FglHom, LTSeed, group_law as lt_group_law, solve_intertwine
@@ -316,15 +317,23 @@ def point_count_ap(curve: WeierstrassCurve, p: int) -> int:
     return p + 1 - n
 
 
-def frobenius_candidates(p: int, a_p: int):
-    """The four associates of a Gaussian prime with norm p and trace a_p."""
+def frobenius_candidates(p: int, a_p: int, root: PadicInt):
+    """The four associates of the Gaussian prime x + y i with norm p and
+    trace a_p that lies over the embedded prime: the sign of y is the
+    one with x + y * root = 0 mod p."""
     if a_p % 2:
         raise ValidationError("trace must be even for a Gaussian factor")
     x = a_p // 2
     y2 = p - x * x
-    y = round(y2 ** 0.5)
+    if y2 < 0:
+        raise ValidationError(
+            f"trace {a_p} is outside the Hasse bound for p = {p}"
+        )
+    y = isqrt(y2)
     if y * y != y2:
         raise ValidationError(f"no Gaussian factor: {p} - {x}^2 not a square")
+    if (x + y * root.value) % p:
+        y = -y
     base = (x, y)
     return [base, (-x, -y), (-y, x), (y, -x)]
 

@@ -3,15 +3,18 @@
 A seed is a series d(t) = pi*t + ... with d(t) = t^p mod p.  Group laws,
 [a]-endomorphisms and strict isomorphisms between seeds all come out of
 one degree-by-degree recursion: the unique series phi with prescribed
-linear part intertwining two seeds.  Each degree divides by pi^k - pi
-(valuation exactly 1), so one digit of effective precision is spent per
-degree; seeds are built with guard digits to absorb this.
+linear part intertwining two seeds.  The recursion is solved online:
+degree k needs only the parts of phi below k, so every product is formed
+once, at the degree that first needs it.  Each degree divides by
+pi^k - pi (valuation exactly 1), so one digit of effective precision is
+spent per degree; seeds are built with guard digits to absorb this.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantError, ValidationError
-from .padic import PadicInt, PadicPoly, TruncSeries, compositional_inverse
+from .errors import InvariantError, PrecisionError, ValidationError
+from .padic import (PadicInt, PadicPoly, TruncSeries, compositional_inverse,
+                    hom_mul, pack_exponent, unpack_exponent)
 
 
 class LTSeed:
@@ -201,11 +204,24 @@ class FglHom:
 
 def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique phi = linear + higher with dst.d(phi) = phi(src.d per
-    variable), solved degree by degree.
+    variable), solved degree by degree; ``linear`` is homogeneous of
+    degree 1.
 
     Degree k corrects by R_k / (pi^k - pi); the divisor has valuation
     exactly 1 and the obstruction must be divisible by pi, else the
     seeds fail the defining congruences.
+
+    The solver is online (van der Hoeven, "Relax, but don't be too
+    lazy", JSC 34 (2002)).  With phi_j the homogeneous parts of phi and
+    d_m the coefficients of dst.d, R_k is
+
+        sum_{m=2}^{k} d_m (phi^m)_k  -  [phi_{<k}(src.d(X_1), ...)]_k.
+
+    Each (phi^m)_k = sum_j phi_j (phi^{m-1})_{k-j} uses parts of degree
+    below k only and is formed once, at step k.  The right-hand side is
+    linear in phi: when phi_j is fixed, its monomials times the powers
+    of src.d are added into per-degree buckets.  phi_k enters degree k
+    only as (pi - pi^k) phi_k, which is what the divisor accounts for.
     """
     if src.p != dst.p or src.N != dst.N:
         raise ValidationError("seeds disagree on (p, N)")
@@ -216,38 +232,75 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     D = linear.trunc
     pi = src.pi_val
     mod = p ** N
-    src_args = [
-        TruncSeries(p, N, n, D,
-                    {tuple(k if j == i else 0 for j in range(n)): c
-                     for (k,), c in src.d.coeffs.items()})
-        for i in range(n)
-    ]
-    phi = linear
+    base = D + 1
+    d = {k: c for (k,), c in dst.d.coeffs.items() if 2 <= k <= D}
+    M = max(d, default=1)
+    # pw[m][k] = (phi^m)_k with packed exponents; pw[1] holds phi
+    pw = [None] + [[{} for _ in range(D + 1)] for _ in range(M)]
+    phi = pw[1]
+    phi[1] = {pack_exponent(e, base): c for e, c in linear.coeffs.items()}
+    s = TruncSeries(p, N, 1, D, src.d.coeffs)
+    s_pows = [None, s]  # s_pows[a] = src.d^a through degree D
+    for _ in range(2, D):
+        s_pows.append(s_pows[-1] * s)
+    rhs = [{} for _ in range(D + 1)]
+
+    def push_rhs(j):
+        # add phi_j(src.d(X_1), ..., src.d(X_n)) above degree j to rhs
+        for key, c in phi[j].items():
+            terms = [(0, 0, c)]
+            for i, k in enumerate(unpack_exponent(key, base, n)):
+                if k:
+                    step = base ** i
+                    terms = [(tk + f * step, td + f, tc * v)
+                             for tk, td, tc in terms
+                             for (f,), v in s_pows[k].coeffs.items()
+                             if td + f <= D]
+            for tk, td, tc in terms:
+                if td > j:
+                    bucket = rhs[td]
+                    bucket[tk] = bucket.get(tk, 0) + tc
+
+    eff = linear.eff_prec
     for k in range(2, D + 1):
-        lhs = dst.d.compose([phi], trunc=k)
-        rhs = phi.compose(src_args, trunc=k)
-        diff = lhs - rhs
+        push_rhs(k - 1)
+        diff = {key: -c for key, c in rhs[k].items()}
+        for m in range(2, min(k, M) + 1):
+            lower = pw[m - 1]
+            acc = {}
+            for j in range(1, k - m + 2):
+                hom_mul(phi[j], lower[k - j], acc)
+            part = pw[m][k]
+            for key, c in acc.items():
+                c %= mod
+                if c:
+                    part[key] = c
+            dm = d.get(m)
+            if dm:
+                for key, c in part.items():
+                    diff[key] = diff.get(key, 0) + dm * c
         divisor = pi ** k - pi
         if divisor.valuation() != 1:
             raise InvariantError("correction divisor lost valuation 1")
-        new_coeffs = dict(phi.coeffs)
-        for e, c in diff.homogeneous_part(k).items():
-            ce = PadicInt(p, N, c)
-            if ce.is_zero():
+        inv = pow(divisor.value // p, -1, mod)
+        part = phi[k]
+        for key, c in diff.items():
+            c %= mod
+            if not c:
                 continue
-            if ce.valuation() == 0:
+            if c % p:
                 raise InvariantError(
                     f"obstruction at degree {k} is a unit: input is not a "
                     "valid Lubin-Tate seed pair"
                 )
-            corr = ce.divide_exact(divisor)
-            v = (new_coeffs.get(e, 0) + corr.value) % mod
-            if v:
-                new_coeffs[e] = v
-            elif e in new_coeffs:
-                del new_coeffs[e]
-        phi = TruncSeries(p, N, n, D, new_coeffs, phi.eff_prec - 1)
-    return phi
+            part[key] = (c // p) * inv % mod
+        eff -= 1
+        if eff <= 0:
+            raise PrecisionError("effective precision exhausted")
+    return TruncSeries(p, N, n, D, {
+        unpack_exponent(key, base, n): c
+        for part in phi[1:] for key, c in part.items()
+    }, eff)
 
 
 def solve_intertwine(a: PadicInt, src: LTSeed, dst: LTSeed) -> TruncSeries:

@@ -431,30 +431,6 @@ def ring_det(rows, zero, one):
     full = (1 << n) - 1
     memo = {0: one}
 
-    def minor(cols: int, r: int):
-        if cols in memo:
-            return memo[cols]
-        acc = None
-        sign = 0
-        c = cols
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
-            entry = rows[r][j]
-            sub = minor(cols & ~(1 << j), r + 1)
-            term = entry * sub
-            if sign % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign += 1
-        memo[cols] = acc
-        return acc
-
-    # expand along rows from the bottom: minor(cols, r) uses row r
-    # reorder: implement recursively on first rows instead
-    memo.clear()
-    memo[0] = one
-
     def det_rec(cols: int, r: int):
         if cols == 0:
             return one
@@ -546,6 +522,38 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------
 
+def pack_exponent(e, base) -> int:
+    """An exponent tuple as one integer with digit i (in ``base``) equal
+    to e[i].  While every entry of a sum stays below ``base``, packing
+    turns the addition of exponents into the addition of integers."""
+    key = 0
+    for k in reversed(e):
+        key = key * base + k
+    return key
+
+
+def unpack_exponent(key: int, base: int, nvars: int) -> tuple:
+    e = []
+    for _ in range(nvars):
+        key, k = divmod(key, base)
+        e.append(k)
+    return tuple(e)
+
+
+def hom_mul(a: dict, b: dict, out: dict) -> None:
+    """Add the product of two homogeneous parts into ``out``.
+
+    Parts map packed exponents (``pack_exponent``, one base for all
+    three) to integer coefficients.  Nothing is reduced: the caller
+    reduces each output coefficient once, after its last product.
+    """
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
 class TruncSeries:
     """Sparse truncated power series in ``nvars`` variables over Z/p^N.
 
@@ -626,9 +634,6 @@ class TruncSeries:
         degs = [sum(e) for e, c in self.coeffs.items() if c % pe != 0]
         return min(degs) if degs else None
 
-    def homogeneous_part(self, k):
-        return {e: c for e, c in self.coeffs.items() if sum(e) == k}
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -654,23 +659,27 @@ class TruncSeries:
     def __mul__(self, other):
         self._check(other)
         mod = self.p ** self.N
-        trunc = self.trunc
+        trunc, base = self.trunc, self.trunc + 1
+        b = other._graded(base)
+        acc = {}
+        for da, pa in self._graded(base).items():
+            for db, pb in b.items():
+                if da + db <= trunc:
+                    hom_mul(pa, pb, acc)
         out = {}
-        a_items = sorted(self.coeffs.items(), key=lambda kv: sum(kv[0]))
-        b_items = sorted(other.coeffs.items(), key=lambda kv: sum(kv[0]))
-        b_degs = [sum(e) for e, _ in b_items]
-        for ea, ca in a_items:
-            da = sum(ea)
-            if da > trunc:
-                break
-            for (eb, cb), db in zip(b_items, b_degs):
-                if da + db > trunc:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = (out.get(e, 0) + ca * cb) % mod
-        return TruncSeries(self.p, self.N, self.nvars, self.trunc,
-                           {e: c for e, c in out.items() if c},
+        for key, c in acc.items():
+            c %= mod
+            if c:
+                out[unpack_exponent(key, base, self.nvars)] = c
+        return TruncSeries(self.p, self.N, self.nvars, trunc, out,
                            min(self.eff_prec, other.eff_prec))
+
+    def _graded(self, base):
+        """Homogeneous parts by degree, exponents packed in ``base``."""
+        parts = {}
+        for e, c in self.coeffs.items():
+            parts.setdefault(sum(e), {})[pack_exponent(e, base)] = c
+        return parts
 
     def scale(self, c) -> "TruncSeries":
         if isinstance(c, PadicInt):
@@ -704,7 +713,7 @@ class TruncSeries:
 
     # -- composition ---------------------------------------------------
 
-    def compose(self, args: Sequence["TruncSeries"], trunc=None) -> "TruncSeries":
+    def compose(self, args: Sequence["TruncSeries"]) -> "TruncSeries":
         """Substitute args[i] (zero constant term) for variable i.
 
         All args must share (p, trunc') and have the same number of
@@ -722,7 +731,6 @@ class TruncSeries:
         tgt = args[0]
         for a in args[1:]:
             tgt._check(a)
-        lim = tgt.trunc if trunc is None else trunc
         mod = self.p ** self.N
         eff = min([self.eff_prec] + [a.eff_prec for a in args])
 
@@ -744,8 +752,6 @@ class TruncSeries:
 
         out = {}
         for e, c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
-            if sum(e) > lim:
-                continue
             term = None
             for i, k in enumerate(e):
                 if k == 0:
@@ -757,8 +763,6 @@ class TruncSeries:
                 out[z] = (out.get(z, 0) + c) % mod
                 continue
             for et, ct in term.coeffs.items():
-                if sum(et) > lim:
-                    continue
                 out[et] = (out.get(et, 0) + c * ct) % mod
         return TruncSeries(tgt.p, tgt.N, tgt.nvars, tgt.trunc,
                            {e: c for e, c in out.items() if c}, eff)

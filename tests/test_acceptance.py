@@ -258,7 +258,7 @@ def test_criterion_9_elliptic_bridge():
         assert ap == 6
         root = gauss_embed_root(13, 30)
         reports = [frobenius_check(data, 13, c, root)
-                   for c in frobenius_candidates(13, ap)]
+                   for c in frobenius_candidates(13, ap, root)]
         passing = [r for r in reports if r["passes"]]
         assert len(passing) == 1 and passing[0]["alpha"] == (3, 2)
         assert passing[0]["linear_valuation"] == 1

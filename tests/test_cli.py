@@ -117,6 +117,26 @@ class TestMain:
                      "--config", os.path.join(CONFIG_DIR, "lt_p5.ini")])
         assert code == 2
 
+    # alpha_P = x + y i with x = a_p / 2 and the sign of y putting it over
+    # the embedded prime (p, i - r), r the smaller root of -1 mod p: on
+    # these curves that is x - |y| i, the conjugate of the first guess
+    @pytest.mark.parametrize("a,p,trunc,alpha_P", (
+        (-1, 5, 12, [-1, -2]),    # a_p = -2, r = 2
+        (-4, 13, 16, [-3, -2]),   # a_p = -6, r = 5
+    ))
+    def test_elliptic_match_conjugate_frobenius(self, tmp_path, a, p, trunc,
+                                                 alpha_P):
+        cfg = tmp_path / "curve.ini"
+        cfg.write_text(f"[elliptic]\na = {a}\nb = 0\np = {p}\n"
+                       f"trunc = {trunc}\n")
+        out = tmp_path / "report.json"
+        code = main(["elliptic-match", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["alpha_P"] == alpha_P
+        assert sum(c["passes"] for c in res["candidates"]) == 1
+
     def test_console_script_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cmtower.cli", "galois-orders",

@@ -117,10 +117,14 @@ class TestFrobenius:
         assert point_count_ap(CURVE, 13) == 6
 
     def test_candidates(self):
-        cands = frobenius_candidates(13, 6)
+        root = gauss_embed_root(13, 24)
+        cands = frobenius_candidates(13, 6, root)
         assert cands == [(3, 2), (-3, -2), (-2, 3), (2, -3)]
         with pytest.raises(ValidationError):
-            frobenius_candidates(13, 3)
+            frobenius_candidates(13, 3, root)
+        # |a_p| > 2 sqrt(p): no Gaussian integer has this trace and norm
+        with pytest.raises(ValidationError, match="Hasse bound"):
+            frobenius_candidates(13, 10, root)
 
     def test_embed_root(self):
         root = gauss_embed_root(13, 24)
@@ -133,7 +137,7 @@ class TestFrobenius:
         root = gauss_embed_root(13, 24)
         reports = {
             alpha: frobenius_check(data, 13, alpha, root)
-            for alpha in frobenius_candidates(13, 6)
+            for alpha in frobenius_candidates(13, 6, root)
         }
         assert reports[(3, 2)]["passes"]
         assert reports[(-3, -2)]["first_fail"] == (13, 12)

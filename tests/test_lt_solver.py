@@ -1,0 +1,183 @@
+"""Differential tests: the online Lubin-Tate solver against the
+degree-by-degree reference that recomposes the whole series at every
+degree."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cmtower.errors import InvariantError, PrecisionError, ValidationError
+from cmtower.lubin_tate import LTSeed, _lt_solve
+from cmtower.padic import PadicInt, TruncSeries
+
+
+def reference_lt_solve(linear, src, dst):
+    """The recursion as first written: at degree k, compose both sides in
+    full and correct phi's degree-k part by R_k / (pi^k - pi)."""
+    if src.p != dst.p or src.N != dst.N:
+        raise ValidationError("seeds disagree on (p, N)")
+    if src.pi_val != dst.pi_val:
+        raise ValidationError("seeds have different uniformizers")
+    p, N = src.p, src.N
+    n = linear.nvars
+    D = linear.trunc
+    pi = src.pi_val
+    mod = p ** N
+    src_args = [
+        TruncSeries(p, N, n, D,
+                    {tuple(k if j == i else 0 for j in range(n)): c
+                     for (k,), c in src.d.coeffs.items()})
+        for i in range(n)
+    ]
+    phi = linear
+    for k in range(2, D + 1):
+        diff = dst.d.compose([phi]) - phi.compose(src_args)
+        divisor = pi ** k - pi
+        if divisor.valuation() != 1:
+            raise InvariantError("correction divisor lost valuation 1")
+        new_coeffs = dict(phi.coeffs)
+        for e, c in diff.coeffs.items():
+            if sum(e) != k:
+                continue
+            ce = PadicInt(p, N, c)
+            if ce.is_zero():
+                continue
+            if ce.valuation() == 0:
+                raise InvariantError(
+                    f"obstruction at degree {k} is a unit: input is not a "
+                    "valid Lubin-Tate seed pair"
+                )
+            corr = ce.divide_exact(divisor)
+            v = (new_coeffs.get(e, 0) + corr.value) % mod
+            if v:
+                new_coeffs[e] = v
+            elif e in new_coeffs:
+                del new_coeffs[e]
+        phi = TruncSeries(p, N, n, D, new_coeffs, phi.eff_prec - 1)
+    return phi
+
+
+def unchecked_seed(p, N, trunc, coeffs):
+    """A seed object that skips LTSeed's congruence checks, so that the
+    solver meets an obstruction it must reject."""
+    seed = LTSeed.__new__(LTSeed)
+    seed.p, seed.N = p, N
+    seed.d = TruncSeries.from_coeff_list(p, N, trunc, coeffs)
+    seed.pi_val = seed.d.coefficient((1,))
+    return seed
+
+
+@st.composite
+def seed_coeffs(draw, p, D, pi):
+    """Dense coefficients [0, pi, a_2, ..., a_D] of a valid seed."""
+    coeffs = [0, pi]
+    for k in range(2, D + 1):
+        if k == p:
+            coeffs.append(1 + p * draw(st.integers(0, p * p)))
+        else:
+            coeffs.append(p * draw(st.integers(0, p ** 3)))
+    return coeffs
+
+
+@st.composite
+def seed_pair(draw, max_D=14):
+    p = draw(st.sampled_from((3, 5, 7)))
+    D = draw(st.integers(p, max_D))
+    # N <= D - 1 runs out of precision at degree N + 1
+    N = draw(st.integers(max(2, D - 3), D + 10))
+    pi = p * draw(st.integers(1, p * p).filter(lambda u: u % p))
+    src = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, pi)))
+    dst = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, pi)))
+    return src, dst
+
+
+def linear_part(seed, nvars, a=1):
+    if nvars == 1:
+        coeffs = {(1,): a}
+    else:
+        coeffs = {(1, 0): 1, (0, 1): 1}
+    return TruncSeries(seed.p, seed.N, nvars, seed.trunc, coeffs)
+
+
+def outcome(solve, linear, src, dst):
+    """(coeffs, eff_prec) on success, (exception class, message) on
+    failure."""
+    try:
+        phi = solve(linear, src, dst)
+    except (InvariantError, PrecisionError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return phi.coeffs, phi.eff_prec
+
+
+def assert_same(linear, src, dst):
+    want = outcome(reference_lt_solve, linear, src, dst)
+    assert outcome(_lt_solve, linear, src, dst) == want
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_pair(), st.integers(0, 7 ** 4))
+def test_endo_matches_reference(pair, a):
+    seed, _ = pair
+    assert_same(linear_part(seed, 1, a), seed, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_pair())
+def test_strict_iso_matches_reference(pair):
+    src, dst = pair
+    assert_same(linear_part(src, 1), src, dst)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed_pair(max_D=12))
+def test_group_law_matches_reference(pair):
+    seed, _ = pair
+    assert_same(linear_part(seed, 2), seed, seed)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_group_law_matches_reference_at_14(p):
+    seed = LTSeed.from_coeffs(p, 20, 14, [0, p] + [p * (k % 4) for k in
+                                                   range(2, p)]
+                              + [1 + p] + [p * k for k in range(p + 1, 15)])
+    coeffs, eff = assert_same(linear_part(seed, 2), seed, seed)
+    assert eff == 20 - 13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_unit_obstruction_matches_reference(p, data):
+    """A unit coefficient below t^p breaks the seed congruence; where
+    that shows as a unit obstruction, both solvers must reject it at the
+    same degree (or run out of precision first, the same way)."""
+    D = data.draw(st.integers(p, 12))
+    N = data.draw(st.integers(max(2, D - 3), D + 4))
+    coeffs = data.draw(seed_coeffs(p, D, p))
+    bad = data.draw(st.integers(2, p - 1))
+    coeffs[bad] = data.draw(st.integers(1, p - 1))
+    seed = unchecked_seed(p, N, D, coeffs)
+    nvars = data.draw(st.sampled_from((1, 2)))
+    a = data.draw(st.integers(2, p * p))
+    assert_same(linear_part(seed, nvars, a), seed, seed)
+
+
+def test_unit_obstruction_degree():
+    # d = 5t + t^3 + t^5 at p = 5: R_2 = 0 and R_3 = a^3 - a, a unit for a = 2
+    seed = unchecked_seed(5, 12, 8, [0, 5, 0, 1, 0, 1])
+    with pytest.raises(InvariantError, match="degree 3"):
+        _lt_solve(linear_part(seed, 1, 2), seed, seed)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_precision_exhausted_at_degree_N_plus_1(p, nvars):
+    """One digit is spent per degree: D = N + 1 exhausts precision at the
+    last degree, D = N leaves one digit."""
+    for N in (p, p + 2):
+        for D, ok in ((N, True), (N + 1, False)):
+            seed = LTSeed.standard(p, N, D)
+            got = assert_same(linear_part(seed, nvars), seed, seed)
+            if ok:
+                assert got[1] == 1
+            else:
+                assert got == (PrecisionError, "effective precision exhausted")
