@@ -28,7 +28,7 @@ from .padic import (PadicInt, PadicPoly, hensel_root, newton_polygon,
 class EisensteinTower:
     """The tower of torsion fields of a polynomial seed."""
 
-    __slots__ = ("seed", "p", "N", "max_degree", "pin", "levels")
+    __slots__ = ("seed", "p", "N", "max_degree", "pin", "levels", "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
         if not seed.is_polynomial:
@@ -40,6 +40,8 @@ class EisensteinTower:
         # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1)
         self.pin = []
         self.levels = []
+        # level_disc, once both routes have agreed
+        self.disc = None
 
     def degree(self, n: int) -> int:
         """Degree of level n over the base: p^(n-1)(p-1); level 0 is the
@@ -50,6 +52,8 @@ class EisensteinTower:
 
     def build(self, n: int) -> None:
         """Build and certify levels up to n."""
+        if len(self.levels) >= n:
+            return
         d = self.seed.to_poly()
         while len(self.levels) < n:
             k = len(self.levels) + 1
@@ -112,14 +116,21 @@ class LocalElement:
         self.level = level
         d = tower.degree(level)
         mod = tower.p ** tower.N
-        raw = [c.value if isinstance(c, PadicInt) else c % mod for c in coeffs]
-        raw = [c % mod for c in raw]
+        raw = [(c.value if isinstance(c, PadicInt) else c) % mod
+               for c in coeffs]
         if len(raw) > d:
             raise ValidationError(
                 f"level-{level} elements have at most {d} coefficients"
             )
         raw += [0] * (d - len(raw))
         self.coeffs = tuple(raw)
+
+    @classmethod
+    def _reduced(cls, tower, level, coeffs):
+        """An element from all d_n coefficients, already reduced mod p^N."""
+        x = object.__new__(cls)
+        x.tower, x.level, x.coeffs = tower, level, tuple(coeffs)
+        return x
 
     def _check(self, other: "LocalElement"):
         if self.tower is not other.tower or self.level != other.level:
@@ -129,8 +140,10 @@ class LocalElement:
         if isinstance(other, int):
             other = LocalElement(self.tower, self.level, [other])
         self._check(other)
-        return LocalElement(self.tower, self.level,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        t = self.tower
+        mod = t.p ** t.N
+        return LocalElement._reduced(t, self.level, [
+            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -157,10 +170,17 @@ class LocalElement:
             for j, b in enumerate(other.coeffs):
                 prod[i + j] = (prod[i + j] + a * b) % mod
         if self.level == 0:
-            return LocalElement(t, 0, prod[:1])
-        h = t.h(self.level)
-        _, r = PadicPoly(p, N, prod).divmod_unit(h)
-        return LocalElement(t, self.level, r.coeffs)
+            return LocalElement._reduced(t, 0, prod[:1])
+        # remainder mod h_n, the long division of PadicPoly.divmod_unit
+        h = t.h(self.level).coeffs
+        d = len(h) - 1
+        inv = pow(h[-1], -1, mod)
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] * inv % mod
+            if c:
+                for j, b in enumerate(h, k - d):
+                    prod[j] = (prod[j] - c * b) % mod
+        return LocalElement._reduced(t, self.level, prod[:d])
 
     __rmul__ = __mul__
 
@@ -207,8 +227,6 @@ def torsion_poly(tower: EisensteinTower, n: int) -> PadicPoly:
 
 def elem_ord(x) -> "int | None":
     """Valuation of a tower element (or a PadicInt, in base units)."""
-    if isinstance(x, PadicInt):
-        return x.valuation()
     return x.valuation()
 
 
@@ -312,15 +330,18 @@ def level_disc(tower: EisensteinTower) -> int:
     """Discriminant valuation of level 2 over level 1, in level-1
     uniformizer units.  Computed two independent ways (direct valuation
     at level 2 and Sylvester resultant over level 1) and cross-checked;
-    p(p-1) for a valid tower."""
-    direct = _disc_direct(tower)
-    resultant = _disc_resultant(tower)
-    if direct != resultant:
-        raise InvariantError(
-            f"discriminant routes disagree: direct {direct}, "
-            f"resultant {resultant}"
-        )
-    return direct
+    p(p-1) for a valid tower.  The certified value is kept on the tower,
+    so later calls return it without rerunning either route."""
+    if tower.disc is None:
+        direct = _disc_direct(tower)
+        resultant = _disc_resultant(tower)
+        if direct != resultant:
+            raise InvariantError(
+                f"discriminant routes disagree: direct {direct}, "
+                f"resultant {resultant}"
+            )
+        tower.disc = direct
+    return tower.disc
 
 
 def character_conductor_floor(tower: EisensteinTower) -> int:

@@ -421,39 +421,55 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 # Determinants and resultants
 # ---------------------------------------------------------------------------
 
+def _ring_sum(terms, zero):
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return zero if acc is None else acc
+
+
 def ring_det(rows, zero, one):
-    """Determinant over any commutative ring, by Laplace expansion with
-    memoization on column subsets (O(n 2^n) ring multiplications, no
-    divisions).  ``rows`` is a square list of lists."""
+    """Determinant over any commutative ring, by Berkowitz's division-free
+    algorithm (Inf. Process. Lett. 18 (1984)): O(n^4) ring products and no
+    division, so the result is the same ring element as Laplace expansion
+    gives, over the integers, over Z/p^N and over tower rings alike.
+
+    The characteristic polynomial det(x - A_r) of the leading r x r block
+    grows one row and column at a time.  Writing the next block as
+    [[M, C], [R, a]], its coefficients are the Toeplitz product of
+    q = [1, -a, -R C, -R M C, ..., -R M^(r-1) C] with those of det(x - M),
+    and det A = (-1)^n c_n.  Products with a factor equal to ``zero`` are
+    skipped (Sylvester rows are mostly zeros).  ``rows`` is a square list
+    of lists; ``one`` is returned for n = 0."""
     n = len(rows)
-    if n == 0:
-        return one
-    full = (1 << n) - 1
-    memo = {0: one}
-
-    def det_rec(cols: int, r: int):
-        if cols == 0:
-            return one
-        key = cols
-        if key in memo:
-            return memo[key]
-        acc = None
-        sign = 0
-        c = cols
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
-            entry = rows[r][j]
-            sub = det_rec(cols & ~(1 << j), r + 1)
-            term = entry * sub
-            if sign % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign += 1
-        memo[key] = acc
-        return acc
-
-    return det_rec(full, 0)
+    # nonzero entries (j, a_ij) of each row, by increasing column
+    sparse = [[(j, a) for j, a in enumerate(row) if a != zero]
+              for row in rows]
+    c = [one]  # coefficients of det(x - A_0), highest power first
+    for r in range(n):
+        block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
+        R = [(j, a) for j, a in sparse[r] if j < r]
+        v = [rows[i][r] for i in range(r)]  # M^k C, from k = 0
+        q = [one, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [_ring_sum([a * v[j] for j, a in row
+                                if v[j] != zero], zero)
+                     for row in block]
+            q.append(-_ring_sum([a * v[j] for j, a in R
+                                 if v[j] != zero], zero))
+        # c'_k = sum_j q_(k-j) c_j, with q_0 = c_0 = one taken as is
+        cnz = [x != zero for x in c]
+        qnz = [x != zero for x in q]
+        out = [one]
+        for k in range(1, r + 2):
+            terms = [q[k]] + [q[k - j] * c[j] for j in range(1, min(k, r + 1))
+                              if cnz[j] and qnz[k - j]]
+            if k <= r:
+                terms.append(c[k])
+            out.append(_ring_sum(terms, zero))
+        c = out
+    return c[n] if n % 2 == 0 else -c[n]
 
 
 def _sylvester_rows(f: PadicPoly, g: PadicPoly):

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from cmtower.errors import InvariantError, ValidationError
+from cmtower import local_tower
+from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.local_tower import (DivisionState, EisensteinTower,
-                                 LocalElement, character_conductor_floor,
-                                 divide_point, division_conductor,
-                                 e_invariant, elem_ord, filtration_step,
-                                 level_disc, torsion_poly)
+                                 LocalElement, _disc_direct, _disc_resultant,
+                                 character_conductor_floor, divide_point,
+                                 division_conductor, e_invariant, elem_ord,
+                                 filtration_step, level_disc, torsion_poly)
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import PadicInt, newton_polygon
 
@@ -137,6 +138,47 @@ class TestDiscriminant:
 
     def test_floor_units(self):
         t = tower(3)
+        assert character_conductor_floor(t) == 3
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("kind", ("standard", "random"))
+    def test_both_routes_up_to_13(self, p, kind):
+        """Both routes give p(p-1) for t^p + p t and for a random
+        Eisenstein seed, with the level-2 budget raised to p(p-1)."""
+        if kind == "standard":
+            seed = LTSeed.standard(p, 20, p + 2)
+        else:
+            rng = random.Random(p)
+            coeffs = ([0, p * rng.randrange(1, p)]
+                      + [p * rng.randrange(p ** 3) for _ in range(2, p)]
+                      + [1 + p * rng.randrange(p)])
+            seed = LTSeed.from_coeffs(p, 20, p + 2, coeffs)
+        t = EisensteinTower(seed, max_degree=p * (p - 1))
+        assert _disc_direct(t) == _disc_resultant(t) == p * (p - 1)
+        assert level_disc(t) == p * (p - 1)
+        assert character_conductor_floor(t) == p
+
+    def test_precision_cap_raises(self):
+        """At p = 13, N = 12 the level-1 cap (p-1)N = 144 is below
+        p(p-1) = 156: the resultant is zero at working precision, so the
+        run raises (exit 3) instead of giving another number."""
+        t = EisensteinTower(LTSeed.standard(13, 12, 15), max_degree=156)
+        with pytest.raises(PrecisionError):
+            level_disc(t)
+        assert t.disc is None
+        with pytest.raises(PrecisionError):
+            character_conductor_floor(t)
+
+    def test_certified_once(self, monkeypatch):
+        t = tower(3)
+        assert level_disc(t) == 6
+
+        def fail(_):
+            raise AssertionError("route rerun")
+
+        monkeypatch.setattr(local_tower, "_disc_direct", fail)
+        monkeypatch.setattr(local_tower, "_disc_resultant", fail)
+        assert level_disc(t) == 6
         assert character_conductor_floor(t) == 3
 
 
