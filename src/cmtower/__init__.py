@@ -6,7 +6,7 @@ from .errors import (CmtowerError, HenselError, InvariantError,
                      PrecisionError, ValidationError)
 from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
                     compositional_inverse, hensel_root, newton_polygon,
-                    resultant_valuation, series_compose)
+                    resultant_valuation)
 from .lubin_tate import (FglHom, FormalGroupLaw, LTSeed, endo, group_law,
                          solve_intertwine, strict_iso, verify_pi_shape)
 from .cm_split import (CMField, FieldElement, ProductGroup, embed,
@@ -15,8 +15,7 @@ from .cm_split import (CMField, FieldElement, ProductGroup, embed,
 from .local_tower import (ConductorReport, DivisionState, EisensteinTower,
                           LocalElement, character_conductor_floor,
                           divide_point, division_conductor, e_invariant,
-                          elem_ord, filtration_step, level_disc,
-                          torsion_poly)
+                          filtration_step, level_disc, torsion_poly)
 from .galois_model import SubgroupSpec, TriElement, compose, tower_indices
 from .unit_wedge import (CftOracle, UnitJet, WedgeTranscript, combine,
                          extend_to_g, reduce_wedge, wedge_step)

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -44,10 +45,6 @@ COMMANDS = (
 # config handling
 # ---------------------------------------------------------------------------
 
-def _ints(text: str):
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
 class RunConfig:
     """Parsed and validated parameters for one command."""
 
@@ -77,12 +74,37 @@ class RunConfig:
 
     def require(self, section, key):
         v = self.get(section, key)
-        if v is None:
+        if not v:
             raise ValidationError(
                 f"missing config value [{section}] {key} for "
                 f"{self.command}"
             )
         return v
+
+    def integer(self, section, key, default=None, text=None):
+        """An integer of the config: ``text`` when given (one entry of a
+        list value), else the value of [section] key, else ``default``;
+        a missing key without a default is an error.  Every integer the
+        commands read comes through here, so a value that is not one is a
+        validation error (exit 2), not a traceback."""
+        if text is None:
+            text = self.get(section, key)
+            if not text:
+                return self.require(section, key) if default is None else default
+        try:
+            return int(text)
+        except ValueError:
+            raise ValidationError(
+                f"config value [{section}] {key} = {text!r} is not an integer"
+            ) from None
+
+    def integers(self, section, key, text=None):
+        """The comma- or space-separated integers of [section] key, or of
+        ``text`` (one row of it)."""
+        if text is None:
+            text = self.require(section, key)
+        return [self.integer(section, key, text=x)
+                for x in text.replace(",", " ").split()]
 
     def canonical(self) -> str:
         body = {
@@ -103,17 +125,17 @@ class RunConfig:
     def trunc_for(self, p: int) -> int:
         if self.trunc is not None:
             return self.trunc
-        t = self.get("seed", "trunc") or self.get("run", "trunc")
-        return int(t) if t else max(2 * p, 10)
+        return self.integer("seed", "trunc", self.integer(
+            "run", "trunc", max(2 * p, 10)))
 
     def prec_for(self, trunc: int) -> int:
         if self.precision is not None:
             return self.precision
-        n = self.get("seed", "precision") or self.get("run", "precision")
-        return int(n) if n else trunc + 10
+        return self.integer("seed", "precision", self.integer(
+            "run", "precision", trunc + 10))
 
     def seed(self, section="seed") -> LTSeed:
-        p = int(self.require(section, "p"))
+        p = self.integer(section, "p")
         kind = self.get(section, "kind")
         D = self.trunc_for(p)
         N = self.prec_for(D)
@@ -123,47 +145,44 @@ class RunConfig:
             return LTSeed.standard(p, N, D)
         if kind:
             raise ValidationError(f"unknown seed kind {kind!r}")
-        return LTSeed.from_coeffs(p, N, D,
-                                  _ints(self.require(section, "coeffs")))
+        return LTSeed.from_coeffs(p, N, D, self.integers(section, "coeffs"))
 
     def field(self) -> CMField:
-        poly = _ints(self.require("field", "poly"))
-        p = int(self.require("field", "p"))
+        poly = self.integers("field", "poly")
+        p = self.integer("field", "p")
         N = self.prec_for(self.trunc_for(p))
-        conj = _ints(self.require("field", "conj"))
-        cm_type = set(_ints(self.require("field", "cm_type")))
+        conj = self.integers("field", "conj")
+        cm_type = set(self.integers("field", "cm_type"))
         autos_raw = self.get("field", "autos")
         autos = None
         if autos_raw:
-            autos = [_ints(row) for row in autos_raw.split(";")]
+            autos = [self.integers("field", "autos", row)
+                     for row in autos_raw.split(";")]
         return CMField(poly, p, N, conj, cm_type, autos)
 
     def jets(self):
-        p = int(self.require("wedge", "p"))
+        p = self.integer("wedge", "p")
         rows = self.require("wedge", "jets").split(";")
-        return [UnitJet(p, tuple(_ints(r))) for r in rows]
+        return [UnitJet(p, tuple(self.integers("wedge", "jets", r)))
+                for r in rows]
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _series_json(s):
-    return s.to_json()
-
-
 def _run_lt_group_law(cfg: RunConfig):
     seed = cfg.seed()
     F = group_law(seed).F
-    return {"law": _series_json(F)}, [
+    return {"law": F.to_json()}, [
         "group law solved degree by degree from the seed"]
 
 
 def _run_lt_endo(cfg: RunConfig):
     seed = cfg.seed()
-    a = int(cfg.require("seed", "a"))
+    a = cfg.integer("seed", "a")
     s = endo(seed, PadicInt(seed.p, seed.N, a))
-    return {"a": a, "series": _series_json(s)}, [
+    return {"a": a, "series": s.to_json()}, [
         "endomorphism from the intertwining recursion"]
 
 
@@ -172,14 +191,14 @@ def _run_lt_iso(cfg: RunConfig):
     dst = cfg.seed("seed2")
     iso = strict_iso(src, dst)
     return {
-        "series": _series_json(iso.series[0]),
+        "series": iso.series[0].to_json(),
         "jacobian": [[c.to_json() for c in row] for row in iso.jacobian],
     }, ["strict isomorphism from the intertwining recursion"]
 
 
 def _run_cm_embed(cfg: RunConfig):
     K = cfg.field()
-    alpha = K.element(_ints(cfg.require("cm", "alpha")))
+    alpha = K.element(cfg.integers("cm", "alpha"))
     vec = embed(K, alpha)
     return {
         "values": [x.to_json() for x in vec],
@@ -189,7 +208,7 @@ def _run_cm_embed(cfg: RunConfig):
 
 def _run_cm_pi(cfg: RunConfig):
     K = cfg.field()
-    fp = int(cfg.require("cm", "fp_index"))
+    fp = cfg.integer("cm", "fp_index")
     pi = pick_pi(K, fp)
     vec = embed(K, pi)
     return {
@@ -204,7 +223,7 @@ def _tower(cfg: RunConfig) -> EisensteinTower:
 
 def _run_tower_build(cfg: RunConfig):
     tw = _tower(cfg)
-    n = int(cfg.get("tower", "level", 2))
+    n = cfg.integer("tower", "level", 2)
     out = []
     for k in range(1, n + 1):
         h = torsion_poly(tw, k)
@@ -229,14 +248,14 @@ def _run_tower_disc(cfg: RunConfig):
 
 
 def _division_state(cfg: RunConfig, tw: EisensteinTower):
-    t0 = int(cfg.require("tower", "t0"))
+    t0 = cfg.integer("tower", "t0")
     return DivisionState.start(PadicInt(tw.p, tw.N, t0))
 
 
 def _run_divide(cfg: RunConfig):
     tw = _tower(cfg)
     st = _division_state(cfg, tw)
-    to_level = int(cfg.get("tower", "level", st.e))
+    to_level = cfg.integer("tower", "level", st.e)
     st = divide_point(tw, st, to_level)
     res = {
         "e": st.e,
@@ -268,7 +287,7 @@ def _run_wedge_reduce(cfg: RunConfig):
 
 def _run_wedge_extend(cfg: RunConfig):
     jets = cfg.jets()
-    s = int(cfg.require("wedge", "s"))
+    s = cfg.integer("wedge", "s")
     oracle = CftOracle(cfg.oracle_mode)
     tr = extend_to_g(jets, s, oracle)
     return tr.to_json(), ["tail primes cleared first, then the "
@@ -276,18 +295,18 @@ def _run_wedge_extend(cfg: RunConfig):
 
 
 def _run_galois_orders(cfg: RunConfig):
-    p = int(cfg.require("galois", "p"))
-    m = int(cfg.require("galois", "m"))
-    n = int(cfg.require("galois", "n"))
+    p = cfg.integer("galois", "p")
+    m = cfg.integer("galois", "m")
+    n = cfg.integer("galois", "n")
     return tower_indices(p, m, n), [
         "orders by exhaustive enumeration; cyclicity by generator order"]
 
 
 def _elliptic(cfg: RunConfig):
-    a = int(cfg.require("elliptic", "a"))
-    b = int(cfg.require("elliptic", "b"))
-    p = int(cfg.require("elliptic", "p"))
-    D = cfg.trunc if cfg.trunc else int(cfg.get("elliptic", "trunc", 20))
+    a = cfg.integer("elliptic", "a")
+    b = cfg.integer("elliptic", "b")
+    p = cfg.integer("elliptic", "p")
+    D = cfg.trunc or cfg.integer("elliptic", "trunc", 20)
     E = WeierstrassCurve(a, b)
     return E, p, D
 
@@ -299,15 +318,9 @@ def _run_elliptic_fg(cfg: RunConfig):
     return {
         "discriminant": E.discriminant,
         "law": F,
-        "log_denominator_lcm": _lcm([c.denominator
-                                     for c in data.log.values()]),
+        "log_denominator_lcm": math.lcm(*(c.denominator
+                                          for c in data.log.values())),
     }, ["exact rational expansion; integrality of the law asserted"]
-
-
-def _lcm(xs):
-    from math import lcm
-
-    return lcm(*xs) if xs else 1
 
 
 def _run_elliptic_match(cfg: RunConfig):
@@ -335,7 +348,7 @@ def _run_elliptic_match(cfg: RunConfig):
         ],
         "alpha_P": list(alpha),
         "embedded_i": emb_i.coefficient((1,)).to_json(),
-        "iso": _series_json(iso.series[0]),
+        "iso": iso.series[0].to_json(),
         "iso_jacobian": iso.jacobian[0][0].to_json(),
     }, [
         "trace by brute-force point count",

@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import (HenselError, InvariantError, PrecisionError,
                      ValidationError)
 from .lubin_tate import LTSeed, endo, group_law
-from .padic import (PadicInt, PadicPoly, hensel_root, newton_polygon,
-                    ring_det)
+from .padic import (PadicInt, PadicPoly, _sylvester_rows, hensel_root,
+                    mul_coeffs, newton_polygon, rem_coeffs, ring_det)
 
 
 class EisensteinTower:
@@ -161,26 +161,13 @@ class LocalElement:
             return self.scale(other)
         self._check(other)
         t = self.tower
-        p, N = t.p, t.N
-        mod = p ** N
-        prod = [0] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = (prod[i + j] + a * b) % mod
+        mod = t.p ** t.N
+        prod = mul_coeffs(self.coeffs, other.coeffs)
         if self.level == 0:
-            return LocalElement._reduced(t, 0, prod[:1])
-        # remainder mod h_n, the long division of PadicPoly.divmod_unit
+            return LocalElement._reduced(t, 0, [prod[0] % mod])
         h = t.h(self.level).coeffs
-        d = len(h) - 1
-        inv = pow(h[-1], -1, mod)
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k] * inv % mod
-            if c:
-                for j, b in enumerate(h, k - d):
-                    prod[j] = (prod[j] - c * b) % mod
-        return LocalElement._reduced(t, self.level, prod[:d])
+        rem_coeffs(prod, h, pow(h[-1], -1, mod), mod)
+        return LocalElement._reduced(t, self.level, prod[:len(h) - 1])
 
     __rmul__ = __mul__
 
@@ -225,11 +212,6 @@ def torsion_poly(tower: EisensteinTower, n: int) -> PadicPoly:
     return tower.h(n)
 
 
-def elem_ord(x) -> "int | None":
-    """Valuation of a tower element (or a PadicInt, in base units)."""
-    return x.valuation()
-
-
 def _eval_poly(poly: PadicPoly, x):
     """Horner evaluation of a base polynomial at a tower element (or a
     PadicInt)."""
@@ -245,7 +227,7 @@ def filtration_step(tower: EisensteinTower, x):
     """Apply the pi-action to a point in the kernel of reduction; its
     valuation increases by exactly one base unit."""
     d = tower.degree(x.level) if isinstance(x, LocalElement) else 1
-    v = elem_ord(x)
+    v = x.valuation()
     if v is not None and v < d:
         raise ValidationError(
             "filtration step needs a point in the kernel of reduction "
@@ -301,22 +283,8 @@ def _disc_resultant(tower: EisensteinTower) -> int:
     m = [lift(c) for c in d.coeffs]
     m[0] = m[0] - lam1
     mp = [lift(c) for c in d.derivative().coeffs]
-    deg_m = len(m) - 1
-    deg_mp = len(mp) - 1
-    size = deg_m + deg_mp
     zero = lift(0)
-    rows = []
-    for i in range(deg_mp):
-        row = [zero] * size
-        for j, c in enumerate(reversed(m)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(deg_m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(mp)):
-            row[i + j] = c
-        rows.append(row)
-    det = ring_det(rows, zero, lift(1))
+    det = ring_det(_sylvester_rows(m, mp, zero), zero, lift(1))
     val = det.valuation()
     if val is None:
         raise PrecisionError(
@@ -445,8 +413,12 @@ def divide_point(tower: EisensteinTower, state: DivisionState,
 
 class _CompElement:
     """Element of the division compositum Z_p[lambda, theta] with
-    h_1(lambda) = 0 and d(theta) = q: coefficient grid c[i][j] for
-    lambda^i theta^j, 0 <= i < p-1, 0 <= j < p.
+    h_1(lambda) = 0 and d(theta) = q, as one flat coefficient list in the
+    Kronecker layout: lambda^i theta^j (0 <= i < p-1, 0 <= j < p) sits at
+    i*w + j with w = 2p - 1, and the slots j >= p of every row are zero.
+    The theta-degree of a product stays below w, so the product of two
+    flat lists is the product of the grids and never carries into the
+    next row.
 
     Valuations (in compositum uniformizer units, ord(p) = p(p-1)):
     ord(lambda) = p, ord(theta) = p-1.  The candidates
@@ -454,139 +426,96 @@ class _CompElement:
     distinct, so ord of any element is read off exactly.
     """
 
-    __slots__ = ("ring", "grid")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, grid):
+    def __init__(self, ring, coeffs):
+        """``coeffs`` are already reduced mod p^N."""
         self.ring = ring
-        mod = ring.mod
-        self.grid = tuple(tuple(c % mod for c in row) for row in grid)
+        self.coeffs = coeffs
 
     def __add__(self, other):
+        mod = self.ring.mod
         return _CompElement(self.ring, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.grid, other.grid)
-        ])
-
-    def __neg__(self):
-        return _CompElement(self.ring, [[-c for c in row]
-                                        for row in self.grid])
+            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        return self + (-other)
+        mod = self.ring.mod
+        return _CompElement(self.ring, [
+            (a - b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c):
         if isinstance(c, PadicInt):
             c = c.value
-        return _CompElement(self.ring, [[c * x for x in row]
-                                        for row in self.grid])
+        mod = self.ring.mod
+        return _CompElement(self.ring, [c * x % mod for x in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, PadicInt)):
             return self.scale(other)
         R = self.ring
-        p, mod = R.p, R.mod
-        nl, nt = p - 1, p
-        # raw convolution
-        big = [[0] * (2 * nt - 1) for _ in range(2 * nl - 1)]
-        for i, row in enumerate(self.grid):
-            for j, a in enumerate(row):
-                if a == 0:
-                    continue
-                for k, orow in enumerate(other.grid):
-                    for l, b in enumerate(orow):
-                        if b:
-                            big[i + k][j + l] = (big[i + k][j + l] + a * b) % mod
-        # reduce theta powers: theta^p = q - sum_(1<=k<p) d_k theta^k
-        for i in range(len(big)):
-            row = big[i]
-            for j in range(len(row) - 1, nt - 1, -1):
-                c = row[j]
-                if not c:
-                    continue
-                row[j] = 0
-                row[0] = (row[0] + c * R.qv) % mod
-                for k in range(1, p):
-                    row[j - p + k] = (row[j - p + k] - c * R.dcoeffs[k]) % mod
-        # reduce lambda powers: lambda^(p-1) = -sum h1_k lambda^k
-        for i in range(len(big) - 1, nl - 1, -1):
-            row = big[i]
-            if not any(row):
-                continue
-            for k in range(nl):
-                hr = R.h1coeffs[k]
-                if hr:
-                    for j in range(nt):
-                        big[i - nl + k][j] = (
-                            big[i - nl + k][j] - hr * row[j]
-                        ) % mod
-            big[i] = [0] * len(row)
-        return _CompElement(self.ring, [r[:nt] for r in big[:nl]])
-
-    def power(self, n):
-        acc = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        p, w, mod = R.p, R.w, R.mod
+        c = mul_coeffs(self.coeffs, other.coeffs)
+        # lambda by h_1(X^w), which divides every theta column at once
+        rem_coeffs(c, R.h1w, R.h1inv, mod)
+        out = []
+        for s in range(0, len(R.h1w) - 1, w):
+            row = c[s:s + w]
+            rem_coeffs(row, R.dq, R.dinv, mod)  # theta by d - q
+            row[p:] = R.gap
+            out += row
+        return _CompElement(R, out)
 
     def valuation(self):
         R = self.ring
-        p = R.p
+        p, w = R.p, R.w
         best = None
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                v = PadicInt(p, R.N, c).valuation()
-                cand = i * p + j * (p - 1) + p * (p - 1) * v
-                if best is None or cand < best:
-                    best = cand
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            i, j = divmod(k, w)
+            v = PadicInt(p, R.N, c).valuation()
+            cand = i * p + j * (p - 1) + p * (p - 1) * v
+            if best is None or cand < best:
+                best = cand
         return best
 
     def is_zero(self):
-        return all(c == 0 for row in self.grid for c in row)
+        return not any(self.coeffs)
 
 
 class _CompositumRing:
-    """Z_p[lambda, theta]/(h_1(lambda), d(theta) - q)."""
+    """Z_p[lambda, theta]/(h_1(lambda), d(theta) - q).  Neither modulus
+    need be monic: each is kept with the inverse of its leading
+    coefficient, h_1 spread out as h_1(X^w) for the flat layout."""
 
-    __slots__ = ("p", "N", "mod", "qv", "dcoeffs", "h1coeffs")
+    __slots__ = ("p", "N", "mod", "w", "h1w", "h1inv", "dq", "dinv", "gap")
 
     def __init__(self, tower: EisensteinTower, q: PadicInt):
-        self.p = tower.p
+        p = self.p = tower.p
         self.N = tower.N
-        self.mod = tower.p ** tower.N
-        self.qv = q.value
-        d = tower.seed.to_poly()
-        self.dcoeffs = [d.coefficient(k).value for k in range(self.p + 1)]
-        h1 = tower.h(1)
-        self.h1coeffs = [h1.coefficient(k).value for k in range(self.p - 1)]
+        mod = self.mod = p ** tower.N
+        w = self.w = 2 * p - 1
+        h1 = tower.h(1).coeffs
+        self.h1w = [0] * ((len(h1) - 1) * w + 1)
+        self.h1w[::w] = h1
+        self.h1inv = pow(h1[-1], -1, mod)
+        d = tower.seed.to_poly().coeffs
+        self.dq = [(d[0] - q.value) % mod] + d[1:]
+        self.dinv = pow(d[-1], -1, mod)
+        self.gap = [0] * (w - p)
 
     def zero(self):
-        p = self.p
-        return _CompElement(self, [[0] * p for _ in range(p - 1)])
-
-    def one(self):
-        p = self.p
-        g = [[0] * p for _ in range(p - 1)]
-        g[0][0] = 1
-        return _CompElement(self, g)
+        return _CompElement(self, [0] * (len(self.h1w) - 1))
 
     def lam(self):
-        p = self.p
-        g = [[0] * p for _ in range(p - 1)]
-        g[1][0] = 1
-        return _CompElement(self, g)
+        x = self.zero()
+        x.coeffs[self.w] = 1
+        return x
 
     def theta(self):
-        p = self.p
-        g = [[0] * p for _ in range(p - 1)]
-        g[0][1] = 1
-        return _CompElement(self, g)
+        x = self.zero()
+        x.coeffs[1] = 1
+        return x
 
     def eval_series(self, series, points):
         """Evaluate a TruncSeries (no constant term) at compositum

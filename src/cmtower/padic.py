@@ -7,6 +7,13 @@ Everything downstream is built on three carriers:
 * ``TruncSeries``   -- sparse truncated power series in g >= 1 variables
   with an effective-precision counter that is decremented by divisions.
 
+Dense coefficient lists share two kernels: ``mul_coeffs``, the unreduced
+schoolbook product, and ``rem_coeffs``, long division mod p^N by a
+polynomial with a unit leading coefficient.  ``PadicPoly``, the tower
+elements of ``local_tower`` and its conductor compositum (whose bivariate
+elements are flattened by Kronecker substitution) all multiply and reduce
+through them.
+
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HenselError, PrecisionError, ValidationError
 
@@ -183,6 +190,42 @@ class PadicInt:
         return {"value": self.value, "p": self.p, "N": self.N}
 
 
+def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list:
+    """The dense product of two coefficient lists, lowest degree first.
+    Nothing is reduced: the caller reduces each coefficient once (through
+    ``rem_coeffs`` or its own comprehension).  Zero coefficients are
+    skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    i = 0
+    for x in a:
+        if x:
+            j = i
+            for y in b:
+                if y:
+                    out[j] += x * y
+                j += 1
+        i += 1
+    return out
+
+
+def rem_coeffs(c: list, h: Sequence[int], inv: int, mod: int) -> None:
+    """Long division of ``c`` by ``h`` mod ``mod``, in place; ``inv`` is
+    the inverse of h's leading coefficient.  Afterwards ``c[:deg h]`` is
+    the remainder and ``c[deg h:]`` the quotient, both reduced.  Zero
+    coefficients of ``h`` are skipped, so a divisor spread out with a
+    stride w, h(X^w), divides the rows of width w independently."""
+    d = len(h) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        if c[k]:
+            q = c[k] * inv % mod
+            for j, b in enumerate(h, k - d):
+                if b:
+                    c[j] -= q * b
+            c[k] = q
+    for j, x in enumerate(c[:d]):
+        c[j] = x % mod
+
+
 class PadicPoly:
     """Dense polynomial over a fixed (p, N); coefficients stored as raw
     residues, canonical form has a nonzero leading coefficient."""
@@ -235,19 +278,7 @@ class PadicPoly:
 
     def __mul__(self, other: "PadicPoly") -> "PadicPoly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PadicPoly(self.p, self.N, [])
-        mod = self.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % mod
-        return PadicPoly(self.p, self.N, out)
-
-    def scale(self, c: int) -> "PadicPoly":
-        return PadicPoly(self.p, self.N, [c * x for x in self.coeffs])
+        return PadicPoly(self.p, self.N, mul_coeffs(self.coeffs, other.coeffs))
 
     def derivative(self) -> "PadicPoly":
         return PadicPoly(self.p, self.N, [i * x for i, x in enumerate(self.coeffs)][1:])
@@ -269,19 +300,10 @@ class PadicPoly:
         if lead % self.p == 0:
             raise ValidationError("divisor leading coefficient is not a unit")
         mod = self.modulus
-        inv = pow(lead, -1, mod)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return PadicPoly(self.p, self.N, []), PadicPoly(self.p, self.N, rem)
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = (rem[k + other.degree] * inv) % mod
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % mod
-        return PadicPoly(self.p, self.N, quot), PadicPoly(self.p, self.N, rem)
+        c = list(self.coeffs)
+        rem_coeffs(c, other.coeffs, pow(lead, -1, mod), mod)
+        d = other.degree
+        return PadicPoly(self.p, self.N, c[d:]), PadicPoly(self.p, self.N, c[:d])
 
     def compose_poly(self, other: "PadicPoly") -> "PadicPoly":
         self._check(other)
@@ -472,20 +494,17 @@ def ring_det(rows, zero, one):
     return c[n] if n % 2 == 0 else -c[n]
 
 
-def _sylvester_rows(f: PadicPoly, g: PadicPoly):
-    m, n = f.degree, g.degree
-    size = m + n
+def _sylvester_rows(f: Sequence, g: Sequence, zero):
+    """Sylvester matrix of two coefficient lists (lowest degree first,
+    entries from any ring), padded with ``zero``."""
+    m, n = len(f) - 1, len(g) - 1
     rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        row = [0] * size
-        row[i:i + m + 1] = fc
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        row[i:i + n + 1] = gc
-        rows.append(row)
+    for c, shifts in ((f, n), (g, m)):
+        top = list(reversed(c))
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            row[i:i + len(top)] = top
+            rows.append(row)
     return rows
 
 
@@ -520,10 +539,12 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
         if v is None:
             raise PrecisionError("constant polynomial is zero at precision N")
         return v * other.degree
-    rows = [[PadicInt(f.p, f.N, x) for x in row] for row in _sylvester_rows(f, g)]
+    def lift(c):
+        return [PadicInt(f.p, f.N, x) for x in c.coeffs]
+
     zero = PadicInt(f.p, f.N, 0)
-    one = PadicInt(f.p, f.N, 1)
-    det = ring_det(rows, zero, one)
+    det = ring_det(_sylvester_rows(lift(f), lift(g), zero), zero,
+                   PadicInt(f.p, f.N, 1))
     v = det.valuation()
     if v is not None:
         return v
@@ -639,17 +660,6 @@ class TruncSeries:
     def constant_term(self) -> PadicInt:
         return self.coefficient((0,) * self.nvars)
 
-    def is_zero_mod_eff(self) -> bool:
-        pe = self.p ** self.eff_prec
-        return all(c % pe == 0 for c in self.coeffs.values())
-
-    def lowest_degree(self):
-        """Smallest total degree with a coefficient nonzero mod p^eff_prec,
-        or None."""
-        pe = self.p ** self.eff_prec
-        degs = [sum(e) for e, c in self.coeffs.items() if c % pe != 0]
-        return min(degs) if degs else None
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -697,13 +707,6 @@ class TruncSeries:
             parts.setdefault(sum(e), {})[pack_exponent(e, base)] = c
         return parts
 
-    def scale(self, c) -> "TruncSeries":
-        if isinstance(c, PadicInt):
-            c = c.value
-        mod = self.p ** self.N
-        c %= mod
-        return self.copy_with({e: (c * v) % mod for e, v in self.coeffs.items()})
-
     def divide_exact(self, d: PadicInt) -> "TruncSeries":
         """Exact coefficient-wise division by an element of valuation v;
         costs v digits of effective precision."""
@@ -714,18 +717,6 @@ class TruncSeries:
         for e, c in self.coeffs.items():
             out[e] = PadicInt(self.p, self.N, c).divide_exact(d).value
         return self.copy_with(out, eff_prec=self.eff_prec - v)
-
-    def power(self, k: int) -> "TruncSeries":
-        acc = TruncSeries.constant(self.p, self.N, self.nvars, self.trunc, 1)
-        acc = acc.copy_with(acc.coeffs, eff_prec=self.eff_prec)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
 
     # -- composition ---------------------------------------------------
 
@@ -783,37 +774,7 @@ class TruncSeries:
         return TruncSeries(tgt.p, tgt.N, tgt.nvars, tgt.trunc,
                            {e: c for e, c in out.items() if c}, eff)
 
-    # -- evaluation / comparison --------------------------------------
-
-    def evaluate(self, points):
-        """Evaluate at ring elements (PadicInt or anything supporting
-        + and * with itself and integer scaling via .scale or __mul__).
-
-        Used for 1- and 2-variable series on tower elements.  Points
-        must have positive valuation for truncation to be meaningful.
-        """
-        acc = None
-        pows = [dict() for _ in points]
-
-        def pt_power(i, k):
-            cache = pows[i]
-            if k in cache:
-                return cache[k]
-            r = points[i] if k == 1 else pt_power(i, k - 1) * points[i]
-            cache[k] = r
-            return r
-
-        for e, c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
-            if sum(e) == 0:
-                raise ValidationError("evaluate expects a series without constant term")
-            term = None
-            for i, k in enumerate(e):
-                if k:
-                    pw = pt_power(i, k)
-                    term = pw if term is None else term * pw
-            term = term * c if not isinstance(c, int) else term.scale(c)
-            acc = term if acc is None else acc + term
-        return acc
+    # -- comparison ----------------------------------------------------
 
     def congruent(self, other: "TruncSeries", digits=None) -> bool:
         self._check(other)
@@ -851,10 +812,6 @@ class TruncSeries:
             },
         }
 
-
-def series_compose(f: TruncSeries, args: Iterable[TruncSeries]) -> TruncSeries:
-    """Module-level alias for TruncSeries.compose."""
-    return f.compose(list(args))
 
 
 def compositional_inverse(f: TruncSeries) -> TruncSeries:

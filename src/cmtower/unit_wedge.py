@@ -31,6 +31,8 @@ class UnitJet:
     alphas: tuple
 
     def __post_init__(self):
+        if self.p < 2:
+            raise ValidationError(f"jets need a prime p >= 2, got {self.p}")
         object.__setattr__(
             self, "alphas",
             tuple(None if a is None else a % self.p for a in self.alphas),
@@ -223,74 +225,40 @@ def reduce_wedge(jets, oracle: CftOracle) -> WedgeTranscript:
     primes 2..s-k+1; the oracle upgrades jet 1 at prime 1, which is the
     triviality statement for the whole exterior product.
     """
-    jets = tuple(jets)
-    _check_hypothesis(jets)
-    s = len(jets)
-    tr = WedgeTranscript(initial=jets)
-    work = list(jets)
-    if s == 1:
-        tr.final = tuple(work)
-        tr.trivial = True
-        tr.note = "single jet: nothing to reduce"
-        return tr
-    for j in work[:s]:
-        for i in range(s):
-            j.coeff(i)  # all coefficients must be recorded
-    for i in range(1, s):          # prime index (0-based): 1..s-1
-        for k in range(0, s - i):  # positions 0..s-i-1
-            v, w, mat = wedge_step(work[k], work[k + 1], i)
-            work[k], work[k + 1] = v, w
-            tr.steps.append((k, i, mat))
-    others = list(range(1, s))
-    granted = oracle.invoke(work[0], 0, others)
-    entry = dict(oracle.log[-1])
-    entry["position"] = 0
-    entry["first"] = 0
-    tr.oracle_log.append(entry)
-    if granted is None:
-        tr.final = tuple(work)
-        tr.blocked = True
-        tr.note = "blocked at CFT step"
-        return tr
-    work[0] = granted
-    tr.final = tuple(work)
-    tr.trivial = True
-    tr.note = ("leading jet trivial to second order at every prime; "
-               "wedge class trivial")
-    return tr
+    return extend_to_g(jets, len(jets), oracle)
 
 
 def extend_to_g(jets, s: int, oracle: CftOracle) -> WedgeTranscript:
     """g jets over g primes with only the first s participating in the
     final reduction: first clear the coefficients at primes s+1..g from
-    the leading jets, then run the s-prime reduction; one transcript."""
+    the leading jets, which leaves the leading s jets trivial to second
+    order past prime s, then run the s-prime ladder on them and make one
+    oracle call; one transcript.  ``reduce_wedge`` is the case s = g."""
     jets = tuple(jets)
     _check_hypothesis(jets)
     g = len(jets)
     if not (1 <= s <= g):
         raise ValidationError("need 1 <= s <= g")
-    if s == g:
-        return reduce_wedge(jets, oracle)
     tr = WedgeTranscript(initial=jets)
     work = list(jets)
+    if g == 1:
+        tr.final = tuple(work)
+        tr.trivial = True
+        tr.note = "single jet: nothing to reduce"
+        return tr
     for j in work:
         for i in range(g):
-            j.coeff(i)
-    for i in range(s, g):              # primes s+1..g (0-based s..g-1)
-        limit = g - (i - s) - 1        # clear positions 0..limit-1
-        for k in range(0, limit):
+            j.coeff(i)  # all coefficients must be recorded
+    # (prime, positions cleared): the tail primes s+1..g (0-based s..g-1)
+    # from the leading jets, then the s-prime ladder
+    passes = ([(i, g - 1 - (i - s)) for i in range(s, g)]
+              + [(i, s - i) for i in range(1, s)])
+    for i, limit in passes:
+        for k in range(limit):
             v, w, mat = wedge_step(work[k], work[k + 1], i)
             work[k], work[k + 1] = v, w
             tr.steps.append((k, i, mat))
-    # the leading s jets are now trivial to second order past prime s;
-    # run the s-prime ladder on them
-    for i in range(1, s):
-        for k in range(0, s - i):
-            v, w, mat = wedge_step(work[k], work[k + 1], i)
-            work[k], work[k + 1] = v, w
-            tr.steps.append((k, i, mat))
-    others = [i for i in range(1, g)]
-    granted = oracle.invoke(work[0], 0, others)
+    granted = oracle.invoke(work[0], 0, range(1, g))
     entry = dict(oracle.log[-1])
     entry["position"] = 0
     entry["first"] = 0

@@ -1,6 +1,7 @@
 """Command-line front end: fixture configs, report shape, determinism,
 exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,53 @@ class TestDeterminism:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# sha256 of each fixture report without its timing, as dumped by
+# ``json.dumps(report, indent=2, sort_keys=True)``; a change to any number,
+# key or provenance line of a report shows here
+GOLDEN = [
+    ("lt-group-law", "lt_p5.ini",
+     "4e6ae1c301875d1596547049f7d30466b9a9ecd2d01f90ee6f3adb0475fce560"),
+    ("lt-endo", "lt_p5.ini",
+     "d93a70c480b79b95a969d31e85b00de8a9fde17a2e3906b25e3a466b5139e38e"),
+    ("lt-iso", "lt_p5.ini",
+     "89f28bb43d6d274d4d3ade6c00607b1a06be39e53ab6683bf8c10c554e081671"),
+    ("cm-embed", "gauss_p5.ini",
+     "6655006f4ad97df771cf4e0b4ede3091af9bf1ea222a038810da8d7450080b5c"),
+    ("cm-pi", "gauss_p5.ini",
+     "5b41dcaff2b265705646552a94269d1b24e6f37ca84ee624a26e5a38335fdfa1"),
+    ("tower-build", "tower_mult_p5.ini",
+     "d5b009b65003d67d86943c32836c4a599918ca16d107aab4c4b9ad2cf7ca0bb9"),
+    ("tower-disc", "tower_mult_p5.ini",
+     "eb0477ae1e43b4d754874d515baa226dbc4f8cdb9bf6ff95b97f36d526cb409a"),
+    ("tower-conductor", "tower_mult_p5.ini",
+     "b4a78e466a71916d6db78f4a0aee947baed73aa400264c2d41a489df1fa0a516"),
+    ("divide", "tower_mult_p5.ini",
+     "1196624ce8bc427170be3779764cece47f6d7b9275eebc05473435b720ea19ad"),
+    ("wedge-reduce", "wedge_p5_s2.ini",
+     "65edbb7d13c4238a0643f9ddd56e201a275000e2da98d8e02866c177aa86ce58"),
+    ("wedge-extend", "wedge_p5_s2.ini",
+     "8a502900f1d35adfa06848aabd863f421e994b9f984113e61eab67a1b91c018f"),
+    ("galois-orders", "galois_p3.ini",
+     "79aab6427db1e7ac9d5fc186532ccdea9c22e1146e0367e23ff2b50b08340829"),
+    ("elliptic-fg", "elliptic_p13.ini",
+     "098acf36c66efd3ac3618859ef09e2d08c95f96fc5e9c0d511e050d6643389a0"),
+    ("elliptic-match", "elliptic_p13.ini",
+     "d9afa4387e4a062382787a974b05fae311a4ca8c86ee9da5bdae174be439c31f"),
+]
+
+
+class TestGolden:
+    def test_covers_every_fixture(self):
+        assert [(c, f) for c, f, _ in GOLDEN] == FIXTURES
+
+    @pytest.mark.parametrize("command,config,digest", GOLDEN)
+    def test_report_digest(self, command, config, digest):
+        report = run_command(command, config)
+        report.pop("timing")
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestMain:
     def test_exit_zero_and_output_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -116,6 +164,18 @@ class TestMain:
         code = main(["galois-orders",
                      "--config", os.path.join(CONFIG_DIR, "lt_p5.ini")])
         assert code == 2
+
+    @pytest.mark.parametrize("command,body", (
+        ("wedge-reduce", "[wedge]\np = five\njets = 2 3; 4 1\n"),
+        ("galois-orders", "[galois]\np = 3\nm = x\nn = 1\n"),
+        ("wedge-reduce", "[wedge]\np = 0\njets = 2 3; 4 1\n"),
+    ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero"))
+    def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
+                                           body):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(body)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "validation error" in capsys.readouterr().err
 
     # alpha_P = x + y i with x = a_p / 2 and the sign of y putting it over
     # the embedded prime (p, i - r), r the smaller root of -1 mod p: on

@@ -8,12 +8,13 @@ import pytest
 from cmtower import local_tower
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.local_tower import (DivisionState, EisensteinTower,
-                                 LocalElement, _disc_direct, _disc_resultant,
+                                 LocalElement, _CompositumRing,
+                                 _disc_direct, _disc_resultant,
                                  character_conductor_floor, divide_point,
-                                 division_conductor, e_invariant, elem_ord,
+                                 division_conductor, e_invariant,
                                  filtration_step, level_disc, torsion_poly)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, newton_polygon
+from cmtower.padic import PadicInt, PadicPoly, newton_polygon
 
 
 def tower(p, N=40, kind="standard", trunc=None):
@@ -65,14 +66,14 @@ class TestTorsionPolys:
 class TestValuations:
     def test_examples(self):
         t = tower(5)
-        assert elem_ord(t.lam(1)) == 1
-        assert elem_ord(t.element(1, [5])) == 4
-        assert elem_ord(t.element(2, [0, 0, 5])) == 22
+        assert t.lam(1).valuation() == 1
+        assert t.element(1, [5]).valuation() == 4
+        assert t.element(2, [0, 0, 5]).valuation() == 22
 
     def test_base_case(self):
         t = tower(5)
-        assert elem_ord(PadicInt(5, 40, 75)) == 2
-        assert elem_ord(t.element(1, [])) is None
+        assert PadicInt(5, 40, 75).valuation() == 2
+        assert t.element(1, []).valuation() is None
 
     def test_multiplicative_law_random(self):
         rng = random.Random(41)
@@ -83,15 +84,35 @@ class TestValuations:
         for _ in range(150):
             a = t.element(2, [rng.randrange(3 ** 20) for _ in range(6)])
             b = t.element(2, [rng.randrange(3 ** 20) for _ in range(6)])
-            va, vb = elem_ord(a), elem_ord(b)
+            va, vb = a.valuation(), b.valuation()
             if va is None or vb is None or va + vb >= cap:
                 continue
-            assert elem_ord(a * b) == va + vb
-            s = elem_ord(a + b)
+            assert (a * b).valuation() == va + vb
+            s = (a + b).valuation()
             if va != vb:
                 assert s == min(va, vb)
             else:
                 assert s is None or s >= va
+
+    @pytest.mark.parametrize("p", (3, 5))
+    @pytest.mark.parametrize("level", (1, 2))
+    def test_products_are_divmod_remainders(self, p, level):
+        """A tower product is the remainder of the polynomial product by
+        h_n, on a seed whose t^p coefficient is 1 + p (h_n not monic)."""
+        rng = random.Random(10 * p + level)
+        N = 12
+        seed = LTSeed.from_coeffs(p, N, p + 2,
+                                  [0, p] + [0] * (p - 2) + [1 + p])
+        t = EisensteinTower(seed)
+        h = t.h(level)
+        assert h.coeffs[-1] != 1
+        d = t.degree(level)
+        for _ in range(20):
+            a = t.element(level, [rng.randrange(p ** N) for _ in range(d)])
+            b = t.element(level, [rng.randrange(p ** N) for _ in range(d)])
+            prod = PadicPoly(p, N, a.coeffs) * PadicPoly(p, N, b.coeffs)
+            _, r = prod.divmod_unit(h)
+            assert list((a * b).coeffs) == r.coeffs + [0] * (d - len(r.coeffs))
 
     def test_defining_relation(self):
         # h_n(lambda_n) = 0 in the level-n ring
@@ -116,10 +137,10 @@ class TestFiltration:
             for _ in range(30):
                 coeffs = [p * rng.randrange(1, p ** 10) for _ in range(d)]
                 x = t.element(2, coeffs)
-                v = elem_ord(x)
+                v = x.valuation()
                 if v is None or v >= d * (t.N - 3):
                     continue
-                assert elem_ord(filtration_step(t, x)) == v + d
+                assert filtration_step(t, x).valuation() == v + d
 
     def test_rejects_unit_points(self):
         t = tower(3)
@@ -217,6 +238,49 @@ class TestDivide:
             divide_point(t, st, 2)
 
 
+def lead_seed_ring(p, N=20):
+    """The compositum of the standard seed with t^p coefficient 1 + p,
+    over the division value q = p."""
+    seed = LTSeed.from_coeffs(p, N, p + 2, [0, p] + [0] * (p - 2) + [1 + p])
+    return seed, _CompositumRing(EisensteinTower(seed), PadicInt(p, N, p))
+
+
+class TestCompositum:
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_theta_powers_past_p(self, p):
+        """theta^(p-1) theta^2 reduces theta^(p+1) onto theta^1, the same
+        element as multiplying by theta one step at a time."""
+        _, ring = lead_seed_ring(p)
+        theta = ring.theta()
+        step = theta
+        for _ in range(p):
+            step = step * theta
+        low = theta
+        for _ in range(p - 2):
+            low = low * theta
+        assert (low * (theta * theta) - step).is_zero()
+
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_moduli_vanish_for_non_monic_seed(self, p):
+        """With t^p coefficient 1 + p, d(lambda) = lambda h_1(lambda) and
+        theta (d(theta) - q) are zero in the ring."""
+        seed, ring = lead_seed_ring(p)
+        lam, theta = ring.lam(), ring.theta()
+        assert ring.eval_series(seed.d, [lam]).is_zero()
+        d_theta = ring.eval_series(seed.d, [theta])
+        q = PadicInt(p, seed.N, p)
+        assert (d_theta * theta - theta.scale(q)).is_zero()
+
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_conductor_for_non_monic_seed(self, p):
+        seed, _ = lead_seed_ring(p, N=40)
+        t = EisensteinTower(seed)
+        st = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
+        rep = division_conductor(t, st)
+        assert set(rep.deltas.values()) == {2}
+        assert rep.conductor_exponent == 2
+
+
 class TestConductor:
     def test_all_jumps_two(self):
         for p in (3, 5):
@@ -249,7 +313,7 @@ class TestConductor:
             t0 = PadicInt(p, 40, p)
             st = divide_point(t, DivisionState.start(t0), 1)
             rep = division_conductor(t, st)
-            m = elem_ord(t.element(1, [t0]))
+            m = t.element(1, [t0]).valuation()
             assert m == (p - 1) * t0.valuation()
             assert rep.conductor_exponent == p - m + 1
 

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtower.errors import HenselError, PrecisionError, ValidationError
 from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
-                           compositional_inverse, hensel_root,
-                           newton_polygon, resultant_valuation,
-                           series_compose)
+                           compositional_inverse, hensel_root, mul_coeffs,
+                           newton_polygon, rem_coeffs, resultant_valuation)
 
 
 class TestPadicInt:
@@ -80,6 +80,53 @@ class TestPadicPoly:
         h = f.compose_poly(g)
         # f(g(x)) = 2(1+x) + (1+x)^2 = 3 + 4x + x^2
         assert h.coeffs == [3, 4, 1]
+
+
+@st.composite
+def division_case(draw):
+    """A dividend and a divisor mod p^N whose leading coefficient is a
+    unit other than 1."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(1, 12))
+    mod = p ** N
+    coeff = st.integers(-mod, 2 * mod)
+    h = draw(st.lists(coeff, max_size=6))
+    lead = draw(st.integers(2, mod - 1).filter(lambda x: x % p))
+    a = draw(st.lists(coeff, max_size=14))
+    return p, N, a, h + [lead]
+
+
+class TestKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(division_case())
+    def test_quotient_and_remainder(self, case):
+        """a = q h + r mod p^N with deg r < deg h, both reduced."""
+        p, N, a, h = case
+        mod = p ** N
+        c = list(a)
+        rem_coeffs(c, h, pow(h[-1], -1, mod), mod)
+        d = len(h) - 1
+        assert len(c) == len(a)
+        assert all(0 <= x < mod for x in c)
+        r, q = c[:d], c[d:]
+        back = mul_coeffs(q, h) if q else []
+        back += [0] * (len(a) - len(back))
+        for k, x in enumerate(r):
+            back[k] += x
+        assert [x % mod for x in back] == [x % mod for x in a]
+
+    def test_product_is_unreduced(self):
+        assert mul_coeffs([3, 4], [5, 0, 6]) == [15, 20, 18, 24]
+
+    def test_divmod_unit_non_monic(self):
+        p, N = 3, 6
+        f = PadicPoly(p, N, [5, 7, 2, 9, 1])
+        g = PadicPoly(p, N, [1, 3, 4])
+        q, r = f.divmod_unit(g)
+        assert (q * g + r).coeffs == f.coeffs
+        assert r.degree < g.degree
+        with pytest.raises(ValidationError):
+            f.divmod_unit(PadicPoly(p, N, [1, 3]))
 
 
 class TestHensel:
@@ -152,14 +199,14 @@ class TestTruncSeries:
         p, N, D = 5, 10, 8
         f = TruncSeries.variable(p, N, 1, D)
         g = TruncSeries(p, N, 1, D, {(1,): 2, (3,): 7})
-        assert series_compose(f, [g]).coeffs == g.coeffs
+        assert f.compose([g]).coeffs == g.coeffs
 
     def test_compose_zero_argument(self):
         p, N, D = 5, 10, 8
         f = TruncSeries(p, N, 2, D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
         t = TruncSeries.variable(p, N, 2, D, 0)
         z = TruncSeries(p, N, 2, D, {})
-        assert series_compose(f, [t, z]).coeffs == t.coeffs
+        assert f.compose([t, z]).coeffs == t.coeffs
 
     def test_compose_binomial_oracle(self):
         # ((1+t)^3 - 1) o ((1+t)^3 - 1) = (1+t)^9 - 1, truncated
@@ -167,7 +214,7 @@ class TestTruncSeries:
 
         p, N, D = 3, 19, 9
         f = TruncSeries(p, N, 1, D, {(k,): comb(3, k) for k in (1, 2, 3)})
-        got = series_compose(f, [f])
+        got = f.compose([f])
         want = {(k,): comb(9, k) % p ** N for k in range(1, 10)}
         assert got.coeffs == want
 
@@ -176,7 +223,7 @@ class TestTruncSeries:
         f = TruncSeries.variable(p, N, 1, D)
         g = TruncSeries.constant(p, N, 1, D, 1)
         with pytest.raises(ValidationError):
-            series_compose(f, [g])
+            f.compose([g])
 
     def test_graded_exactness(self):
         # degree-k coefficients agree between truncation D and D+5

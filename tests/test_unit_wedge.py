@@ -29,6 +29,11 @@ class TestUnitJet:
         v = UnitJet(5, (0, 3))
         assert v.clean_at(0) and not v.clean_at(1)
 
+    @pytest.mark.parametrize("p", (1, 0, -5))
+    def test_rejects_p_below_two(self, p):
+        with pytest.raises(ValidationError):
+            UnitJet(p, (1, 2))
+
 
 class TestCombine:
     def test_example(self):
