@@ -17,6 +17,11 @@ from cmtower.lubin_tate import LTSeed
 from cmtower.padic import PadicInt, PadicPoly, newton_polygon
 
 
+def non_monic_seed(p, N):
+    """p t + (1 + p) t^p: its h_n and d - q are not monic."""
+    return LTSeed.from_coeffs(p, N, p + 2, [0, p] + [0] * (p - 2) + [1 + p])
+
+
 def tower(p, N=40, kind="standard", trunc=None):
     if trunc is None:
         trunc = p + 2
@@ -101,9 +106,7 @@ class TestValuations:
         h_n, on a seed whose t^p coefficient is 1 + p (h_n not monic)."""
         rng = random.Random(10 * p + level)
         N = 12
-        seed = LTSeed.from_coeffs(p, N, p + 2,
-                                  [0, p] + [0] * (p - 2) + [1 + p])
-        t = EisensteinTower(seed)
+        t = EisensteinTower(non_monic_seed(p, N))
         h = t.h(level)
         assert h.coeffs[-1] != 1
         d = t.degree(level)
@@ -238,10 +241,9 @@ class TestDivide:
             divide_point(t, st, 2)
 
 
-def lead_seed_ring(p, N=20):
-    """The compositum of the standard seed with t^p coefficient 1 + p,
-    over the division value q = p."""
-    seed = LTSeed.from_coeffs(p, N, p + 2, [0, p] + [0] * (p - 2) + [1 + p])
+def non_monic_ring(p, N=20):
+    """The compositum of ``non_monic_seed`` over the division value p."""
+    seed = non_monic_seed(p, N)
     return seed, _CompositumRing(EisensteinTower(seed), PadicInt(p, N, p))
 
 
@@ -250,7 +252,7 @@ class TestCompositum:
     def test_theta_powers_past_p(self, p):
         """theta^(p-1) theta^2 reduces theta^(p+1) onto theta^1, the same
         element as multiplying by theta one step at a time."""
-        _, ring = lead_seed_ring(p)
+        _, ring = non_monic_ring(p)
         theta = ring.theta()
         step = theta
         for _ in range(p):
@@ -264,7 +266,7 @@ class TestCompositum:
     def test_moduli_vanish_for_non_monic_seed(self, p):
         """With t^p coefficient 1 + p, d(lambda) = lambda h_1(lambda) and
         theta (d(theta) - q) are zero in the ring."""
-        seed, ring = lead_seed_ring(p)
+        seed, ring = non_monic_ring(p)
         lam, theta = ring.lam(), ring.theta()
         assert ring.eval_series(seed.d, [lam]).is_zero()
         d_theta = ring.eval_series(seed.d, [theta])
@@ -273,8 +275,7 @@ class TestCompositum:
 
     @pytest.mark.parametrize("p", (3, 5))
     def test_conductor_for_non_monic_seed(self, p):
-        seed, _ = lead_seed_ring(p, N=40)
-        t = EisensteinTower(seed)
+        t = EisensteinTower(non_monic_seed(p, 40))
         st = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
         rep = division_conductor(t, st)
         assert set(rep.deltas.values()) == {2}
