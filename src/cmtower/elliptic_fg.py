@@ -6,6 +6,12 @@ F = exp(log X + log Y) are computed over Fractions, and only at the very
 end are coefficients reduced mod p^N.  p-integrality of a series is
 therefore decided, not approximated.
 
+Composition and reversion all go through one table of powers log^k
+(Brent and Kung, "Fast algorithms for manipulating formal power series",
+J. ACM 25 (1978)): exp is the triangular solve of exp(log z) = z, the
+group law expands exp(log X + log Y) binomially in the powers, and an
+endomorphism [alpha] = exp(alpha log z) is the sum of e_k alpha^k log^k.
+
 CM coefficients live in Q(i), represented as (real, imaginary) Fraction
 pairs; the split prime embeds i as a Hensel-lifted square root of -1.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import InvariantError, ValidationError
 from .lubin_tate import FglHom, LTSeed, group_law as lt_group_law, solve_intertwine
@@ -39,15 +45,6 @@ def _mul1(a: dict, b: dict, D: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _add1(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if not out[k]:
-            del out[k]
-    return out
-
-
 def _inv_unit1(a: dict, D: int) -> dict:
     """1/a for a power series with a(0) = 1."""
     if a.get(0) != 1:
@@ -63,58 +60,6 @@ def _inv_unit1(a: dict, D: int) -> dict:
     return inv
 
 
-def _comp_inverse1(f: dict, D: int) -> dict:
-    """Compositional inverse of f = z + higher over the rationals."""
-    if f.get(1) != 1 or 0 in f:
-        raise ValidationError("inverse needs f = z + higher")
-    g = {1: Frac(1)}
-    for k in range(2, D + 1):
-        # coefficient of z^k in f(g): drive it to 0 by adjusting g_k,
-        # which enters the composition with unit coefficient f_1 = 1
-        comp = {}
-        gpow = {0: Frac(1)}
-        exp = 0
-        for j in sorted(f):
-            if j == 0:
-                continue
-            while exp < j:
-                gpow = _mul1(gpow, g, k)
-                exp += 1
-            for e, c in gpow.items():
-                comp[e] = comp.get(e, 0) + f[j] * c
-        ck = comp.get(k, Frac(0))
-        if ck:
-            g[k] = -ck
-    return g
-
-
-def _compose_1to2(f: dict, arg: dict, D: int) -> dict:
-    """f(arg) for one-variable f and a two-variable argument (dict keyed
-    by (i, j)) with zero constant term."""
-    pow_cache = {0: {(0, 0): Frac(1)}}
-
-    def arg_pow(k):
-        if k not in pow_cache:
-            prev = arg_pow(k - 1)
-            out = {}
-            for (i1, j1), x in prev.items():
-                for (i2, j2), y in arg.items():
-                    i, j = i1 + i2, j1 + j2
-                    if i + j > D:
-                        continue
-                    out[(i, j)] = out.get((i, j), 0) + x * y
-            pow_cache[k] = {k2: v for k2, v in out.items() if v}
-        return pow_cache[k]
-
-    out = {}
-    for k, c in sorted(f.items()):
-        if k == 0 or k > D:
-            continue
-        for e, v in arg_pow(k).items():
-            out[e] = out.get(e, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -123,54 +68,8 @@ def gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def gconj(a):
-    return (a[0], -a[1])
-
-
-def gnorm(a):
-    return a[0] * a[0] + a[1] * a[1]
-
-
 def gaussian(re, im=0):
     return (Frac(re), Frac(im))
-
-
-def _gmul1(a: dict, b: dict, D: int) -> dict:
-    """Product of one-variable series with Gaussian coefficients."""
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            if i + j > D:
-                continue
-            e = i + j
-            prev = out.get(e, (Frac(0), Frac(0)))
-            out[e] = gadd(prev, gmul(x, y))
-    return {k: v for k, v in out.items() if v != (0, 0)}
-
-
-def _gcompose1(f: dict, arg: dict, D: int) -> dict:
-    """f(arg) with rational f and Gaussian-coefficient argument."""
-    out = {}
-    power = {0: gaussian(1)}
-    exp = 0
-    for k in sorted(f):
-        if k == 0:
-            if f[k]:
-                raise ValidationError("series must have no constant term")
-            continue
-        while exp < k:
-            power = _gmul1(power, arg, D)
-            exp += 1
-        for e, v in power.items():
-            if e > D:
-                continue
-            prev = out.get(e, (Frac(0), Frac(0)))
-            out[e] = gadd(prev, (f[k] * v[0], f[k] * v[1]))
-    return {k: v for k, v in out.items() if v != (0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +93,17 @@ class WeierstrassCurve:
 
 class EllipticFormalData:
     """Formal expansion data of a curve in z = -x/y: the parameter
-    series w(z), invariant differential, log, exp, and group law F."""
+    series w(z), invariant differential, log, exp, and group law F.
 
-    __slots__ = ("curve", "D", "w", "omega", "log", "exp", "F")
+    ``powers[k]`` is log^k through degree D, for k = 0..D, the one table
+    that exp, F and every ``cm_endo_elliptic`` read:
+
+    * exp: e_1 = 1 and e_n = -sum over k < n of e_k [log^k]_n;
+    * F = sum over m, n of e_(m+n) C(m+n, m) log^m(X) log^n(Y);
+    * [alpha] = sum over k of (e_k alpha^k) log^k.
+    """
+
+    __slots__ = ("curve", "D", "w", "omega", "log", "powers", "exp", "F")
 
     def __init__(self, curve: WeierstrassCurve, D: int):
         self.curve = curve
@@ -232,14 +139,38 @@ class EllipticFormalData:
         omega = {k: c for k, c in omega.items() if c}
         self.omega = omega
         self.log = {k + 1: c / (k + 1) for k, c in omega.items()}
-        self.exp = _comp_inverse1(self.log, D)
-        # group law F = exp(log X + log Y); must be integral
-        logx = {(k, 0): c for k, c in self.log.items()}
-        logy = {(0, k): c for k, c in self.log.items()}
-        arg = dict(logx)
-        for e, c in logy.items():
-            arg[e] = arg.get(e, 0) + c
-        F = _compose_1to2(self.exp, arg, D)
+        # powers[k] = log^k through degree D; log's keys are not in
+        # degree order when b != 0, so nothing below stops on key order
+        powers = [{0: Frac(1)}]
+        for _ in range(D):
+            powers.append(_mul1(powers[-1], self.log, D))
+        self.powers = powers
+        # exp(log z) = z is triangular: [log^n]_n = 1, so degree n fixes
+        # e_n from the e_k with k < n
+        exp = {1: Frac(1)}
+        for n in range(2, D + 1):
+            s = sum(e * powers[k].get(n, 0) for k, e in exp.items())
+            if s:
+                exp[n] = -s
+        self.exp = exp
+        # group law F = exp(log X + log Y)
+        #   = sum over m, n of e_(m+n) C(m+n, m) log^m(X) log^n(Y),
+        # summed over n first; it must be integral
+        F = {}
+        for m in range(D + 1):
+            row = {}
+            for n in range(max(1 - m, 0), D - m + 1):
+                c = exp.get(m + n)
+                if c:
+                    c *= comb(m + n, m)
+                    for j, y in powers[n].items():
+                        if j <= D - m:
+                            row[j] = row.get(j, 0) + c * y
+            for i, x in powers[m].items():
+                for j, y in row.items():
+                    if i + j <= D:
+                        F[i, j] = F.get((i, j), 0) + x * y
+        F = {e: c for e, c in F.items() if c}
         for e, c in F.items():
             if c.denominator != 1:
                 raise InvariantError(
@@ -271,8 +202,19 @@ def cm_endo_elliptic(data: EllipticFormalData, alpha) -> dict:
     coefficients; alpha is (re, im) over the integers or Fractions."""
     alpha = gaussian(*alpha) if not isinstance(alpha, tuple) else (
         Frac(alpha[0]), Frac(alpha[1]))
-    alog = {k: (alpha[0] * c, alpha[1] * c) for k, c in data.log.items()}
-    return _gcompose1(data.exp, alog, data.D)
+    out = {}
+    ak = gaussian(1)
+    for k in range(1, data.D + 1):
+        ak = gmul(ak, alpha)
+        e = data.exp.get(k)
+        if not e or ak == (0, 0):
+            continue
+        # e_k alpha^k log^k: a Gaussian scalar times a rational series
+        re, im = e * ak[0], e * ak[1]
+        for n, c in data.powers[k].items():
+            x, y = out.get(n, (0, 0))
+            out[n] = (x + re * c, y + im * c)
+    return {n: v for n, v in sorted(out.items()) if v != (0, 0)}
 
 
 def gauss_embed_root(p: int, N: int) -> PadicInt:

@@ -28,7 +28,8 @@ from .padic import (PadicInt, PadicPoly, _sylvester_rows, hensel_root,
 class EisensteinTower:
     """The tower of torsion fields of a polynomial seed."""
 
-    __slots__ = ("seed", "p", "N", "max_degree", "pin", "levels", "disc")
+    __slots__ = ("seed", "p", "N", "mod", "max_degree", "pin", "levels",
+                 "inv_lead", "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
         if not seed.is_polynomial:
@@ -36,10 +37,13 @@ class EisensteinTower:
         self.seed = seed
         self.p = seed.p
         self.N = seed.N
+        self.mod = seed.p ** seed.N
         self.max_degree = max_degree
-        # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1)
+        # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1),
+        # inv_lead[n] the inverse of its leading coefficient mod p^N
         self.pin = []
         self.levels = []
+        self.inv_lead = []
         # level_disc, once both routes have agreed
         self.disc = None
 
@@ -87,6 +91,7 @@ class EisensteinTower:
                 )
             self.pin.append(cur)
             self.levels.append(q)
+            self.inv_lead.append(pow(q.coeffs[-1], -1, self.mod))
 
     def h(self, n: int) -> PadicPoly:
         self.build(n)
@@ -115,7 +120,7 @@ class LocalElement:
         self.tower = tower
         self.level = level
         d = tower.degree(level)
-        mod = tower.p ** tower.N
+        mod = tower.mod
         raw = [(c.value if isinstance(c, PadicInt) else c) % mod
                for c in coeffs]
         if len(raw) > d:
@@ -141,7 +146,7 @@ class LocalElement:
             other = LocalElement(self.tower, self.level, [other])
         self._check(other)
         t = self.tower
-        mod = t.p ** t.N
+        mod = t.mod
         return LocalElement._reduced(t, self.level, [
             (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -161,12 +166,12 @@ class LocalElement:
             return self.scale(other)
         self._check(other)
         t = self.tower
-        mod = t.p ** t.N
+        mod = t.mod
         prod = mul_coeffs(self.coeffs, other.coeffs)
         if self.level == 0:
             return LocalElement._reduced(t, 0, [prod[0] % mod])
         h = t.h(self.level).coeffs
-        rem_coeffs(prod, h, pow(h[-1], -1, mod), mod)
+        rem_coeffs(prod, h, t.inv_lead[self.level - 1], mod)
         return LocalElement._reduced(t, self.level, prod[:len(h) - 1])
 
     __rmul__ = __mul__
@@ -493,7 +498,7 @@ class _CompositumRing:
     def __init__(self, tower: EisensteinTower, q: PadicInt):
         p = self.p = tower.p
         self.N = tower.N
-        mod = self.mod = p ** tower.N
+        mod = self.mod = tower.mod
         w = self.w = 2 * p - 1
         h1 = tower.h(1).coeffs
         self.h1w = [0] * ((len(h1) - 1) * w + 1)

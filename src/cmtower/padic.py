@@ -816,7 +816,10 @@ class TruncSeries:
 
 def compositional_inverse(f: TruncSeries) -> TruncSeries:
     """Inverse of a 1-variable series with unit linear coefficient under
-    composition, through the truncation degree."""
+    composition, through the truncation degree.
+
+    g(f(z)) = z is triangular in the powers of f: [f^n]_n = a1^n, so
+    degree n fixes g_n = -(sum over k < n of g_k [f^k]_n) / a1^n."""
     if f.nvars != 1:
         raise ValidationError("compositional inverse needs one variable")
     a1 = f.coefficient((1,))
@@ -825,15 +828,21 @@ def compositional_inverse(f: TruncSeries) -> TruncSeries:
     if not f.constant_term().is_zero():
         raise ValidationError("series has a constant term")
     p, N, D = f.p, f.N, f.trunc
-    inv_a1 = a1.inverse()
-    g = TruncSeries(p, N, 1, D, {(1,): inv_a1.value}, f.eff_prec)
-    for k in range(2, D + 1):
-        err = f.compose([g])  # want identity
-        c = err.coefficient((k,))
-        # adding b t^k to g changes (f o g) by a1 * b t^k mod higher
-        b = (-c) * inv_a1
-        if not b.is_zero():
-            nc = dict(g.coeffs)
-            nc[(k,)] = b.value
-            g = g.copy_with(nc)
-    return g
+    mod = p ** N
+    base = [0] * (D + 1)
+    for (k,), c in f.coeffs.items():
+        base[k] = c
+    inv_a1 = a1.inverse().value
+    g = [0, inv_a1]
+    powers = [None, base]  # powers[k] = f^k through degree D
+    scale = inv_a1
+    for n in range(2, D + 1):
+        scale = scale * inv_a1 % mod
+        s = sum(g[k] * powers[k][n] for k in range(1, n))
+        g.append(-s * scale % mod)
+        if n < D:
+            # f^n from f^(n-1), which starts at degree n - 1
+            cur = mul_coeffs(powers[-1][:D], base[:D + 2 - n])
+            powers.append([c % mod for c in cur[:D + 1]])
+    return TruncSeries(p, N, 1, D, {(k,): c for k, c in enumerate(g)},
+                       f.eff_prec)

@@ -4,14 +4,133 @@ integers, and the bridge to the one-dimensional Lubin-Tate machinery."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve,
+from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve, _mul1,
                                  cm_endo_elliptic, curve_group_law,
                                  embed_gauss_series, frobenius_candidates,
-                                 frobenius_check, gauss_embed_root,
-                                 match_lubin_tate, point_count_ap)
-from cmtower.errors import InvariantError, ValidationError
+                                 frobenius_check, gauss_embed_root, gaussian,
+                                 gmul, match_lubin_tate, point_count_ap)
+from cmtower.errors import CmtowerError, InvariantError, ValidationError
 from cmtower.padic import PadicInt
+
+
+# ---------------------------------------------------------------------------
+# Reference composition routines: exp, F and [alpha] as first written, by
+# recomposing whole series instead of reading one table of log powers
+# ---------------------------------------------------------------------------
+
+def reference_comp_inverse1(f: dict, D: int) -> dict:
+    """Compositional inverse of f = z + higher over the rationals."""
+    if f.get(1) != 1 or 0 in f:
+        raise ValidationError("inverse needs f = z + higher")
+    g = {1: Fraction(1)}
+    for k in range(2, D + 1):
+        # coefficient of z^k in f(g): drive it to 0 by adjusting g_k,
+        # which enters the composition with unit coefficient f_1 = 1
+        comp = {}
+        gpow = {0: Fraction(1)}
+        exp = 0
+        for j in sorted(f):
+            if j == 0:
+                continue
+            while exp < j:
+                gpow = _mul1(gpow, g, k)
+                exp += 1
+            for e, c in gpow.items():
+                comp[e] = comp.get(e, 0) + f[j] * c
+        ck = comp.get(k, Fraction(0))
+        if ck:
+            g[k] = -ck
+    return g
+
+
+def reference_compose_1to2(f: dict, arg: dict, D: int) -> dict:
+    """f(arg) for one-variable f and a two-variable argument (dict keyed
+    by (i, j)) with zero constant term."""
+    pow_cache = {0: {(0, 0): Fraction(1)}}
+
+    def arg_pow(k):
+        if k not in pow_cache:
+            prev = arg_pow(k - 1)
+            out = {}
+            for (i1, j1), x in prev.items():
+                for (i2, j2), y in arg.items():
+                    i, j = i1 + i2, j1 + j2
+                    if i + j > D:
+                        continue
+                    out[(i, j)] = out.get((i, j), 0) + x * y
+            pow_cache[k] = {k2: v for k2, v in out.items() if v}
+        return pow_cache[k]
+
+    out = {}
+    for k, c in sorted(f.items()):
+        if k == 0 or k > D:
+            continue
+        for e, v in arg_pow(k).items():
+            out[e] = out.get(e, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def reference_gmul1(a: dict, b: dict, D: int) -> dict:
+    """Product of one-variable series with Gaussian coefficients."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j > D:
+                continue
+            e = i + j
+            prev = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = _gadd(prev, gmul(x, y))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def reference_gcompose1(f: dict, arg: dict, D: int) -> dict:
+    """f(arg) with rational f and Gaussian-coefficient argument."""
+    out = {}
+    power = {0: gaussian(1)}
+    exp = 0
+    for k in sorted(f):
+        if k == 0:
+            if f[k]:
+                raise ValidationError("series must have no constant term")
+            continue
+        while exp < k:
+            power = reference_gmul1(power, arg, D)
+            exp += 1
+        for e, v in power.items():
+            if e > D:
+                continue
+            prev = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = _gadd(prev, (f[k] * v[0], f[k] * v[1]))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def reference_exp_and_law(log: dict, D: int):
+    """exp and F from the log, with the construction's two checks."""
+    exp = reference_comp_inverse1(log, D)
+    arg = {(k, 0): c for k, c in log.items()}
+    for k, c in log.items():
+        arg[0, k] = arg.get((0, k), 0) + c
+    F = reference_compose_1to2(exp, arg, D)
+    for e, c in F.items():
+        if c.denominator != 1:
+            raise InvariantError(f"group law coefficient at {e} is not an "
+                                 f"integer: {c}")
+    if any(e[1] == 0 and c != (1 if e == (1, 0) else 0)
+           for e, c in F.items()):
+        raise InvariantError("F(X, 0) != X")
+    return exp, F
+
+
+def reference_cm_endo(exp: dict, log: dict, D: int, alpha) -> dict:
+    re, im = Fraction(alpha[0]), Fraction(alpha[1])
+    return reference_gcompose1(exp, {k: (re * c, im * c)
+                                     for k, c in log.items()}, D)
 
 
 CURVE = WeierstrassCurve(-1, 0)  # y^2 = x^3 - x, CM by the Gaussians
@@ -79,8 +198,6 @@ class TestCmEndo:
 
     def test_endo_additive_inverse(self, data):
         # F(z, [-1]z) = 0: substitute into the two-variable law
-        from cmtower.elliptic_fg import _compose_1to2
-
         minus = cm_endo_elliptic(data, (-1, 0))
         assert all(v[1] == 0 for v in minus.values())
         m = {k: v[0] for k, v in minus.items()}
@@ -182,3 +299,79 @@ class TestMatch:
         root = gauss_embed_root(13, 24)
         with pytest.raises(ValidationError):
             match_lubin_tate(data, (2, -3), 13, 24, root)
+
+
+# ---------------------------------------------------------------------------
+# The power table against the reference routines
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """fn's value, or the class of the library error it raises."""
+    try:
+        return fn(*args)
+    except CmtowerError as exc:
+        return type(exc)
+
+
+def _built(curve, D):
+    """The formal data and the class of the error its construction
+    raised, if any.  The log is set before exp and F are computed, so it
+    is there for the reference either way."""
+    data = EllipticFormalData.__new__(EllipticFormalData)
+    return data, _outcome(lambda: data.__init__(curve, D))
+
+
+def _embedded(series, p, D):
+    root = gauss_embed_root(p, D + 2)
+    return _outcome(lambda: embed_gauss_series(series, p, D + 2, D,
+                                               root).coeffs)
+
+
+# (alpha, p): the units, zero, and associates of the Gaussian primes of
+# norm 5, 13 and 17, each embedded at its own prime
+ALPHAS = [((1, 0), 5), ((-1, 0), 13), ((0, 1), 5), ((0, -1), 17),
+          ((0, 0), 13), ((2, 1), 5), ((1, -2), 5), ((-3, -2), 13),
+          ((-2, 3), 13), ((4, 1), 17), ((-1, 4), 17)]
+
+coefficients = st.integers(-9, 9)
+
+
+class TestPowerTable:
+    def _check(self, curve, D):
+        data, err = _built(curve, D)
+        ref = _outcome(reference_exp_and_law, data.log, D)
+        if err is not None or isinstance(ref, type):
+            assert err is ref
+            return
+        exp, F = ref
+        assert data.exp == exp
+        assert data.F == F
+        for alpha, p in ALPHAS:
+            got = cm_endo_elliptic(data, alpha)
+            want = reference_cm_endo(exp, data.log, D, alpha)
+            assert got == want
+            assert _embedded(got, p, D) == _embedded(want, p, D)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coefficients, st.one_of(st.just(0), coefficients),
+           st.integers(0, 16))
+    def test_matches_reference(self, a, b, D):
+        self._check(WeierstrassCurve(a, b), D)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.fractions(-3, 3, max_denominator=4),
+           st.fractions(-3, 3, max_denominator=4), st.integers(3, 10))
+    def test_rational_curves_raise_alike(self, a, b, D):
+        # a non-integral curve gives a non-integral law: both raise
+        self._check(WeierstrassCurve(a, b), D)
+
+    def test_log_keys_out_of_degree_order(self):
+        # b != 0 puts log's keys out of degree order; the table must not
+        # stop on key order, or F loses terms and is no longer integral
+        data = EllipticFormalData(WeierstrassCurve(1, 1), 12)
+        assert list(data.log) != sorted(data.log)
+        self._check(WeierstrassCurve(1, 1), 12)
+
+    def test_non_integral_law_raises(self):
+        with pytest.raises(InvariantError, match="not an integer"):
+            EllipticFormalData(WeierstrassCurve(Fraction(1, 2), 0), 10)

@@ -263,6 +263,76 @@ class TestTruncSeries:
         assert g.compose([f]).coeffs == {(1,): 1}
 
 
+def reference_compositional_inverse(f: TruncSeries) -> TruncSeries:
+    """The inverse as first written: at degree k, compose f with the
+    inverse so far in full and correct its degree-k part."""
+    if f.nvars != 1:
+        raise ValidationError("compositional inverse needs one variable")
+    a1 = f.coefficient((1,))
+    if not a1.is_unit():
+        raise ValidationError("linear coefficient is not a unit")
+    if not f.constant_term().is_zero():
+        raise ValidationError("series has a constant term")
+    p, N, D = f.p, f.N, f.trunc
+    inv_a1 = a1.inverse()
+    g = TruncSeries(p, N, 1, D, {(1,): inv_a1.value}, f.eff_prec)
+    for k in range(2, D + 1):
+        c = f.compose([g]).coefficient((k,))
+        b = (-c) * inv_a1
+        if not b.is_zero():
+            nc = dict(g.coeffs)
+            nc[(k,)] = b.value
+            g = g.copy_with(nc)
+    return g
+
+
+def _outcome_of(invert, f):
+    try:
+        g = invert(f)
+    except ValidationError:
+        return ValidationError
+    return g.coeffs, g.eff_prec, g.trunc
+
+
+@st.composite
+def invertible_case(draw):
+    """A one-variable series at p in {3, 5, 7}; now and then its linear
+    coefficient is not a unit or it has a constant term."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(1, 8))
+    D = draw(st.integers(0, 12))
+    mod = p ** N
+    coeffs = {(k,): draw(st.one_of(st.just(0), st.integers(0, mod - 1)))
+              for k in range(2, D + 1)}
+    coeffs[(1,)] = draw(st.integers(0, mod - 1).filter(lambda c: c % p)
+                        | st.sampled_from((0, p)))
+    coeffs[(0,)] = draw(st.sampled_from((0,) * 9 + (1,)))
+    eff = draw(st.integers(1, N))
+    return TruncSeries(p, N, 1, D, coeffs, eff)
+
+
+class TestCompositionalInverse:
+    @settings(max_examples=150, deadline=None)
+    @given(invertible_case())
+    def test_matches_reference(self, f):
+        assert (_outcome_of(compositional_inverse, f)
+                == _outcome_of(reference_compositional_inverse, f))
+
+    @settings(max_examples=30, deadline=None)
+    @given(invertible_case())
+    def test_two_sided(self, f):
+        if f.coefficient((1,)).is_unit() and f.constant_term().is_zero():
+            g = compositional_inverse(f)
+            one = {(1,): 1} if f.trunc >= 1 else {}
+            assert f.compose([g]).coeffs == one
+            assert g.compose([f]).coeffs == one
+
+    def test_needs_one_variable(self):
+        f = TruncSeries(5, 6, 2, 4, {(1, 0): 1})
+        with pytest.raises(ValidationError, match="one variable"):
+            compositional_inverse(f)
+
+
 class TestResultant:
     def test_linear_evaluation(self):
         f = PadicPoly(5, 10, [1, 0, 1])
