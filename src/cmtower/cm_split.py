@@ -17,7 +17,8 @@ import itertools
 
 from .errors import InvariantError, ValidationError
 from .lubin_tate import FormalGroupLaw, LTSeed, endo
-from .padic import PadicInt, PadicPoly, TruncSeries, hensel_root
+from .padic import (PadicInt, PadicPoly, TruncSeries, hensel_root,
+                    mul_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -43,28 +44,13 @@ def _zreduce(c, f):
     return _ztrim(c[:d])
 
 
-def _zmulmod(a, b, f):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _zreduce(out, f)
-
-
 def _zcompose_mod(outer, inner, f):
-    """outer(inner(x)) mod f, exactly over Z."""
+    """outer(inner(x)) mod f, exactly over Z, by Horner."""
     acc = []
     for c in reversed(outer):
-        acc = _zmulmod(acc, inner, f)
-        if c:
-            if acc:
-                acc[0] += c
-                acc = _ztrim(acc)
-            else:
-                acc = [c]
+        acc = mul_coeffs(acc, inner) or [0]
+        acc[0] += c
+        acc = _zreduce(acc, f)
     return acc
 
 
@@ -93,8 +79,8 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return FieldElement(self.field, [other * x for x in self.coeffs])
-        return FieldElement(self.field, _zmulmod(self.coeffs, other.coeffs,
-                                                 self.field.f))
+        # the constructor reduces mod f
+        return FieldElement(self.field, mul_coeffs(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:

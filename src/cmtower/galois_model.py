@@ -11,11 +11,16 @@ The a-entry ranges over all of Z/p^m (group order p^m * p^(m-1)(p-1));
 a smaller variant with a confined to one additive line (order
 p * p^(m-1)(p-1)) would break the index bookkeeping below, so it is not
 used, but tower_indices reports both orders to keep the choice visible.
+
+Each congruence subgroup is a product set {a = 0 mod p^j} x {b = 1 mod
+p^k}: its order is a product of per-coordinate residue counts, O(p^m),
+and the spot checks draw their elements by index, never enumerating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import InvariantError, ValidationError
@@ -69,24 +74,11 @@ def element_order(x: TriElement) -> int:
     return n
 
 
-def enumerate_group(p: int, m: int, a_mod: int = 0, b_mod: int = 0):
-    """All elements with a = 0 mod p^a_mod and b = 1 mod p^b_mod."""
-    mod = p ** m
-    astep = p ** a_mod
-    bstep = p ** b_mod
-    out = []
-    for a in range(0, mod, astep):
-        for b in range(1, mod, 1):
-            if b % p == 0:
-                continue
-            if (b - 1) % bstep == 0:
-                out.append(TriElement(p, m, a, b))
-    return out
-
-
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Congruence subgroup {a = 0 mod p^j, b = 1 mod p^k}."""
+    """Congruence subgroup {a = 0 mod p^j, b = 1 mod p^k}, addressed by
+    index: element i has a = (i // n_b) p^j and b the (i mod n_b)-th
+    allowed unit in increasing order, n_b the number of allowed b."""
 
     p: int
     m: int
@@ -97,29 +89,35 @@ class SubgroupSpec:
         if not (0 <= self.j <= self.m and 0 <= self.k <= self.m):
             raise ValidationError("congruence levels must lie in [0, m]")
         # closure is automatic: a'' = a' + a b' and b'' = b b' preserve
-        # both congruences; verified by enumeration when small
-        if self.order() <= 2000:
-            els = self.elements()
-            idx = {(e.a, e.b) for e in els}
-            for x in els[: min(len(els), 40)]:
-                for y in els[: min(len(els), 40)]:
-                    z = compose(x, y)
-                    if (z.a, z.b) not in idx:
-                        raise InvariantError("congruence set is not closed")
+        # both congruences; spot-checked on the first 40 elements
+        els = [self.element(i) for i in range(min(self.order(), 40))]
+        for x in els:
+            for y in els:
+                if not self.contains(compose(x, y)):
+                    raise InvariantError("congruence set is not closed")
 
     def contains(self, x: TriElement) -> bool:
         return (x.a % self.p ** self.j == 0
                 and (x.b - 1) % self.p ** self.k == 0)
 
-    def elements(self):
-        return enumerate_group(self.p, self.m, self.j, self.k)
+    @cached_property
+    def _b_count(self) -> int:
+        """Units b = 1 mod p^k, counted over those residues of Z/p^m."""
+        p = self.p
+        return sum(1 for b in range(1, p ** self.m, p ** self.k) if b % p)
 
     def order(self) -> int:
-        p, m = self.p, self.m
-        # b ranges over units congruent to 1 mod p^k: all units when
-        # k = 0, a pro-p slice otherwise
-        b_count = p ** (m - 1) * (p - 1) if self.k == 0 else p ** (m - self.k)
-        return p ** (m - self.j) * b_count
+        a_count = len(range(0, self.p ** self.m, self.p ** self.j))
+        return a_count * self._b_count
+
+    def element(self, i: int) -> TriElement:
+        if not 0 <= i < self.order():
+            raise ValidationError(f"element index {i} outside the subgroup")
+        p = self.p
+        q, r = divmod(i, self._b_count)
+        # k = 0: the r-th unit skips one multiple of p per p - 1 units
+        b = 1 + r * p ** self.k if self.k else r + r // (p - 1) + 1
+        return TriElement(p, self.m, q * p ** self.j, b)
 
 
 def tower_indices(p: int, m: int, n: int) -> dict:
@@ -132,9 +130,9 @@ def tower_indices(p: int, m: int, n: int) -> dict:
     fix_tors = SubgroupSpec(p, m, 0, n)   # fixes the n-th torsion field
     fix_div = SubgroupSpec(p, m, n, n)    # additionally fixes division values
 
-    order_full = len(full.elements())
-    order_tors = len(fix_tors.elements())
-    order_div = len(fix_div.elements())
+    order_full = full.order()
+    order_tors = fix_tors.order()
+    order_div = fix_div.order()
     if order_full != p ** m * p ** (m - 1) * (p - 1):
         raise InvariantError("full group order does not match the count")
     if order_tors != p ** (2 * m - n) or order_div != p ** (2 * m - 2 * n):
@@ -143,10 +141,12 @@ def tower_indices(p: int, m: int, n: int) -> dict:
 
     # normality of fix_div in fix_tors: conjugation sends (alpha, beta)
     # to (b^-1 (alpha + a(beta-1)), beta), which preserves both
-    # congruences; spot-check it
-    sample = fix_tors.elements()
-    for x in sample[:: max(1, len(sample) // 25)]:
-        for g in fix_div.elements()[:: max(1, order_div // 10)]:
+    # congruences; spot-check it on strided elements
+    gs = [fix_div.element(i)
+          for i in range(0, order_div, max(1, order_div // 10))]
+    for i in range(0, order_tors, max(1, order_tors // 25)):
+        x = fix_tors.element(i)
+        for g in gs:
             conj = compose(compose(x, g), x.inverse())
             if not fix_div.contains(conj):
                 raise InvariantError("division fixer is not normal")

@@ -428,7 +428,9 @@ class _CompElement:
     Valuations (in compositum uniformizer units, ord(p) = p(p-1)):
     ord(lambda) = p, ord(theta) = p-1.  The candidates
     i*p + j*(p-1) + p(p-1)*ord_p(c) over the index grid are pairwise
-    distinct, so ord of any element is read off exactly.
+    distinct, so ord of any element below ord(p^N) = p(p-1)N is read off
+    exactly; from there on a capped coefficient could be the least term,
+    and the valuation is None.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -482,7 +484,7 @@ class _CompElement:
             cand = i * p + j * (p - 1) + p * (p - 1) * v
             if best is None or cand < best:
                 best = cand
-        return best
+        return None if best is None or best >= p * (p - 1) * R.N else best
 
     def is_zero(self):
         return not any(self.coeffs)

@@ -115,21 +115,30 @@ def combine(v: UnitJet, w: UnitJet, i: int):
     return (beta // g, -(alpha // g))
 
 
+def _step_rows(x, y, mat):
+    """The rows a x + b y and c x + d y for mat = ((a, b), (c, d)); an
+    entry is None where either input entry is None, as in jet products."""
+    return tuple([None if s is None or t is None else e * s + f * t
+                  for s, t in zip(x, y)] for e, f in mat)
+
+
 def wedge_step(v: UnitJet, w: UnitJet, i: int):
     """Replace (v, w) by (v^a w^b, v^c w^d) with ad - bc = 1, the first
     output trivial to second order at prime i.  Returns the new pair and
     the step matrix."""
+    if v.s != w.s:
+        raise ValidationError("jets have mismatched shape")
     a, b = combine(v, w, i)
     # extended gcd a*f + b*g = 1; then d = f, c = -g gives det 1
     f, g = _egcd(a, b)
     c, d = -g, f
     if a * d - b * c != 1:
         raise ValidationError("step matrix is not unimodular")
-    v2 = v.power(a) * w.power(b)
-    w2 = v.power(c) * w.power(d)
+    mat = ((a, b), (c, d))
+    v2, w2 = (UnitJet(v.p, r) for r in _step_rows(v.alphas, w.alphas, mat))
     if not v2.clean_at(i):
         raise ValidationError(f"step failed to clear prime {i}")
-    return v2, w2, ((a, b), (c, d))
+    return v2, w2, mat
 
 
 def _egcd(a: int, b: int):
@@ -165,10 +174,8 @@ class WedgeTranscript:
         """Re-run the recorded steps from the initial jets."""
         jets = list(self.initial)
         for (k, i, mat) in self.steps:
-            (a, b), (c, d) = mat
-            v, w = jets[k], jets[k + 1]
-            jets[k] = v.power(a) * w.power(b)
-            jets[k + 1] = v.power(c) * w.power(d)
+            rows = _step_rows(jets[k].alphas, jets[k + 1].alphas, mat)
+            jets[k], jets[k + 1] = (UnitJet(jets[0].p, r) for r in rows)
         for entry in self.oracle_log:
             if entry["granted"]:
                 first = entry["first"]
@@ -183,11 +190,7 @@ class WedgeTranscript:
         n = len(self.initial)
         mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (k, i, step) in self.steps:
-            (a, b), (c, d) = step
-            rk = mat[k]
-            rk1 = mat[k + 1]
-            mat[k] = [a * x + b * y for x, y in zip(rk, rk1)]
-            mat[k + 1] = [c * x + d * y for x, y in zip(rk, rk1)]
+            mat[k], mat[k + 1] = _step_rows(mat[k], mat[k + 1], step)
         return mat
 
     def cumulative_det(self) -> int:

@@ -2,13 +2,23 @@
 division-field indices."""
 
 import random
+import time
 
 import pytest
 
 from cmtower.errors import ValidationError
 from cmtower.galois_model import (SubgroupSpec, TriElement, compose,
-                                  element_order, enumerate_group, identity,
-                                  tower_indices)
+                                  element_order, identity, tower_indices)
+
+
+def enumerate_group(p, m, a_mod=0, b_mod=0):
+    """Oracle: every element with a = 0 mod p^a_mod and b = 1 mod
+    p^b_mod, listed by increasing a, then increasing b."""
+    mod = p ** m
+    return [TriElement(p, m, a, b)
+            for a in range(0, mod, p ** a_mod)
+            for b in range(1, mod)
+            if b % p and (b - 1) % p ** b_mod == 0]
 
 
 class TestTriElement:
@@ -58,12 +68,30 @@ class TestSubgroups:
                 for j in range(m + 1):
                     for k in range(m + 1):
                         spec = SubgroupSpec(p, m, j, k)
-                        assert len(spec.elements()) == spec.order()
+                        b_count = (p ** (m - 1) * (p - 1) if k == 0
+                                   else p ** (m - k))
+                        assert spec.order() == p ** (m - j) * b_count
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_element_by_index_matches_enumeration(self, p):
+        for m in (1, 2, 3):
+            for j in range(m + 1):
+                for k in range(m + 1):
+                    spec = SubgroupSpec(p, m, j, k)
+                    els = enumerate_group(p, m, j, k)
+                    assert spec.order() == len(els)
+                    assert [spec.element(i) for i in range(len(els))] == els
+
+    def test_element_index_out_of_range(self):
+        spec = SubgroupSpec(3, 2, 1, 1)
+        for i in (-1, spec.order()):
+            with pytest.raises(ValidationError):
+                spec.element(i)
 
     def test_closure_violation_impossible(self):
         # spot check: products of subgroup elements stay inside
         spec = SubgroupSpec(3, 2, 1, 1)
-        els = spec.elements()
+        els = enumerate_group(3, 2, 1, 1)
         for x in els:
             for y in els:
                 assert spec.contains(compose(x, y))
@@ -80,13 +108,25 @@ class TestTowerIndices:
         assert out["order_small_variant"] == 18
 
     def test_indices_are_p_power_and_cyclic(self):
-        for p in (3, 5):
+        for p in (3, 5, 7):
             for m in (1, 2, 3):
                 for n in range(1, m + 1):
-                    out = tower_indices(p, m, n)
-                    assert out["index"] == p ** n
-                    assert out["cyclic"]
-                    assert out["generator_order"] == p ** n
+                    assert tower_indices(p, m, n) == {
+                        "order_full": p ** (2 * m - 1) * (p - 1),
+                        "order_small_variant": p ** m * (p - 1),
+                        "order_fix_torsion": p ** (2 * m - n),
+                        "order_fix_division": p ** (2 * m - 2 * n),
+                        "index": p ** n,
+                        "cyclic": True,
+                        "generator_order": p ** n,
+                    }
+
+    def test_p11_depth4_is_fast(self):
+        """|G| = 11^7 * 10: counted per coordinate, never listed."""
+        start = time.monotonic()
+        for n in range(1, 5):
+            assert tower_indices(11, 4, n)["index"] == 11 ** n
+        assert time.monotonic() - start < 2.0
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValidationError):

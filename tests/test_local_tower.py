@@ -281,6 +281,26 @@ class TestCompositum:
         assert set(rep.deltas.values()) == {2}
         assert rep.conductor_exponent == 2
 
+    @staticmethod
+    def _element(ring, entries):
+        x = ring.zero()
+        for (i, j), c in entries.items():
+            x.coeffs[i * ring.w + j] = c
+        return x
+
+    def test_valuation_past_the_cap_is_none(self):
+        """p = 3, N = 6: 3^5 lambda theta^2 has candidate 3 + 4 + 30 = 37,
+        past ord(3^6) = 36, so an unseen capped term could be smaller."""
+        _, ring = non_monic_ring(3, 6)
+        assert self._element(ring, {(1, 2): 3 ** 5}).valuation() is None
+        assert self._element(ring, {(1, 2): 3 ** 4}).valuation() == 31
+
+    def test_valuation_from_the_constant_term_stays_certified(self):
+        _, ring = non_monic_ring(3, 6)
+        assert self._element(ring, {(0, 0): 3 ** 5}).valuation() == 30
+        both = {(0, 0): 3 ** 5, (1, 2): 3 ** 5}
+        assert self._element(ring, both).valuation() == 30
+
 
 class TestConductor:
     def test_all_jumps_two(self):

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtower.errors import ValidationError
 from cmtower.unit_wedge import (CftOracle, UnitJet, combine, extend_to_g,
@@ -82,6 +83,58 @@ class TestWedgeStep:
         v2, w2, mat = wedge_step(v, w, 1)
         assert mat == ((1, 0), (0, 1))
         assert v2.alphas == v.alphas and w2.alphas == w.alphas
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValidationError):
+            wedge_step(UnitJet(5, (1, 2)), UnitJet(5, (3, 4, 0)), 0)
+
+
+_ENTRY = st.integers(-60, 60)
+
+
+@st.composite
+def _jet_pair(draw):
+    """Two jets over the same primes, None allowed except at prime i."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    s = draw(st.integers(1, 5))
+    i = draw(st.integers(0, s - 1))
+    rows = [draw(st.lists(st.none() | _ENTRY, min_size=s, max_size=s))
+            for _ in range(2)]
+    for row in rows:
+        row[i] = draw(_ENTRY)
+    return UnitJet(p, tuple(rows[0])), UnitJet(p, tuple(rows[1])), i
+
+
+class TestStepRows:
+    """The row operation against the jet product it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_jet_pair())
+    def test_step_is_the_jet_product(self, case):
+        v, w, i = case
+        v2, w2, ((a, b), (c, d)) = wedge_step(v, w, i)
+        assert v2 == v.power(a) * w.power(b)
+        assert w2 == v.power(c) * w.power(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5),
+           st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_replay_and_matrix(self, p, g, s, rng):
+        s = min(s, g - 1) + 1
+        jets = [UnitJet(p, tuple(rng.randrange(p) for _ in range(g)))
+                for _ in range(g)]
+        tr = extend_to_g(jets, s, CftOracle("deny"))
+        work = list(jets)
+        mat = [[int(i == j) for j in range(g)] for i in range(g)]
+        for k, _, ((a, b), (c, d)) in tr.steps:
+            v, w = work[k], work[k + 1]
+            work[k], work[k + 1] = (v.power(a) * w.power(b),
+                                    v.power(c) * w.power(d))
+            x, y = mat[k], mat[k + 1]
+            mat[k] = [a * e + b * f for e, f in zip(x, y)]
+            mat[k + 1] = [c * e + d * f for e, f in zip(x, y)]
+        assert tr.replay() == tuple(work) == tr.final
+        assert tr.cumulative_matrix() == mat
 
 
 class TestReduce:
