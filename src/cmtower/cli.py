@@ -221,9 +221,16 @@ def _tower(cfg: RunConfig) -> EisensteinTower:
     return EisensteinTower(cfg.seed())
 
 
+def _tower_level(cfg: RunConfig, default: int) -> int:
+    n = cfg.integer("tower", "level", default)
+    if n < 1:
+        raise ValidationError(f"[tower] level must be at least 1, got {n}")
+    return n
+
+
 def _run_tower_build(cfg: RunConfig):
     tw = _tower(cfg)
-    n = cfg.integer("tower", "level", 2)
+    n = _tower_level(cfg, 2)
     out = []
     for k in range(1, n + 1):
         h = torsion_poly(tw, k)
@@ -255,7 +262,7 @@ def _division_state(cfg: RunConfig, tw: EisensteinTower):
 def _run_divide(cfg: RunConfig):
     tw = _tower(cfg)
     st = _division_state(cfg, tw)
-    to_level = cfg.integer("tower", "level", st.e)
+    to_level = _tower_level(cfg, st.e)
     st = divide_point(tw, st, to_level)
     res = {
         "e": st.e,

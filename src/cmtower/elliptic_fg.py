@@ -109,22 +109,17 @@ class EllipticFormalData:
         self.curve = curve
         self.D = D
         a, b = Frac(curve.a), Frac(curve.b)
-        lim = D + 4
-        # w = z^3 + a z w^2 + b w^3, iterated to a fixpoint
-        w = {3: Frac(1)}
-        for _ in range(lim):
-            w2 = _mul1(w, w, lim)
-            w3 = _mul1(w2, w, lim)
-            nw = {3: Frac(1)}
-            for k, v in _mul1({1: a}, w2, lim).items():
-                nw[k] = nw.get(k, 0) + v
-            for k, v in w3.items():
-                nw[k] = nw.get(k, 0) + b * v
-            nw = {k: v for k, v in nw.items() if v}
-            if nw == w:
-                break
-            w = nw
-        self.w = w
+        lim = max(D + 4, 3)
+        # w = z^3 + a z w^2 + b w^3 one degree at a time: w_n reads w^2 at
+        # degree n - 1 and w^3 at n, both formed from w below degree n
+        w, w2, w3 = ([0] * (lim + 1) for _ in range(3))
+        for n in range(3, lim + 1):
+            w2[n - 1] = sum(w[i] * w[n - 1 - i] for i in range(3, n - 3)
+                            if w[i] and w[n - 1 - i])
+            w3[n] = sum(w[i] * w2[n - i] for i in range(3, n - 5)
+                        if w[i] and w2[n - i])
+            w[n] = (n == 3) + a * w2[n - 1] + b * w3[n]
+        w = self.w = {k: c for k, c in enumerate(w) if c}
         # u = w/z^3 is a unit; with v = 1/u the differential is
         # (1 - z v'/(2v)) dz, normalized to start at 1
         u = {k - 3: v for k, v in w.items()}

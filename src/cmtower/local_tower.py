@@ -524,27 +524,39 @@ class _CompositumRing:
         x.coeffs[1] = 1
         return x
 
-    def eval_series(self, series, points):
-        """Evaluate a TruncSeries (no constant term) at compositum
-        points of positive valuation."""
-        acc = self.zero()
-        pows = [dict() for _ in points]
+    def powers(self, x, D):
+        """The table [1, x, ..., x^D], shared by every evaluation at x."""
+        table = [self.zero(), x]
+        table[0].coeffs[0] = 1
+        for _ in range(2, D + 1):
+            table.append(table[-1] * x)
+        return table
 
-        def pt_power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = points[i] if k == 1 else pt_power(i, k - 1) * points[i]
-            return cache[k]
+    def eval_series(self, series, table, y=None):
+        """Evaluate a TruncSeries (no constant term) in one variable at x,
+        or in two at (x, y), with ``table = powers(x, D)``; the points
+        have positive valuation.
 
-        for e, c in sorted(series.coeffs.items(), key=lambda kv: sum(kv[0])):
-            if sum(e) == 0:
+        Each column sum_i c_ij x^i is a scalar combination of the table,
+        reduced mod p^N once, and the columns are summed by Horner in y
+        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)): one product
+        per power of y, none per monomial."""
+        mod = self.mod
+        cols = {}
+        for e, c in series.coeffs.items():
+            if not any(e):
                 raise ValidationError("series must have no constant term")
-            term = None
-            for i, k in enumerate(e):
-                if k:
-                    pw = pt_power(i, k)
-                    term = pw if term is None else term * pw
-            acc = acc + term.scale(c)
+            col = cols.setdefault(e[-1] if y is not None else 0,
+                                  [0] * len(table[0].coeffs))
+            for k, x in enumerate(table[e[0]].coeffs):
+                if x:
+                    col[k] += c * x
+        acc = self.zero()
+        for j in range(max(cols, default=0), -1, -1):
+            if j in cols:
+                acc = acc + _CompElement(self, [c % mod for c in cols[j]])
+            if j:
+                acc = acc * y
         return acc
 
 
@@ -600,18 +612,21 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     if theta.valuation() != p - 1 or lam.valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
     F = group_law(tower.seed).F
+    # lambda's and theta's powers, shared by all p - 1 translates
+    lams = ring.powers(lam, tower.seed.trunc)
+    thetas = ring.powers(theta, tower.seed.trunc)
     deltas = {}
     prov = [
         f"jumps: theta displacement under torsion translation, seed degree "
         f"{tower.seed.p}, division value of valuation {q.valuation()}",
     ]
     for a in range(1, p):
-        tv = ring.eval_series(endo(tower.seed, PadicInt(p, N, a)), [lam])
+        tv = ring.eval_series(endo(tower.seed, PadicInt(p, N, a)), lams)
         if tv.valuation() != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"
             )
-        sigma_theta = ring.eval_series(F, [theta, tv])
+        sigma_theta = ring.eval_series(F, thetas, tv)
         disp = (theta - sigma_theta).valuation()
         if disp is None:
             raise PrecisionError(

@@ -8,6 +8,10 @@ degree k needs only the parts of phi below k, so every product is formed
 once, at the degree that first needs it.  Each degree divides by
 pi^k - pi (valuation exactly 1), so one digit of effective precision is
 spent per degree; seeds are built with guard digits to absorb this.
+
+A seed owns the table of powers d, d^2, ..., d^(D-1) that the recursion
+reads: the first solve from the seed builds it, and the group law, every
+[a] and every strict isomorphism out of that seed share it.
 """
 
 from __future__ import annotations
@@ -20,21 +24,22 @@ from .padic import (PadicInt, PadicPoly, TruncSeries, compositional_inverse,
 class LTSeed:
     """A Lubin-Tate seed: uniformizer pi_val and one-variable series d."""
 
-    __slots__ = ("p", "N", "pi_val", "d")
+    __slots__ = ("p", "N", "pi_val", "d", "_d_powers")
 
     def __init__(self, pi_val: PadicInt, d: TruncSeries):
         if d.nvars != 1:
             raise ValidationError("seed series must be one-variable")
         if pi_val.p != d.p or pi_val.N != d.N:
             raise ValidationError("pi and d disagree on (p, N)")
-        if pi_val.valuation() != 1:
-            raise ValidationError("uniformizer must have valuation exactly 1")
         p = d.p
+        # before the uniformizer: truncating below degree 1 drops pi too
         if d.trunc < p:
             raise ValidationError(
                 f"truncation degree {d.trunc} is below p = {p}; the seed "
                 "congruence d = t^p mod p is not expressible"
             )
+        if pi_val.valuation() != 1:
+            raise ValidationError("uniformizer must have valuation exactly 1")
         if not d.constant_term().is_zero():
             raise ValidationError("seed has a constant term")
         if d.coefficient((1,)) != pi_val:
@@ -59,6 +64,18 @@ class LTSeed:
     @property
     def trunc(self) -> int:
         return self.d.trunc
+
+    def d_powers(self) -> list:
+        """[None, d, d^2, ..., d^(D-1)] through the truncation degree D,
+        built on the first call and kept on the seed."""
+        try:
+            return self._d_powers
+        except AttributeError:
+            pows = [None, self.d]
+            for _ in range(2, self.trunc):
+                pows.append(pows[-1] * self.d)
+            self._d_powers = pows
+            return pows
 
     @property
     def is_polynomial(self) -> bool:
@@ -222,11 +239,15 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     linear in phi: when phi_j is fixed, its monomials times the powers
     of src.d are added into per-degree buckets.  phi_k enters degree k
     only as (pi - pi^k) phi_k, which is what the divisor accounts for.
+    Those powers are src's own table (``LTSeed.d_powers``): the first
+    solve from src builds it, every later one reads it.
     """
     if src.p != dst.p or src.N != dst.N:
         raise ValidationError("seeds disagree on (p, N)")
     if src.pi_val != dst.pi_val:
         raise ValidationError("seeds have different uniformizers")
+    if linear.trunc != src.trunc:
+        raise ValidationError("linear part and seed disagree on truncation")
     p, N = src.p, src.N
     n = linear.nvars
     D = linear.trunc
@@ -239,10 +260,7 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     pw = [None] + [[{} for _ in range(D + 1)] for _ in range(M)]
     phi = pw[1]
     phi[1] = {pack_exponent(e, base): c for e, c in linear.coeffs.items()}
-    s = TruncSeries(p, N, 1, D, src.d.coeffs)
-    s_pows = [None, s]  # s_pows[a] = src.d^a through degree D
-    for _ in range(2, D):
-        s_pows.append(s_pows[-1] * s)
+    s_pows = src.d_powers()
     rhs = [{} for _ in range(D + 1)]
 
     def push_rhs(j):

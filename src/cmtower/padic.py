@@ -725,6 +725,13 @@ class TruncSeries:
 
         All args must share (p, trunc') and have the same number of
         variables; the result lives in the args' variable space.
+
+        Horner in the last variable over columns that are compositions
+        in the variables before it, down to one variable, where a column
+        is a scalar combination of the table of powers of args[0]
+        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)).  The
+        products are the table's and one per power of each later
+        argument in a Horner chain, none per monomial.
         """
         if len(args) != self.nvars:
             raise ValidationError(
@@ -738,41 +745,36 @@ class TruncSeries:
         tgt = args[0]
         for a in args[1:]:
             tgt._check(a)
-        mod = self.p ** self.N
         eff = min([self.eff_prec] + [a.eff_prec for a in args])
+        table = [TruncSeries.constant(tgt.p, tgt.N, tgt.nvars, tgt.trunc, 1),
+                 args[0]]
+        for _ in range(2, max((e[0] for e in self.coeffs), default=0) + 1):
+            table.append(table[-1] * args[0])
 
-        # cache powers of each argument
-        pow_cache = [dict() for _ in args]
+        def horner(coeffs, n):
+            # the monomials ``coeffs`` in the first n variables at args[:n]
+            if n == 1:
+                out = {}
+                for (k,), c in coeffs.items():
+                    for et, ct in table[k].coeffs.items():
+                        out[et] = out.get(et, 0) + c * ct
+                return tgt.copy_with(out, eff)
+            cols = {}
+            for e, c in coeffs.items():
+                cols.setdefault(e[-1], {})[e[:-1]] = c
+            top = max(cols, default=0)
+            acc = horner(cols.get(top, {}), n - 1)
+            for j in range(top - 1, -1, -1):
+                acc = acc * args[n - 1]
+                if j in cols:
+                    acc = acc + horner(cols[j], n - 1)
+            return acc
 
-        def arg_power(i, k):
-            cache = pow_cache[i]
-            if k in cache:
-                return cache[k]
-            if k == 0:
-                r = TruncSeries.constant(tgt.p, tgt.N, tgt.nvars, tgt.trunc, 1)
-            elif k == 1:
-                r = args[i]
-            else:
-                r = arg_power(i, k - 1) * args[i]
-            cache[k] = r
-            return r
-
-        out = {}
-        for e, c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
-            term = None
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                pw = arg_power(i, k)
-                term = pw if term is None else term * pw
-            if term is None:  # constant monomial
-                z = (0,) * tgt.nvars
-                out[z] = (out.get(z, 0) + c) % mod
-                continue
-            for et, ct in term.coeffs.items():
-                out[et] = (out.get(et, 0) + c * ct) % mod
-        return TruncSeries(tgt.p, tgt.N, tgt.nvars, tgt.trunc,
-                           {e: c for e, c in out.items() if c}, eff)
+        # every column starts at eff, so the sum has eff_prec eff; its
+        # coefficients are known mod self's modulus only
+        acc = horner(self.coeffs, self.nvars)
+        mod = self.p ** self.N
+        return acc.copy_with({e: c % mod for e, c in acc.coeffs.items()})
 
     # -- comparison ----------------------------------------------------
 

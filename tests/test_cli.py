@@ -145,6 +145,9 @@ class TestGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+TOWER = "[seed]\np = 5\nkind = multiplicative\n[tower]\n"
+
+
 class TestMain:
     def test_exit_zero_and_output_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -169,7 +172,14 @@ class TestMain:
         ("wedge-reduce", "[wedge]\np = five\njets = 2 3; 4 1\n"),
         ("galois-orders", "[galois]\np = 3\nm = x\nn = 1\n"),
         ("wedge-reduce", "[wedge]\np = 0\njets = 2 3; 4 1\n"),
-    ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero"))
+        ("tower-build", TOWER + "level = 0\n"),
+        ("tower-build", TOWER + "level = -1\n"),
+        ("divide", TOWER + "t0 = 5\nlevel = 0\n"),
+        ("divide", TOWER + "t0 = 5\nlevel = -1\n"),
+        ("lt-group-law", "[seed]\np = 5\nkind = standard\ntrunc = 0\n"),
+    ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
+            "tower-build-level-zero", "tower-build-level-negative",
+            "divide-level-zero", "divide-level-negative", "seed-trunc-zero"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"

@@ -375,3 +375,36 @@ class TestPowerTable:
     def test_non_integral_law_raises(self):
         with pytest.raises(InvariantError, match="not an integer"):
             EllipticFormalData(WeierstrassCurve(Fraction(1, 2), 0), 10)
+
+
+def reference_w(a, b, lim):
+    """w = z^3 + a z w^2 + b w^3 as first written: iterated to a
+    fixpoint, w^2 and w^3 recomputed in full on every pass."""
+    w = {3: Fraction(1)}
+    for _ in range(lim):
+        w2 = _mul1(w, w, lim)
+        w3 = _mul1(w2, w, lim)
+        nw = {3: Fraction(1)}
+        for k, v in _mul1({1: a}, w2, lim).items():
+            nw[k] = nw.get(k, 0) + v
+        for k, v in w3.items():
+            nw[k] = nw.get(k, 0) + b * v
+        nw = {k: v for k, v in nw.items() if v}
+        if nw == w:
+            break
+        w = nw
+    return w
+
+
+rationals = st.fractions(-9, 9, max_denominator=4)
+
+
+class TestParameterW:
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(coefficients, rationals),
+           st.one_of(st.just(0), coefficients, rationals),
+           st.integers(0, 30))
+    def test_matches_fixpoint(self, a, b, D):
+        # w is set before anything can raise on a non-integral curve
+        data, _ = _built(WeierstrassCurve(a, b), D)
+        assert data.w == reference_w(Fraction(a), Fraction(b), D + 4)

@@ -4,6 +4,7 @@ discriminants, point division and the ramified-step conductor."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtower import local_tower
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
@@ -14,7 +15,7 @@ from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc, torsion_poly)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, PadicPoly, newton_polygon
+from cmtower.padic import PadicInt, PadicPoly, TruncSeries, newton_polygon
 
 
 def non_monic_seed(p, N):
@@ -268,8 +269,8 @@ class TestCompositum:
         theta (d(theta) - q) are zero in the ring."""
         seed, ring = non_monic_ring(p)
         lam, theta = ring.lam(), ring.theta()
-        assert ring.eval_series(seed.d, [lam]).is_zero()
-        d_theta = ring.eval_series(seed.d, [theta])
+        assert ring.eval_series(seed.d, ring.powers(lam, seed.trunc)).is_zero()
+        d_theta = ring.eval_series(seed.d, ring.powers(theta, seed.trunc))
         q = PadicInt(p, seed.N, p)
         assert (d_theta * theta - theta.scale(q)).is_zero()
 
@@ -302,7 +303,97 @@ class TestCompositum:
         assert self._element(ring, both).valuation() == 30
 
 
+def reference_eval_series(ring, series, points):
+    """The evaluation as first written: one compositum product per
+    monomial, the points' powers rebuilt on every call."""
+    acc = ring.zero()
+    pows = [dict() for _ in points]
+
+    def pt_power(i, k):
+        cache = pows[i]
+        if k not in cache:
+            cache[k] = points[i] if k == 1 else pt_power(i, k - 1) * points[i]
+        return cache[k]
+
+    for e, c in sorted(series.coeffs.items(), key=lambda kv: sum(kv[0])):
+        if sum(e) == 0:
+            raise ValidationError("series must have no constant term")
+        term = None
+        for i, k in enumerate(e):
+            if k:
+                pw = pt_power(i, k)
+                term = pw if term is None else term * pw
+        acc = acc + term.scale(c)
+    return acc
+
+
+@st.composite
+def compositum_point(draw, ring):
+    """A random element of positive valuation: the lambda^0 theta^0
+    coefficient is divisible by p, the gap slots j >= p are zero."""
+    x = ring.zero()
+    for k in range(len(x.coeffs)):
+        if k % ring.w < ring.p:
+            x.coeffs[k] = draw(st.integers(0, ring.mod - 1))
+    x.coeffs[0] = x.coeffs[0] * ring.p % ring.mod
+    return x
+
+
+class TestEvalSeries:
+    """Horner over a shared power table against the evaluation with one
+    product per monomial."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        p = data.draw(st.sampled_from((3, 5)))
+        N = data.draw(st.integers(6, 20))
+        D = data.draw(st.integers(p, 2 * p + 2))
+        # t^p coefficient 1 or 1 + p: the non-monic seed is one case
+        top = data.draw(st.sampled_from((1, 1 + p)))
+        seed = LTSeed.from_coeffs(p, N, D, [0, p] + [0] * (p - 2) + [top])
+        q = PadicInt(p, N, p * data.draw(st.integers(1, p - 1)))
+        ring = _CompositumRing(EisensteinTower(seed), q)
+        nvars = data.draw(st.sampled_from((1, 2)))
+        exps = ([(k,) for k in range(1, D + 1)] if nvars == 1 else
+                [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)])
+        series = TruncSeries(p, N, nvars, D, data.draw(st.dictionaries(
+            st.sampled_from(exps), st.integers(0, ring.mod - 1))))
+        points = [data.draw(compositum_point(ring)) for _ in range(nvars)]
+        got = ring.eval_series(series, ring.powers(points[0], D),
+                               *points[1:])
+        want = reference_eval_series(ring, series, points)
+        assert got.coeffs == want.coeffs
+
+    def test_constant_term_rejected(self):
+        seed, ring = non_monic_ring(3)
+        series = TruncSeries(3, seed.N, 1, seed.trunc, {(0,): 1, (1,): 1})
+        with pytest.raises(ValidationError, match="constant term"):
+            ring.eval_series(series, ring.powers(ring.lam(), seed.trunc))
+
+
 class TestConductor:
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_products_per_power_not_per_monomial(self, p, monkeypatch):
+        """The lambda and theta tables cost D - 1 products each and each
+        translate's Horner chain at most D; one product per monomial
+        of F would exceed this at p = 5 and 7."""
+        D = 2 * p
+        t = tower(p, trunc=D)
+        state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
+        count = 0
+        mul = local_tower._CompElement.__mul__
+
+        def counting(self, other):
+            nonlocal count
+            count += isinstance(other, local_tower._CompElement)
+            return mul(self, other)
+
+        monkeypatch.setattr(local_tower._CompElement, "__mul__", counting)
+        rep = division_conductor(t, state)
+        assert set(rep.deltas.values()) == {2}
+        assert 0 < count <= 2 * (D - 1) + (p - 1) * D
+
     def test_all_jumps_two(self):
         for p in (3, 5):
             for kind in ("standard", "multiplicative"):

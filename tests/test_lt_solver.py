@@ -3,10 +3,11 @@ degree-by-degree reference that recomposes the whole series at every
 degree."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
-from cmtower.lubin_tate import LTSeed, _lt_solve
+from cmtower.lubin_tate import (LTSeed, _lt_solve, endo, group_law,
+                                strict_iso)
 from cmtower.padic import PadicInt, TruncSeries
 
 
@@ -142,6 +143,43 @@ def test_group_law_matches_reference_at_14(p):
                               + [1 + p] + [p * k for k in range(p + 1, 15)])
     coeffs, eff = assert_same(linear_part(seed, 2), seed, seed)
     assert eff == 20 - 13
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed_pair(max_D=12), st.integers(2, 7 ** 4))
+def test_one_seed_shares_its_power_table(pair, a):
+    """group_law, endo(a), endo(pi) and strict_iso in sequence on one
+    seed object: the first solve builds the seed's table of d's powers,
+    the later ones from that seed reuse it and form no series product,
+    and every result equals the reference."""
+    src, dst = pair
+    assume(src.N >= src.trunc)  # precision runs out below that
+    law = group_law(src).F
+    assert (law.coeffs, law.eff_prec) == outcome(
+        reference_lt_solve, linear_part(src, 2), src, src)
+    table = src.d_powers()
+    products = 0
+    mul = TruncSeries.__mul__
+
+    def counting(x, y):
+        nonlocal products
+        products += 1
+        return mul(x, y)
+
+    TruncSeries.__mul__ = counting
+    try:
+        phis = [endo(src, PadicInt(src.p, src.N, b))
+                for b in (a, src.pi_val.value)]
+    finally:
+        TruncSeries.__mul__ = mul
+    assert products == 0
+    for b, phi in zip((a, src.pi_val.value), phis):
+        assert (phi.coeffs, phi.eff_prec) == outcome(
+            reference_lt_solve, linear_part(src, 1, b), src, src)
+    phi = strict_iso(src, dst).series[0]
+    assert (phi.coeffs, phi.eff_prec) == outcome(
+        reference_lt_solve, linear_part(src, 1), src, dst)
+    assert src.d_powers() is table
 
 
 @settings(max_examples=40, deadline=None)

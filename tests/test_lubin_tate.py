@@ -51,6 +51,12 @@ class TestSeedValidation:
         with pytest.raises(ValidationError):
             LTSeed.standard(11, 12, 8)
 
+    @pytest.mark.parametrize("trunc", (-1, 0, 1, 4))
+    def test_trunc_below_p_is_named_before_the_uniformizer(self, trunc):
+        # truncating below degree 1 also drops pi from d
+        with pytest.raises(ValidationError, match="truncation degree"):
+            LTSeed.standard(5, 12, trunc)
+
 
 class TestGroupLaw:
     def test_multiplicative_law_is_xy(self):

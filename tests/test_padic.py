@@ -372,3 +372,92 @@ class TestResultant:
                 want += 1
             if want < N:
                 assert resultant_valuation(f, g) == want
+
+
+def reference_compose(f, args):
+    """Composition as first written: every monomial is the product of
+    cached powers of the arguments it involves."""
+    if len(args) != f.nvars:
+        raise ValidationError(f"need {f.nvars} arguments, got {len(args)}")
+    for a in args:
+        if not a.constant_term().is_zero():
+            raise ValidationError("composition argument has a constant term")
+        if a.p != f.p:
+            raise ValidationError("mismatched p in composition")
+    tgt = args[0]
+    for a in args[1:]:
+        tgt._check(a)
+    mod = f.p ** f.N
+    eff = min([f.eff_prec] + [a.eff_prec for a in args])
+    pow_cache = [dict() for _ in args]
+
+    def arg_power(i, k):
+        cache = pow_cache[i]
+        if k not in cache:
+            cache[k] = args[i] if k == 1 else arg_power(i, k - 1) * args[i]
+        return cache[k]
+
+    out = {}
+    for e, c in sorted(f.coeffs.items(), key=lambda kv: sum(kv[0])):
+        term = None
+        for i, k in enumerate(e):
+            if k:
+                pw = arg_power(i, k)
+                term = pw if term is None else term * pw
+        if term is None:  # constant monomial
+            z = (0,) * tgt.nvars
+            out[z] = (out.get(z, 0) + c) % mod
+            continue
+        for et, ct in term.coeffs.items():
+            out[et] = (out.get(et, 0) + c * ct) % mod
+    return TruncSeries(tgt.p, tgt.N, tgt.nvars, tgt.trunc,
+                       {e: c for e, c in out.items() if c}, eff)
+
+
+@st.composite
+def random_series(draw, p, N, nvars, D, constant=False):
+    exps = [e for e in draw(st.lists(st.tuples(
+        *[st.integers(0, D)] * nvars), max_size=25)) if sum(e) <= D]
+    coeffs = {e: draw(st.integers(0, p ** N - 1)) for e in exps
+              if constant or any(e)}
+    return TruncSeries(p, N, nvars, D, coeffs, draw(st.integers(1, N)))
+
+
+@st.composite
+def composition_case(draw):
+    """f in 1-3 variables and as many arguments in a common space; now
+    and then the arguments' precision differs from f's, an argument
+    has a constant term or another truncation, or one is missing."""
+    p = draw(st.sampled_from((3, 5)))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    D, N = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    f = draw(random_series(p, N, n, draw(st.integers(0, 8)), constant=True))
+    if draw(st.integers(0, 3)) == 0:
+        N = draw(st.integers(1, 8))
+    args = [draw(random_series(p, N, m, D)) for _ in range(n)]
+    bad = draw(st.sampled_from(["none"] * 12 + ["constant", "trunc",
+                                                 "arity"]))
+    if bad == "constant":
+        args[-1] = args[-1] + TruncSeries.constant(p, N, m, D, 1)
+    elif bad == "trunc":
+        args[-1] = draw(random_series(p, N, m, D + 1))
+    elif bad == "arity":
+        args.pop()
+    return f, args
+
+
+def _composed(compose, f, args):
+    try:
+        g = compose(f, args)
+    except ValidationError:
+        return ValidationError
+    return g.coeffs, g.eff_prec, g.nvars, g.trunc
+
+
+class TestCompose:
+    @settings(max_examples=200, deadline=None)
+    @given(composition_case())
+    def test_matches_reference(self, case):
+        f, args = case
+        assert (_composed(TruncSeries.compose, f, args)
+                == _composed(reference_compose, f, args))
