@@ -4,7 +4,7 @@ congruence engine on units."""
 
 from .errors import (CmtowerError, HenselError, InvariantError,
                      PrecisionError, ValidationError)
-from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
+from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries, Zp,
                     compositional_inverse, hensel_root, newton_polygon,
                     resultant_valuation)
 from .lubin_tate import (FglHom, FormalGroupLaw, LTSeed, endo, group_law,

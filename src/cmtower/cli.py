@@ -181,7 +181,7 @@ def _run_lt_group_law(cfg: RunConfig):
 def _run_lt_endo(cfg: RunConfig):
     seed = cfg.seed()
     a = cfg.integer("seed", "a")
-    s = endo(seed, PadicInt(seed.p, seed.N, a))
+    s = endo(seed, a)
     return {"a": a, "series": s.to_json()}, [
         "endomorphism from the intertwining recursion"]
 
@@ -313,7 +313,8 @@ def _elliptic(cfg: RunConfig):
     a = cfg.integer("elliptic", "a")
     b = cfg.integer("elliptic", "b")
     p = cfg.integer("elliptic", "p")
-    D = cfg.trunc or cfg.integer("elliptic", "trunc", 20)
+    D = (cfg.trunc if cfg.trunc is not None
+         else cfg.integer("elliptic", "trunc", 20))
     E = WeierstrassCurve(a, b)
     return E, p, D
 
@@ -336,16 +337,16 @@ def _run_elliptic_match(cfg: RunConfig):
     data = curve_group_law(E, D, p=p)
     root = gauss_embed_root(p, N)
     ap = point_count_ap(E, p)
-    reports = [frobenius_check(data, p, c, root)
-               for c in frobenius_candidates(p, ap, root)]
+    reports = [frobenius_check(data, c, root)
+               for c in frobenius_candidates(ap, root)]
     passing = [r for r in reports if r["passes"]]
     if len(passing) != 1:
         raise InvariantError(
             f"expected exactly one passing associate, got {len(passing)}"
         )
     alpha = passing[0]["alpha"]
-    iso = match_lubin_tate(data, alpha, p, N, root)
-    emb_i = embed_gauss_series(cm_endo_elliptic(data, (0, 1)), p, N, D, root)
+    iso = match_lubin_tate(data, alpha, root)
+    emb_i = embed_gauss_series(cm_endo_elliptic(data, (0, 1)), D, root)
     return {
         "a_p": ap,
         "candidates": [

@@ -17,8 +17,7 @@ import itertools
 
 from .errors import InvariantError, ValidationError
 from .lubin_tate import FormalGroupLaw, LTSeed, endo
-from .padic import (PadicInt, PadicPoly, TruncSeries, hensel_root,
-                    mul_coeffs)
+from .padic import InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +109,18 @@ class FieldElement:
         return list(self.coeffs)
 
 
-class CMField:
+class CMField(InRing):
     """A degree-2g field with p split completely, automorphism data and
     a CM type.
 
     ``f`` is the monic defining polynomial (integer coefficient list,
     constant first).  ``autos`` is the full list of 2g automorphism
     polynomials; for g = 1 it defaults to [x, conj].  ``cm_type`` is a
-    set of g automorphism labels, one per conjugation orbit.
+    set of g automorphism labels, one per conjugation orbit.  The roots
+    live in the ring ``R`` of (p, N).
     """
 
-    __slots__ = ("f", "p", "N", "g", "roots", "conj", "cm_type",
+    __slots__ = ("f", "R", "g", "roots", "conj", "cm_type",
                  "autos", "auto_by_label", "perm_by_label")
 
     def __init__(self, f, p, N, conj, cm_type, autos=None):
@@ -132,11 +132,10 @@ class CMField:
             raise ValidationError("defining polynomial must have even degree >= 2")
         self.f = f
         self.g = deg // 2
-        self.p = p
-        self.N = N
 
         # split p completely: 2g distinct simple roots mod p, Hensel-lifted
         fp = PadicPoly(p, N, f)
+        self.R = fp.R
         residues = [r for r in range(p)
                     if sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0]
         if len(residues) != deg:
@@ -211,11 +210,7 @@ class CMField:
     # -- root bookkeeping ---------------------------------------------
 
     def _eval_poly_at_root(self, coeffs, idx: int) -> PadicInt:
-        acc = PadicInt(self.p, self.N, 0)
-        r = self.roots[idx]
-        for c in reversed(coeffs):
-            acc = acc * r + c
-        return acc
+        return PadicPoly(self.p, self.N, coeffs).evaluate(self.roots[idx])
 
     def root_index(self, value: PadicInt) -> int:
         """Index of the root congruent to value mod p (roots are distinct
@@ -339,7 +334,7 @@ class ProductGroup:
             m = avec[idx]
             if m.valuation() != 1:
                 raise InvariantError("coordinate multiplier is not a uniformizer")
-            self.seeds.append(LTSeed.standard(K.p, K.N, trunc, pi=m.value))
+            self.seeds.append(LTSeed.standard(K.p, K.N, trunc, pi=m))
         self.law = self._assemble_law() if build_law else None
 
     @property

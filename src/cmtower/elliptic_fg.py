@@ -178,8 +178,10 @@ class EllipticFormalData:
 
 
 def curve_group_law(curve: WeierstrassCurve, D: int, p=None) -> EllipticFormalData:
-    """Formal data through degree D; if p is given, good reduction there
-    is required."""
+    """Formal data through degree D >= 1; if p is given, good reduction
+    there is required."""
+    if D < 1:
+        raise ValidationError(f"truncation degree must be at least 1, got {D}")
     if p is not None and not curve.good_reduction_at(p):
         raise ValidationError(
             f"curve has bad reduction at {p} (discriminant "
@@ -221,12 +223,12 @@ def gauss_embed_root(p: int, N: int) -> PadicInt:
     return hensel_root(f, PadicInt(p, N, r0))
 
 
-def embed_gauss_series(series: dict, p: int, N: int, trunc: int,
+def embed_gauss_series(series: dict, trunc: int,
                        root: PadicInt) -> TruncSeries:
-    """Reduce a Gaussian-rational series mod p^N via i -> root; every
-    coefficient must be p-integral or the CM/reduction hypotheses are
-    falsified."""
-    mod = p ** N
+    """Reduce a Gaussian-rational series mod p^N via i -> root, in root's
+    ring; every coefficient must be p-integral or the CM/reduction
+    hypotheses are falsified."""
+    p, N, mod = root.R.p, root.R.N, root.R.mod
     out = {}
     for k, (re, im) in series.items():
         if re.denominator % p == 0 or im.denominator % p == 0:
@@ -254,10 +256,11 @@ def point_count_ap(curve: WeierstrassCurve, p: int) -> int:
     return p + 1 - n
 
 
-def frobenius_candidates(p: int, a_p: int, root: PadicInt):
+def frobenius_candidates(a_p: int, root: PadicInt):
     """The four associates of the Gaussian prime x + y i with norm p and
     trace a_p that lies over the embedded prime: the sign of y is the
-    one with x + y * root = 0 mod p."""
+    one with x + y * root = 0 mod p, p being root's prime."""
+    p = root.p
     if a_p % 2:
         raise ValidationError("trace must be even for a Gaussian factor")
     x = a_p // 2
@@ -275,15 +278,17 @@ def frobenius_candidates(p: int, a_p: int, root: PadicInt):
     return [base, (-x, -y), (-y, x), (y, -x)]
 
 
-def frobenius_check(data: EllipticFormalData, p: int, alpha,
+def frobenius_check(data: EllipticFormalData, alpha,
                     root: PadicInt) -> dict:
-    """Whether [alpha](z) = z^p mod p through the truncation degree.
-    Returns a report with the first failing coefficient if any."""
+    """Whether [alpha](z) = z^p mod p through the truncation degree, p
+    being root's prime.  Returns a report with the first failing
+    coefficient if any."""
+    p = root.p
     re, im = alpha
     if re * re + im * im != p:
         raise ValidationError("candidate does not have norm p")
     series = cm_endo_elliptic(data, alpha)
-    emb = embed_gauss_series(series, p, root.N, data.D, root)
+    emb = embed_gauss_series(series, data.D, root)
     first_fail = None
     for k in range(1, data.D + 1):
         c = emb.coefficient((k,)).residue(1)
@@ -299,25 +304,24 @@ def frobenius_check(data: EllipticFormalData, p: int, alpha,
     }
 
 
-def match_lubin_tate(data: EllipticFormalData, alpha_P, p: int, N: int,
+def match_lubin_tate(data: EllipticFormalData, alpha_P,
                      root: PadicInt) -> FglHom:
     """Strict isomorphism from the curve's formal group to the standard
-    Lubin-Tate group of the Frobenius uniformizer.
+    Lubin-Tate group of the Frobenius uniformizer, over root's ring.
 
     The embedded [alpha_P] series is itself a Lubin-Tate seed (its
     linear coefficient is a uniformizer and it reduces to z^p); the
     intertwining solver then produces the isomorphism, integral by
     construction of the exact arithmetic."""
-    rep = frobenius_check(data, p, alpha_P, root)
+    rep = frobenius_check(data, alpha_P, root)
     if not rep["passes"]:
         raise ValidationError(
             f"candidate fails the Frobenius congruence at {rep['first_fail']}"
         )
     series = cm_endo_elliptic(data, alpha_P)
-    emb = embed_gauss_series(series, p, N, data.D, root)
+    emb = embed_gauss_series(series, data.D, root)
     pi = emb.coefficient((1,))
     src = LTSeed(pi, emb)
-    dst = LTSeed.standard(p, N, data.D, pi=pi.value)
-    one = PadicInt(p, N, 1)
-    phi = solve_intertwine(one, src, dst)
+    dst = LTSeed.standard(root.p, root.N, data.D, pi=pi)
+    phi = solve_intertwine(1, src, dst)
     return FglHom(lt_group_law(src), lt_group_law(dst), (phi,), verify=False)

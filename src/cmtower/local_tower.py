@@ -18,26 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (HenselError, InvariantError, PrecisionError,
-                     ValidationError)
+from .errors import InvariantError, PrecisionError, ValidationError
 from .lubin_tate import LTSeed, endo, group_law
-from .padic import (PadicInt, PadicPoly, _sylvester_rows, hensel_root,
-                    mul_coeffs, newton_polygon, rem_coeffs, ring_det)
+from .padic import (InRing, PadicInt, PadicPoly, _sylvester_rows,
+                    hensel_root, mul_coeffs, newton_polygon, rem_coeffs,
+                    ring_det)
 
 
-class EisensteinTower:
-    """The tower of torsion fields of a polynomial seed."""
+class EisensteinTower(InRing):
+    """The tower of torsion fields of a polynomial seed, over the seed's
+    ring ``R``."""
 
-    __slots__ = ("seed", "p", "N", "mod", "max_degree", "pin", "levels",
-                 "inv_lead", "disc")
+    __slots__ = ("seed", "R", "max_degree", "pin", "levels", "inv_lead",
+                 "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
         if not seed.is_polynomial:
             raise ValidationError("tower construction needs a polynomial seed")
         self.seed = seed
-        self.p = seed.p
-        self.N = seed.N
-        self.mod = seed.p ** seed.N
+        self.R = seed.R
         self.max_degree = max_degree
         # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1),
         # inv_lead[n] the inverse of its leading coefficient mod p^N
@@ -91,7 +90,7 @@ class EisensteinTower:
                 )
             self.pin.append(cur)
             self.levels.append(q)
-            self.inv_lead.append(pow(q.coeffs[-1], -1, self.mod))
+            self.inv_lead.append(pow(q.coeffs[-1], -1, self.R.mod))
 
     def h(self, n: int) -> PadicPoly:
         self.build(n)
@@ -120,9 +119,7 @@ class LocalElement:
         self.tower = tower
         self.level = level
         d = tower.degree(level)
-        mod = tower.mod
-        raw = [(c.value if isinstance(c, PadicInt) else c) % mod
-               for c in coeffs]
+        raw = [tower.R.lift(c) for c in coeffs]
         if len(raw) > d:
             raise ValidationError(
                 f"level-{level} elements have at most {d} coefficients"
@@ -146,15 +143,16 @@ class LocalElement:
             other = LocalElement(self.tower, self.level, [other])
         self._check(other)
         t = self.tower
-        mod = t.mod
+        mod = t.R.mod
         return LocalElement._reduced(t, self.level, [
             (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalElement(self.tower, self.level,
-                            [-a for a in self.coeffs])
+        mod = self.tower.R.mod
+        return LocalElement._reduced(self.tower, self.level,
+                                     [-a % mod for a in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -166,7 +164,7 @@ class LocalElement:
             return self.scale(other)
         self._check(other)
         t = self.tower
-        mod = t.mod
+        mod = t.R.mod
         prod = mul_coeffs(self.coeffs, other.coeffs)
         if self.level == 0:
             return LocalElement._reduced(t, 0, [prod[0] % mod])
@@ -177,10 +175,10 @@ class LocalElement:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if isinstance(c, PadicInt):
-            c = c.value
-        return LocalElement(self.tower, self.level,
-                            [c * a for a in self.coeffs])
+        R = self.tower.R
+        c = R.lift(c)
+        return LocalElement._reduced(self.tower, self.level,
+                                     [c * a % R.mod for a in self.coeffs])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -194,8 +192,7 @@ class LocalElement:
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            v = PadicInt(t.p, t.N, a).valuation()
-            cand = i + d * v
+            cand = i + d * t.R.val(a)
             if best is None or cand < best:
                 best = cand
         return best
@@ -279,7 +276,6 @@ def _disc_resultant(tower: EisensteinTower) -> int:
     and m'(t) over the level-1 ring."""
     tower.build(1)
     d = tower.seed.to_poly()
-    p, N = tower.p, tower.N
     lam1 = tower.lam(1)
 
     def lift(c: int):
@@ -360,7 +356,7 @@ class DivisionState:
 def _divide_once(tower: EisensteinTower, q: PadicInt) -> DivisionState:
     """One division step for the value q = previous division value."""
     d = tower.seed.to_poly()
-    g = d + PadicPoly(d.p, d.N, [(-q).value])
+    g = d + PadicPoly(d.p, d.N, [-tower.R.lift(q)])
     vq = q.valuation()
     if vq is None or vq < 1:
         raise ValidationError("division value must have positive valuation")
@@ -441,47 +437,45 @@ class _CompElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        mod = self.ring.mod
+        mod = self.ring.R.mod
         return _CompElement(self.ring, [
             (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        mod = self.ring.mod
+        mod = self.ring.R.mod
         return _CompElement(self.ring, [
             (a - b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c):
-        if isinstance(c, PadicInt):
-            c = c.value
-        mod = self.ring.mod
-        return _CompElement(self.ring, [c * x % mod for x in self.coeffs])
+        R = self.ring.R
+        c = R.lift(c)
+        return _CompElement(self.ring, [c * x % R.mod for x in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, PadicInt)):
             return self.scale(other)
-        R = self.ring
-        p, w, mod = R.p, R.w, R.mod
+        ring = self.ring
+        p, w, mod = ring.R.p, ring.w, ring.R.mod
         c = mul_coeffs(self.coeffs, other.coeffs)
         # lambda by h_1(X^w), which divides every theta column at once
-        rem_coeffs(c, R.h1w, R.h1inv, mod)
+        rem_coeffs(c, ring.h1w, ring.h1inv, mod)
         out = []
-        for s in range(0, len(R.h1w) - 1, w):
+        for s in range(0, len(ring.h1w) - 1, w):
             row = c[s:s + w]
-            rem_coeffs(row, R.dq, R.dinv, mod)  # theta by d - q
-            row[p:] = R.gap
+            rem_coeffs(row, ring.dq, ring.dinv, mod)  # theta by d - q
+            row[p:] = ring.gap
             out += row
-        return _CompElement(R, out)
+        return _CompElement(ring, out)
 
     def valuation(self):
-        R = self.ring
-        p, w = R.p, R.w
+        R, w = self.ring.R, self.ring.w
+        p = R.p
         best = None
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             i, j = divmod(k, w)
-            v = PadicInt(p, R.N, c).valuation()
-            cand = i * p + j * (p - 1) + p * (p - 1) * v
+            cand = i * p + j * (p - 1) + p * (p - 1) * R.val(c)
             if best is None or cand < best:
                 best = cand
         return None if best is None or best >= p * (p - 1) * R.N else best
@@ -491,23 +485,23 @@ class _CompElement:
 
 
 class _CompositumRing:
-    """Z_p[lambda, theta]/(h_1(lambda), d(theta) - q).  Neither modulus
-    need be monic: each is kept with the inverse of its leading
-    coefficient, h_1 spread out as h_1(X^w) for the flat layout."""
+    """Z_p[lambda, theta]/(h_1(lambda), d(theta) - q) over the tower's
+    ring ``R``.  Neither modulus need be monic: each is kept with the
+    inverse of its leading coefficient, h_1 spread out as h_1(X^w) for
+    the flat layout."""
 
-    __slots__ = ("p", "N", "mod", "w", "h1w", "h1inv", "dq", "dinv", "gap")
+    __slots__ = ("R", "w", "h1w", "h1inv", "dq", "dinv", "gap")
 
     def __init__(self, tower: EisensteinTower, q: PadicInt):
-        p = self.p = tower.p
-        self.N = tower.N
-        mod = self.mod = tower.mod
+        R = self.R = tower.R
+        p, mod = R.p, R.mod
         w = self.w = 2 * p - 1
         h1 = tower.h(1).coeffs
         self.h1w = [0] * ((len(h1) - 1) * w + 1)
         self.h1w[::w] = h1
         self.h1inv = pow(h1[-1], -1, mod)
         d = tower.seed.to_poly().coeffs
-        self.dq = [(d[0] - q.value) % mod] + d[1:]
+        self.dq = [(d[0] - R.lift(q)) % mod] + d[1:]
         self.dinv = pow(d[-1], -1, mod)
         self.gap = [0] * (w - p)
 
@@ -541,7 +535,7 @@ class _CompositumRing:
         reduced mod p^N once, and the columns are summed by Horner in y
         (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)): one product
         per power of y, none per monomial."""
-        mod = self.mod
+        mod = self.R.mod
         cols = {}
         for e, c in series.coeffs.items():
             if not any(e):
@@ -604,7 +598,7 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     """
     if state.ramified_at is None:
         raise ValidationError("conductor needs a ramified division state")
-    p, N = tower.p, tower.N
+    p = tower.p
     q = state.last()
     ring = _CompositumRing(tower, q)
     theta = ring.theta()
@@ -621,7 +615,7 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
         f"{tower.seed.p}, division value of valuation {q.valuation()}",
     ]
     for a in range(1, p):
-        tv = ring.eval_series(endo(tower.seed, PadicInt(p, N, a)), lams)
+        tv = ring.eval_series(endo(tower.seed, a), lams)
         if tv.valuation() != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"

@@ -17,19 +17,22 @@ reads: the first solve from the seed builds it, and the group law, every
 from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
-from .padic import (PadicInt, PadicPoly, TruncSeries, compositional_inverse,
-                    hom_mul, pack_exponent, unpack_exponent)
+from .padic import (InRing, PadicInt, PadicPoly, TruncSeries, Zp,
+                    compositional_inverse, hom_mul, pack_exponent, ring_det,
+                    unpack_exponent)
 
 
-class LTSeed:
-    """A Lubin-Tate seed: uniformizer pi_val and one-variable series d."""
+class LTSeed(InRing):
+    """A Lubin-Tate seed: uniformizer pi_val and one-variable series d,
+    over d's ring."""
 
-    __slots__ = ("p", "N", "pi_val", "d", "_d_powers")
+    __slots__ = ("pi_val", "d", "_d_powers")
+    R = property(lambda self: self.d.R)
 
     def __init__(self, pi_val: PadicInt, d: TruncSeries):
         if d.nvars != 1:
             raise ValidationError("seed series must be one-variable")
-        if pi_val.p != d.p or pi_val.N != d.N:
+        if pi_val.R is not d.R:
             raise ValidationError("pi and d disagree on (p, N)")
         p = d.p
         # before the uniformizer: truncating below degree 1 drops pi too
@@ -56,8 +59,6 @@ class LTSeed:
                 )
         if d.coeffs.get((p,), 0) % p != 1:
             raise ValidationError("d must reduce to t^p mod p")
-        self.p = p
-        self.N = d.N
         self.pi_val = pi_val
         self.d = d
 
@@ -108,9 +109,10 @@ class LTSeed:
 
     @classmethod
     def standard(cls, p, N, trunc, pi=None):
-        """The seed pi*t + t^p (pi defaults to p)."""
-        coeffs = [0, p if pi is None else pi] + [0] * (p - 2) + [1]
-        return cls.from_coeffs(p, N, trunc, coeffs)
+        """The seed pi*t + t^p; pi, an int or a residue mod p^N, defaults
+        to p."""
+        pi = p if pi is None else Zp(p, N).lift(pi)
+        return cls.from_coeffs(p, N, trunc, [0, pi] + [0] * (p - 2) + [1])
 
     def __repr__(self):
         return f"LTSeed(p={self.p}, pi={self.pi_val.value}, d={self.d!r})"
@@ -193,10 +195,8 @@ class FglHom:
         g = len(self.jacobian)
         if g == 1:
             return self.jacobian[0][0]
-        from .padic import ring_det
-
-        p, N = self.jacobian[0][0].p, self.jacobian[0][0].N
-        return ring_det(self.jacobian, PadicInt(p, N, 0), PadicInt(p, N, 1))
+        zero = self.jacobian[0][0] * 0
+        return ring_det(self.jacobian, zero, zero + 1)
 
     def is_invertible(self) -> bool:
         return self.det_jacobian().is_unit()
@@ -242,17 +242,16 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     Those powers are src's own table (``LTSeed.d_powers``): the first
     solve from src builds it, every later one reads it.
     """
-    if src.p != dst.p or src.N != dst.N:
+    if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
     if src.pi_val != dst.pi_val:
         raise ValidationError("seeds have different uniformizers")
     if linear.trunc != src.trunc:
         raise ValidationError("linear part and seed disagree on truncation")
-    p, N = src.p, src.N
+    p, N, mod = src.p, src.N, src.R.mod
     n = linear.nvars
     D = linear.trunc
     pi = src.pi_val
-    mod = p ** N
     base = D + 1
     d = {k: c for (k,), c in dst.d.coeffs.items() if 2 <= k <= D}
     M = max(d, default=1)
@@ -323,10 +322,10 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
 
 def solve_intertwine(a: PadicInt, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique series phi = a*t + higher with dst.d(phi(t)) =
-    phi(src.d(t)).  a must be integral (it is, as a PadicInt)."""
-    linear = TruncSeries(src.p, src.N, 1, src.trunc, {(1,): a.value})
-    if a.is_zero():
-        return TruncSeries(src.p, src.N, 1, src.trunc, {})
+    phi(src.d(t)); a is an int or a residue of the seeds' ring."""
+    linear = TruncSeries(src.p, src.N, 1, src.trunc, {(1,): src.R.lift(a)})
+    if not linear.coeffs:
+        return linear
     return _lt_solve(linear, src, dst)
 
 
@@ -339,15 +338,15 @@ def group_law(seed: LTSeed) -> FormalGroupLaw:
 
 
 def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
-    """The endomorphism [a](t) = a*t + higher commuting with the seed."""
+    """The endomorphism [a](t) = a*t + higher commuting with the seed; a
+    is an int or a residue of the seed's ring."""
     return solve_intertwine(a, seed, seed)
 
 
 def strict_iso(src: LTSeed, dst: LTSeed) -> FglHom:
     """The strict isomorphism (identity jacobian) between the group laws
     of two seeds sharing a uniformizer."""
-    one = PadicInt(src.p, src.N, 1)
-    phi = solve_intertwine(one, src, dst)
+    phi = solve_intertwine(1, src, dst)
     return FglHom(group_law(src), group_law(dst), (phi,), verify=False)
 
 
@@ -384,8 +383,7 @@ def verify_pi_shape(seed: LTSeed) -> dict:
             beta[(k,)] = c
             continue
         ce = PadicInt(p, N, c)
-        v = ce.valuation()
-        if v is not None and v < 1:
+        if ce.is_unit():
             report["ok"] = False
             report["counterexample"] = (k, ce)
             continue

@@ -1,6 +1,15 @@
 """Exact p-adic arithmetic at fixed precision.
 
-Everything downstream is built on three carriers:
+Every residue lives in one ring object:
+
+* ``Zp(p, N)``      -- the ring Z/p^N, one object per (p, N).  It is the one
+  place that checks "p an odd prime, N >= 1" and computes ``mod = p^N``;
+  ``val(x)`` is the valuation of a raw residue and ``lift(x)`` takes an int
+  or a residue of this ring to a reduced raw residue, refusing a residue
+  of another ring.
+
+Everything downstream is built on three carriers, each holding its ring
+as ``R`` (``p`` and ``N`` are views of it):
 
 * ``PadicInt``      -- residues mod p^N with exact valuation bookkeeping,
 * ``PadicPoly``     -- dense polynomials over a fixed (p, N),
@@ -22,62 +31,83 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import HenselError, PrecisionError, ValidationError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# the rings made so far, by (p, N); Zp fills it, one entry per pair
+_RINGS = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    f = 49
-    q = 7
-    while f <= n:
-        if n % q == 0:
-            return False
-        q += 2
-        f = q * q
-    return True
+class Zp:
+    """The ring Z/p^N Z for an odd prime p.  ``Zp(p, N)`` validates on
+    its first call and returns that same object on every later one, so
+    carriers compare their rings with ``is``."""
 
+    __slots__ = ("p", "N", "mod")
 
-class PadicInt:
-    """A residue in Z/p^N Z for an odd prime p, viewed as a p-adic integer
-    known to N digits."""
-
-    __slots__ = ("p", "N", "value")
-
-    def __init__(self, p: int, N: int, value: int):
-        if p == 2 or not _is_prime(p):
+    def __new__(cls, p: int, N: int):
+        R = _RINGS.get((p, N))
+        if R is not None:
+            return R
+        if p < 3 or p % 2 == 0 or any(p % q == 0
+                                      for q in range(3, isqrt(p) + 1, 2)):
             raise ValidationError(f"p must be an odd prime, got {p}")
         if N < 1:
             raise ValidationError(f"precision must be positive, got {N}")
-        self.p = p
-        self.N = N
-        self.value = value % (p ** N)
+        R = object.__new__(cls)
+        R.p, R.N, R.mod = p, N, p ** N
+        return _RINGS.setdefault((p, N), R)
+
+    def val(self, x: int):
+        """Exact valuation of a reduced raw residue; ``None`` (meaning
+        ">= N", the capped marker) for the zero residue."""
+        if x == 0:
+            return None
+        p, v = self.p, 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    def lift(self, x) -> int:
+        """An int, or a residue of this ring, as a reduced raw residue; a
+        residue of another ring is refused."""
+        if isinstance(x, PadicInt):
+            if x.R is not self:
+                raise ValidationError(f"residue mod {x.p}^{x.N} used in "
+                                      f"the ring mod {self.p}^{self.N}")
+            return x.value
+        return x % self.mod
+
+
+class InRing:
+    """An object over the ring ``R``: ``p`` and ``N`` are views of it."""
+
+    __slots__ = ()
+    p = property(attrgetter("R.p"))
+    N = property(attrgetter("R.N"))
+
+
+class PadicInt(InRing):
+    """A residue in Z/p^N Z for an odd prime p, viewed as a p-adic integer
+    known to N digits."""
+
+    __slots__ = ("R", "value")
+
+    def __init__(self, p: int, N: int, value: int):
+        R = self.R = Zp(p, N)
+        self.value = value % R.mod
 
     # -- helpers -------------------------------------------------------
 
-    def _coerce(self, other) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if other.p != self.p or other.N != self.N:
-                raise ValidationError(
-                    f"mismatched (p, N): ({self.p},{self.N}) vs ({other.p},{other.N})"
-                )
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.p, self.N, other)
+    def _coerce(self, other):
+        """The raw residue of an int or a residue of this ring."""
+        if isinstance(other, (int, PadicInt)):
+            return self.R.lift(other)
         return NotImplemented
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.N
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -88,14 +118,7 @@ class PadicInt:
     def valuation(self):
         """Exact valuation for a nonzero residue; ``None`` (meaning
         ">= N", the capped marker) for the zero residue."""
-        if self.value == 0:
-            return None
-        v = 0
-        x = self.value
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return self.R.val(self.value)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -103,7 +126,7 @@ class PadicInt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return PadicInt(self.p, self.N, self.value + o.value)
+        return PadicInt(self.p, self.N, self.value + o)
 
     __radd__ = __add__
 
@@ -114,31 +137,31 @@ class PadicInt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return PadicInt(self.p, self.N, self.value - o.value)
+        return PadicInt(self.p, self.N, self.value - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return o - self
+        return PadicInt(self.p, self.N, o - self.value)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return PadicInt(self.p, self.N, self.value * o.value)
+        return PadicInt(self.p, self.N, self.value * o)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return PadicInt(self.p, self.N, pow(self.value, k, self.modulus))
+        return PadicInt(self.p, self.N, pow(self.value, k, self.R.mod))
 
     def inverse(self) -> "PadicInt":
         if not self.is_unit():
             raise ValidationError("cannot invert a non-unit residue")
-        return PadicInt(self.p, self.N, pow(self.value, -1, self.modulus))
+        return PadicInt(self.p, self.N, pow(self.value, -1, self.R.mod))
 
     def divide_exact(self, other: "PadicInt") -> "PadicInt":
         """Exact division by an element of valuation v.
@@ -148,18 +171,16 @@ class PadicInt:
         eff_prec).  Raises if the dividend is not divisible.
         """
         o = self._coerce(other)
-        if o.is_zero():
+        v = self.R.val(o)
+        if v is None:
             raise ValidationError("division by the zero residue")
-        v = o.valuation()
-        if v == 0:
-            return self * o.inverse()
         pv = self.p ** v
         if self.value % pv != 0:
             raise ValidationError(
                 f"residue {self.value} not divisible by p^{v}"
             )
-        unit = PadicInt(self.p, self.N, o.value // pv)
-        return PadicInt(self.p, self.N, self.value // pv) * unit.inverse()
+        return PadicInt(self.p, self.N,
+                        self.value // pv * pow(o // pv, -1, self.R.mod))
 
     # -- comparisons / misc -------------------------------------------
 
@@ -170,15 +191,14 @@ class PadicInt:
         return self.value % (self.p ** k)
 
     def congruent(self, other, k: int) -> bool:
-        o = self._coerce(other)
-        return self.residue(k) == o.residue(k)
+        return self.residue(k) == self._coerce(other) % (self.p ** k)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = PadicInt(self.p, self.N, other)
+            return self.value == other % self.R.mod
         if not isinstance(other, PadicInt):
             return NotImplemented
-        return (self.p, self.N, self.value) == (other.p, other.N, other.value)
+        return self.R is other.R and self.value == other.value
 
     def __hash__(self):
         return hash((self.p, self.N, self.value))
@@ -226,26 +246,18 @@ def rem_coeffs(c: list, h: Sequence[int], inv: int, mod: int) -> None:
         c[j] = x % mod
 
 
-class PadicPoly:
+class PadicPoly(InRing):
     """Dense polynomial over a fixed (p, N); coefficients stored as raw
     residues, canonical form has a nonzero leading coefficient."""
 
-    __slots__ = ("p", "N", "coeffs")
+    __slots__ = ("R", "coeffs")
 
     def __init__(self, p: int, N: int, coeffs: Sequence[int]):
-        mod = p ** N
-        c = [x % mod for x in coeffs]
+        R = self.R = Zp(p, N)
+        c = [x % R.mod for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.p = p
-        self.N = N
         self.coeffs = c
-        # validate (p, N) through a throwaway residue
-        PadicInt(p, N, 0)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.N
 
     @property
     def degree(self) -> int:
@@ -260,7 +272,7 @@ class PadicPoly:
         return PadicInt(self.p, self.N, v)
 
     def _check(self, other: "PadicPoly"):
-        if self.p != other.p or self.N != other.N:
+        if self.R is not other.R:
             raise ValidationError("mismatched (p, N) between polynomials")
 
     def __add__(self, other: "PadicPoly") -> "PadicPoly":
@@ -284,10 +296,11 @@ class PadicPoly:
         return PadicPoly(self.p, self.N, [i * x for i, x in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x: PadicInt) -> PadicInt:
+        x = self.R.lift(x)
         acc = 0
-        mod = self.modulus
+        mod = self.R.mod
         for c in reversed(self.coeffs):
-            acc = (acc * x.value + c) % mod
+            acc = (acc * x + c) % mod
         return PadicInt(self.p, self.N, acc)
 
     def divmod_unit(self, other: "PadicPoly"):
@@ -299,7 +312,7 @@ class PadicPoly:
         lead = other.coeffs[-1]
         if lead % self.p == 0:
             raise ValidationError("divisor leading coefficient is not a unit")
-        mod = self.modulus
+        mod = self.R.mod
         c = list(self.coeffs)
         rem_coeffs(c, other.coeffs, pow(lead, -1, mod), mod)
         d = other.degree
@@ -315,7 +328,7 @@ class PadicPoly:
     def __eq__(self, other):
         if not isinstance(other, PadicPoly):
             return NotImplemented
-        return (self.p, self.N, self.coeffs) == (other.p, other.N, other.coeffs)
+        return self.R is other.R and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"PadicPoly(p={self.p}, N={self.N}, coeffs={self.coeffs})"
@@ -371,8 +384,7 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
     pts = []  # (i, ord) for nonzero coefficients, relative to lo
     capped = []
     for i in range(lo, len(f.coeffs)):
-        c = f.coefficient(i)
-        v = c.valuation()
+        v = f.R.val(f.coeffs[i])
         if v is None:
             capped.append(i - lo)
         else:
@@ -529,22 +541,20 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
     Z/p^N.  Returns ``None`` for a certified-infinite resultant (shared
     factor); raises PrecisionError when the determinant is zero at
     precision N but no shared factor can be certified."""
+    f._check(g)
     if f.is_zero() or g.is_zero():
         raise ValidationError("resultant of a zero polynomial")
     if f.degree == 0 or g.degree == 0:
         # Res(c, g) = c^deg(g)
         c = f if f.degree == 0 else g
         other = g if f.degree == 0 else f
-        v = c.coefficient(0).valuation()
+        v = c.R.val(c.coeffs[0])
         if v is None:
             raise PrecisionError("constant polynomial is zero at precision N")
         return v * other.degree
-    def lift(c):
-        return [PadicInt(f.p, f.N, x) for x in c.coeffs]
-
     zero = PadicInt(f.p, f.N, 0)
-    det = ring_det(_sylvester_rows(lift(f), lift(g), zero), zero,
-                   PadicInt(f.p, f.N, 1))
+    fr, gr = ([PadicInt(f.p, f.N, x) for x in c.coeffs] for c in (f, g))
+    det = ring_det(_sylvester_rows(fr, gr, zero), zero, zero + 1)
     v = det.valuation()
     if v is not None:
         return v
@@ -591,7 +601,7 @@ def hom_mul(a: dict, b: dict, out: dict) -> None:
             out[k] = get(k, 0) + ca * cb
 
 
-class TruncSeries:
+class TruncSeries(InRing):
     """Sparse truncated power series in ``nvars`` variables over Z/p^N.
 
     Coefficients are stored as raw residues keyed by exponent tuples of
@@ -599,20 +609,18 @@ class TruncSeries:
     p-adic digits of every coefficient; divisions decrement it.
     """
 
-    __slots__ = ("p", "N", "nvars", "trunc", "eff_prec", "coeffs")
+    __slots__ = ("R", "nvars", "trunc", "eff_prec", "coeffs")
 
     def __init__(self, p, N, nvars, trunc, coeffs=None, eff_prec=None):
-        PadicInt(p, N, 0)  # validates (p, N)
+        R = self.R = Zp(p, N)
         if nvars < 1:
             raise ValidationError("nvars must be >= 1")
-        self.p = p
-        self.N = N
         self.nvars = nvars
         self.trunc = trunc
         self.eff_prec = N if eff_prec is None else eff_prec
         if self.eff_prec <= 0:
             raise PrecisionError("effective precision exhausted")
-        mod = p ** N
+        mod = R.mod
         out = {}
         for e, c in (coeffs or {}).items():
             if len(e) != nvars:
@@ -643,9 +651,8 @@ class TruncSeries:
     # -- basics --------------------------------------------------------
 
     def _check(self, other: "TruncSeries"):
-        if (self.p, self.N, self.nvars, self.trunc) != (
-            other.p, other.N, other.nvars, other.trunc
-        ):
+        if self.R is not other.R or (self.nvars, self.trunc) != (
+                other.nvars, other.trunc):
             raise ValidationError("mismatched series parameters")
 
     def copy_with(self, coeffs, eff_prec=None):
@@ -665,7 +672,7 @@ class TruncSeries:
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
-        mod = self.p ** self.N
+        mod = self.R.mod
         for e, c in other.coeffs.items():
             v = (out.get(e, 0) + c) % mod
             if v:
@@ -676,7 +683,7 @@ class TruncSeries:
                            min(self.eff_prec, other.eff_prec))
 
     def __neg__(self):
-        mod = self.p ** self.N
+        mod = self.R.mod
         return self.copy_with({e: mod - c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
@@ -684,7 +691,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         self._check(other)
-        mod = self.p ** self.N
+        mod = self.R.mod
         trunc, base = self.trunc, self.trunc + 1
         b = other._graded(base)
         acc = {}
@@ -710,7 +717,7 @@ class TruncSeries:
     def divide_exact(self, d: PadicInt) -> "TruncSeries":
         """Exact coefficient-wise division by an element of valuation v;
         costs v digits of effective precision."""
-        v = d.valuation()
+        v = self.R.val(self.R.lift(d))
         if v is None:
             raise ValidationError("division by the zero residue")
         out = {}
@@ -773,7 +780,7 @@ class TruncSeries:
         # every column starts at eff, so the sum has eff_prec eff; its
         # coefficients are known mod self's modulus only
         acc = horner(self.coeffs, self.nvars)
-        mod = self.p ** self.N
+        mod = self.R.mod
         return acc.copy_with({e: c % mod for e, c in acc.coeffs.items()})
 
     # -- comparison ----------------------------------------------------
@@ -829,8 +836,7 @@ def compositional_inverse(f: TruncSeries) -> TruncSeries:
         raise ValidationError("linear coefficient is not a unit")
     if not f.constant_term().is_zero():
         raise ValidationError("series has a constant term")
-    p, N, D = f.p, f.N, f.trunc
-    mod = p ** N
+    D, mod = f.trunc, f.R.mod
     base = [0] * (D + 1)
     for (k,), c in f.coeffs.items():
         base[k] = c
@@ -846,5 +852,5 @@ def compositional_inverse(f: TruncSeries) -> TruncSeries:
             # f^n from f^(n-1), which starts at degree n - 1
             cur = mul_coeffs(powers[-1][:D], base[:D + 2 - n])
             powers.append([c % mod for c in cur[:D + 1]])
-    return TruncSeries(p, N, 1, D, {(k,): c for k, c in enumerate(g)},
+    return TruncSeries(f.p, f.N, 1, D, {(k,): c for k, c in enumerate(g)},
                        f.eff_prec)

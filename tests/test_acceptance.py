@@ -257,14 +257,14 @@ def test_criterion_9_elliptic_bridge():
         ap = point_count_ap(curve, 13)
         assert ap == 6
         root = gauss_embed_root(13, 30)
-        reports = [frobenius_check(data, 13, c, root)
-                   for c in frobenius_candidates(13, ap, root)]
+        reports = [frobenius_check(data, c, root)
+                   for c in frobenius_candidates(ap, root)]
         passing = [r for r in reports if r["passes"]]
         assert len(passing) == 1 and passing[0]["alpha"] == (3, 2)
         assert passing[0]["linear_valuation"] == 1
         series = cm_endo_elliptic(data, (0, 1))
         assert series == {1: (Fraction(0), Fraction(1))}
-        iso = match_lubin_tate(data, (3, 2), 13, 30, root)
+        iso = match_lubin_tate(data, (3, 2), root)
         assert iso.jacobian[0][0].value == 1
         assert iso.is_invertible()
         comp = iso.series[0].compose(iso.inverse().series)

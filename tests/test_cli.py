@@ -146,6 +146,7 @@ class TestGolden:
 
 
 TOWER = "[seed]\np = 5\nkind = multiplicative\n[tower]\n"
+CURVE = "[elliptic]\na = -1\nb = 0\np = 13\n"
 
 
 class TestMain:
@@ -177,14 +178,24 @@ class TestMain:
         ("divide", TOWER + "t0 = 5\nlevel = 0\n"),
         ("divide", TOWER + "t0 = 5\nlevel = -1\n"),
         ("lt-group-law", "[seed]\np = 5\nkind = standard\ntrunc = 0\n"),
+        ("elliptic-fg", CURVE + "trunc = -3\n"),
+        ("elliptic-fg", CURVE + "trunc = 0\n"),
+        ("elliptic-match", CURVE + "trunc = 0\n"),
+        ("elliptic-fg --trunc 0", CURVE),
+        ("elliptic-match --trunc 0", CURVE),
+        ("elliptic-fg --trunc 0", CURVE + "trunc = 12\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "tower-build-level-zero", "tower-build-level-negative",
-            "divide-level-zero", "divide-level-negative", "seed-trunc-zero"))
+            "divide-level-zero", "divide-level-negative", "seed-trunc-zero",
+            "elliptic-fg-trunc-negative", "elliptic-fg-trunc-zero",
+            "elliptic-match-trunc-zero", "elliptic-fg-flag-trunc-zero",
+            "elliptic-match-flag-trunc-zero",
+            "elliptic-fg-flag-trunc-zero-over-config"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
-        assert main([command, "--config", str(cfg)]) == 2
+        assert main([*command.split(), "--config", str(cfg)]) == 2
         assert "validation error" in capsys.readouterr().err
 
     # alpha_P = x + y i with x = a_p / 2 and the sign of y putting it over
@@ -212,6 +223,8 @@ class TestMain:
             [sys.executable, "-m", "cmtower.cli", "galois-orders",
              "--config", os.path.join(CONFIG_DIR, "galois_p3.ini")],
             capture_output=True, text=True,
+            # run from src/, so the checkout's package is the one imported
+            cwd=os.path.join(os.path.dirname(__file__), "..", "src"),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["cyclic"]

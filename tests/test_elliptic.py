@@ -11,7 +11,8 @@ from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve, _mul1,
                                  embed_gauss_series, frobenius_candidates,
                                  frobenius_check, gauss_embed_root, gaussian,
                                  gmul, match_lubin_tate, point_count_ap)
-from cmtower.errors import CmtowerError, InvariantError, ValidationError
+from cmtower.errors import (CmtowerError, InvariantError, PrecisionError,
+                            ValidationError)
 from cmtower.padic import PadicInt
 
 
@@ -152,6 +153,11 @@ class TestCurve:
         with pytest.raises(ValidationError):
             curve_group_law(bad, 10, p=3)
 
+    @pytest.mark.parametrize("D", (0, -3))
+    def test_truncation_below_one_rejected(self, D):
+        with pytest.raises(ValidationError, match="at least 1"):
+            curve_group_law(CURVE, D, p=13)
+
 
 class TestFormalData:
     def test_log_head(self, data):
@@ -235,13 +241,13 @@ class TestFrobenius:
 
     def test_candidates(self):
         root = gauss_embed_root(13, 24)
-        cands = frobenius_candidates(13, 6, root)
+        cands = frobenius_candidates(6, root)
         assert cands == [(3, 2), (-3, -2), (-2, 3), (2, -3)]
         with pytest.raises(ValidationError):
-            frobenius_candidates(13, 3, root)
+            frobenius_candidates(3, root)
         # |a_p| > 2 sqrt(p): no Gaussian integer has this trace and norm
         with pytest.raises(ValidationError, match="Hasse bound"):
-            frobenius_candidates(13, 10, root)
+            frobenius_candidates(10, root)
 
     def test_embed_root(self):
         root = gauss_embed_root(13, 24)
@@ -253,8 +259,8 @@ class TestFrobenius:
     def test_unique_passing_associate(self, data):
         root = gauss_embed_root(13, 24)
         reports = {
-            alpha: frobenius_check(data, 13, alpha, root)
-            for alpha in frobenius_candidates(13, 6, root)
+            alpha: frobenius_check(data, alpha, root)
+            for alpha in frobenius_candidates(6, root)
         }
         assert reports[(3, 2)]["passes"]
         assert reports[(-3, -2)]["first_fail"] == (13, 12)
@@ -265,14 +271,14 @@ class TestFrobenius:
     def test_norm_check(self, data):
         root = gauss_embed_root(13, 24)
         with pytest.raises(ValidationError):
-            frobenius_check(data, 13, (1, 1), root)
+            frobenius_check(data, (1, 1), root)
 
     def test_p_itself_fails_pattern(self, data):
         # [p] does not reduce to z^p: its linear coefficient p kills
         # degree 1, but higher coefficients spread out
         root = gauss_embed_root(13, 24)
         series = cm_endo_elliptic(data, (13, 0))
-        emb = embed_gauss_series(series, 13, 24, data.D, root)
+        emb = embed_gauss_series(series, data.D, root)
         pattern = all(
             emb.coefficient((k,)).residue(1) == (1 if k == 13 else 0)
             for k in range(1, data.D + 1)
@@ -283,13 +289,13 @@ class TestFrobenius:
         root = gauss_embed_root(13, 10)
         bad = {1: (Fraction(1, 13), Fraction(0))}
         with pytest.raises(InvariantError):
-            embed_gauss_series(bad, 13, 10, 5, root)
+            embed_gauss_series(bad, 5, root)
 
 
 class TestMatch:
     def test_iso_to_standard_seed(self, data):
         root = gauss_embed_root(13, 24)
-        iso = match_lubin_tate(data, (3, 2), 13, 24, root)
+        iso = match_lubin_tate(data, (3, 2), root)
         assert iso.jacobian[0][0].value == 1
         assert iso.is_invertible()
         comp = iso.series[0].compose(iso.inverse().series)
@@ -298,7 +304,25 @@ class TestMatch:
     def test_failing_candidate_rejected(self, data):
         root = gauss_embed_root(13, 24)
         with pytest.raises(ValidationError):
-            match_lubin_tate(data, (2, -3), 13, 24, root)
+            match_lubin_tate(data, (2, -3), root)
+
+    @pytest.mark.parametrize("n,eff", ((21, 2), (24, 5), (30, 11)))
+    def test_digits_come_from_the_root(self, data, n, eff):
+        """The isomorphism lives in the root's ring and agrees with the
+        one at 40 digits to its own effective precision: D - 1 = 19
+        digits go to the recursion."""
+        ref = match_lubin_tate(data, (3, 2), gauss_embed_root(13, 40))
+        got = match_lubin_tate(data, (3, 2), gauss_embed_root(13, n))
+        phi, want = got.series[0], ref.series[0]
+        assert (phi.p, phi.N, phi.eff_prec) == (13, n, eff)
+        assert phi.R is got.jacobian[0][0].R
+        keys = set(phi.coeffs) | set(want.coeffs)
+        assert all((phi.coeffs.get(e, 0) - want.coeffs.get(e, 0))
+                   % 13 ** eff == 0 for e in keys)
+
+    def test_short_root_raises(self, data):
+        with pytest.raises(PrecisionError):
+            match_lubin_tate(data, (3, 2), gauss_embed_root(13, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +347,7 @@ def _built(curve, D):
 
 def _embedded(series, p, D):
     root = gauss_embed_root(p, D + 2)
-    return _outcome(lambda: embed_gauss_series(series, p, D + 2, D,
-                                               root).coeffs)
+    return _outcome(lambda: embed_gauss_series(series, D, root).coeffs)
 
 
 # (alpha, p): the units, zero, and associates of the Gaussian primes of

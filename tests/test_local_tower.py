@@ -248,6 +248,61 @@ def non_monic_ring(p, N=20):
     return seed, _CompositumRing(EisensteinTower(seed), PadicInt(p, N, p))
 
 
+# residues of valuation 1 in rings other than the (3, 20) tower's:
+# another p, fewer digits, more digits
+FOREIGN = (PadicInt(5, 4, 10), PadicInt(3, 6, 3), PadicInt(3, 21, 3))
+FOREIGN_IDS = ("other-p", "fewer-digits", "more-digits")
+
+
+class TestForeignResidues:
+    """Tower and compositum operations refuse a residue of another ring
+    instead of reading its raw value into the tower's."""
+
+    @pytest.fixture(scope="class")
+    def tw(self):
+        return EisensteinTower(LTSeed.standard(3, 20, 8))
+
+    @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
+    def test_element_coefficients(self, tw, x):
+        with pytest.raises(ValidationError):
+            tw.element(1, [x])
+        with pytest.raises(ValidationError):
+            tw.element(1, [1, x])
+
+    @pytest.mark.parametrize("x", (PadicInt(7, 2, 10),) + FOREIGN,
+                             ids=("other-p-short",) + FOREIGN_IDS)
+    def test_scale(self, tw, x):
+        lam = tw.lam(1)
+        for op in (lambda: lam * x, lambda: x * lam, lambda: lam.scale(x)):
+            with pytest.raises(ValidationError):
+                op()
+
+    @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
+    def test_compositum_scale(self, tw, x):
+        ring = _CompositumRing(tw, PadicInt(3, 20, 3))
+        for op in (lambda: ring.theta() * x, lambda: ring.lam().scale(x)):
+            with pytest.raises(ValidationError):
+                op()
+
+    @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
+    def test_compositum_division_value(self, tw, x):
+        with pytest.raises(ValidationError):
+            _CompositumRing(tw, x)
+
+    @pytest.mark.parametrize("t0", FOREIGN, ids=FOREIGN_IDS)
+    def test_divide_start_value(self, tw, t0):
+        # e = 1 for all three: the step would ramify at once
+        with pytest.raises(ValidationError):
+            divide_point(tw, DivisionState.start(t0), 1)
+
+    def test_own_ring_still_accepted(self, tw):
+        x = PadicInt(3, 20, 7)
+        assert tw.element(1, [x]) == tw.element(1, [7])
+        assert tw.lam(1) * x == x * tw.lam(1) == tw.lam(1).scale(7)
+        st = divide_point(tw, DivisionState.start(PadicInt(3, 20, 3)), 1)
+        assert st.ramified_at == 1
+
+
 class TestCompositum:
     @pytest.mark.parametrize("p", (3, 5))
     def test_theta_powers_past_p(self, p):
@@ -333,9 +388,9 @@ def compositum_point(draw, ring):
     coefficient is divisible by p, the gap slots j >= p are zero."""
     x = ring.zero()
     for k in range(len(x.coeffs)):
-        if k % ring.w < ring.p:
-            x.coeffs[k] = draw(st.integers(0, ring.mod - 1))
-    x.coeffs[0] = x.coeffs[0] * ring.p % ring.mod
+        if k % ring.w < ring.R.p:
+            x.coeffs[k] = draw(st.integers(0, ring.R.mod - 1))
+    x.coeffs[0] = x.coeffs[0] * ring.R.p % ring.R.mod
     return x
 
 
@@ -358,7 +413,7 @@ class TestEvalSeries:
         exps = ([(k,) for k in range(1, D + 1)] if nvars == 1 else
                 [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)])
         series = TruncSeries(p, N, nvars, D, data.draw(st.dictionaries(
-            st.sampled_from(exps), st.integers(0, ring.mod - 1))))
+            st.sampled_from(exps), st.integers(0, ring.R.mod - 1))))
         points = [data.draw(compositum_point(ring)) for _ in range(nvars)]
         got = ring.eval_series(series, ring.powers(points[0], D),
                                *points[1:])

@@ -61,7 +61,6 @@ def unchecked_seed(p, N, trunc, coeffs):
     """A seed object that skips LTSeed's congruence checks, so that the
     solver meets an obstruction it must reject."""
     seed = LTSeed.__new__(LTSeed)
-    seed.p, seed.N = p, N
     seed.d = TruncSeries.from_coeff_list(p, N, trunc, coeffs)
     seed.pi_val = seed.d.coefficient((1,))
     return seed

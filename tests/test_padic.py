@@ -5,12 +5,118 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cmtower import padic
 from cmtower.errors import HenselError, PrecisionError, ValidationError
+from cmtower.local_tower import EisensteinTower
+from cmtower.lubin_tate import LTSeed, endo, solve_intertwine
 from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
-                           compositional_inverse, hensel_root, mul_coeffs,
-                           newton_polygon, rem_coeffs, resultant_valuation)
+                           Zp, compositional_inverse, hensel_root,
+                           mul_coeffs, newton_polygon, rem_coeffs,
+                           resultant_valuation)
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by the small primes, then by odd numbers: the
+    oracle for the ring's own primality check."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n == q:
+            return True
+        if n % q == 0:
+            return False
+    f = 49
+    q = 7
+    while f <= n:
+        if n % q == 0:
+            return False
+        q += 2
+        f = q * q
+    return True
+
+
+class TestRing:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-3, 5000), st.integers(-2, 60))
+    @example(2, 5)
+    @example(1, 5)
+    @example(9, 5)
+    @example(3, 0)
+    @example(3, 1)
+    @example(4999, 60)
+    def test_raises_exactly_off_odd_primes_and_positive_precision(self, p, N):
+        if p == 2 or not _is_prime(p) or N < 1:
+            with pytest.raises(ValidationError):
+                Zp(p, N)
+            assert (p, N) not in padic._RINGS
+        else:
+            R = Zp(p, N)
+            assert (R.p, R.N, R.mod) == (p, N, p ** N)
+            assert Zp(p, N) is R
+
+    def test_every_carrier_at_one_pair_shares_one_ring(self):
+        seed = LTSeed.standard(5, 12, 10)
+        carriers = [PadicInt(5, 12, 3), PadicPoly(5, 12, [1, 2]),
+                    TruncSeries(5, 12, 1, 4, {(1,): 1}), seed.d,
+                    EisensteinTower(seed)]
+        R = Zp(5, 12)
+        assert all(x.R is R for x in carriers)
+        assert all((x.p, x.N) == (5, 12) for x in carriers + [seed])
+        assert Zp(5, 13) is not R and Zp(7, 12) is not R
+
+    def test_val_and_lift(self):
+        R = Zp(5, 4)
+        assert [R.val(x) for x in (0, 1, 5, 50, 125, 624)] == [
+            None, 0, 1, 2, 3, 0]
+        assert R.lift(-1) == 624 and R.lift(630) == 5
+        assert R.lift(PadicInt(5, 4, 7)) == 7
+        for other in (PadicInt(5, 5, 7), PadicInt(7, 4, 7)):
+            with pytest.raises(ValidationError):
+                R.lift(other)
+
+
+class TestForeignResidues:
+    """A residue of another ring is refused, never read as a raw value
+    into this one."""
+
+    def test_poly_evaluate(self):
+        with pytest.raises(ValidationError):
+            PadicPoly(5, 30, [1, 0, 1]).evaluate(PadicInt(7, 6, 2))
+
+    def test_residue_arithmetic(self):
+        x = PadicInt(5, 6, 3)
+        for op in (lambda y: x + y, lambda y: y - x, lambda y: x * y,
+                   lambda y: x.divide_exact(y)):
+            with pytest.raises(ValidationError):
+                op(PadicInt(5, 7, 1))
+
+    def test_series_divide_exact(self):
+        with pytest.raises(ValidationError):
+            TruncSeries(5, 6, 1, 4, {}).divide_exact(PadicInt(7, 6, 7))
+
+    def test_resultant(self):
+        with pytest.raises(ValidationError):
+            resultant_valuation(PadicPoly(5, 10, [1, 1]),
+                                PadicPoly(5, 12, [2, 1]))
+
+    @pytest.mark.parametrize("a", (PadicInt(5, 20, 2), PadicInt(3, 4, 2)),
+                             ids=("other-p", "fewer-digits"))
+    def test_endo_multiplier(self, a):
+        seed = LTSeed.standard(3, 20, 8)
+        with pytest.raises(ValidationError):
+            endo(seed, a)
+        with pytest.raises(ValidationError):
+            solve_intertwine(a, seed, seed)
+
+    def test_endo_takes_an_int_as_a_residue_of_the_seed_ring(self):
+        seed = LTSeed.standard(3, 20, 8)
+        want = endo(seed, PadicInt(3, 20, -2))
+        got = endo(seed, -2)
+        assert (got.coeffs, got.eff_prec) == (want.coeffs, want.eff_prec)
 
 
 class TestPadicInt:
