@@ -213,10 +213,11 @@ class CMField(InRing):
         return PadicPoly(self.p, self.N, coeffs).evaluate(self.roots[idx])
 
     def root_index(self, value: PadicInt) -> int:
-        """Index of the root congruent to value mod p (roots are distinct
-        mod p, so the residue determines the index)."""
+        """Index of the root congruent to value (a residue of the field's
+        ring) mod p; roots are distinct mod p, so that fixes the index."""
+        v = self.R.lift(value) % self.p
         for i, r in enumerate(self.roots):
-            if r.residue(1) == value.residue(1):
+            if r.value % self.p == v:
                 return i
         raise InvariantError(f"value {value.value} is not near any root")
 

@@ -251,7 +251,7 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     p, N, mod = src.p, src.N, src.R.mod
     n = linear.nvars
     D = linear.trunc
-    pi = src.pi_val
+    pi = src.pi_val.value
     base = D + 1
     d = {k: c for (k,), c in dst.d.coeffs.items() if 2 <= k <= D}
     M = max(d, default=1)
@@ -296,10 +296,10 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
             if dm:
                 for key, c in part.items():
                     diff[key] = diff.get(key, 0) + dm * c
-        divisor = pi ** k - pi
-        if divisor.valuation() != 1:
+        divisor = (pow(pi, k, mod) - pi) % mod
+        if src.R.val(divisor) != 1:
             raise InvariantError("correction divisor lost valuation 1")
-        inv = pow(divisor.value // p, -1, mod)
+        inv = pow(divisor // p, -1, mod)
         part = phi[k]
         for key, c in diff.items():
             c %= mod

@@ -9,7 +9,7 @@ from cmtower.cm_split import (CMField, ProductGroup, embed, kernel_locate,
                               pick_pi, product_cm_endo, ramified_set,
                               type_norm_check)
 from cmtower.errors import InvariantError, ValidationError
-from cmtower.padic import PadicPoly, resultant_valuation
+from cmtower.padic import PadicInt, PadicPoly, resultant_valuation
 
 
 def gauss_field(p=5, N=14):
@@ -34,6 +34,13 @@ class TestCMField:
         assert [r.residue(1) for r in K.roots] == [2, 3]
         assert K.roots[0].residue(3) == 57
         assert K.roots[1].residue(3) == 68
+
+    def test_root_index_refuses_another_ring(self):
+        K = gauss_field()
+        assert K.root_index(PadicInt(5, 14, 3)) == 1
+        for x in (PadicInt(7, 5, 3), PadicInt(5, 3, 3)):
+            with pytest.raises(ValidationError):
+                K.root_index(x)
 
     def test_inert_prime_rejected(self):
         # x^2 + 1 is irreducible mod 7
