@@ -274,19 +274,14 @@ def _disc_direct(tower: EisensteinTower) -> int:
 def _disc_resultant(tower: EisensteinTower) -> int:
     """Same valuation via the Sylvester resultant of m(t) = d(t) - lambda_1
     and m'(t) over the level-1 ring."""
-    tower.build(1)
+    h = tower.h(1).coeffs
     d = tower.seed.to_poly()
-    lam1 = tower.lam(1)
-
-    def lift(c: int):
-        return LocalElement(tower, 1, [c])
-
-    m = [lift(c) for c in d.coeffs]
-    m[0] = m[0] - lam1
-    mp = [lift(c) for c in d.derivative().coeffs]
-    zero = lift(0)
-    det = ring_det(_sylvester_rows(m, mp, zero), zero, lift(1))
-    val = det.valuation()
+    pad = [0] * (len(h) - 2)
+    m = [[c] + pad for c in d.coeffs]
+    m[0][1] = tower.R.mod - 1  # the constant term is d(0) - lambda_1
+    mp = [[c] + pad for c in d.derivative().coeffs]
+    det = ring_det(_sylvester_rows(m, mp, [0] + pad), tower.R.mod, h)
+    val = LocalElement._reduced(tower, 1, det).valuation()
     if val is None:
         raise PrecisionError(
             "resultant of the level-2 minimal polynomial vanished at "

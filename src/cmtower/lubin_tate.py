@@ -192,11 +192,10 @@ class FglHom:
                 raise InvariantError("series do not intertwine the group laws")
 
     def det_jacobian(self) -> PadicInt:
-        g = len(self.jacobian)
-        if g == 1:
-            return self.jacobian[0][0]
-        zero = self.jacobian[0][0] * 0
-        return ring_det(self.jacobian, zero, zero + 1)
+        R = self.jacobian[0][0].R
+        det = ring_det([[[x.value] for x in row] for row in self.jacobian],
+                       R.mod)
+        return PadicInt(R.p, R.N, det[0])
 
     def is_invertible(self) -> bool:
         return self.det_jacobian().is_unit()

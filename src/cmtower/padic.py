@@ -21,7 +21,8 @@ schoolbook product, and ``rem_coeffs``, long division mod p^N by a
 polynomial with a unit leading coefficient.  ``PadicPoly``, the tower
 elements of ``local_tower`` and its conductor compositum (whose bivariate
 elements are flattened by Kronecker substitution) all multiply and reduce
-through them.
+through them; so does the determinant ``ring_det``, whose sums of
+products accumulate unreduced in one list through ``mul_coeffs(a, b, out)``.
 
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
@@ -185,9 +186,9 @@ class PadicInt(InRing):
     # -- comparisons / misc -------------------------------------------
 
     def residue(self, k: int) -> int:
-        """The residue mod p^k (k <= N)."""
-        if k > self.N:
-            raise ValidationError(f"only {self.N} digits available, asked for {k}")
+        """The residue mod p^k (0 <= k <= N)."""
+        if not 0 <= k <= self.N:
+            raise ValidationError(f"asked for {k} digits of {self.N}")
         return self.value % (self.p ** k)
 
     def congruent(self, other, k: int) -> bool:
@@ -210,12 +211,14 @@ class PadicInt(InRing):
         return {"value": self.value, "p": self.p, "N": self.N}
 
 
-def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list:
-    """The dense product of two coefficient lists, lowest degree first.
+def mul_coeffs(a: Sequence[int], b: Sequence[int], out=None) -> list:
+    """The dense product of two coefficient lists, lowest degree first,
+    added into ``out`` when given (a sum of products then needs one list).
     Nothing is reduced: the caller reduces each coefficient once (through
     ``rem_coeffs`` or its own comprehension).  Zero coefficients are
     skipped."""
-    out = [0] * (len(a) + len(b) - 1)
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
     i = 0
     for x in a:
         if x:
@@ -427,8 +430,9 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
     """Newton iteration from an approximation satisfying the standard
     Hensel hypothesis ord f(a) > 2 ord f'(a).  The certified root r
     satisfies f(r) = 0 mod p^N and r = approx mod p^(ord f'(a) + 1)."""
+    df = f.derivative()
     fa = f.evaluate(approx)
-    dfa = f.derivative().evaluate(approx)
+    dfa = df.evaluate(approx)
     k = dfa.valuation()
     v = fa.valuation()
     if k is None or (v is not None and v <= 2 * k):
@@ -440,8 +444,7 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
         fx = f.evaluate(x)
         if fx.is_zero():
             break
-        dfx = f.derivative().evaluate(x)
-        x = x - fx.divide_exact(dfx)
+        x = x - fx.divide_exact(df.evaluate(x))
     else:
         raise HenselError("Newton iteration failed to stabilize")
     if not f.evaluate(x).is_zero():
@@ -455,55 +458,67 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 # Determinants and resultants
 # ---------------------------------------------------------------------------
 
-def _ring_sum(terms, zero):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return zero if acc is None else acc
-
-
-def ring_det(rows, zero, one):
-    """Determinant over any commutative ring, by Berkowitz's division-free
+def ring_det(rows, mod=None, h=None) -> list:
+    """Determinant over Z/mod[X]/(h) by Berkowitz's division-free
     algorithm (Inf. Process. Lett. 18 (1984)): O(n^4) ring products and no
-    division, so the result is the same ring element as Laplace expansion
-    gives, over the integers, over Z/p^N and over tower rings alike.
+    division, so the same ring element as Laplace expansion gives.
+    Entries, and the result, are raw coefficient lists, lowest degree
+    first: deg h residues over Z/mod[X]/(h) (h need not be monic, but its
+    leading coefficient must be a unit), one residue over Z/mod when ``h``
+    is None, and one integer over Z when ``mod`` is None too.
 
-    The characteristic polynomial det(x - A_r) of the leading r x r block
-    grows one row and column at a time.  Writing the next block as
-    [[M, C], [R, a]], its coefficients are the Toeplitz product of
-    q = [1, -a, -R C, -R M C, ..., -R M^(r-1) C] with those of det(x - M),
-    and det A = (-1)^n c_n.  Products with a factor equal to ``zero`` are
-    skipped (Sylvester rows are mostly zeros).  ``rows`` is a square list
-    of lists; ``one`` is returned for n = 0."""
+    det(x - A_r) of the leading r x r block grows one row and column at a
+    time.  Writing the next block as [[M, C], [R, a]], its coefficients
+    are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
+    -R M^(r-1) C] with those of det(x - M), and det A = (-1)^n c_n.  Each
+    sum of products (an entry of M^k C, a q_k, a Toeplitz coefficient) is
+    accumulated unreduced through ``mul_coeffs(.., out)`` and reduced
+    once: by h through ``rem_coeffs``, then mod ``mod``.  Products with a
+    zero factor (``not any(entry)``) are skipped."""
+    w = len(h) - 1 if h else 1
+    inv = pow(h[-1], -1, mod) if h else None
+
+    def red(buf):
+        if h:
+            rem_coeffs(buf, h, inv, mod)
+            return buf[:w]
+        return [buf[0] % mod] if mod else buf
+
+    def dot(pairs, v, nz):
+        buf = [0] * (2 * w - 1)
+        for j, a in pairs:
+            if nz[j]:
+                mul_coeffs(a, v[j], buf)
+        return buf
+
     n = len(rows)
     # nonzero entries (j, a_ij) of each row, by increasing column
-    sparse = [[(j, a) for j, a in enumerate(row) if a != zero]
-              for row in rows]
-    c = [one]  # coefficients of det(x - A_0), highest power first
+    sparse = [[(j, a) for j, a in enumerate(row) if any(a)] for row in rows]
+    pad = [0] * (w - 1)
+    c = [[1] + pad]  # coefficients of det(x - A_0), highest power first
     for r in range(n):
         block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
         R = [(j, a) for j, a in sparse[r] if j < r]
         v = [rows[i][r] for i in range(r)]  # M^k C, from k = 0
-        q = [one, -rows[r][r]]
+        q = [c[0], red([-x for x in rows[r][r]])]
+        nz = [any(x) for x in v]
         for k in range(r):
             if k:
-                v = [_ring_sum([a * v[j] for j, a in row
-                                if v[j] != zero], zero)
-                     for row in block]
-            q.append(-_ring_sum([a * v[j] for j, a in R
-                                 if v[j] != zero], zero))
-        # c'_k = sum_j q_(k-j) c_j, with q_0 = c_0 = one taken as is
-        cnz = [x != zero for x in c]
-        qnz = [x != zero for x in q]
-        out = [one]
+                v = [red(dot(row, v, nz)) for row in block]
+                nz = [any(x) for x in v]
+            q.append(red([-x for x in dot(R, v, nz)]))
+        # c'_k = sum_j q_(k-j) c_j, with q_0 = c_0 = 1 taken as is
+        cnz = [any(x) for x in c]
+        qnz = [any(x) for x in q]
+        out, c = [c[0]], c + [[0] * w]  # c_(r+1) = 0
         for k in range(1, r + 2):
-            terms = [q[k]] + [q[k - j] * c[j] for j in range(1, min(k, r + 1))
-                              if cnz[j] and qnz[k - j]]
-            if k <= r:
-                terms.append(c[k])
-            out.append(_ring_sum(terms, zero))
+            buf = [x + y for x, y in zip(q[k], c[k])] + pad
+            for j in range(1, min(k, r + 1)):
+                if cnz[j] and qnz[k - j]:
+                    mul_coeffs(q[k - j], c[j], buf)
+            out.append(red(buf))
         c = out
-    return c[n] if n % 2 == 0 else -c[n]
+    return list(c[n]) if n % 2 == 0 else red([-x for x in c[n]])
 
 
 def _sylvester_rows(f: Sequence, g: Sequence, zero):
@@ -552,10 +567,8 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
         if v is None:
             raise PrecisionError("constant polynomial is zero at precision N")
         return v * other.degree
-    zero = PadicInt(f.p, f.N, 0)
-    fr, gr = ([PadicInt(f.p, f.N, x) for x in c.coeffs] for c in (f, g))
-    det = ring_det(_sylvester_rows(fr, gr, zero), zero, zero + 1)
-    v = det.valuation()
+    fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
+    v = f.R.val(ring_det(_sylvester_rows(fr, gr, [0]), f.R.mod)[0])
     if v is not None:
         return v
     if _poly_gcd_is_nontrivial(f, g):
@@ -788,6 +801,8 @@ class TruncSeries(InRing):
     def congruent(self, other: "TruncSeries", digits=None) -> bool:
         self._check(other)
         k = min(self.eff_prec, other.eff_prec) if digits is None else digits
+        if k < 0:
+            raise ValidationError(f"digit count must be >= 0, got {k}")
         pk = self.p ** k
         keys = set(self.coeffs) | set(other.coeffs)
         return all(

@@ -194,7 +194,8 @@ class WedgeTranscript:
         return mat
 
     def cumulative_det(self) -> int:
-        return ring_det(self.cumulative_matrix(), 0, 1)
+        return ring_det([[[a] for a in row]
+                         for row in self.cumulative_matrix()])[0]
 
     def to_json(self):
         return {

@@ -169,6 +169,17 @@ class TestPadicInt:
         with pytest.raises(ValidationError):
             PadicInt(7, 5, 7).inverse()
 
+    def test_digit_count_outside_precision_rejected(self):
+        # a negative count once gave the float 7 % 5**-1 instead of a residue
+        x = PadicInt(5, 4, 7)
+        assert x.residue(0) == 0 and x.residue(4) == 7
+        assert x.congruent(2, 1) and not x.congruent(2, 2)
+        for k in (-1, -3, 5):
+            with pytest.raises(ValidationError):
+                x.residue(k)
+            with pytest.raises(ValidationError):
+                x.congruent(2, k)
+
 
 class TestPadicPoly:
     def test_divmod_unit(self):
@@ -224,6 +235,12 @@ class TestKernels:
     def test_product_is_unreduced(self):
         assert mul_coeffs([3, 4], [5, 0, 6]) == [15, 20, 18, 24]
 
+    def test_product_accumulates_into_out(self):
+        out = [1, 2, 3, 4, 5]
+        assert mul_coeffs([3, 4], [5, 0, 6], out) is out
+        assert out == [16, 22, 21, 28, 5]
+        assert mul_coeffs([0, 2], [7], out) == [16, 36, 21, 28, 5]
+
     def test_divmod_unit_non_monic(self):
         p, N = 3, 6
         f = PadicPoly(p, N, [5, 7, 2, 9, 1])
@@ -250,6 +267,20 @@ class TestHensel:
     def test_exact_root(self):
         f = PadicPoly(5, 6, [-7, 1])
         assert hensel_root(f, PadicInt(5, 6, 7)).value == 7
+
+    def test_derivative_formed_once(self, monkeypatch):
+        calls = []
+        derivative = PadicPoly.derivative
+
+        def counted(f):
+            calls.append(f)
+            return derivative(f)
+
+        monkeypatch.setattr(PadicPoly, "derivative", counted)
+        f = PadicPoly(5, 12, [1, 0, 1])
+        r = hensel_root(f, PadicInt(5, 12, 2))
+        assert f.evaluate(r).is_zero() and r.residue(1) == 2
+        assert calls == [f]
 
     def test_hypothesis_violated(self):
         # x^2 - 5 from approx 0: ord f = 1, ord f' capped
@@ -349,6 +380,14 @@ class TestTruncSeries:
             r2 = a2 * b2 if op == "mul" else a2.compose([b2])
             for k in range(1, D + 1):
                 assert r1.coeffs.get((k,), 0) == r2.coeffs.get((k,), 0), op
+
+    def test_congruent_rejects_a_negative_digit_count(self):
+        s = TruncSeries(5, 4, 1, 3, {(1,): 7})
+        t = TruncSeries(5, 4, 1, 3, {(1,): 2})
+        assert s.congruent(t, 0) and s.congruent(t, 1)
+        assert not s.congruent(t, 2)
+        with pytest.raises(ValidationError):
+            s.congruent(t, -1)
 
     def test_eff_prec_decrement(self):
         p, N, D = 5, 10, 6

@@ -1,13 +1,18 @@
-"""Differential tests: Berkowitz's ring_det against Laplace expansion, over
-the integers, over Z/p^N (with zero divisors) and over the level-1 tower
-ring, where the Sylvester resultant of the discriminant is taken."""
+"""Differential tests: the raw-entry Berkowitz kernel ring_det against
+Laplace expansion and against Berkowitz on ring elements, over the
+integers, over Z/p^N (with zero divisors) and over the level-1 tower ring,
+where the Sylvester resultant of the discriminant is taken; and the
+precision ladder of that resultant and of level_disc."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower.local_tower import EisensteinTower
+from cmtower.errors import PrecisionError
+from cmtower.local_tower import EisensteinTower, _disc_resultant, level_disc
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, ring_det
+from cmtower.padic import PadicInt, _sylvester_rows, ring_det
 
 
 def laplace_det(rows, zero, one):
@@ -38,11 +43,60 @@ def laplace_det(rows, zero, one):
     return det_rec((1 << n) - 1, 0)
 
 
-def assert_same(rows, zero, one):
+def _ring_sum(terms, zero):
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return zero if acc is None else acc
+
+
+def berkowitz_det(rows, zero, one):
+    """Berkowitz's algorithm as first written, on ring elements: every
+    product and every sum is an element operation that reduces."""
+    n = len(rows)
+    sparse = [[(j, a) for j, a in enumerate(row) if a != zero]
+              for row in rows]
+    c = [one]
+    for r in range(n):
+        block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
+        R = [(j, a) for j, a in sparse[r] if j < r]
+        v = [rows[i][r] for i in range(r)]
+        q = [one, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [_ring_sum([a * v[j] for j, a in row
+                                if v[j] != zero], zero)
+                     for row in block]
+            q.append(-_ring_sum([a * v[j] for j, a in R
+                                 if v[j] != zero], zero))
+        cnz = [x != zero for x in c]
+        qnz = [x != zero for x in q]
+        out = [one]
+        for k in range(1, r + 2):
+            terms = [q[k]] + [q[k - j] * c[j] for j in range(1, min(k, r + 1))
+                              if cnz[j] and qnz[k - j]]
+            if k <= r:
+                terms.append(c[k])
+            out.append(_ring_sum(terms, zero))
+        c = out
+    return c[n] if n % 2 == 0 else -c[n]
+
+
+def raw(x):
+    """The raw entry ring_det takes for an int, a residue or a tower
+    element."""
+    if isinstance(x, int):
+        return [x]
+    if isinstance(x, PadicInt):
+        return [x.value]
+    return list(x.coeffs)
+
+
+def assert_same(rows, zero, one, *ring):
     want = laplace_det(rows, zero, one)
-    got = ring_det(rows, zero, one)
-    assert type(got) is type(want)
-    assert got == want
+    got = ring_det([[raw(x) for x in row] for row in rows], *ring)
+    assert all(type(x) is int for x in got)
+    assert got == raw(want)
 
 
 @st.composite
@@ -69,49 +123,143 @@ def test_residues_match_laplace(p, N, data):
     # entries divisible by p are zero divisors of Z/p^N
     entry = st.one_of(st.integers(0, p ** N - 1),
                       st.integers(0, p ** (N - 1)).map(lambda x: p * x))
-    raw = data.draw(square(entry, 6))
-    rows = [[PadicInt(p, N, x) for x in row] for row in raw]
-    assert_same(rows, PadicInt(p, N, 0), PadicInt(p, N, 1))
+    rows = [[PadicInt(p, N, x) for x in row]
+            for row in data.draw(square(entry, 6))]
+    assert_same(rows, PadicInt(p, N, 0), PadicInt(p, N, 1), p ** N)
 
 
-def level1(p):
-    tower = EisensteinTower(LTSeed.standard(p, 8, p + 2))
+@lru_cache(maxsize=None)
+def level1(p, coeffs=None):
+    """Level 1 of the standard seed at p, or of the seed ``coeffs``."""
+    seed = (LTSeed.standard(p, 8, p + 2) if coeffs is None
+            else LTSeed.from_coeffs(p, 8, p + 2, list(coeffs)))
+    tower = EisensteinTower(seed)
     tower.build(1)
     return tower
+
+
+# pi = 5, d = 5t + 6t^5: h_1 = 5 + 6t^4 has leading coefficient 6
+NON_MONIC = (5, (0, 5, 0, 0, 0, 6))
+
+
+def check_level1(tower, data):
+    d = tower.degree(1)
+    coeffs = st.lists(st.integers(0, tower.R.mod - 1), min_size=d,
+                      max_size=d)
+    rows = [[tower.element(1, c or []) for c in row]
+            for row in data.draw(square(coeffs, 6))]
+    assert_same(rows, tower.element(1, []), tower.element(1, [1]),
+                tower.R.mod, tower.h(1).coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((3, 5)), st.data())
 def test_level1_elements_match_laplace(p, data):
-    tower = level1(p)
-    d = tower.degree(1)
-    coeffs = st.lists(st.integers(0, p ** tower.N - 1), min_size=d,
-                      max_size=d)
-    raw = data.draw(square(coeffs, 6))
-    rows = [[tower.element(1, c or []) for c in row] for row in raw]
-    assert_same(rows, tower.element(1, []), tower.element(1, [1]))
+    check_level1(level1(p), data)
 
 
-@pytest.mark.parametrize("zero, one", [
-    (0, 1),
-    (PadicInt(5, 4, 0), PadicInt(5, 4, 1)),
-])
-def test_empty_matrix_is_one(zero, one):
-    assert ring_det([], zero, one) is one
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_non_monic_level1_matches_laplace(data):
+    tower = level1(*NON_MONIC)
+    assert tower.h(1).coeffs[-1] == 6
+    check_level1(tower, data)
+
+
+def disc_sylvester(tower):
+    """The Sylvester matrix of d(t) - lambda_1 and d'(t) over level 1,
+    as tower elements."""
+    d = tower.seed.to_poly()
+    m = [tower.element(1, [c]) for c in d.coeffs]
+    m[0] = m[0] - tower.lam(1)
+    mp = [tower.element(1, [c]) for c in d.derivative().coeffs]
+    return _sylvester_rows(m, mp, tower.element(1, []))
+
+
+@pytest.mark.parametrize("p, coeffs", [(7, None), NON_MONIC],
+                         ids=["p7-standard", "p5-non-monic"])
+def test_disc_sylvester_matches_element_berkowitz(p, coeffs):
+    tower = level1(p, coeffs)
+    rows = disc_sylvester(tower)
+    assert len(rows) == 2 * p - 1
+    zero, one = tower.element(1, []), tower.element(1, [1])
+    want = berkowitz_det(rows, zero, one)
+    got = ring_det([[raw(x) for x in row] for row in rows], tower.R.mod,
+                   tower.h(1).coeffs)
+    assert got == raw(want)
+    assert want.valuation() == _disc_resultant(tower) == p * (p - 1)
+
+
+@pytest.mark.parametrize("mod, h, one", [
+    (None, None, [1]),
+    (5 ** 4, None, [1]),
+    (3 ** 8, (3, 0, 1), [1, 0]),
+], ids=["Z", "Z-mod-pN", "level-1"])
+def test_empty_matrix_is_one(mod, h, one):
+    assert ring_det([], mod, h) == one
 
 
 def test_one_by_one():
-    assert ring_det([[7]], 0, 1) == 7
-    assert ring_det([[0]], 0, 1) == 0
-    x = PadicInt(3, 5, 18)
-    assert ring_det([[x]], PadicInt(3, 5, 0), PadicInt(3, 5, 1)) == x
+    assert ring_det([[[7]]]) == [7]
+    assert ring_det([[[0]]]) == [0]
+    assert ring_det([[[18]]], 3 ** 5) == [18]
     tower = level1(3)
     lam = tower.lam(1)
-    assert ring_det([[lam]], tower.element(1, []),
-                    tower.element(1, [1])) == lam
+    assert ring_det([[raw(lam)]], tower.R.mod,
+                    tower.h(1).coeffs) == raw(lam)
 
 
 def test_sylvester_resultant():
     # Res(t^2 - 2, t - 3) = 3^2 - 2 = 7
     rows = [[1, 0, -2], [1, -3, 0], [0, 1, -3]]
-    assert ring_det(rows, 0, 1) == laplace_det(rows, 0, 1) == 7
+    assert ring_det([[raw(x) for x in row] for row in rows]) == [7]
+    assert laplace_det(rows, 0, 1) == 7
+
+
+# ---------------------------------------------------------------------------
+# precision ladder: N against N + 5
+# ---------------------------------------------------------------------------
+
+@st.composite
+def eisenstein_seed(draw):
+    """A polynomial seed pi t + a_2 t^2 + ... + u t^p with ord pi = 1,
+    p | a_k and u = 1 mod p, at p = 3 or 5: its torsion polynomials are
+    Eisenstein."""
+    p = draw(st.sampled_from((3, 5)))
+    pi = p * draw(st.integers(1, p ** 3).filter(lambda u: u % p))
+    mid = [p * draw(st.integers(0, p ** 3)) for _ in range(2, p)]
+    return p, [0, pi] + mid + [1 + p * draw(st.integers(0, p - 1))]
+
+
+def tower_at(p, N, coeffs):
+    return EisensteinTower(LTSeed.from_coeffs(p, N, 2 * p, coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(eisenstein_seed(), st.integers(2, 14))
+def test_sylvester_det_reduces_down_the_ladder(seed, N):
+    p, coeffs = seed
+    dets = []
+    for n in (N, N + 5):
+        tower = tower_at(p, n, coeffs)
+        tower.build(1)
+        rows = disc_sylvester(tower)
+        dets.append(ring_det([[raw(x) for x in row] for row in rows],
+                             tower.R.mod, tower.h(1).coeffs))
+    assert [x % p ** N for x in dets[1]] == dets[0]
+
+
+def disc_or_short(p, N, coeffs):
+    try:
+        return level_disc(tower_at(p, N, coeffs))
+    except PrecisionError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(eisenstein_seed(), st.integers(2, 14))
+def test_level_disc_agrees_or_raises_down_the_ladder(seed, N):
+    p, coeffs = seed
+    low, high = (disc_or_short(p, n, coeffs) for n in (N, N + 5))
+    if low is not None:
+        assert high == low == p * (p - 1)
