@@ -356,7 +356,7 @@ class ProductGroup:
         for j, seed in enumerate(self.seeds):
             F = group_law(seed).F  # 2 variables: this coordinate's X, Y
             laws.append(F.map_vars(2 * g, [j, g + j]))
-        return FormalGroupLaw(g, laws, tuple(self.seeds))
+        return FormalGroupLaw(laws)
 
 
 def product_cm_endo(G: ProductGroup, beta: FieldElement):

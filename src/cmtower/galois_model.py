@@ -14,14 +14,14 @@ used, but tower_indices reports both orders to keep the choice visible.
 
 Each congruence subgroup is a product set {a = 0 mod p^j} x {b = 1 mod
 p^k}: its order is a product of per-coordinate residue counts, O(p^m),
-and the spot checks draw their elements by index, never enumerating.
+and closure and normality are checked on a few generators, never on
+listed elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InvariantError, ValidationError
 
@@ -74,11 +74,17 @@ def element_order(x: TriElement) -> int:
     return n
 
 
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the prime p: no g^((p-1)/d) with
+    d > 1 dividing p - 1 is 1."""
+    ds = [d for d in range(2, p) if (p - 1) % d == 0]
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // d, p) != 1 for d in ds))
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Congruence subgroup {a = 0 mod p^j, b = 1 mod p^k}, addressed by
-    index: element i has a = (i // n_b) p^j and b the (i mod n_b)-th
-    allowed unit in increasing order, n_b the number of allowed b."""
+    """Congruence subgroup {a = 0 mod p^j, b = 1 mod p^k}."""
 
     p: int
     m: int
@@ -86,38 +92,50 @@ class SubgroupSpec:
     k: int
 
     def __post_init__(self):
+        p = self.p
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise ValidationError(f"p must be prime, got {p}")
         if not (0 <= self.j <= self.m and 0 <= self.k <= self.m):
             raise ValidationError("congruence levels must lie in [0, m]")
         # closure is automatic: a'' = a' + a b' and b'' = b b' preserve
-        # both congruences; spot-checked on the first 40 elements
-        els = [self.element(i) for i in range(min(self.order(), 40))]
-        for x in els:
-            for y in els:
-                if not self.contains(compose(x, y)):
-                    raise InvariantError("congruence set is not closed")
+        # both congruences; checked on the generators and their products
+        gens = self.generators()
+        if not all(self.contains(z) for z in
+                   gens + [compose(x, y) for x in gens for y in gens]):
+            raise InvariantError("congruence set is not closed")
 
     def contains(self, x: TriElement) -> bool:
         return (x.a % self.p ** self.j == 0
                 and (x.b - 1) % self.p ** self.k == 0)
 
-    @cached_property
-    def _b_count(self) -> int:
-        """Units b = 1 mod p^k, counted over those residues of Z/p^m."""
-        p = self.p
-        return sum(1 for b in range(1, p ** self.m, p ** self.k) if b % p)
+    def generators(self) -> list:
+        """(p^j, 1) and (0, 1 + p^k); for k = 0, (0, 1 + p) and (0, r), r a
+        primitive root mod p.  They generate: (a, b) = (a/b, 1)(0, b); for
+        odd p the units = 1 mod p^k (k >= 1) form a cyclic group generated
+        by 1 + p^k; and all units are that group for k = 1 times the
+        powers of r, which reach every unit mod p."""
+        p, m = self.p, self.m
+        bs = [1 + p ** self.k] if self.k else [1 + p, _primitive_root(p)]
+        return ([TriElement(p, m, p ** self.j, 1)]
+                + [TriElement(p, m, 0, b) for b in bs])
 
     def order(self) -> int:
-        a_count = len(range(0, self.p ** self.m, self.p ** self.j))
-        return a_count * self._b_count
+        """The a = 0 mod p^j times the units b = 1 mod p^k, each counted
+        over the residues of Z/p^m."""
+        p, mod = self.p, self.p ** self.m
+        return (len(range(0, mod, p ** self.j))
+                * sum(1 for b in range(1, mod, p ** self.k) if b % p))
 
-    def element(self, i: int) -> TriElement:
-        if not 0 <= i < self.order():
-            raise ValidationError(f"element index {i} outside the subgroup")
-        p = self.p
-        q, r = divmod(i, self._b_count)
-        # k = 0: the r-th unit skips one multiple of p per p - 1 units
-        b = 1 + r * p ** self.k if self.k else r + r // (p - 1) + 1
-        return TriElement(p, self.m, q * p ** self.j, b)
+
+def check_normal(sub: SubgroupSpec, group: SubgroupSpec):
+    """Raise ``InvariantError`` unless conjugating each generator of sub
+    by each generator of group, and by its inverse, stays in sub."""
+    for x in group.generators():
+        xinv = x.inverse()
+        for h in sub.generators():
+            if not (sub.contains(compose(compose(x, h), xinv))
+                    and sub.contains(compose(compose(xinv, h), x))):
+                raise InvariantError(f"{sub} is not normal in {group}")
 
 
 def tower_indices(p: int, m: int, n: int) -> dict:
@@ -141,15 +159,8 @@ def tower_indices(p: int, m: int, n: int) -> dict:
 
     # normality of fix_div in fix_tors: conjugation sends (alpha, beta)
     # to (b^-1 (alpha + a(beta-1)), beta), which preserves both
-    # congruences; spot-check it on strided elements
-    gs = [fix_div.element(i)
-          for i in range(0, order_div, max(1, order_div // 10))]
-    for i in range(0, order_tors, max(1, order_tors // 25)):
-        x = fix_tors.element(i)
-        for g in gs:
-            conj = compose(compose(x, g), x.inverse())
-            if not fix_div.contains(conj):
-                raise InvariantError("division fixer is not normal")
+    # congruences; checked on generators
+    check_normal(fix_div, fix_tors)
 
     # cyclicity: the coset of (1, 1) generates; its order in the
     # quotient is the first power landing in fix_div

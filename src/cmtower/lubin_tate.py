@@ -123,14 +123,11 @@ class FormalGroupLaw:
     linear part X_j + Y_j.  Built one-dimensionally here; cm_split
     assembles products."""
 
-    __slots__ = ("nvars", "law", "seeds")
+    __slots__ = ("nvars", "law")
 
-    def __init__(self, nvars, law, seeds):
-        self.nvars = nvars
+    def __init__(self, law):
         self.law = tuple(law)
-        self.seeds = tuple(seeds)
-        if len(self.law) != nvars:
-            raise ValidationError("law must have one series per dimension")
+        self.nvars = len(self.law)
 
     @property
     def F(self) -> TruncSeries:
@@ -146,59 +143,52 @@ class FormalGroupLaw:
 
 
 class FglHom:
-    """Homomorphism of formal group laws: series tuple plus its jacobian
-    (matrix of linear coefficients)."""
+    """Homomorphism of formal group laws, held as its series tuple (one
+    series per codomain coordinate, all in the domain's variables) and
+    their jacobian, the matrix of linear coefficients.  The laws it
+    intertwines are not stored: ``check`` certifies it against two."""
 
-    __slots__ = ("domain", "codomain", "series", "jacobian")
+    __slots__ = ("series", "jacobian")
 
-    def __init__(self, domain: FormalGroupLaw, codomain: FormalGroupLaw,
-                 series, verify=True):
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, series):
         self.series = tuple(series)
-        g = domain.nvars
-        if len(self.series) != codomain.nvars:
-            raise ValidationError("series count must match codomain dimension")
+        g = self.series[0].nvars
         jac = []
         for s in self.series:
             if s.nvars != g:
-                raise ValidationError("series arity must match domain dimension")
+                raise ValidationError("series must share one arity")
             if not s.constant_term().is_zero():
                 raise ValidationError("homomorphism series has a constant term")
-            row = []
-            for i in range(g):
-                e = tuple(1 if k == i else 0 for k in range(g))
-                row.append(s.coefficient(e))
-            jac.append(row)
+            jac.append([s.coefficient(tuple(int(k == i) for k in range(g)))
+                        for i in range(g)])
         self.jacobian = jac
-        if verify:
-            self._verify_hom()
 
-    def _verify_hom(self):
-        # phi(F(X,Y)) = G(phi X, phi Y) through the truncation degree
-        g = self.domain.nvars
+    def check(self, domain: FormalGroupLaw, codomain: FormalGroupLaw):
+        """Raise ``InvariantError`` unless phi(F(X, Y)) = G(phi X, phi Y)
+        through the truncation degree, F the domain law and G the
+        codomain law."""
+        g = domain.nvars
         s0 = self.series[0]
-        xs = [TruncSeries.variable(s0.p, s0.N, 2 * g, s0.trunc, i)
-              for i in range(g)]
-        ys = [TruncSeries.variable(s0.p, s0.N, 2 * g, s0.trunc, g + i)
-              for i in range(g)]
-        fxy = [Fj.compose(xs + ys) for Fj in self.domain.law]
+        if s0.nvars != g or len(self.series) != codomain.nvars:
+            raise ValidationError("series do not match the laws' dimensions")
+        vs = [TruncSeries.variable(s0.p, s0.N, 2 * g, s0.trunc, i)
+              for i in range(2 * g)]
+        xs, ys = vs[:g], vs[g:]
+        fxy = [Fj.compose(xs + ys) for Fj in domain.law]
         lhs = [s.compose(fxy) for s in self.series]
         phix = [s.compose(xs) for s in self.series]
         phiy = [s.compose(ys) for s in self.series]
-        rhs = [Gj.compose(phix + phiy) for Gj in self.codomain.law]
+        rhs = [Gj.compose(phix + phiy) for Gj in codomain.law]
         for a, b in zip(lhs, rhs):
             if not a.congruent(b):
                 raise InvariantError("series do not intertwine the group laws")
 
-    def det_jacobian(self) -> PadicInt:
+    def is_invertible(self) -> bool:
+        """Whether the jacobian determinant is a unit."""
         R = self.jacobian[0][0].R
         det = ring_det([[[x.value] for x in row] for row in self.jacobian],
                        R.mod)
-        return PadicInt(R.p, R.N, det[0])
-
-    def is_invertible(self) -> bool:
-        return self.det_jacobian().is_unit()
+        return R.val(det[0]) == 0
 
     def inverse(self) -> "FglHom":
         """Compositional inverse; fails unless the jacobian determinant
@@ -208,10 +198,9 @@ class FglHom:
                 "homomorphism is not invertible: jacobian determinant "
                 "is not a unit"
             )
-        if self.domain.nvars != 1:
+        if len(self.series) != 1 or self.series[0].nvars != 1:
             raise ValidationError("inverse implemented for dimension 1 only")
-        inv = compositional_inverse(self.series[0])
-        return FglHom(self.codomain, self.domain, (inv,), verify=False)
+        return FglHom((compositional_inverse(self.series[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +321,7 @@ def group_law(seed: LTSeed) -> FormalGroupLaw:
     """The unique F(X, Y) = X + Y + higher with F(d(X), d(Y)) = d(F(X, Y))."""
     p, N, D = seed.p, seed.N, seed.trunc
     linear = TruncSeries(p, N, 2, D, {(1, 0): 1, (0, 1): 1})
-    F = _lt_solve(linear, seed, seed)
-    return FormalGroupLaw(1, (F,), (seed,))
+    return FormalGroupLaw((_lt_solve(linear, seed, seed),))
 
 
 def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
@@ -345,8 +333,7 @@ def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
 def strict_iso(src: LTSeed, dst: LTSeed) -> FglHom:
     """The strict isomorphism (identity jacobian) between the group laws
     of two seeds sharing a uniformizer."""
-    phi = solve_intertwine(1, src, dst)
-    return FglHom(group_law(src), group_law(dst), (phi,), verify=False)
+    return FglHom((solve_intertwine(1, src, dst),))
 
 
 def verify_pi_shape(seed: LTSeed) -> dict:

@@ -800,9 +800,10 @@ class TruncSeries(InRing):
 
     def congruent(self, other: "TruncSeries", digits=None) -> bool:
         self._check(other)
-        k = min(self.eff_prec, other.eff_prec) if digits is None else digits
-        if k < 0:
-            raise ValidationError(f"digit count must be >= 0, got {k}")
+        known = min(self.eff_prec, other.eff_prec)
+        k = known if digits is None else digits
+        if not 0 <= k <= known:
+            raise ValidationError(f"asked for {k} digits of {known} known")
         pk = self.p ** k
         keys = set(self.coeffs) | set(other.coeffs)
         return all(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmtower import elliptic_fg, lubin_tate
 from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve, _mul1,
                                  cm_endo_elliptic, curve_group_law,
                                  embed_gauss_series, frobenius_candidates,
@@ -13,6 +14,7 @@ from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve, _mul1,
                                  gmul, match_lubin_tate, point_count_ap)
 from cmtower.errors import (CmtowerError, InvariantError, PrecisionError,
                             ValidationError)
+from cmtower.lubin_tate import LTSeed, strict_iso
 from cmtower.padic import PadicInt
 
 
@@ -323,6 +325,23 @@ class TestMatch:
     def test_short_root_raises(self, data):
         with pytest.raises(PrecisionError):
             match_lubin_tate(data, (3, 2), gauss_embed_root(13, 10))
+
+    def test_no_group_law_is_solved(self, data, monkeypatch):
+        """Neither isomorphism solves a group law: with the solver
+        patched to raise, both return the same series."""
+        root = gauss_embed_root(13, 24)
+        src, dst = LTSeed.standard(5, 16, 9), LTSeed.multiplicative(5, 16, 9)
+        want = [match_lubin_tate(data, (3, 2), root), strict_iso(src, dst)]
+
+        def refuse(seed):
+            raise AssertionError("a group law was solved")
+
+        monkeypatch.setattr(lubin_tate, "group_law", refuse)
+        monkeypatch.setattr(elliptic_fg, "lt_group_law", refuse)
+        got = [match_lubin_tate(data, (3, 2), root), strict_iso(src, dst)]
+        for g, w in zip(got, want):
+            assert g.series[0].coeffs == w.series[0].coeffs
+            assert g.series[0].eff_prec == w.series[0].eff_prec
 
 
 # ---------------------------------------------------------------------------

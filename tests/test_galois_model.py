@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from cmtower.errors import ValidationError
-from cmtower.galois_model import (SubgroupSpec, TriElement, compose,
-                                  element_order, identity, tower_indices)
+from cmtower.errors import InvariantError, ValidationError
+from cmtower.galois_model import (SubgroupSpec, TriElement, check_normal,
+                                  compose, element_order, identity,
+                                  tower_indices)
 
 
 def enumerate_group(p, m, a_mod=0, b_mod=0):
@@ -73,20 +74,34 @@ class TestSubgroups:
                         assert spec.order() == p ** (m - j) * b_count
 
     @pytest.mark.parametrize("p", (3, 5, 7))
-    def test_element_by_index_matches_enumeration(self, p):
+    def test_order_matches_enumeration(self, p):
         for m in (1, 2, 3):
             for j in range(m + 1):
                 for k in range(m + 1):
                     spec = SubgroupSpec(p, m, j, k)
-                    els = enumerate_group(p, m, j, k)
-                    assert spec.order() == len(els)
-                    assert [spec.element(i) for i in range(len(els))] == els
+                    assert spec.order() == len(enumerate_group(p, m, j, k))
 
-    def test_element_index_out_of_range(self):
-        spec = SubgroupSpec(3, 2, 1, 1)
-        for i in (-1, spec.order()):
-            with pytest.raises(ValidationError):
-                spec.element(i)
+    def test_generators_generate(self):
+        for p, m in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)):
+            for j in range(m + 1):
+                for k in range(m + 1):
+                    gens = SubgroupSpec(p, m, j, k).generators()
+                    seen, todo = {identity(p, m)}, [identity(p, m)]
+                    while todo:
+                        x = todo.pop()
+                        for g in gens:
+                            y = compose(x, g)
+                            if y not in seen:
+                                seen.add(y)
+                                todo.append(y)
+                    assert seen == set(enumerate_group(p, m, j, k))
+
+    def test_non_normal_pair_rejected(self):
+        # {a = 0 mod p} is not normal in the full group: (1, 1) conjugates
+        # (0, r) to (r - 1, r)
+        check_normal(SubgroupSpec(3, 2, 1, 1), SubgroupSpec(3, 2, 0, 1))
+        with pytest.raises(InvariantError):
+            check_normal(SubgroupSpec(3, 2, 1, 0), SubgroupSpec(3, 2, 0, 0))
 
     def test_closure_violation_impossible(self):
         # spot check: products of subgroup elements stay inside
@@ -99,6 +114,11 @@ class TestSubgroups:
     def test_bad_levels_rejected(self):
         with pytest.raises(ValidationError):
             SubgroupSpec(3, 2, 3, 0)
+
+    @pytest.mark.parametrize("p", (1, 4, 9, 15))
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValidationError):
+            SubgroupSpec(p, 2, 0, 0)
 
 
 class TestTowerIndices:

@@ -162,21 +162,21 @@ class TestStrictIso:
         p, N, D = 3, 16, 9
         src = LTSeed.standard(p, N, D)
         dst = LTSeed.multiplicative(p, N, D)
-        phi = strict_iso(src, dst).series[0]
-        Fs = group_law(src).F
-        Fd = group_law(dst).F
+        iso = strict_iso(src, dst)
+        phi = iso.series[0]
+        Gs, Gd = group_law(src), group_law(dst)
         x = TruncSeries.variable(p, N, 2, D, 0)
         y = TruncSeries.variable(p, N, 2, D, 1)
-        lhs = phi.compose([Fs])
-        rhs = Fd.compose([phi.compose([x]), phi.compose([y])])
+        lhs = phi.compose([Gs.F])
+        rhs = Gd.F.compose([phi.compose([x]), phi.compose([y])])
         assert lhs.congruent(rhs)
+        iso.check(Gs, Gd)
 
 
 class TestFglHom:
     def test_pi_endo_not_invertible(self):
         seed = LTSeed.standard(5, 14, 10)
-        G = group_law(seed)
-        h = FglHom(G, G, (endo(seed, seed.pi_val),), verify=False)
+        h = FglHom((endo(seed, seed.pi_val),))
         assert not h.is_invertible()
         with pytest.raises(ValidationError):
             h.inverse()
@@ -184,7 +184,8 @@ class TestFglHom:
     def test_unit_endo_invertible(self):
         seed = LTSeed.standard(5, 14, 10)
         G = group_law(seed)
-        h = FglHom(G, G, (endo(seed, PadicInt(5, 14, 2)),))
+        h = FglHom((endo(seed, PadicInt(5, 14, 2)),))
+        h.check(G, G)
         assert h.is_invertible()
         inv = h.inverse()
         comp = h.series[0].compose(inv.series)
@@ -193,9 +194,9 @@ class TestFglHom:
     def test_verify_rejects_non_hom(self):
         seed = LTSeed.standard(3, 14, 8)
         G = group_law(seed)
-        bad = TruncSeries(3, 14, 1, 8, {(1,): 1, (2,): 1})
+        bad = FglHom((TruncSeries(3, 14, 1, 8, {(1,): 1, (2,): 1}),))
         with pytest.raises(InvariantError):
-            FglHom(G, G, (bad,))
+            bad.check(G, G)
 
 
 class TestPiShape:

@@ -389,6 +389,20 @@ class TestTruncSeries:
         with pytest.raises(ValidationError):
             s.congruent(t, -1)
 
+    def test_congruent_refuses_digits_past_eff_prec(self):
+        # both series are known to 4 digits: a 5th cannot be certified
+        s = TruncSeries(5, 4, 1, 3, {(1,): 7})
+        t = TruncSeries(5, 4, 1, 3, {(1,): 7})
+        assert s.congruent(t) and s.congruent(t, 4)
+        for k in (5, 10):
+            with pytest.raises(ValidationError):
+                s.congruent(t, k)
+        # one division leaves 3 known digits
+        u = TruncSeries(5, 4, 1, 3, {(1,): 25}).divide_exact(PadicInt(5, 4, 5))
+        assert u.eff_prec == 3 and u.congruent(u, 3)
+        with pytest.raises(ValidationError):
+            u.congruent(u, 4)
+
     def test_eff_prec_decrement(self):
         p, N, D = 5, 10, 6
         s = TruncSeries(p, N, 1, D, {(1,): 25})
