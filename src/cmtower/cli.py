@@ -345,7 +345,7 @@ def _run_elliptic_match(cfg: RunConfig):
             f"expected exactly one passing associate, got {len(passing)}"
         )
     alpha = passing[0]["alpha"]
-    iso = match_lubin_tate(data, alpha, root)
+    iso = match_lubin_tate(data, passing[0], root)
     emb_i = embed_gauss_series(cm_endo_elliptic(data, (0, 1)), D, root)
     return {
         "a_p": ap,

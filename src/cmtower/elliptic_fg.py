@@ -311,11 +311,17 @@ def match_lubin_tate(data: EllipticFormalData, alpha_P,
     """Strict isomorphism from the curve's formal group to the standard
     Lubin-Tate group of the Frobenius uniformizer, over root's ring.
 
+    ``alpha_P`` is a candidate (re, im), checked here, or the report
+    that ``frobenius_check`` gave for it over root's ring, which saves
+    checking it again.  Either way a candidate that fails the Frobenius
+    congruence is refused.
+
     The embedded [alpha_P] series is itself a Lubin-Tate seed (its
     linear coefficient is a uniformizer and it reduces to z^p); the
     intertwining solver then produces the isomorphism, integral by
     construction of the exact arithmetic."""
-    rep = frobenius_check(data, alpha_P, root)
+    rep = (alpha_P if isinstance(alpha_P, dict)
+           else frobenius_check(data, alpha_P, root))
     if not rep["passes"]:
         raise ValidationError(
             f"candidate fails the Frobenius congruence at {rep['first_fail']}"

@@ -62,18 +62,6 @@ def compose(x: TriElement, y: TriElement) -> TriElement:
     return TriElement(x.p, x.m, y.a + x.a * y.b, x.b * y.b)
 
 
-def element_order(x: TriElement) -> int:
-    acc = x
-    n = 1
-    bound = (x.p ** x.m) ** 2
-    while not acc.is_identity():
-        acc = compose(acc, x)
-        n += 1
-        if n > bound:
-            raise InvariantError("element order exceeded the group order")
-    return n
-
-
 def _primitive_root(p: int) -> int:
     """The least primitive root mod the prime p: no g^((p-1)/d) with
     d > 1 dividing p - 1 is 1."""

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .padic import (InRing, PadicInt, PadicPoly, TruncSeries, Zp,
-                    compositional_inverse, hom_mul, pack_exponent, ring_det,
-                    unpack_exponent)
+                    compositional_inverse, ring_det)
 
 
 class LTSeed(InRing):
@@ -210,7 +209,7 @@ class FglHom:
 def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique phi = linear + higher with dst.d(phi) = phi(src.d per
     variable), solved degree by degree; ``linear`` is homogeneous of
-    degree 1.
+    degree 1 in one or two variables.
 
     Degree k corrects by R_k / (pi^k - pi); the divisor has valuation
     exactly 1 and the obstruction must be divisible by pi, else the
@@ -223,12 +222,25 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
         sum_{m=2}^{k} d_m (phi^m)_k  -  [phi_{<k}(src.d(X_1), ...)]_k.
 
     Each (phi^m)_k = sum_j phi_j (phi^{m-1})_{k-j} uses parts of degree
-    below k only and is formed once, at step k.  The right-hand side is
-    linear in phi: when phi_j is fixed, its monomials times the powers
-    of src.d are added into per-degree buckets.  phi_k enters degree k
-    only as (pi - pi^k) phi_k, which is what the divisor accounts for.
-    Those powers are src's own table (``LTSeed.d_powers``): the first
-    solve from src builds it, every later one reads it.
+    below k only and is formed once, at step k.  A degree-k part is
+    dense: k + 1 coefficients indexed by the exponent of X in two
+    variables, one coefficient in one.  Each part is packed once, when
+    it is formed, into one integer with one slot of
+    2 bitlen(p^N) + 2 bitlen(D + 1) + 1 bits per coefficient (Kronecker
+    substitution; Schoenhage, EUROCAM 1982): the product of two packed
+    parts is then the packed product of the parts, and the sum over j is
+    a sum of integer products.  A slot of that sum adds fewer than
+    (D + 1)^2 products of residues below p^N, so it never carries into
+    the next one.  The sum is unpacked and reduced mod p^N once per
+    (m, k); sum_m d_m (phi^m)_k is likewise added up packed and unpacked
+    once per k.
+
+    The right-hand side is linear in phi: when phi_j is fixed, its
+    monomials times the powers of src.d are added into per-degree dense
+    buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
+    what the divisor accounts for.  Those powers are src's own table
+    (``LTSeed.d_powers``): the first solve from src builds it, every
+    later one reads it.
     """
     if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
@@ -236,75 +248,103 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
         raise ValidationError("seeds have different uniformizers")
     if linear.trunc != src.trunc:
         raise ValidationError("linear part and seed disagree on truncation")
-    p, N, mod = src.p, src.N, src.R.mod
     n = linear.nvars
+    if n > 2 or any(sum(e) != 1 for e in linear.coeffs):
+        raise ValidationError(
+            "linear part must be of degree 1 in one or two variables")
+    p, N, mod = src.p, src.N, src.R.mod
     D = linear.trunc
     pi = src.pi_val.value
-    base = D + 1
+    two = n == 2
     d = {k: c for (k,), c in dst.d.coeffs.items() if 2 <= k <= D}
     M = max(d, default=1)
-    # pw[m][k] = (phi^m)_k with packed exponents; pw[1] holds phi
-    pw = [None] + [[{} for _ in range(D + 1)] for _ in range(M)]
-    phi = pw[1]
-    phi[1] = {pack_exponent(e, base): c for e, c in linear.coeffs.items()}
-    s_pows = src.d_powers()
-    rhs = [{} for _ in range(D + 1)]
+    # A slot of a packed sum below adds fewer than (D + 1)^2 products of
+    # residues below p^N: fewer than D terms j, each with at most D + 1
+    # pairs of exponents.  So it stays below 2^(slot - 1) and never
+    # carries into the next slot; sum_m d_m (phi^m)_k is smaller still.
+    slot = 2 * mod.bit_length() + 2 * (D + 1).bit_length() + 1
+    mask = (1 << slot) - 1
+
+    def pack(part):
+        x = 0
+        for c in reversed(part):
+            x = x << slot | c
+        return x
+
+    def unpack(x, k):
+        return [x >> (slot * i) & mask for i in range(k + 1 if two else 1)]
+
+    def exponent(j, i):
+        # of coefficient i of a degree-j part
+        return (i, j - i) if two else (j,)
+
+    # phi[j] is the dense part of degree j; pw[m][k] = (phi^m)_k packed
+    phi = [None] * (D + 1)
+    pw = [None] + [[0] * (D + 1) for _ in range(M)]
+    packed_phi = pw[1]
+    phi[1] = [linear.coeffs.get(exponent(1, i), 0) for i in range(n)]
+    packed_phi[1] = pack(phi[1])
+    # dense coefficient lists of src.d^a, a = 0 .. D - 1
+    sp = [[1] + [0] * D]
+    for s in src.d_powers()[1:]:
+        sp.append([0] * (D + 1))
+        for (f,), c in s.coeffs.items():
+            sp[-1][f] = c
+    rhs = [[0] * (k + 1 if two else 1) for k in range(D + 1)]
 
     def push_rhs(j):
-        # add phi_j(src.d(X_1), ..., src.d(X_n)) above degree j to rhs
-        for key, c in phi[j].items():
-            terms = [(0, 0, c)]
-            for i, k in enumerate(unpack_exponent(key, base, n)):
-                if k:
-                    step = base ** i
-                    terms = [(tk + f * step, td + f, tc * v)
-                             for tk, td, tc in terms
-                             for (f,), v in s_pows[k].coeffs.items()
-                             if td + f <= D]
-            for tk, td, tc in terms:
-                if td > j:
-                    bucket = rhs[td]
-                    bucket[tk] = bucket.get(tk, 0) + tc
+        # add phi_j(src.d(X)) or phi_j(src.d(X), src.d(Y)) above degree j
+        # to rhs; in two variables the term of degree j lands in rhs[j],
+        # which is spent
+        for i, c in enumerate(phi[j]):
+            if not c:
+                continue
+            if not two:
+                for f in range(j + 1, D + 1):
+                    rhs[f][0] += c * sp[j][f]
+                continue
+            ys = sp[j - i]
+            for f in range(i, D + 1 - (j - i)):
+                cx = c * sp[i][f]
+                if cx:
+                    for g in range(j - i, D + 1 - f):
+                        rhs[f + g][f] += cx * ys[g]
 
     eff = linear.eff_prec
     for k in range(2, D + 1):
         push_rhs(k - 1)
-        diff = {key: -c for key, c in rhs[k].items()}
+        total = 0
         for m in range(2, min(k, M) + 1):
             lower = pw[m - 1]
-            acc = {}
+            acc = 0
             for j in range(1, k - m + 2):
-                hom_mul(phi[j], lower[k - j], acc)
-            part = pw[m][k]
-            for key, c in acc.items():
-                c %= mod
-                if c:
-                    part[key] = c
+                acc += packed_phi[j] * lower[k - j]
+            part = pack([c % mod for c in unpack(acc, k)])
+            pw[m][k] = part
             dm = d.get(m)
             if dm:
-                for key, c in part.items():
-                    diff[key] = diff.get(key, 0) + dm * c
+                total += dm * part
         divisor = (pow(pi, k, mod) - pi) % mod
         if src.R.val(divisor) != 1:
             raise InvariantError("correction divisor lost valuation 1")
         inv = pow(divisor // p, -1, mod)
-        part = phi[k]
-        for key, c in diff.items():
-            c %= mod
-            if not c:
-                continue
+        part = []
+        for c, r in zip(unpack(total, k), rhs[k]):
+            c = (c - r) % mod
             if c % p:
                 raise InvariantError(
                     f"obstruction at degree {k} is a unit: input is not a "
                     "valid Lubin-Tate seed pair"
                 )
-            part[key] = (c // p) * inv % mod
+            part.append((c // p) * inv % mod)
+        phi[k] = part
+        packed_phi[k] = pack(part)
         eff -= 1
         if eff <= 0:
             raise PrecisionError("effective precision exhausted")
     return TruncSeries(p, N, n, D, {
-        unpack_exponent(key, base, n): c
-        for part in phi[1:] for key, c in part.items()
+        exponent(j, i): c
+        for j in range(1, D + 1) for i, c in enumerate(phi[j])
     }, eff)
 
 

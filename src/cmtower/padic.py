@@ -249,6 +249,15 @@ def rem_coeffs(c: list, h: Sequence[int], inv: int, mod: int) -> None:
         c[j] = x % mod
 
 
+def _horner(coeffs: Sequence[int], x: int, mod: int) -> int:
+    """The value mod ``mod`` at the raw residue x of a coefficient list,
+    lowest degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % mod
+    return acc
+
+
 class PadicPoly(InRing):
     """Dense polynomial over a fixed (p, N); coefficients stored as raw
     residues, canonical form has a nonzero leading coefficient."""
@@ -299,12 +308,8 @@ class PadicPoly(InRing):
         return PadicPoly(self.p, self.N, [i * x for i, x in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x: PadicInt) -> PadicInt:
-        x = self.R.lift(x)
-        acc = 0
-        mod = self.R.mod
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % mod
-        return PadicInt(self.p, self.N, acc)
+        R = self.R
+        return PadicInt(self.p, self.N, _horner(self.coeffs, R.lift(x), R.mod))
 
     def divmod_unit(self, other: "PadicPoly"):
         """Division with remainder by a polynomial whose leading
@@ -354,10 +359,6 @@ class NewtonPolygon:
 
     segments: tuple
     lowest_power: int
-
-    @property
-    def total_length(self) -> int:
-        return sum(l for _, l in self.segments)
 
     def single_slope(self):
         if len(self.segments) != 1:
@@ -429,29 +430,36 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
 def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
     """Newton iteration from an approximation satisfying the standard
     Hensel hypothesis ord f(a) > 2 ord f'(a).  The certified root r
-    satisfies f(r) = 0 mod p^N and r = approx mod p^(ord f'(a) + 1)."""
-    df = f.derivative()
-    fa = f.evaluate(approx)
-    dfa = df.evaluate(approx)
-    k = dfa.valuation()
-    v = fa.valuation()
+    satisfies f(r) = 0 mod p^N and r = approx mod p^(ord f'(a) + 1).
+    The steps run on raw residues; only the root becomes a residue."""
+    R, p = f.R, f.p
+    mod = R.mod
+    fc, dc = f.coeffs, f.derivative().coeffs
+    a = R.lift(approx)
+    k = R.val(_horner(dc, a, mod))
+    v = R.val(_horner(fc, a, mod))
     if k is None or (v is not None and v <= 2 * k):
         raise HenselError(
             f"Hensel hypothesis violated: ord f(a) = {v}, ord f'(a) = {k}"
         )
-    x = approx
+    x = a
     for _ in range(f.N + 2):
-        fx = f.evaluate(x)
-        if fx.is_zero():
+        fx = _horner(fc, x, mod)
+        if not fx:
             break
-        x = x - fx.divide_exact(df.evaluate(x))
+        dx = _horner(dc, x, mod)
+        w = R.val(dx)
+        if w is None:
+            raise ValidationError("division by the zero residue")
+        pw = p ** w
+        if fx % pw:
+            raise ValidationError(f"residue {fx} not divisible by p^{w}")
+        x = (x - fx // pw * pow(dx // pw, -1, mod)) % mod
     else:
         raise HenselError("Newton iteration failed to stabilize")
-    if not f.evaluate(x).is_zero():
-        raise HenselError("Newton iteration did not reach a root mod p^N")
-    if x.residue(k + 1) != approx.residue(k + 1):
+    if (x - a) % p ** (k + 1):
         raise HenselError("certified root drifted from the approximation")
-    return x
+    return PadicInt(p, f.N, x)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +609,8 @@ def unpack_exponent(key: int, base: int, nvars: int) -> tuple:
 
 
 def hom_mul(a: dict, b: dict, out: dict) -> None:
-    """Add the product of two homogeneous parts into ``out``.
+    """Add the product of two homogeneous parts into ``out``; the
+    sparse kernel of ``TruncSeries.__mul__``, its only caller.
 
     Parts map packed exponents (``pack_exponent``, one base for all
     three) to integer coefficients.  Nothing is reduced: the caller

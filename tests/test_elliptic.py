@@ -1,6 +1,7 @@
 """Elliptic formal groups with complex multiplication by the Gaussian
 integers, and the bridge to the one-dimensional Lubin-Tate machinery."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from cmtower.errors import (CmtowerError, InvariantError, PrecisionError,
                             ValidationError)
 from cmtower.lubin_tate import LTSeed, strict_iso
 from cmtower.padic import PadicInt
+
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                      "elliptic_p13.ini")
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,47 @@ class TestMatch:
         root = gauss_embed_root(13, 24)
         with pytest.raises(ValidationError):
             match_lubin_tate(data, (2, -3), root)
+
+    def test_passing_report_gives_the_same_iso(self, data):
+        """The match reads a passing report instead of checking the
+        candidate again, and gives the same isomorphism."""
+        root = gauss_embed_root(13, 24)
+        want = match_lubin_tate(data, (3, 2), root)
+        got = match_lubin_tate(data, frobenius_check(data, (3, 2), root),
+                               root)
+        assert got.series[0].coeffs == want.series[0].coeffs
+        assert got.series[0].eff_prec == want.series[0].eff_prec
+
+    @pytest.mark.parametrize("alpha", ((2, -3), (-3, -2), (-2, 3)))
+    def test_failing_report_rejected(self, data, alpha):
+        root = gauss_embed_root(13, 24)
+        rep = frobenius_check(data, alpha, root)
+        with pytest.raises(ValidationError, match="Frobenius congruence"):
+            match_lubin_tate(data, rep, root)
+
+    def test_report_over_another_ring_rejected(self, data):
+        rep = frobenius_check(data, (3, 2), gauss_embed_root(13, 30))
+        with pytest.raises(ValidationError):
+            match_lubin_tate(data, rep, gauss_embed_root(13, 24))
+
+    def test_cli_checks_each_associate_once(self, monkeypatch):
+        """elliptic-match runs four Frobenius checks, one per associate,
+        and the match reads the passing one."""
+        from cmtower import cli
+        calls = []
+        check = elliptic_fg.frobenius_check
+
+        def counted(*args):
+            calls.append(args[1])
+            return check(*args)
+
+        monkeypatch.setattr(cli, "frobenius_check", counted)
+        monkeypatch.setattr(elliptic_fg, "frobenius_check", counted)
+        cfg = cli.RunConfig.load("elliptic-match", CONFIG, {})
+        res = cli.dispatch(cfg)["results"]
+        assert sorted(calls) == sorted(tuple(c["alpha"])
+                                       for c in res["candidates"])
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n,eff", ((21, 2), (24, 5), (30, 11)))
     def test_digits_come_from_the_root(self, data, n, eff):

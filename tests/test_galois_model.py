@@ -8,8 +8,20 @@ import pytest
 
 from cmtower.errors import InvariantError, ValidationError
 from cmtower.galois_model import (SubgroupSpec, TriElement, check_normal,
-                                  compose, element_order, identity,
-                                  tower_indices)
+                                  compose, identity, tower_indices)
+
+
+def element_order(x):
+    """The least n >= 1 with x^n the identity."""
+    acc = x
+    n = 1
+    bound = (x.p ** x.m) ** 2
+    while not acc.is_identity():
+        acc = compose(acc, x)
+        n += 1
+        if n > bound:
+            raise InvariantError("element order exceeded the group order")
+    return n
 
 
 def enumerate_group(p, m, a_mod=0, b_mod=0):

@@ -67,14 +67,16 @@ def unchecked_seed(p, N, trunc, coeffs):
 
 
 @st.composite
-def seed_coeffs(draw, p, D, pi):
-    """Dense coefficients [0, pi, a_2, ..., a_D] of a valid seed."""
+def seed_coeffs(draw, p, D, N, pi):
+    """Dense coefficients [0, pi, a_2, ..., a_D] of a valid seed, each
+    drawn from every residue below p^N it may take."""
+    top = p ** (N - 1) - 1
     coeffs = [0, pi]
     for k in range(2, D + 1):
         if k == p:
-            coeffs.append(1 + p * draw(st.integers(0, p * p)))
+            coeffs.append(1 + p * draw(st.integers(0, top)))
         else:
-            coeffs.append(p * draw(st.integers(0, p ** 3)))
+            coeffs.append(p * draw(st.integers(0, top)))
     return coeffs
 
 
@@ -84,9 +86,9 @@ def seed_pair(draw, max_D=14):
     D = draw(st.integers(p, max_D))
     # N <= D - 1 runs out of precision at degree N + 1
     N = draw(st.integers(max(2, D - 3), D + 10))
-    pi = p * draw(st.integers(1, p * p).filter(lambda u: u % p))
-    src = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, pi)))
-    dst = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, pi)))
+    pi = p * draw(st.integers(1, p ** (N - 1) - 1).filter(lambda u: u % p))
+    src = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi)))
+    dst = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi)))
     return src, dst
 
 
@@ -115,9 +117,10 @@ def assert_same(linear, src, dst):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed_pair(), st.integers(0, 7 ** 4))
-def test_endo_matches_reference(pair, a):
+@given(seed_pair(), st.data())
+def test_endo_matches_reference(pair, data):
     seed, _ = pair
+    a = data.draw(st.integers(0, seed.R.mod - 1))
     assert_same(linear_part(seed, 1, a), seed, seed)
 
 
@@ -142,6 +145,38 @@ def test_group_law_matches_reference_at_14(p):
                               + [1 + p] + [p * k for k in range(p + 1, 15)])
     coeffs, eff = assert_same(linear_part(seed, 2), seed, seed)
     assert eff == 20 - 13
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_top_of_the_residue_range(p, nvars):
+    """Every coefficient at the top of its allowed range (pi = p^N - p,
+    the t^p coefficient p^N - p + 1, the rest p^N - p, the linear
+    coefficient p^N - 1) fills the packed slots as far as they go."""
+    D = 20
+    N = D + 4
+    top = p ** N - p
+    seed = LTSeed.from_coeffs(p, N, D, [0, top] + [
+        top + 1 if k == p else top for k in range(2, D + 1)])
+    linear = TruncSeries(p, N, nvars, D, {
+        tuple(int(i == j) for i in range(nvars)): p ** N - 1
+        for j in range(nvars)})
+    coeffs, eff = assert_same(linear, seed, seed)
+    assert eff == N - (D - 1) and coeffs
+
+
+@pytest.mark.parametrize("coeffs", (
+    {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
+    {(1, 0): 1, (1, 1): 1},
+    {(2,): 1},
+))
+def test_solver_takes_one_or_two_variables_in_degree_one(coeffs):
+    """The solver's parts are dense in one or two variables: three
+    variables, or a linear part with a term above degree 1, is refused."""
+    seed = LTSeed.standard(5, 12, 8)
+    linear = TruncSeries(5, 12, len(next(iter(coeffs))), 8, coeffs)
+    with pytest.raises(ValidationError):
+        _lt_solve(linear, seed, seed)
 
 
 @settings(max_examples=10, deadline=None)
@@ -189,7 +224,7 @@ def test_unit_obstruction_matches_reference(p, data):
     same degree (or run out of precision first, the same way)."""
     D = data.draw(st.integers(p, 12))
     N = data.draw(st.integers(max(2, D - 3), D + 4))
-    coeffs = data.draw(seed_coeffs(p, D, p))
+    coeffs = data.draw(seed_coeffs(p, D, N, p))
     bad = data.draw(st.integers(2, p - 1))
     coeffs[bad] = data.draw(st.integers(1, p - 1))
     seed = unchecked_seed(p, N, D, coeffs)

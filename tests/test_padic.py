@@ -16,6 +16,12 @@ from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
                            mul_coeffs, newton_polygon, rem_coeffs,
                            resultant_valuation)
 
+
+def total_length(poly: NewtonPolygon) -> int:
+    """The summed length of the polygon's segments."""
+    return sum(l for _, l in poly.segments)
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -282,6 +288,24 @@ class TestHensel:
         assert f.evaluate(r).is_zero() and r.residue(1) == 2
         assert calls == [f]
 
+    def test_steps_build_no_residues(self, monkeypatch):
+        """The Newton steps run on raw residues: the root is the one
+        residue built."""
+        built = []
+        init = PadicInt.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        f = PadicPoly(5, 12, [1, 0, 1])
+        approx = PadicInt(5, 12, 2)
+        monkeypatch.setattr(PadicInt, "__init__", counted)
+        r = hensel_root(f, approx)
+        monkeypatch.undo()
+        assert f.evaluate(r).is_zero() and r.residue(1) == 2
+        assert built == [(5, 12, r.value)]
+
     def test_hypothesis_violated(self):
         # x^2 - 5 from approx 0: ord f = 1, ord f' capped
         f = PadicPoly(5, 6, [-5, 0, 1])
@@ -328,7 +352,7 @@ class TestNewtonPolygon:
         # error only if the hull needs more than N there
         f = PadicPoly(3, 2, [3, 0, 0, 0, 1])
         poly = newton_polygon(f)  # hull needs ord >= 1/2 at i=2: fine
-        assert poly.total_length == 4
+        assert total_length(poly) == 4
 
 
 class TestTruncSeries:
