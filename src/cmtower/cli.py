@@ -11,7 +11,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -63,7 +62,10 @@ class RunConfig:
         sections = {}
         if path:
             cp = configparser.ConfigParser()
-            read = cp.read(path)
+            try:
+                read = cp.read(path)
+            except configparser.Error as exc:
+                raise ValidationError(str(exc)) from None
             if not read:
                 raise ValidationError(f"config file not found: {path}")
             sections = {s: dict(cp.items(s)) for s in cp.sections()}
@@ -322,12 +324,13 @@ def _elliptic(cfg: RunConfig):
 def _run_elliptic_fg(cfg: RunConfig):
     E, p, D = _elliptic(cfg)
     data = curve_group_law(E, D, p=p)
-    F = {f"{i},{j}": int(c) for (i, j), c in sorted(data.F.items())}
+    F = {f"{i},{j}": c for (i, j), c in sorted(data.F.items())}
     return {
         "discriminant": E.discriminant,
         "law": F,
-        "log_denominator_lcm": math.lcm(*(c.denominator
-                                          for c in data.log.values())),
+        # the log's reduced common denominator: the lcm of the
+        # denominators of its coefficients
+        "log_denominator_lcm": data.log.den,
     }, ["exact rational expansion; integrality of the law asserted"]
 
 
@@ -336,6 +339,13 @@ def _run_elliptic_match(cfg: RunConfig):
     N = cfg.prec_for(D)
     data = curve_group_law(E, D, p=p)
     root = gauss_embed_root(p, N)
+    if D < p:
+        # below degree p every associate passes: the congruence reads the
+        # z^p term
+        raise PrecisionError(
+            f"truncation {D} does not reach the z^{p} term of the Frobenius "
+            f"congruence; raise --trunc to at least p = {p}"
+        )
     ap = point_count_ap(E, p)
     reports = [frobenius_check(data, c, root)
                for c in frobenius_candidates(ap, root)]

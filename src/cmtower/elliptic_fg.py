@@ -1,76 +1,98 @@
 """Formal group of a short Weierstrass curve, with CM.
 
-Everything here is exact rational arithmetic: the parameter expansion
-w(z), the invariant differential, formal log and exp, and the group law
-F = exp(log X + log Y) are computed over Fractions, and only at the very
-end are coefficients reduced mod p^N.  p-integrality of a series is
-therefore decided, not approximated.
+Everything here is exact rational arithmetic on integers: a series is a
+list of integer numerators over one positive denominator (``QSeries``),
+and only at the very end are coefficients reduced mod p^N.
+p-integrality of a series is therefore decided, not approximated.
+
+For an integral curve most of the data has no denominator: the
+parameter expansion w(z), the unit w/z^3 and its inverse, and twice the
+invariant differential omega are integral, and log(z) is 2 omega_k
+z^(k+1) over a common multiple of the 2 (k+1).  A curve with rational a
+and b is the integral curve (a s^4, b s^6) with z scaled by s: its
+degree-n coefficients of w and omega are those of the integral curve
+over s^(n-3) and s^n.
 
 Composition and reversion all go through one table of powers log^k
 (Brent and Kung, "Fast algorithms for manipulating formal power series",
-J. ACM 25 (1978)): exp is the triangular solve of exp(log z) = z, the
-group law expands exp(log X + log Y) binomially in the powers, and an
-endomorphism [alpha] = exp(alpha log z) is the sum of e_k alpha^k log^k.
+J. ACM 25 (1978)), each entry over its own reduced denominator: exp is
+the triangular solve of exp(log z) = z, the group law expands
+exp(log X + log Y) binomially in the powers, and an endomorphism
+[alpha] = exp(alpha log z) is the sum of e_k alpha^k log^k.
 
-CM coefficients live in Q(i), represented as (real, imaginary) Fraction
-pairs; the split prime embeds i as a Hensel-lifted square root of -1.
+CM coefficients live in Q(i): a ``GaussSeries`` holds the real and
+imaginary numerators over one shared denominator; the split prime embeds
+i as a Hensel-lifted square root of -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, isqrt
+from fractions import Fraction  # prints a coefficient in an error message
+from math import comb, gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import InvariantError, ValidationError
 # lt_group_law is unused here; perfbench/spans.py patches this binding
 from .lubin_tate import FglHom, LTSeed, group_law as lt_group_law, solve_intertwine
-from .padic import PadicInt, PadicPoly, TruncSeries, hensel_root
-
-Frac = Fraction
+from .padic import PadicInt, PadicPoly, TruncSeries, Zp, hensel_root
 
 
 # ---------------------------------------------------------------------------
-# Fraction-coefficient series helpers (dense dicts keyed by exponent)
+# series over Q and Q(i): integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
-def _mul1(a: dict, b: dict, D: int) -> dict:
-    out = {}
-    for i, x in a.items():
-        if i > D:
-            continue
-        for j, y in b.items():
-            if i + j > D:
-                continue
-            out[i + j] = out.get(i + j, 0) + x * y
-    return {k: v for k, v in out.items() if v}
+class QSeries(NamedTuple):
+    """A truncated series over Q: the coefficient of z^k is
+    ``num[k] / den``, with ``den > 0``."""
+
+    num: list
+    den: int
 
 
-def _inv_unit1(a: dict, D: int) -> dict:
-    """1/a for a power series with a(0) = 1."""
-    if a.get(0) != 1:
-        raise ValidationError("inversion needs constant term 1")
-    inv = {0: Frac(1)}
+class GaussSeries(NamedTuple):
+    """A truncated series over Q(i): the coefficient of z^k is
+    ``(re[k] + im[k] i) / den``, with ``den > 0``."""
+
+    re: list
+    im: list
+    den: int
+
+
+def _reduced(num: list, den: int) -> QSeries:
+    """num / den with the factor common to den and every numerator
+    taken out, so ``den`` is the lcm of the coefficients' denominators."""
+    g = gcd(den, *num)
+    if g == 1:
+        return QSeries(num, den)
+    return QSeries([c // g for c in num], den // g)
+
+
+def _mul_trunc(a: list, b: list, D: int) -> list:
+    """The product of two integer series through degree D."""
+    out = [0] * (D + 1)
+    terms = [(j, y) for j, y in enumerate(b[:D + 1]) if y]
+    for i, x in enumerate(a[:D + 1]):
+        if x:
+            for j, y in terms:
+                if i + j > D:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _inv_unit(a: list, D: int) -> list:
+    """1/a through degree D for an integer series with a[0] = 1."""
+    inv = [1] + [0] * D
+    terms = [(j, x) for j, x in enumerate(a[1:D + 1], 1) if x]
     for k in range(1, D + 1):
-        s = Frac(0)
-        for j in range(1, k + 1):
-            if j in a and (k - j) in inv:
-                s += a[j] * inv[k - j]
-        if s:
-            inv[k] = -s
+        inv[k] = -sum(x * inv[k - j] for j, x in terms if j <= k)
     return inv
 
 
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
 def gmul(a, b):
+    """The product of two Gaussian numbers given as (re, im) pairs."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def gaussian(re, im=0):
-    return (Frac(re), Frac(im))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +101,8 @@ def gaussian(re, im=0):
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 = x^3 + a x + b with integer coefficients."""
+    """y^2 = x^3 + a x + b with integer coefficients (rational ones are
+    expanded too, and their group law is checked for integrality)."""
 
     a: int
     b: int
@@ -93,8 +116,13 @@ class WeierstrassCurve:
 
 
 class EllipticFormalData:
-    """Formal expansion data of a curve in z = -x/y: the parameter
-    series w(z), invariant differential, log, exp, and group law F.
+    """Formal expansion data of a curve in z = -x/y, through degree D:
+    the parameter series w(z), the invariant differential ``omega``,
+    ``log`` (through degree D + 1), ``exp`` and the group law ``F``.
+
+    Each one-variable series is a ``QSeries``, integer numerators over
+    one reduced denominator.  ``F`` is integral, or construction raises,
+    so it is held as its integer coefficients keyed by (i, j).
 
     ``powers[k]`` is log^k through degree D, for k = 0..D, the one table
     that exp, F and every ``cm_endo_elliptic`` read:
@@ -109,9 +137,14 @@ class EllipticFormalData:
     def __init__(self, curve: WeierstrassCurve, D: int):
         self.curve = curve
         self.D = D
-        a, b = Frac(curve.a), Frac(curve.b)
+        # the integral curve (A, B) = (a s^4, b s^6); s = 1 when a and b
+        # are integers
+        a, b = curve.a, curve.b
+        s = lcm(a.denominator, b.denominator)
+        A = a.numerator * s ** 4 // a.denominator
+        B = b.numerator * s ** 6 // b.denominator
         lim = max(D + 4, 3)
-        # w = z^3 + a z w^2 + b w^3 one degree at a time: w_n reads w^2 at
+        # w = z^3 + A z w^2 + B w^3 one degree at a time: w_n reads w^2 at
         # degree n - 1 and w^3 at n, both formed from w below degree n
         w, w2, w3 = ([0] * (lim + 1) for _ in range(3))
         for n in range(3, lim + 1):
@@ -119,68 +152,93 @@ class EllipticFormalData:
                             if w[i] and w[n - 1 - i])
             w3[n] = sum(w[i] * w2[n - i] for i in range(3, n - 5)
                         if w[i] and w2[n - i])
-            w[n] = (n == 3) + a * w2[n - 1] + b * w3[n]
-        w = self.w = {k: c for k, c in enumerate(w) if c}
+            w[n] = (n == 3) + A * w2[n - 1] + B * w3[n]
+        self.w = _reduced([c * s ** (lim - n) for n, c in enumerate(w)],
+                          s ** (lim - 3))
         # u = w/z^3 is a unit; with v = 1/u the differential is
-        # (1 - z v'/(2v)) dz, normalized to start at 1
-        u = {k - 3: v for k, v in w.items()}
-        v = _inv_unit1(u, D)
-        vp = {k - 1: k * c for k, c in v.items() if k >= 1}
-        zvp = {k + 1: c for k, c in vp.items()}
-        corr = _mul1(zvp, _inv_unit1(v, D), D)
-        omega = {0: Frac(1)}
-        for k, c in corr.items():
-            if k <= D:
-                omega[k] = omega.get(k, 0) - c / 2
-        omega = {k: c for k, c in omega.items() if c}
-        self.omega = omega
-        self.log = {k + 1: c / (k + 1) for k, c in omega.items()}
-        # powers[k] = log^k through degree D; log's keys are not in
-        # degree order when b != 0, so nothing below stops on key order
-        powers = [{0: Frac(1)}]
+        # (1 - z v'/(2v)) dz = (1 - z v' u/2) dz, normalized to start at 1
+        u = w[3:D + 4]
+        v = _inv_unit(u, D)
+        corr = _mul_trunc([k * c for k, c in enumerate(v)], u, D)
+        two_omega = [2] + [-c for c in corr[1:]]
+        self.omega = _reduced(
+            [c * s ** (D - k) for k, c in enumerate(two_omega)], 2 * s ** D)
+        om, dom = self.omega
+        L = lcm(*(k + 1 for k, c in enumerate(om) if c))
+        self.log = log = _reduced(
+            [0] + [c * (L // (k + 1)) for k, c in enumerate(om)], dom * L)
+        # powers[k] = log^k through degree D, each reduced when formed
+        powers = [QSeries([1] + [0] * D, 1)]
         for _ in range(D):
-            powers.append(_mul1(powers[-1], self.log, D))
+            prev = powers[-1]
+            powers.append(_reduced(_mul_trunc(prev.num, log.num, D),
+                                   prev.den * log.den))
         self.powers = powers
+        # [log^k]_n = P_k[n] f_k / M over the table's common denominator M
+        M = lcm(*(P.den for P in powers))
+        f = [M // P.den for P in powers]
         # exp(log z) = z is triangular: [log^n]_n = 1, so degree n fixes
-        # e_n from the e_k with k < n
-        exp = {1: Frac(1)}
+        # e_n from the e_k with k < n; e_n = E[n] / dE
+        E, dE = [0, 1] + [0] * (D - 1), 1
         for n in range(2, D + 1):
-            s = sum(e * powers[k].get(n, 0) for k, e in exp.items())
-            if s:
-                exp[n] = -s
-        self.exp = exp
+            t = -sum(E[k] * f[k] * powers[k].num[n] for k in range(1, n)
+                     if E[k])
+            if t:
+                g = gcd(t, dE * M)
+                den = dE * M // g
+                common = lcm(dE, den)
+                if common != dE:
+                    E = [c * (common // dE) for c in E]
+                    dE = common
+                E[n] = t // g * (common // den)
+        self.exp = QSeries(E, dE)
         # group law F = exp(log X + log Y)
         #   = sum over m, n of e_(m+n) C(m+n, m) log^m(X) log^n(Y),
-        # summed over n first; it must be integral
-        F = {}
+        # summed over n first, over the one denominator dE M^2; it must
+        # be integral
+        terms = [[(j, x) for j, x in enumerate(P.num) if x] for P in powers]
+        Fn = [[0] * (D + 1 - i) for i in range(D + 1)]
         for m in range(D + 1):
-            row = {}
+            row = [0] * (D + 1 - m)
             for n in range(max(1 - m, 0), D - m + 1):
-                c = exp.get(m + n)
+                c = E[m + n]
                 if c:
-                    c *= comb(m + n, m)
-                    for j, y in powers[n].items():
-                        if j <= D - m:
-                            row[j] = row.get(j, 0) + c * y
-            for i, x in powers[m].items():
-                for j, y in row.items():
-                    if i + j <= D:
-                        F[i, j] = F.get((i, j), 0) + x * y
-        F = {e: c for e, c in F.items() if c}
-        for e, c in F.items():
-            if c.denominator != 1:
-                raise InvariantError(
-                    f"group law coefficient at {e} is not an integer: {c}"
-                )
+                    c *= comb(m + n, m) * f[n]
+                    for j, y in terms[n]:
+                        if j > D - m:
+                            break
+                        row[j] += c * y
+            row = [(j, y) for j, y in enumerate(row) if y]
+            for i, x in terms[m]:
+                x *= f[m]
+                Fi = Fn[i]
+                for j, y in row:
+                    if i + j > D:
+                        break
+                    Fi[j] += x * y
+        den = dE * M * M
+        F = {}
+        for i, Fi in enumerate(Fn):
+            for j, c in enumerate(Fi):
+                q, r = divmod(c, den)
+                if r:
+                    raise InvariantError(
+                        f"group law coefficient at {(i, j)} is not an "
+                        f"integer: {Fraction(c, den)}"
+                    )
+                if q:
+                    F[i, j] = q
         self.F = F
-        if any(e[1] == 0 and c != (1 if e == (1, 0) else 0)
-               for e, c in F.items()):
+        if any(j == 0 and c != (1 if i == 1 else 0)
+               for (i, j), c in F.items()):
             raise InvariantError("F(X, 0) != X")
 
 
 def curve_group_law(curve: WeierstrassCurve, D: int, p=None) -> EllipticFormalData:
     """Formal data through degree D >= 1; if p is given, good reduction
     there is required."""
+    if p is not None:
+        Zp(p, 1)  # p an odd prime, or ValidationError
     if D < 1:
         raise ValidationError(f"truncation degree must be at least 1, got {D}")
     if p is not None and not curve.good_reduction_at(p):
@@ -195,28 +253,33 @@ def curve_group_law(curve: WeierstrassCurve, D: int, p=None) -> EllipticFormalDa
 # CM endomorphisms
 # ---------------------------------------------------------------------------
 
-def cm_endo_elliptic(data: EllipticFormalData, alpha) -> dict:
-    """[alpha](z) = exp(alpha * log z) as a series with Gaussian-rational
-    coefficients; alpha is (re, im) over the integers or Fractions."""
-    alpha = gaussian(*alpha) if not isinstance(alpha, tuple) else (
-        Frac(alpha[0]), Frac(alpha[1]))
-    out = {}
-    ak = gaussian(1)
-    for k in range(1, data.D + 1):
+def cm_endo_elliptic(data: EllipticFormalData, alpha) -> GaussSeries:
+    """[alpha](z) = exp(alpha * log z) for a Gaussian integer alpha =
+    (re, im), over the denominator of exp times the common denominator
+    of the power table."""
+    powers, (E, dE), D = data.powers, data.exp, data.D
+    M = lcm(*(P.den for P in powers))
+    re, im = [0] * (D + 1), [0] * (D + 1)
+    ak = (1, 0)
+    for k in range(1, D + 1):
         ak = gmul(ak, alpha)
-        e = data.exp.get(k)
-        if not e or ak == (0, 0):
+        if not E[k]:
             continue
         # e_k alpha^k log^k: a Gaussian scalar times a rational series
-        re, im = e * ak[0], e * ak[1]
-        for n, c in data.powers[k].items():
-            x, y = out.get(n, (0, 0))
-            out[n] = (x + re * c, y + im * c)
-    return {n: v for n, v in sorted(out.items()) if v != (0, 0)}
+        c = E[k] * (M // powers[k].den)
+        x, y = c * ak[0], c * ak[1]
+        for n, v in enumerate(powers[k].num):
+            if v:
+                re[n] += x * v
+                im[n] += y * v
+    den = dE * M
+    g = gcd(den, *re, *im)
+    return GaussSeries([c // g for c in re], [c // g for c in im], den // g)
 
 
 def gauss_embed_root(p: int, N: int) -> PadicInt:
     """The Hensel lift of the smaller square root of -1 mod p."""
+    Zp(p, N)  # p an odd prime and N >= 1, or ValidationError
     if p % 4 != 1:
         raise ValidationError(f"p = {p} is not split in the Gaussian field")
     r0 = min(r for r in range(p) if (r * r + 1) % p == 0)
@@ -224,23 +287,34 @@ def gauss_embed_root(p: int, N: int) -> PadicInt:
     return hensel_root(f, PadicInt(p, N, r0))
 
 
-def embed_gauss_series(series: dict, trunc: int,
+def embed_gauss_series(series: GaussSeries, trunc: int,
                        root: PadicInt) -> TruncSeries:
     """Reduce a Gaussian-rational series mod p^N via i -> root, in root's
     ring; every coefficient must be p-integral or the CM/reduction
-    hypotheses are falsified."""
+    hypotheses are falsified.
+
+    A coefficient is p-integral when p^v, v the valuation of the
+    denominator, divides both its numerators: the denominator need not
+    be reduced, so "p does not divide it" would refuse a series whose
+    every coefficient is p-integral.  The rest of the denominator is a
+    unit, inverted once."""
     p, N, mod = root.R.p, root.R.N, root.R.mod
+    re, im, den = series
+    pv, unit = 1, den
+    while unit % p == 0:
+        unit //= p
+        pv *= p
+    inv = pow(unit, -1, mod)
     out = {}
-    for k, (re, im) in series.items():
-        if re.denominator % p == 0 or im.denominator % p == 0:
+    for k, (x, y) in enumerate(zip(re, im)):
+        if x % pv or y % pv:
             raise InvariantError(
                 f"coefficient at degree {k} is not {p}-integral: "
-                f"{re} + {im} i"
+                f"{Fraction(x, den)} + {Fraction(y, den)} i"
             )
-        val = (re.numerator * pow(re.denominator, -1, mod)
-               + im.numerator * pow(im.denominator, -1, mod) * root.value)
-        if val % mod:
-            out[(k,)] = val % mod
+        val = (x // pv + y // pv * root.value) * inv % mod
+        if val:
+            out[(k,)] = val
     return TruncSeries(p, N, 1, trunc, out)
 
 

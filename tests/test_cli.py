@@ -184,19 +184,44 @@ class TestMain:
         ("elliptic-fg --trunc 0", CURVE),
         ("elliptic-match --trunc 0", CURVE),
         ("elliptic-fg --trunc 0", CURVE + "trunc = 12\n"),
+        ("elliptic-fg", CURVE + "a = 2\n"),
+        ("elliptic-fg", "a = -1\n" + CURVE),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "tower-build-level-zero", "tower-build-level-negative",
             "divide-level-zero", "divide-level-negative", "seed-trunc-zero",
             "elliptic-fg-trunc-negative", "elliptic-fg-trunc-zero",
             "elliptic-match-trunc-zero", "elliptic-fg-flag-trunc-zero",
             "elliptic-match-flag-trunc-zero",
-            "elliptic-fg-flag-trunc-zero-over-config"))
+            "elliptic-fg-flag-trunc-zero-over-config", "ini-repeated-key",
+            "ini-no-section-header"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("elliptic-fg", "elliptic-match"))
+    @pytest.mark.parametrize("p", (0, 1, 2, 4, -13, 9, 21, 25))
+    def test_p_not_an_odd_prime_is_validation_error(self, tmp_path, capsys,
+                                                    command, p):
+        cfg = tmp_path / "curve.ini"
+        cfg.write_text(f"[elliptic]\na = -1\nb = 0\np = {p}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "p must be an odd prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trunc,code", ((12, 3), (13, 0)))
+    def test_elliptic_match_needs_trunc_at_least_p(self, tmp_path, capsys,
+                                                   trunc, code):
+        """Below degree p every associate passes the congruence: the run
+        is inconclusive and names the truncation it needs."""
+        cfg = tmp_path / "curve.ini"
+        cfg.write_text(CURVE)
+        out = tmp_path / "report.json"
+        assert main(["elliptic-match", "--config", str(cfg), "--trunc",
+                     str(trunc), "--out", str(out)]) == code
+        if code:
+            assert "raise --trunc to at least p = 13" in capsys.readouterr().err
 
     # alpha_P = x + y i with x = a_p / 2 and the sign of y putting it over
     # the embedded prime (p, i - r), r the smaller root of -1 mod p: on

@@ -3,23 +3,177 @@ integers, and the bridge to the one-dimensional Lubin-Tate machinery."""
 
 import os
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtower import elliptic_fg, lubin_tate
-from cmtower.elliptic_fg import (EllipticFormalData, WeierstrassCurve, _mul1,
-                                 cm_endo_elliptic, curve_group_law,
-                                 embed_gauss_series, frobenius_candidates,
-                                 frobenius_check, gauss_embed_root, gaussian,
-                                 gmul, match_lubin_tate, point_count_ap)
+from cmtower.elliptic_fg import (EllipticFormalData, GaussSeries,
+                                 WeierstrassCurve, cm_endo_elliptic,
+                                 curve_group_law, embed_gauss_series,
+                                 frobenius_candidates, frobenius_check,
+                                 gauss_embed_root, gmul, match_lubin_tate,
+                                 point_count_ap)
 from cmtower.errors import (CmtowerError, InvariantError, PrecisionError,
                             ValidationError)
 from cmtower.lubin_tate import LTSeed, strict_iso
-from cmtower.padic import PadicInt
+from cmtower.padic import PadicInt, TruncSeries
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "elliptic_p13.ini")
+
+
+def fracs(series) -> dict:
+    """A ``QSeries`` as a dict of its nonzero Fraction coefficients."""
+    return {k: Fraction(c, series.den) for k, c in enumerate(series.num) if c}
+
+
+def gauss_fracs(series) -> dict:
+    """A ``GaussSeries`` as a dict of its nonzero (re, im) Fraction pairs."""
+    return {k: (Fraction(x, series.den), Fraction(y, series.den))
+            for k, (x, y) in enumerate(zip(series.re, series.im)) if x or y}
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the formal data on Fraction dicts, as the library computed
+# it before it moved to integer numerators over one denominator per
+# series.  Same power table, same order of operations, another number type
+# ---------------------------------------------------------------------------
+
+Frac = Fraction
+
+
+def _mul1(a: dict, b: dict, D: int) -> dict:
+    out = {}
+    for i, x in a.items():
+        if i > D:
+            continue
+        for j, y in b.items():
+            if i + j > D:
+                continue
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _inv_unit1(a: dict, D: int) -> dict:
+    """1/a for a power series with a(0) = 1."""
+    if a.get(0) != 1:
+        raise ValidationError("inversion needs constant term 1")
+    inv = {0: Frac(1)}
+    for k in range(1, D + 1):
+        s = Frac(0)
+        for j in range(1, k + 1):
+            if j in a and (k - j) in inv:
+                s += a[j] * inv[k - j]
+        if s:
+            inv[k] = -s
+    return inv
+
+
+def gaussian(re, im=0):
+    return (Frac(re), Frac(im))
+
+
+class OracleFormalData:
+    """w, omega, log, the powers log^k, exp and F as Fraction dicts keyed
+    by degree (by (i, j) for F), with the library's two checks on F."""
+
+    def __init__(self, curve: WeierstrassCurve, D: int):
+        self.D = D
+        a, b = Frac(curve.a), Frac(curve.b)
+        lim = max(D + 4, 3)
+        w, w2, w3 = ([0] * (lim + 1) for _ in range(3))
+        for n in range(3, lim + 1):
+            w2[n - 1] = sum(w[i] * w[n - 1 - i] for i in range(3, n - 3)
+                            if w[i] and w[n - 1 - i])
+            w3[n] = sum(w[i] * w2[n - i] for i in range(3, n - 5)
+                        if w[i] and w2[n - i])
+            w[n] = (n == 3) + a * w2[n - 1] + b * w3[n]
+        w = self.w = {k: c for k, c in enumerate(w) if c}
+        u = {k - 3: v for k, v in w.items()}
+        v = _inv_unit1(u, D)
+        vp = {k - 1: k * c for k, c in v.items() if k >= 1}
+        zvp = {k + 1: c for k, c in vp.items()}
+        corr = _mul1(zvp, _inv_unit1(v, D), D)
+        omega = {0: Frac(1)}
+        for k, c in corr.items():
+            if k <= D:
+                omega[k] = omega.get(k, 0) - c / 2
+        omega = {k: c for k, c in omega.items() if c}
+        self.omega = omega
+        self.log = {k + 1: c / (k + 1) for k, c in omega.items()}
+        # log's keys are not in degree order when b != 0, so nothing
+        # below stops on key order
+        powers = [{0: Frac(1)}]
+        for _ in range(D):
+            powers.append(_mul1(powers[-1], self.log, D))
+        self.powers = powers
+        exp = {1: Frac(1)}
+        for n in range(2, D + 1):
+            s = sum(e * powers[k].get(n, 0) for k, e in exp.items())
+            if s:
+                exp[n] = -s
+        self.exp = exp
+        F = {}
+        for m in range(D + 1):
+            row = {}
+            for n in range(max(1 - m, 0), D - m + 1):
+                c = exp.get(m + n)
+                if c:
+                    c *= comb(m + n, m)
+                    for j, y in powers[n].items():
+                        if j <= D - m:
+                            row[j] = row.get(j, 0) + c * y
+            for i, x in powers[m].items():
+                for j, y in row.items():
+                    if i + j <= D:
+                        F[i, j] = F.get((i, j), 0) + x * y
+        F = {e: c for e, c in F.items() if c}
+        for e, c in F.items():
+            if c.denominator != 1:
+                raise InvariantError(
+                    f"group law coefficient at {e} is not an integer: {c}"
+                )
+        self.F = F
+        if any(e[1] == 0 and c != (1 if e == (1, 0) else 0)
+               for e, c in F.items()):
+            raise InvariantError("F(X, 0) != X")
+
+
+def oracle_cm_endo(data: OracleFormalData, alpha) -> dict:
+    """[alpha] = sum of e_k alpha^k log^k with Gaussian-rational pairs."""
+    alpha = (Frac(alpha[0]), Frac(alpha[1]))
+    out = {}
+    ak = gaussian(1)
+    for k in range(1, data.D + 1):
+        ak = gmul(ak, alpha)
+        e = data.exp.get(k)
+        if not e or ak == (0, 0):
+            continue
+        re, im = e * ak[0], e * ak[1]
+        for n, c in data.powers[k].items():
+            x, y = out.get(n, (0, 0))
+            out[n] = (x + re * c, y + im * c)
+    return {n: v for n, v in sorted(out.items()) if v != (0, 0)}
+
+
+def oracle_embed(series: dict, trunc: int, root: PadicInt) -> TruncSeries:
+    """Two modular inverses per coefficient, refusing any coefficient
+    whose reduced denominator p divides."""
+    p, N, mod = root.R.p, root.R.N, root.R.mod
+    out = {}
+    for k, (re, im) in series.items():
+        if re.denominator % p == 0 or im.denominator % p == 0:
+            raise InvariantError(
+                f"coefficient at degree {k} is not {p}-integral: "
+                f"{re} + {im} i"
+            )
+        val = (re.numerator * pow(re.denominator, -1, mod)
+               + im.numerator * pow(im.denominator, -1, mod) * root.value)
+        if val % mod:
+            out[(k,)] = val % mod
+    return TruncSeries(p, N, 1, trunc, out)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +321,24 @@ class TestCurve:
 
 class TestFormalData:
     def test_log_head(self, data):
-        assert data.log[1] == 1
-        assert data.log[5] == Fraction(-2, 5)
-        assert data.log[9] == Fraction(2, 3)
-        assert data.log[13] == Fraction(-20, 13)
+        log = fracs(data.log)
+        assert log[1] == 1
+        assert log[5] == Fraction(-2, 5)
+        assert log[9] == Fraction(2, 3)
+        assert log[13] == Fraction(-20, 13)
 
     def test_exp_inverts_log(self, data):
         # log(exp(z)) = z through the truncation degree
-        from cmtower.elliptic_fg import _mul1
-
+        log, exp = fracs(data.log), fracs(data.exp)
         comp = {}
         power = {0: Fraction(1)}
         exp_deg = 0
-        for k in sorted(data.log):
+        for k in sorted(log):
             while exp_deg < k:
-                power = _mul1(power, data.exp, data.D)
+                power = _mul1(power, exp, data.D)
                 exp_deg += 1
             for e, c in power.items():
-                comp[e] = comp.get(e, 0) + data.log[k] * c
+                comp[e] = comp.get(e, 0) + log[k] * c
         comp = {k: v for k, v in comp.items() if v and k <= data.D}
         assert comp == {1: Fraction(1)}
 
@@ -195,22 +349,23 @@ class TestFormalData:
         assert swapped == data.F
 
     def test_w_starts_at_z_cubed(self, data):
-        assert min(data.w) == 3 and data.w[3] == 1
+        w = fracs(data.w)
+        assert min(w) == 3 and w[3] == 1
 
 
 class TestCmEndo:
     def test_minus_one_is_minus_z(self, data):
         # the log has only degrees 1 mod 4, so [-1](z) = -z exactly
-        series = cm_endo_elliptic(data, (-1, 0))
+        series = gauss_fracs(cm_endo_elliptic(data, (-1, 0)))
         assert series == {1: (Fraction(-1), Fraction(0))}
 
     def test_i_acts_as_iz(self, data):
-        series = cm_endo_elliptic(data, (0, 1))
+        series = gauss_fracs(cm_endo_elliptic(data, (0, 1)))
         assert series == {1: (Fraction(0), Fraction(1))}
 
     def test_endo_additive_inverse(self, data):
         # F(z, [-1]z) = 0: substitute into the two-variable law
-        minus = cm_endo_elliptic(data, (-1, 0))
+        minus = gauss_fracs(cm_endo_elliptic(data, (-1, 0)))
         assert all(v[1] == 0 for v in minus.values())
         m = {k: v[0] for k, v in minus.items()}
         F1 = {k: Fraction(c) for k, c in data.F.items()}
@@ -293,9 +448,22 @@ class TestFrobenius:
 
     def test_integrality_guard(self):
         root = gauss_embed_root(13, 10)
-        bad = {1: (Fraction(1, 13), Fraction(0))}
-        with pytest.raises(InvariantError):
+        bad = GaussSeries([0, 1], [0, 0], 13)
+        want = r"coefficient at degree 1 is not 13-integral: 1/13 \+ 0 i"
+        with pytest.raises(InvariantError, match=want):
             embed_gauss_series(bad, 5, root)
+        with pytest.raises(InvariantError, match=want):
+            oracle_embed(gauss_fracs(bad), 5, root)
+
+    def test_p_in_an_unreduced_denominator_embeds(self):
+        """13 divides the common denominator but no coefficient needs
+        it: z + (2 + i) z^2 embeds, as the reduced series does."""
+        root = gauss_embed_root(13, 10)
+        series = GaussSeries([0, 13, 26], [0, 0, 13], 13)
+        got = embed_gauss_series(series, 5, root)
+        assert got.coeffs == {(1,): 1, (2,): (2 + root.value) % 13 ** 10}
+        assert got.coeffs == embed_gauss_series(
+            GaussSeries([0, 1, 2], [0, 0, 1], 1), 5, root).coeffs
 
 
 class TestMatch:
@@ -401,17 +569,17 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _built(curve, D):
-    """The formal data and the class of the error its construction
-    raised, if any.  The log is set before exp and F are computed, so it
-    is there for the reference either way."""
-    data = EllipticFormalData.__new__(EllipticFormalData)
+def _built(cls, curve, D):
+    """The formal data of class cls and the class of the error its
+    construction raised, if any.  The log is set before exp and F are
+    computed, so it is there for the reference either way."""
+    data = cls.__new__(cls)
     return data, _outcome(lambda: data.__init__(curve, D))
 
 
-def _embedded(series, p, D):
+def _embedded(embed, series, p, D):
     root = gauss_embed_root(p, D + 2)
-    return _outcome(lambda: embed_gauss_series(series, D, root).coeffs)
+    return _outcome(lambda: embed(series, D, root).coeffs)
 
 
 # (alpha, p): the units, zero, and associates of the Gaussian primes of
@@ -424,20 +592,33 @@ coefficients = st.integers(-9, 9)
 
 
 class TestPowerTable:
+    """The integer data value for value against the Fraction oracle, and
+    both against the reference routines that recompose whole series."""
+
     def _check(self, curve, D):
-        data, err = _built(curve, D)
-        ref = _outcome(reference_exp_and_law, data.log, D)
+        data, err = _built(EllipticFormalData, curve, D)
+        orc, orc_err = _built(OracleFormalData, curve, D)
+        assert err is orc_err
+        log = fracs(data.log)
+        assert log == orc.log
+        # elliptic-fg reports the reduced common denominator as the lcm
+        # of the coefficients' denominators
+        assert data.log.den == lcm(*(c.denominator for c in log.values()))
+        ref = _outcome(reference_exp_and_law, log, D)
         if err is not None or isinstance(ref, type):
             assert err is ref
             return
         exp, F = ref
-        assert data.exp == exp
-        assert data.F == F
+        assert [fracs(P) for P in data.powers] == orc.powers
+        assert fracs(data.exp) == orc.exp == exp
+        assert data.F == orc.F == F
         for alpha, p in ALPHAS:
             got = cm_endo_elliptic(data, alpha)
-            want = reference_cm_endo(exp, data.log, D, alpha)
-            assert got == want
-            assert _embedded(got, p, D) == _embedded(want, p, D)
+            want = oracle_cm_endo(orc, alpha)
+            assert gauss_fracs(got) == want
+            assert want == reference_cm_endo(exp, log, D, alpha)
+            assert (_embedded(embed_gauss_series, got, p, D)
+                    == _embedded(oracle_embed, want, p, D))
 
     @settings(max_examples=40, deadline=None)
     @given(coefficients, st.one_of(st.just(0), coefficients),
@@ -453,10 +634,11 @@ class TestPowerTable:
         self._check(WeierstrassCurve(a, b), D)
 
     def test_log_keys_out_of_degree_order(self):
-        # b != 0 puts log's keys out of degree order; the table must not
-        # stop on key order, or F loses terms and is no longer integral
-        data = EllipticFormalData(WeierstrassCurve(1, 1), 12)
-        assert list(data.log) != sorted(data.log)
+        # b != 0 puts the oracle's log keys out of degree order; its table
+        # must not stop on key order, or F loses terms and is no longer
+        # integral (the library's numerator lists are in degree order)
+        orc = OracleFormalData(WeierstrassCurve(1, 1), 12)
+        assert list(orc.log) != sorted(orc.log)
         self._check(WeierstrassCurve(1, 1), 12)
 
     def test_non_integral_law_raises(self):
@@ -493,5 +675,5 @@ class TestParameterW:
            st.integers(0, 30))
     def test_matches_fixpoint(self, a, b, D):
         # w is set before anything can raise on a non-integral curve
-        data, _ = _built(WeierstrassCurve(a, b), D)
-        assert data.w == reference_w(Fraction(a), Fraction(b), D + 4)
+        data, _ = _built(EllipticFormalData, WeierstrassCurve(a, b), D)
+        assert fracs(data.w) == reference_w(Fraction(a), Fraction(b), D + 4)
