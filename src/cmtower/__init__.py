@@ -15,7 +15,7 @@ from .cm_split import (CMField, FieldElement, ProductGroup, embed,
 from .local_tower import (ConductorReport, DivisionState, EisensteinTower,
                           LocalElement, character_conductor_floor,
                           divide_point, division_conductor, e_invariant,
-                          filtration_step, level_disc, torsion_poly)
+                          filtration_step, level_disc)
 from .galois_model import SubgroupSpec, TriElement, compose, tower_indices
 from .unit_wedge import (CftOracle, UnitJet, WedgeTranscript, combine,
                          extend_to_g, reduce_wedge, wedge_step)

@@ -21,7 +21,7 @@ from .lubin_tate import LTSeed, endo, group_law, strict_iso
 from .cm_split import CMField, embed, pick_pi
 from .local_tower import (DivisionState, EisensteinTower, divide_point,
                           division_conductor, character_conductor_floor,
-                          level_disc, torsion_poly)
+                          level_disc)
 from .galois_model import tower_indices
 from .unit_wedge import CftOracle, UnitJet, extend_to_g, reduce_wedge
 from .elliptic_fg import (WeierstrassCurve, curve_group_law,
@@ -235,7 +235,7 @@ def _run_tower_build(cfg: RunConfig):
     n = _tower_level(cfg, 2)
     out = []
     for k in range(1, n + 1):
-        h = torsion_poly(tw, k)
+        h = tw.h(k)
         out.append({
             "level": k,
             "degree": h.degree,
@@ -290,6 +290,7 @@ def _run_wedge_reduce(cfg: RunConfig):
     jets = cfg.jets()
     oracle = CftOracle(cfg.oracle_mode)
     tr = reduce_wedge(jets, oracle)
+    tr.check()
     return tr.to_json(), ["unimodular elimination ladder; "
                           f"oracle mode {oracle.mode}"]
 
@@ -299,6 +300,7 @@ def _run_wedge_extend(cfg: RunConfig):
     s = cfg.integer("wedge", "s")
     oracle = CftOracle(cfg.oracle_mode)
     tr = extend_to_g(jets, s, oracle)
+    tr.check()
     return tr.to_json(), ["tail primes cleared first, then the "
                           f"{s}-prime ladder; oracle mode {oracle.mode}"]
 

@@ -311,10 +311,10 @@ class ProductGroup:
     """
 
     __slots__ = ("K", "alpha", "P_index", "labels", "coord_index",
-                 "seeds", "trunc", "law")
+                 "seeds", "trunc", "_law")
 
     def __init__(self, K: CMField, alpha: FieldElement, P_index: int,
-                 trunc: int, build_law=True):
+                 trunc: int):
         ok, vec = type_norm_check(K, alpha, P_index)
         if not ok:
             raise ValidationError(
@@ -336,7 +336,6 @@ class ProductGroup:
             if m.valuation() != 1:
                 raise InvariantError("coordinate multiplier is not a uniformizer")
             self.seeds.append(LTSeed.standard(K.p, K.N, trunc, pi=m))
-        self.law = self._assemble_law() if build_law else None
 
     @property
     def g(self):
@@ -348,15 +347,22 @@ class ProductGroup:
         vec = embed(self.K, beta)
         return [vec[idx] for idx in self.coord_index]
 
-    def _assemble_law(self) -> FormalGroupLaw:
-        from .lubin_tate import group_law
+    @property
+    def law(self) -> FormalGroupLaw:
+        """The product group law, one coordinate per seed, built on the
+        first read and kept."""
+        try:
+            return self._law
+        except AttributeError:
+            from .lubin_tate import group_law
 
-        g = self.g
-        laws = []
-        for j, seed in enumerate(self.seeds):
-            F = group_law(seed).F  # 2 variables: this coordinate's X, Y
-            laws.append(F.map_vars(2 * g, [j, g + j]))
-        return FormalGroupLaw(laws)
+            g = self.g
+            laws = []
+            for j, seed in enumerate(self.seeds):
+                F = group_law(seed).F  # 2 variables: this coordinate's X, Y
+                laws.append(F.map_vars(2 * g, [j, g + j]))
+            self._law = FormalGroupLaw(laws)
+            return self._law
 
 
 def product_cm_endo(G: ProductGroup, beta: FieldElement):

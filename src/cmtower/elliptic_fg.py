@@ -358,6 +358,10 @@ def frobenius_check(data: EllipticFormalData, alpha,
     """Whether [alpha](z) = z^p mod p through the truncation degree, p
     being root's prime.  Returns a report with the first failing
     coefficient if any; ``embedded`` holds the embedded [alpha] series."""
+    if data.curve.b != 0:
+        raise ValidationError(
+            "the Frobenius check needs CM by Z[i]: y^2 = x^3 + a x "
+            f"(b = 0, j = 1728), got b = {data.curve.b}")
     p = root.p
     re, im = alpha
     if re * re + im * im != p:

@@ -93,6 +93,10 @@ class EisensteinTower(InRing):
             self.inv_lead.append(pow(q.coeffs[-1], -1, self.R.mod))
 
     def h(self, n: int) -> PadicPoly:
+        """h_n = [pi^n](t)/[pi^(n-1)](t), the defining polynomial of
+        level n."""
+        if n < 1:
+            raise ValidationError("torsion polynomials exist from level 1 up")
         self.build(n)
         return self.levels[n - 1]
 
@@ -207,24 +211,6 @@ class LocalElement:
         return f"LocalElement(level={self.level}, coeffs={list(self.coeffs)})"
 
 
-def torsion_poly(tower: EisensteinTower, n: int) -> PadicPoly:
-    """h_n = [pi^n](t)/[pi^(n-1)](t), the defining polynomial of level n."""
-    if n < 1:
-        raise ValidationError("torsion polynomials exist from level 1 up")
-    return tower.h(n)
-
-
-def _eval_poly(poly: PadicPoly, x):
-    """Horner evaluation of a base polynomial at a tower element (or a
-    PadicInt)."""
-    if isinstance(x, PadicInt):
-        return poly.evaluate(x)
-    acc = LocalElement(x.tower, x.level, [])
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def filtration_step(tower: EisensteinTower, x):
     """Apply the pi-action to a point in the kernel of reduction; its
     valuation increases by exactly one base unit."""
@@ -235,7 +221,13 @@ def filtration_step(tower: EisensteinTower, x):
             "filtration step needs a point in the kernel of reduction "
             f"(valuation >= 1 in base units, got {Fraction(v, d)})"
         )
-    return _eval_poly(tower.seed.to_poly(), x)
+    poly = tower.seed.to_poly()
+    if isinstance(x, PadicInt):
+        return poly.evaluate(x)
+    acc = LocalElement(x.tower, x.level, [])
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def e_invariant(t0: PadicInt) -> int:
@@ -259,10 +251,12 @@ def e_invariant(t0: PadicInt) -> int:
 
 def _disc_direct(tower: EisensteinTower) -> int:
     """Valuation of d'(lambda_2) at level 2; equals the level-1 valuation
-    of its norm down to level 1, which is the different of the step."""
+    of its norm down to level 1, which is the different of the step.
+    d' has degree p - 1, below deg h_2 = p(p - 1), so d'(lambda_2) is the
+    level-2 element whose coefficients are those of d'."""
     tower.build(2)
     dp = tower.seed.to_poly().derivative()
-    val = _eval_poly(dp, tower.lam(2)).valuation()
+    val = tower.element(2, dp.coeffs).valuation()
     if val is None:
         raise PrecisionError(
             "derivative at the level-2 uniformizer vanished at working "

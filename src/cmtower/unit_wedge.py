@@ -11,6 +11,13 @@ steps until the jets form a triangular ladder, then hands the first jet
 to a class-field-theory oracle that upgrades its remaining coefficient
 to zero.  The oracle is an explicit object (axiom or deny mode) so the
 one non-computational input stays visible and countable.
+
+The ladder runs once, on the augmented rows [J | I]: the coefficient
+rows mod p next to the exponent rows over Z, which start as the
+identity and go through the same steps (Cohen, GTM 138, ch. 2).  The
+exponent rows are the transform: the transcript's certificate applies
+it to the initial jets and checks that this second route reaches the
+final jets, and that the transform has determinant +-1.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .padic import ring_det
 
 
@@ -49,19 +56,6 @@ class UnitJet:
                 f"jet coefficient at prime {i} is not recorded"
             )
         return a
-
-    def power(self, k: int) -> "UnitJet":
-        return UnitJet(self.p, tuple(
-            None if a is None else (a * k) % self.p for a in self.alphas
-        ))
-
-    def __mul__(self, other: "UnitJet") -> "UnitJet":
-        if self.p != other.p or self.s != other.s:
-            raise ValidationError("jets have mismatched shape")
-        return UnitJet(self.p, tuple(
-            None if (a is None or b is None) else (a + b) % self.p
-            for a, b in zip(self.alphas, other.alphas)
-        ))
 
     def clean_at(self, i: int) -> bool:
         return self.alphas[i] == 0
@@ -99,51 +93,18 @@ class CftOracle:
         return UnitJet(jet.p, tuple(alphas))
 
 
-def combine(v: UnitJet, w: UnitJet, i: int):
-    """Exponents (a, b), gcd 1, with the jet of v^a w^b vanishing at
-    prime i.  Generic case a = beta/gcd, b = -alpha/gcd on the lifted
-    coefficients; degenerate cases fixed by convention."""
-    if v.p != w.p:
-        raise ValidationError("jets have different p")
-    alpha = v.coeff(i)
-    beta = w.coeff(i)
+def _pivot(alpha: int, beta: int):
+    """The step matrix ((a, b), (c, d)), ad - bc = 1, for the reduced
+    coefficients alpha, beta: a alpha + b beta = 0, with a = beta/gcd and
+    b = -alpha/gcd in the generic case and the degenerate cases fixed by
+    convention; (c, d) from the extended gcd a d - b c = 1."""
     if alpha == 0:
-        return (1, 0)
-    if beta == 0:
-        return (0, 1)
-    g = gcd(alpha, beta)
-    return (beta // g, -(alpha // g))
-
-
-def _step_rows(x, y, mat):
-    """The rows a x + b y and c x + d y for mat = ((a, b), (c, d)); an
-    entry is None where either input entry is None, as in jet products."""
-    return tuple([None if s is None or t is None else e * s + f * t
-                  for s, t in zip(x, y)] for e, f in mat)
-
-
-def wedge_step(v: UnitJet, w: UnitJet, i: int):
-    """Replace (v, w) by (v^a w^b, v^c w^d) with ad - bc = 1, the first
-    output trivial to second order at prime i.  Returns the new pair and
-    the step matrix."""
-    if v.s != w.s:
-        raise ValidationError("jets have mismatched shape")
-    a, b = combine(v, w, i)
-    # extended gcd a*f + b*g = 1; then d = f, c = -g gives det 1
-    f, g = _egcd(a, b)
-    c, d = -g, f
-    if a * d - b * c != 1:
-        raise ValidationError("step matrix is not unimodular")
-    mat = ((a, b), (c, d))
-    v2, w2 = (UnitJet(v.p, r) for r in _step_rows(v.alphas, w.alphas, mat))
-    if not v2.clean_at(i):
-        raise ValidationError(f"step failed to clear prime {i}")
-    return v2, w2, mat
-
-
-def _egcd(a: int, b: int):
-    """(f, g) with a f + b g = gcd(a, b) = 1 for the coprime pairs that
-    combine produces."""
+        a, b = 1, 0
+    elif beta == 0:
+        a, b = 0, 1
+    else:
+        g = gcd(alpha, beta)
+        a, b = beta // g, -(alpha // g)
     old_r, r = a, b
     old_f, f = 1, 0
     old_g, g = 0, 1
@@ -154,16 +115,39 @@ def _egcd(a: int, b: int):
         old_g, g = g, old_g - q * g
     if old_r < 0:
         old_f, old_g = -old_f, -old_g
-    return old_f, old_g
+    return ((a, b), (-old_g, old_f))
+
+
+def combine(v: UnitJet, w: UnitJet, i: int):
+    """Exponents (a, b), gcd 1, with the jet of v^a w^b vanishing at
+    prime i: the first row of the step matrix."""
+    if v.p != w.p:
+        raise ValidationError("jets have different p")
+    return _pivot(v.coeff(i), w.coeff(i))[0]
+
+
+def wedge_step(x, y, i: int, p: int):
+    """One step of the ladder on the coefficient rows x, y: the rows of
+    v^a w^b and v^c w^d mod p, with ad - bc = 1 and the first trivial to
+    second order at prime i (where both rows must be recorded).  An
+    entry is None where either input entry is None, as in jet products.
+    Returns the two new rows and the step matrix."""
+    mat = _pivot(x[i] % p, y[i] % p)
+    x2, y2 = ([None if s is None or t is None else (e * s + f * t) % p
+               for s, t in zip(x, y)] for e, f in mat)
+    return x2, y2, mat
 
 
 @dataclass
 class WedgeTranscript:
     """Full ledger of a reduction: initial jets, the elementary steps
-    (position, prime, 2x2 matrix), the oracle log, and the outcome."""
+    (position, prime, 2x2 matrix), the transform the steps built (their
+    product, acting on the exponent vectors), the oracle log, and the
+    outcome."""
 
     initial: tuple
     steps: list = field(default_factory=list)
+    transform: list = field(default_factory=list)
     final: tuple = ()
     oracle_log: list = field(default_factory=list)
     trivial: bool = False
@@ -171,31 +155,37 @@ class WedgeTranscript:
     note: str = ""
 
     def replay(self):
-        """Re-run the recorded steps from the initial jets."""
-        jets = list(self.initial)
-        for (k, i, mat) in self.steps:
-            rows = _step_rows(jets[k].alphas, jets[k + 1].alphas, mat)
-            jets[k], jets[k + 1] = (UnitJet(jets[0].p, r) for r in rows)
+        """The final jets by a second route that re-runs no step: the
+        transform applied to the initial jets mod p, then the granted
+        oracle upgrade."""
+        p = self.initial[0].p
+        cols = list(zip(*(j.alphas for j in self.initial)))
+        jets = [list(sum(m * a for m, a in zip(row, col)) for col in cols)
+                for row in self.transform]
         for entry in self.oracle_log:
             if entry["granted"]:
-                first = entry["first"]
-                alphas = list(jets[entry["position"]].alphas)
-                alphas[first] = 0
-                jets[entry["position"]] = UnitJet(jets[0].p, tuple(alphas))
-        return tuple(jets)
+                jets[entry["position"]][entry["first"]] = 0
+        return tuple(UnitJet(p, tuple(r)) for r in jets)
 
     def cumulative_matrix(self):
         """Product of the step matrices as one integer matrix acting on
         the exponent vectors; its determinant is +-1."""
-        n = len(self.initial)
-        mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (k, i, step) in self.steps:
-            mat[k], mat[k + 1] = _step_rows(mat[k], mat[k + 1], step)
-        return mat
+        return self.transform
 
     def cumulative_det(self) -> int:
         return ring_det([[[a] for a in row]
                          for row in self.cumulative_matrix()])[0]
+
+    def check(self) -> None:
+        """Certify the transcript: the replay reaches the final jets and
+        the transform is unimodular, or InvariantError."""
+        if self.replay() != self.final:
+            raise InvariantError(
+                "replaying the transform does not give the final jets")
+        det = self.cumulative_det()
+        if det not in (1, -1):
+            raise InvariantError(
+                f"transform has determinant {det}, not +-1")
 
     def to_json(self):
         return {
@@ -208,15 +198,6 @@ class WedgeTranscript:
             "blocked": self.blocked,
             "note": self.note,
         }
-
-
-def _check_hypothesis(jets):
-    p = jets[0].p
-    for j in jets:
-        if j.p != p:
-            raise ValidationError("jets have different p")
-        if j.s != len(jets[0].alphas):
-            raise ValidationError("jets have different prime counts")
 
 
 def reduce_wedge(jets, oracle: CftOracle) -> WedgeTranscript:
@@ -239,29 +220,37 @@ def extend_to_g(jets, s: int, oracle: CftOracle) -> WedgeTranscript:
     order past prime s, then run the s-prime ladder on them and make one
     oracle call; one transcript.  ``reduce_wedge`` is the case s = g."""
     jets = tuple(jets)
-    _check_hypothesis(jets)
     g = len(jets)
-    if not (1 <= s <= g):
-        raise ValidationError("need 1 <= s <= g")
-    tr = WedgeTranscript(initial=jets)
-    work = list(jets)
-    if g == 1:
-        tr.final = tuple(work)
-        tr.trivial = True
-        tr.note = "single jet: nothing to reduce"
-        return tr
-    for j in work:
+    if g == 0:
+        raise ValidationError("need at least one jet")
+    p = jets[0].p
+    for j in jets:
+        if j.p != p:
+            raise ValidationError("jets have different p")
+        if j.s != g:
+            raise ValidationError(
+                f"{g} jets need {g} coefficients each (one per prime), "
+                f"got {j.s}")
         for i in range(g):
             j.coeff(i)  # all coefficients must be recorded
+    if not (1 <= s <= g):
+        raise ValidationError("need 1 <= s <= g")
+    rows = [list(j.alphas) for j in jets]
+    exps = [[int(i == j) for j in range(g)] for i in range(g)]
+    tr = WedgeTranscript(initial=jets, transform=exps)
     # (prime, positions cleared): the tail primes s+1..g (0-based s..g-1)
     # from the leading jets, then the s-prime ladder
     passes = ([(i, g - 1 - (i - s)) for i in range(s, g)]
               + [(i, s - i) for i in range(1, s)])
     for i, limit in passes:
         for k in range(limit):
-            v, w, mat = wedge_step(work[k], work[k + 1], i)
-            work[k], work[k + 1] = v, w
+            rows[k], rows[k + 1], mat = wedge_step(rows[k], rows[k + 1], i, p)
+            (a, b), (c, d) = mat
+            x, y = exps[k], exps[k + 1]
+            exps[k] = [a * e + b * f for e, f in zip(x, y)]
+            exps[k + 1] = [c * e + d * f for e, f in zip(x, y)]
             tr.steps.append((k, i, mat))
+    work = [UnitJet(p, tuple(r)) for r in rows]
     granted = oracle.invoke(work[0], 0, range(1, g))
     entry = dict(oracle.log[-1])
     entry["position"] = 0

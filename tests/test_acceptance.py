@@ -21,7 +21,7 @@ from cmtower.galois_model import tower_indices
 from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  character_conductor_floor, divide_point,
                                  division_conductor,
-                                 filtration_step, level_disc, torsion_poly)
+                                 filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed, endo, group_law
 from cmtower.padic import PadicInt, TruncSeries, newton_polygon
 from cmtower.unit_wedge import CftOracle, UnitJet, combine, reduce_wedge
@@ -102,10 +102,10 @@ def test_criterion_3_torsion_polynomials():
                 make = getattr(LTSeed, kind)
                 tower = EisensteinTower(make(p, 40, p + 2))
                 for n in (1, 2):
-                    h = torsion_poly(tower, n)
+                    h = tower.h(n)
                     assert h.degree == p ** (n - 1) * (p - 1)
                     assert h.coefficient(0).valuation() == 1
-                poly = newton_polygon(torsion_poly(tower, 1))
+                poly = newton_polygon(tower.h(1))
                 assert poly.single_slope() == Fraction(1, p - 1)
 
 
@@ -190,11 +190,18 @@ def _is_ladder(jets, s):
     return True
 
 
+def _word(v, w, a, b):
+    """The jet of v^a w^b."""
+    return UnitJet(v.p, tuple(a * x + b * y
+                              for x, y in zip(v.alphas, w.alphas)))
+
+
 def test_criterion_8_wedge_engine():
     """combine exhaustively for p in {3,5,7}; exhaustive reduction at
     p=3 for s in {2,3} with ladder shape, unimodular determinant and a
-    single oracle call; bit-exact replay; and brute-force reachability
-    of the final ladder by a unimodular matrix at p=3, s=2."""
+    single oracle call; the transform applied to the initial jets
+    reaches the final jets; and brute-force reachability of the final
+    ladder by a unimodular matrix at p=3, s=2."""
     with criterion(8, "wedge engine", 120.0):
         for p in (3, 5, 7):
             for alpha in range(p):
@@ -203,7 +210,7 @@ def test_criterion_8_wedge_engine():
                     w = UnitJet(p, (beta,))
                     a, b = combine(v, w, 0)
                     assert gcd(a, b) == 1
-                    assert (v.power(a) * w.power(b)).clean_at(0)
+                    assert _word(v, w, a, b).clean_at(0)
 
         p = 3
         for s in (2, 3):
@@ -235,7 +242,7 @@ def test_criterion_8_wedge_engine():
             jets = tuple(UnitJet(3, r) for r in rows)
             found = False
             for (a, b), (c, d) in unimods:
-                top = jets[0].power(a) * jets[1].power(b)
+                top = _word(jets[0], jets[1], a, b)
                 if top.clean_at(1):
                     found = True
                     break
@@ -243,7 +250,7 @@ def test_criterion_8_wedge_engine():
             # and the transcript's cumulative matrix is such a witness
             tr = reduce_wedge(jets, CftOracle("axiom"))
             mat = tr.cumulative_matrix()
-            top = jets[0].power(mat[0][0]) * jets[1].power(mat[0][1])
+            top = _word(jets[0], jets[1], mat[0][0], mat[0][1])
             assert top.clean_at(1)
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cmtower import cli
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -209,6 +210,45 @@ class TestMain:
         cfg.write_text(f"[elliptic]\na = -1\nb = 0\np = {p}\n")
         assert main([command, "--config", str(cfg)]) == 2
         assert "p must be an odd prime" in capsys.readouterr().err
+
+    def test_elliptic_match_needs_cm_by_gaussians(self, tmp_path, capsys):
+        """b != 0 gives j != 1728: no CM by Z[i], so no Frobenius match."""
+        cfg = tmp_path / "curve.ini"
+        cfg.write_text("[elliptic]\na = 2\nb = 3\np = 13\ntrunc = 16\n")
+        assert main(["elliptic-match", "--config", str(cfg)]) == 2
+        assert "needs CM by Z[i]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("wedge-reduce", "wedge-extend"))
+    @pytest.mark.parametrize("jets", ("1; 2", ";", "1 2 3; 2 1 1"))
+    def test_non_square_jets_are_validation_errors(self, tmp_path, capsys,
+                                                   command, jets):
+        cfg = tmp_path / "wedge.ini"
+        cfg.write_text(f"[wedge]\np = 5\njets = {jets}\ns = 1\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,entry", (
+        ("wedge-reduce", "reduce_wedge"), ("wedge-extend", "extend_to_g")))
+    @pytest.mark.parametrize("tamper", ("final", "transform"))
+    def test_uncertified_transcript_is_invariant_error(
+            self, monkeypatch, capsys, command, entry, tamper):
+        """The runners check the transcript before they report it."""
+        run = getattr(cli, entry)
+
+        def tampered(*args):
+            tr = run(*args)
+            if tamper == "final":
+                tr.final = tr.final[::-1]
+            else:
+                # replays to the same jets mod p; determinant 1 + p
+                tr.transform[0] = [(1 + tr.initial[0].p) * a
+                                   for a in tr.transform[0]]
+            return tr
+
+        monkeypatch.setattr(cli, entry, tampered)
+        assert main([command, "--config",
+                     os.path.join(CONFIG_DIR, "wedge_p5_s2.ini")]) == 4
+        assert "invariant falsified" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trunc,code", ((12, 3), (13, 0)))
     def test_elliptic_match_needs_trunc_at_least_p(self, tmp_path, capsys,

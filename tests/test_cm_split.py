@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cmtower import lubin_tate
 from cmtower.cm_split import (CMField, ProductGroup, embed, kernel_locate,
                               pick_pi, product_cm_endo, ramified_set,
                               type_norm_check)
@@ -195,10 +196,20 @@ class TestProductGroup:
         for sb, sc, sbc in zip(eb, ec, ebc):
             assert sb.compose([sc]).congruent(sbc)
 
+    def test_law_built_on_first_read(self, monkeypatch):
+        calls = []
+        solve = lubin_tate.group_law
+        monkeypatch.setattr(lubin_tate, "group_law",
+                            lambda seed: calls.append(seed) or solve(seed))
+        K = cyclotomic5_field()
+        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12)
+        assert calls == []
+        law = G.law
+        assert len(calls) == 2 and G.law is law
+
     def test_cm_endo_jacobian_is_embedding(self):
         K = cyclotomic5_field()
-        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12,
-                         build_law=False)
+        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12)
         beta = K.element([3, 1])
         mults = G.embed_at_coords(beta)
         for s, m in zip(product_cm_endo(G, beta), mults):
@@ -208,8 +219,7 @@ class TestProductGroup:
 class TestKernelLocate:
     def test_degree4_kernels(self):
         K = cyclotomic5_field()
-        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12,
-                         build_law=False)
+        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12)
         for j, idx in enumerate(G.coord_index):
             pi = pick_pi(K, idx, bound=2)
             assert kernel_locate(G, pi) == j
@@ -218,8 +228,7 @@ class TestKernelLocate:
 
     def test_prime_outside_orbit_has_no_kernel(self):
         K = cyclotomic5_field()
-        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12,
-                         build_law=False)
+        G = ProductGroup(K, K.element([-2, 2, 1]), 0, trunc=12)
         outside = [i for i in range(4) if i not in G.coord_index]
         pi = pick_pi(K, outside[0], bound=2)
         with pytest.raises(InvariantError):

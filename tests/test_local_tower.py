@@ -13,7 +13,7 @@ from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  _disc_direct, _disc_resultant,
                                  character_conductor_floor, divide_point,
                                  division_conductor, e_invariant,
-                                 filtration_step, level_disc, torsion_poly)
+                                 filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import PadicInt, PadicPoly, TruncSeries, newton_polygon
 
@@ -35,14 +35,14 @@ class TestTorsionPolys:
         for p in (3, 5):
             t = tower(p)
             for n in (1, 2):
-                h = torsion_poly(t, n)
+                h = t.h(n)
                 assert h.degree == p ** (n - 1) * (p - 1)
 
     def test_h1_polygon(self):
         for p in (3, 5):
             for kind in ("standard", "multiplicative"):
                 t = tower(p, kind=kind)
-                poly = newton_polygon(torsion_poly(t, 1))
+                poly = newton_polygon(t.h(1))
                 assert poly.single_slope() is not None
                 assert poly.single_slope().denominator == p - 1
                 assert poly.single_slope().numerator == 1
@@ -51,7 +51,7 @@ class TestTorsionPolys:
         for p in (3, 5):
             t = tower(p, kind="multiplicative")
             for n in (1, 2):
-                assert torsion_poly(t, n).coefficient(0).valuation() == 1
+                assert t.h(n).coefficient(0).valuation() == 1
 
     def test_multiplicative_h1_is_cyclotomic(self):
         # for (1+t)^p - 1 the level-1 polynomial is the shifted
@@ -60,8 +60,17 @@ class TestTorsionPolys:
 
         p = 5
         t = tower(p, kind="multiplicative")
-        h = torsion_poly(t, 1)
+        h = t.h(1)
         assert [c for c in h.coeffs] == [comb(p, k + 1) for k in range(p)]
+
+    def test_level_below_one_rejected(self):
+        t = tower(3)
+        with pytest.raises(ValidationError):
+            t.h(0)
+        t.build(2)
+        for n in (0, -1):
+            with pytest.raises(ValidationError):
+                t.h(n)
 
     def test_nonpolynomial_seed_rejected(self):
         seed = LTSeed.from_coeffs(3, 20, 8, [0, 3, 0, 1, 3])
@@ -123,7 +132,7 @@ class TestValuations:
         for p in (3, 5):
             t = tower(p)
             for n in (1, 2):
-                h = torsion_poly(t, n)
+                h = t.h(n)
                 lam = t.lam(n)
                 acc = t.element(n, [])
                 for c in reversed(h.coeffs):
@@ -182,6 +191,32 @@ class TestDiscriminant:
         assert _disc_direct(t) == _disc_resultant(t) == p * (p - 1)
         assert level_disc(t) == p * (p - 1)
         assert character_conductor_floor(t) == p
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.randoms(use_true_random=False))
+    def test_direct_route_is_horner(self, p, rng):
+        """deg d' = p - 1 < deg h_2, so Horner at lambda_2 gives the
+        level-2 element with d''s coefficients, which the direct route
+        reads without a product."""
+        coeffs = ([0, p * rng.randrange(1, p)]
+                  + [p * rng.randrange(p ** 3) for _ in range(2, p)]
+                  + [1 + p * rng.randrange(p)])
+        t = EisensteinTower(LTSeed.from_coeffs(p, 20, p + 2, coeffs),
+                            max_degree=p * (p - 1))
+        dp = t.seed.to_poly().derivative().coeffs
+        lam = t.lam(2)
+        acc = t.element(2, [])
+        for c in reversed(dp):
+            acc = acc * lam + c
+        assert acc == t.element(2, dp)
+        assert _disc_direct(t) == acc.valuation() == p * (p - 1)
+
+    def test_direct_route_multiplies_nothing(self, monkeypatch):
+        t = tower(5)
+        t.build(2)
+        monkeypatch.setattr(LocalElement, "__mul__", None)
+        monkeypatch.setattr(LocalElement, "__rmul__", None)
+        assert _disc_direct(t) == 20
 
     def test_precision_cap_raises(self):
         """At p = 13, N = 12 the level-1 cap (p-1)N = 144 is below

@@ -1,28 +1,113 @@
 """Unit jets, pairwise elimination steps, and the full wedge reduction
-with its transcript."""
+with its transcript.
 
-import itertools
+The jet algebra (``jet_power``, ``jet_mul``) and the object-level ladder
+(``object_extend_to_g``), which runs every step as a jet product and
+multiplies the step matrices afterwards, are kept here as the oracles
+for the ladder on integer rows."""
+
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower.errors import ValidationError
+from cmtower.errors import InvariantError, ValidationError
 from cmtower.unit_wedge import (CftOracle, UnitJet, combine, extend_to_g,
                                 reduce_wedge, wedge_step)
+
+
+def jet_power(v, k):
+    """The jet of v^k."""
+    return UnitJet(v.p, tuple(None if a is None else a * k
+                              for a in v.alphas))
+
+
+def jet_mul(v, w):
+    """The jet of v w: coefficients add, None where either is None."""
+    if v.p != w.p or v.s != w.s:
+        raise ValidationError("jets have mismatched shape")
+    return UnitJet(v.p, tuple(None if a is None or b is None else a + b
+                              for a, b in zip(v.alphas, w.alphas)))
+
+
+def _egcd(a, b):
+    """(f, g) with a f + b g = gcd(a, b) = 1 for a coprime pair."""
+    old_r, r = a, b
+    old_f, f = 1, 0
+    old_g, g = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_f, f = f, old_f - q * f
+        old_g, g = g, old_g - q * g
+    if old_r < 0:
+        old_f, old_g = -old_f, -old_g
+    return old_f, old_g
+
+
+def _object_step(v, w, i):
+    alpha, beta = v.coeff(i), w.coeff(i)
+    if alpha == 0:
+        a, b = 1, 0
+    elif beta == 0:
+        a, b = 0, 1
+    else:
+        g = gcd(alpha, beta)
+        a, b = beta // g, -(alpha // g)
+    f, g = _egcd(a, b)
+    c, d = -g, f
+    return (jet_mul(jet_power(v, a), jet_power(w, b)),
+            jet_mul(jet_power(v, c), jet_power(w, d)), ((a, b), (c, d)))
+
+
+def object_extend_to_g(jets, s, oracle):
+    """The ladder on jet objects, for g >= 2 jets: the report that
+    ``extend_to_g(jets, s, oracle).to_json()`` gives, and the product of
+    the step matrices."""
+    g = len(jets)
+    work = list(jets)
+    mat = [[int(i == j) for j in range(g)] for i in range(g)]
+    steps = []
+    passes = ([(i, g - 1 - (i - s)) for i in range(s, g)]
+              + [(i, s - i) for i in range(1, s)])
+    for i, limit in passes:
+        for k in range(limit):
+            work[k], work[k + 1], step = _object_step(work[k], work[k + 1], i)
+            steps.append({"position": k, "prime": i,
+                          "matrix": [list(r) for r in step]})
+            (a, b), (c, d) = step
+            x, y = mat[k], mat[k + 1]
+            mat[k] = [a * e + b * f for e, f in zip(x, y)]
+            mat[k + 1] = [c * e + d * f for e, f in zip(x, y)]
+    granted = oracle.invoke(work[0], 0, range(1, g))
+    entry = dict(oracle.log[-1], position=0, first=0)
+    if granted is not None:
+        work[0] = granted
+    return {
+        "initial": [j.to_json() for j in jets],
+        "steps": steps,
+        "final": [j.to_json() for j in work],
+        "oracle": [entry],
+        "trivial": granted is not None,
+        "blocked": granted is None,
+        "note": ("blocked at CFT step" if granted is None else
+                 "leading jet trivial to second order at every prime; "
+                 "wedge class trivial"),
+    }, mat
 
 
 class TestUnitJet:
     def test_multiply_adds(self):
         v = UnitJet(5, (2, 3))
         w = UnitJet(5, (4, 4))
-        assert (v * w).alphas == (1, 2)
-        assert v.power(3).alphas == (1, 4)
+        assert jet_mul(v, w).alphas == (1, 2)
+        assert jet_power(v, 3).alphas == (1, 4)
 
     def test_none_propagates(self):
         v = UnitJet(5, (2, None))
         w = UnitJet(5, (1, 1))
-        assert (v * w).alphas == (3, None)
+        assert jet_mul(v, w).alphas == (3, None)
         with pytest.raises(ValidationError):
             v.coeff(1)
 
@@ -55,8 +140,8 @@ class TestCombine:
                     v = UnitJet(p, (alpha,))
                     w = UnitJet(p, (beta,))
                     a, b = combine(v, w, 0)
-                    assert (v.power(a) * w.power(b)).clean_at(0)
-                    from math import gcd
+                    assert jet_mul(jet_power(v, a),
+                                   jet_power(w, b)).clean_at(0)
                     assert gcd(a, b) == 1
 
 
@@ -67,34 +152,37 @@ class TestWedgeStep:
             for _ in range(100):
                 v = UnitJet(p, (rng.randrange(p), rng.randrange(p)))
                 w = UnitJet(p, (rng.randrange(p), rng.randrange(p)))
-                v2, w2, ((a, b), (c, d)) = wedge_step(v, w, 1)
+                x2, y2, ((a, b), (c, d)) = wedge_step(v.alphas, w.alphas,
+                                                      1, p)
+                v2, w2 = UnitJet(p, tuple(x2)), UnitJet(p, tuple(y2))
                 assert a * d - b * c == 1
                 assert v2.clean_at(1)
                 # the step is invertible: applying the inverse matrix
                 # recovers the original pair
-                back_v = v2.power(d) * w2.power(-b)
-                back_w = v2.power(-c) * w2.power(a)
+                back_v = jet_mul(jet_power(v2, d), jet_power(w2, -b))
+                back_w = jet_mul(jet_power(v2, -c), jet_power(w2, a))
                 assert back_v.alphas == v.alphas
                 assert back_w.alphas == w.alphas
 
     def test_identity_step_when_already_clean(self):
-        v = UnitJet(5, (3, 0))
-        w = UnitJet(5, (1, 2))
-        v2, w2, mat = wedge_step(v, w, 1)
+        x2, y2, mat = wedge_step((3, 0), (1, 2), 1, 5)
         assert mat == ((1, 0), (0, 1))
-        assert v2.alphas == v.alphas and w2.alphas == w.alphas
+        assert x2 == [3, 0] and y2 == [1, 2]
 
     def test_mismatched_shapes_rejected(self):
+        """The shape is checked once, at the top of the ladder."""
         with pytest.raises(ValidationError):
-            wedge_step(UnitJet(5, (1, 2)), UnitJet(5, (3, 4, 0)), 0)
+            extend_to_g((UnitJet(5, (1, 2)), UnitJet(5, (3, 4, 0))), 1,
+                        CftOracle("axiom"))
 
 
 _ENTRY = st.integers(-60, 60)
 
 
 @st.composite
-def _jet_pair(draw):
-    """Two jets over the same primes, None allowed except at prime i."""
+def _row_pair(draw):
+    """Two unreduced coefficient rows over the same primes, None allowed
+    except at prime i."""
     p = draw(st.sampled_from((2, 3, 5, 7, 11)))
     s = draw(st.integers(1, 5))
     i = draw(st.integers(0, s - 1))
@@ -102,19 +190,31 @@ def _jet_pair(draw):
             for _ in range(2)]
     for row in rows:
         row[i] = draw(_ENTRY)
-    return UnitJet(p, tuple(rows[0])), UnitJet(p, tuple(rows[1])), i
+    return p, rows[0], rows[1], i
+
+
+@st.composite
+def _jets(draw, min_g=1):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    g = draw(st.integers(min_g, 6))
+    s = draw(st.integers(1, g))
+    jets = [UnitJet(p, tuple(draw(st.lists(_ENTRY, min_size=g, max_size=g))))
+            for _ in range(g)]
+    return jets, s, draw(st.sampled_from(("axiom", "deny")))
 
 
 class TestStepRows:
     """The row operation against the jet product it replaces."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_jet_pair())
+    @given(_row_pair())
     def test_step_is_the_jet_product(self, case):
-        v, w, i = case
-        v2, w2, ((a, b), (c, d)) = wedge_step(v, w, i)
-        assert v2 == v.power(a) * w.power(b)
-        assert w2 == v.power(c) * w.power(d)
+        p, x, y, i = case
+        v, w = UnitJet(p, tuple(x)), UnitJet(p, tuple(y))
+        x2, y2, ((a, b), (c, d)) = wedge_step(x, y, i, p)
+        assert x2 == list(jet_mul(jet_power(v, a), jet_power(w, b)).alphas)
+        assert y2 == list(jet_mul(jet_power(v, c), jet_power(w, d)).alphas)
+        assert x2[i] == 0
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5),
@@ -128,13 +228,30 @@ class TestStepRows:
         mat = [[int(i == j) for j in range(g)] for i in range(g)]
         for k, _, ((a, b), (c, d)) in tr.steps:
             v, w = work[k], work[k + 1]
-            work[k], work[k + 1] = (v.power(a) * w.power(b),
-                                    v.power(c) * w.power(d))
+            work[k], work[k + 1] = (jet_mul(jet_power(v, a), jet_power(w, b)),
+                                    jet_mul(jet_power(v, c), jet_power(w, d)))
             x, y = mat[k], mat[k + 1]
             mat[k] = [a * e + b * f for e, f in zip(x, y)]
             mat[k + 1] = [c * e + d * f for e, f in zip(x, y)]
         assert tr.replay() == tuple(work) == tr.final
         assert tr.cumulative_matrix() == mat
+
+    @settings(max_examples=300, deadline=None)
+    @given(_jets(min_g=2))
+    def test_agrees_with_the_object_ladder(self, case):
+        """Step for step, outcome and transform as the ladder on jet
+        objects gives them."""
+        jets, s, mode = case
+        tr = extend_to_g(jets, s, CftOracle(mode))
+        report, mat = object_extend_to_g(jets, s, CftOracle(mode))
+        assert tr.to_json() == report
+        assert tr.cumulative_matrix() == mat
+
+    @settings(max_examples=200, deadline=None)
+    @given(_jets())
+    def test_every_transcript_certifies(self, case):
+        jets, s, mode = case
+        extend_to_g(jets, s, CftOracle(mode)).check()
 
 
 class TestReduce:
@@ -182,8 +299,17 @@ class TestReduce:
         assert tr.final[0].clean_at(1)
 
     def test_single_jet(self):
-        tr = reduce_wedge((UnitJet(5, (2,)),), CftOracle("axiom"))
+        """No steps, then the one oracle call at prime 0."""
+        oracle = CftOracle("axiom")
+        tr = reduce_wedge((UnitJet(5, (2,)),), oracle)
         assert tr.trivial and tr.steps == []
+        assert tr.to_json()["final"] == [[0]]
+        assert len(oracle.log) == len(tr.oracle_log) == 1
+        tr.check()
+        tr = reduce_wedge((UnitJet(5, (2,)),), CftOracle("deny"))
+        assert tr.blocked and not tr.trivial
+        assert tr.to_json()["final"] == [[2]]
+        tr.check()
 
     def test_exactly_one_oracle_call(self):
         oracle = CftOracle("axiom")
@@ -195,6 +321,28 @@ class TestReduce:
         jets = (UnitJet(3, (1, None)), UnitJet(3, (2, 1)))
         with pytest.raises(ValidationError):
             reduce_wedge(jets, CftOracle("axiom"))
+
+    @pytest.mark.parametrize("rows", ([(1,), (2,)], [(), ()],
+                                      [(1, 2, 3), (2, 1, 1)], []))
+    def test_non_square_rejected(self, rows):
+        """g jets need g coefficients each, and g >= 1."""
+        with pytest.raises(ValidationError):
+            reduce_wedge([UnitJet(5, r) for r in rows], CftOracle("axiom"))
+
+    def test_check_refuses_a_tampered_transcript(self):
+        jets = (UnitJet(5, (2, 3)), UnitJet(5, (4, 1)))
+        tr = reduce_wedge(jets, CftOracle("axiom"))
+        tr.check()
+        final = tr.final
+        tr.final = (UnitJet(5, (1, 0)),) + final[1:]
+        with pytest.raises(InvariantError, match="replaying"):
+            tr.check()
+        tr.final = final
+        # a row times 1 + p replays to the same jets mod p, but the
+        # transform is no longer unimodular
+        tr.transform[1] = [6 * a for a in tr.transform[1]]
+        with pytest.raises(InvariantError, match="determinant"):
+            tr.check()
 
 
 class TestExtend:
