@@ -25,7 +25,6 @@ from .local_tower import (DivisionState, EisensteinTower, divide_point,
 from .galois_model import tower_indices
 from .unit_wedge import CftOracle, UnitJet, extend_to_g, reduce_wedge
 from .elliptic_fg import (WeierstrassCurve, curve_group_law,
-                          cm_endo_elliptic, embed_gauss_series,
                           frobenius_candidates, frobenius_check,
                           gauss_embed_root, match_lubin_tate,
                           point_count_ap)
@@ -127,14 +126,12 @@ class RunConfig:
     def trunc_for(self, p: int) -> int:
         if self.trunc is not None:
             return self.trunc
-        return self.integer("seed", "trunc", self.integer(
-            "run", "trunc", max(2 * p, 10)))
+        return self.integer("seed", "trunc", max(2 * p, 10))
 
     def prec_for(self, trunc: int) -> int:
         if self.precision is not None:
             return self.precision
-        return self.integer("seed", "precision", self.integer(
-            "run", "precision", trunc + 10))
+        return self.integer("seed", "precision", trunc + 10)
 
     def seed(self, section="seed") -> LTSeed:
         p = self.integer(section, "p")
@@ -358,7 +355,6 @@ def _run_elliptic_match(cfg: RunConfig):
         )
     alpha = passing[0]["alpha"]
     iso = match_lubin_tate(data, passing[0], root)
-    emb_i = embed_gauss_series(cm_endo_elliptic(data, (0, 1)), D, root)
     return {
         "a_p": ap,
         "candidates": [
@@ -367,7 +363,8 @@ def _run_elliptic_match(cfg: RunConfig):
             for r in reports
         ],
         "alpha_P": list(alpha),
-        "embedded_i": emb_i.coefficient((1,)).to_json(),
+        # the linear coefficient of the embedded [i]: i e_1 [log]_1 = i
+        "embedded_i": root.to_json(),
         "iso": iso.series[0].to_json(),
         "iso_jacobian": iso.jacobian[0][0].to_json(),
     }, [

@@ -13,8 +13,6 @@ containing one label from each complex-conjugation orbit.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InvariantError, ValidationError
 from .lubin_tate import FormalGroupLaw, LTSeed, endo
 from .padic import InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs
@@ -243,27 +241,35 @@ def embed(K: CMField, alpha: FieldElement):
     return [K._eval_poly_at_root(alpha.coeffs, i) for i in range(2 * K.g)]
 
 
+def _shell(n: int, bound: int, s: int):
+    """The n-tuples with entries in [-bound, bound] and sum of absolute
+    values s, in lexicographic order."""
+    if n == 0:
+        if s == 0:
+            yield ()
+        return
+    for v in range(-min(bound, s), min(bound, s) + 1):
+        if s - abs(v) <= (n - 1) * bound:  # the later entries take the rest
+            for rest in _shell(n - 1, bound, s - abs(v)):
+                yield (v,) + rest
+
+
 def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
-    """An element with valuation exactly 1 at the prime of fp_index and
-    0 at every other prime over p, found by searching small-coefficient
-    elements (existence is a CRT fact)."""
+    """The smallest-coefficient element with valuation exactly 1 at the
+    prime of fp_index and 0 at every other prime over p: coefficient
+    vectors in [-bound, bound] are tried by increasing sum of absolute
+    values, lexicographically within one sum (existence is a CRT fact)."""
     if bound is None:
         bound = K.p
     deg = 2 * K.g
-    ranges = [range(-bound, bound + 1)] * deg
-    cands = itertools.product(*ranges)
-    if (2 * bound + 1) ** deg <= 30000:
-        # small boxes: search smallest coefficients first
-        cands = sorted(cands, key=lambda c: (sum(map(abs, c)), c))
-    for coeffs in cands:
-        if not any(coeffs):
-            continue
-        alpha = K.element(coeffs)
-        vec = [x.valuation() for x in embed(K, alpha)]
-        if vec[fp_index] == 1 and all(
-            v == 0 for i, v in enumerate(vec) if i != fp_index
-        ):
-            return alpha
+    for s in range(1, deg * bound + 1):
+        for coeffs in _shell(deg, bound, s):
+            alpha = K.element(coeffs)
+            vec = [x.valuation() for x in embed(K, alpha)]
+            if vec[fp_index] == 1 and all(
+                v == 0 for i, v in enumerate(vec) if i != fp_index
+            ):
+                return alpha
     raise ValidationError(
         f"no uniformizer found with coefficients bounded by {bound}; "
         "enlarge the search box"

@@ -35,7 +35,8 @@ from typing import NamedTuple
 from .errors import InvariantError, ValidationError
 # lt_group_law is unused here; perfbench/spans.py patches this binding
 from .lubin_tate import FglHom, LTSeed, group_law as lt_group_law, solve_intertwine
-from .padic import PadicInt, PadicPoly, TruncSeries, Zp, hensel_root
+from .padic import (PadicInt, PadicPoly, TruncSeries, Zp, hensel_root,
+                    mul_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +67,6 @@ def _reduced(num: list, den: int) -> QSeries:
     if g == 1:
         return QSeries(num, den)
     return QSeries([c // g for c in num], den // g)
-
-
-def _mul_trunc(a: list, b: list, D: int) -> list:
-    """The product of two integer series through degree D."""
-    out = [0] * (D + 1)
-    terms = [(j, y) for j, y in enumerate(b[:D + 1]) if y]
-    for i, x in enumerate(a[:D + 1]):
-        if x:
-            for j, y in terms:
-                if i + j > D:
-                    break
-                out[i + j] += x * y
-    return out
 
 
 def _inv_unit(a: list, D: int) -> list:
@@ -159,7 +147,7 @@ class EllipticFormalData:
         # (1 - z v'/(2v)) dz = (1 - z v' u/2) dz, normalized to start at 1
         u = w[3:D + 4]
         v = _inv_unit(u, D)
-        corr = _mul_trunc([k * c for k, c in enumerate(v)], u, D)
+        corr = mul_coeffs([k * c for k, c in enumerate(v)], u, [0] * (D + 1))
         two_omega = [2] + [-c for c in corr[1:]]
         self.omega = _reduced(
             [c * s ** (D - k) for k, c in enumerate(two_omega)], 2 * s ** D)
@@ -171,8 +159,8 @@ class EllipticFormalData:
         powers = [QSeries([1] + [0] * D, 1)]
         for _ in range(D):
             prev = powers[-1]
-            powers.append(_reduced(_mul_trunc(prev.num, log.num, D),
-                                   prev.den * log.den))
+            prod = mul_coeffs(prev.num, log.num, [0] * (D + 1))
+            powers.append(_reduced(prod, prev.den * log.den))
         self.powers = powers
         # [log^k]_n = P_k[n] f_k / M over the table's common denominator M
         M = lcm(*(P.den for P in powers))

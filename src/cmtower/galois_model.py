@@ -21,9 +21,10 @@ listed elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InvariantError, ValidationError
+from .padic import is_prime
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class SubgroupSpec:
 
     def __post_init__(self):
         p = self.p
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if not is_prime(p):
             raise ValidationError(f"p must be prime, got {p}")
         if not (0 <= self.j <= self.m and 0 <= self.k <= self.m):
             raise ValidationError("congruence levels must lie in [0, m]")

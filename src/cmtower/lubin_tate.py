@@ -9,16 +9,17 @@ once, at the degree that first needs it.  Each degree divides by
 pi^k - pi (valuation exactly 1), so one digit of effective precision is
 spent per degree; seeds are built with guard digits to absorb this.
 
-A seed owns the table of powers d, d^2, ..., d^(D-1) that the recursion
-reads: the first solve from the seed builds it, and the group law, every
-[a] and every strict isomorphism out of that seed share it.
+A seed owns the table of powers 1, d, d^2, ..., d^(D-1) that the
+recursion reads, dense coefficient lists from ``padic.power_table``: the
+first solve from the seed builds it, and the group law, every [a] and
+every strict isomorphism out of that seed share it.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .padic import (InRing, PadicInt, PadicPoly, TruncSeries, Zp,
-                    compositional_inverse, ring_det)
+                    compositional_inverse, power_table, ring_det)
 
 
 class LTSeed(InRing):
@@ -66,16 +67,14 @@ class LTSeed(InRing):
         return self.d.trunc
 
     def d_powers(self) -> list:
-        """[None, d, d^2, ..., d^(D-1)] through the truncation degree D,
-        built on the first call and kept on the seed."""
+        """``power_table(d)``: [1, d, ..., d^(D-1)] as dense coefficient
+        lists through the truncation degree D, built on the first call
+        and kept on the seed."""
         try:
             return self._d_powers
         except AttributeError:
-            pows = [None, self.d]
-            for _ in range(2, self.trunc):
-                pows.append(pows[-1] * self.d)
-            self._d_powers = pows
-            return pows
+            self._d_powers = power_table(self.d)
+            return self._d_powers
 
     @property
     def is_polynomial(self) -> bool:
@@ -239,8 +238,8 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     monomials times the powers of src.d are added into per-degree dense
     buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
     what the divisor accounts for.  Those powers are src's own table
-    (``LTSeed.d_powers``): the first solve from src builds it, every
-    later one reads it.
+    (``LTSeed.d_powers``), dense lists read as they are: the first solve
+    from src builds it, every later one reads it.
     """
     if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
@@ -284,12 +283,7 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     packed_phi = pw[1]
     phi[1] = [linear.coeffs.get(exponent(1, i), 0) for i in range(n)]
     packed_phi[1] = pack(phi[1])
-    # dense coefficient lists of src.d^a, a = 0 .. D - 1
-    sp = [[1] + [0] * D]
-    for s in src.d_powers()[1:]:
-        sp.append([0] * (D + 1))
-        for (f,), c in s.coeffs.items():
-            sp[-1][f] = c
+    sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
     rhs = [[0] * (k + 1 if two else 1) for k in range(D + 1)]
 
     def push_rhs(j):

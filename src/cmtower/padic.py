@@ -3,10 +3,10 @@
 Every residue lives in one ring object:
 
 * ``Zp(p, N)``      -- the ring Z/p^N, one object per (p, N).  It is the one
-  place that checks "p an odd prime, N >= 1" and computes ``mod = p^N``;
-  ``val(x)`` is the valuation of a raw residue and ``lift(x)`` takes an int
-  or a residue of this ring to a reduced raw residue, refusing a residue
-  of another ring.
+  place that checks "p an odd prime (``is_prime``), N >= 1" and computes
+  ``mod = p^N``; ``val(x)`` is the valuation of a raw residue and
+  ``lift(x)`` takes an int or a residue of this ring to a reduced raw
+  residue, refusing a residue of another ring.
 
 Everything downstream is built on three carriers, each holding its ring
 as ``R`` (``p`` and ``N`` are views of it):
@@ -23,6 +23,10 @@ elements of ``local_tower`` and its conductor compositum (whose bivariate
 elements are flattened by Kronecker substitution) all multiply and reduce
 through them; so does the determinant ``ring_det``, whose sums of
 products accumulate unreduced in one list through ``mul_coeffs(a, b, out)``.
+That form stops at the last degree of ``out``: ``power_table``, the one
+table of powers of a one-variable series, and the elliptic expansion
+multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
+``TruncSeries.__mul__`` is the multivariate product behind ``compose``.
 
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
@@ -42,6 +46,11 @@ from .errors import HenselError, PrecisionError, ValidationError
 _RINGS = {}
 
 
+def is_prime(p: int) -> bool:
+    """Whether p is prime, by trial division: the one primality test."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 class Zp:
     """The ring Z/p^N Z for an odd prime p.  ``Zp(p, N)`` validates on
     its first call and returns that same object on every later one, so
@@ -53,8 +62,7 @@ class Zp:
         R = _RINGS.get((p, N))
         if R is not None:
             return R
-        if p < 3 or p % 2 == 0 or any(p % q == 0
-                                      for q in range(3, isqrt(p) + 1, 2)):
+        if p == 2 or not is_prime(p):
             raise ValidationError(f"p must be an odd prime, got {p}")
         if N < 1:
             raise ValidationError(f"precision must be positive, got {N}")
@@ -212,18 +220,22 @@ class PadicInt(InRing):
 
 
 def mul_coeffs(a: Sequence[int], b: Sequence[int], out=None) -> list:
-    """The dense product of two coefficient lists, lowest degree first,
-    added into ``out`` when given (a sum of products then needs one list).
+    """The dense product of two coefficient lists, lowest degree first.
+    With ``out`` given, the product is added into it through degree
+    len(out) - 1 and higher terms are dropped: a sum of products needs one
+    list, and a series product truncated at D needs ``[0] * (D + 1)``.
     Nothing is reduced: the caller reduces each coefficient once (through
     ``rem_coeffs`` or its own comprehension).  Zero coefficients are
     skipped."""
     if out is None:
         out = [0] * (len(a) + len(b) - 1)
+    n = len(out)
+    full = n - len(b)  # rows a[i] * b with i <= full fit whole
     i = 0
-    for x in a:
+    for x in a[:n]:
         if x:
             j = i
-            for y in b:
+            for y in (b if i <= full else b[:n - i]):
                 if y:
                     out[j] += x * y
                 j += 1
@@ -608,21 +620,6 @@ def unpack_exponent(key: int, base: int, nvars: int) -> tuple:
     return tuple(e)
 
 
-def hom_mul(a: dict, b: dict, out: dict) -> None:
-    """Add the product of two homogeneous parts into ``out``; the
-    sparse kernel of ``TruncSeries.__mul__``, its only caller.
-
-    Parts map packed exponents (``pack_exponent``, one base for all
-    three) to integer coefficients.  Nothing is reduced: the caller
-    reduces each output coefficient once, after its last product.
-    """
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-
-
 class TruncSeries(InRing):
     """Sparse truncated power series in ``nvars`` variables over Z/p^N.
 
@@ -712,15 +709,21 @@ class TruncSeries(InRing):
         return self + (-other)
 
     def __mul__(self, other):
+        """Homogeneous parts, exponents packed in one base, multiplied
+        when their degrees sum to at most trunc; reduced once at the end."""
         self._check(other)
         mod = self.R.mod
         trunc, base = self.trunc, self.trunc + 1
         b = other._graded(base)
         acc = {}
+        get = acc.get
         for da, pa in self._graded(base).items():
             for db, pb in b.items():
                 if da + db <= trunc:
-                    hom_mul(pa, pb, acc)
+                    for ka, ca in pa.items():
+                        for kb, cb in pb.items():
+                            k = ka + kb
+                            acc[k] = get(k, 0) + ca * cb
         out = {}
         for key, c in acc.items():
             c %= mod
@@ -847,13 +850,30 @@ class TruncSeries(InRing):
         }
 
 
+def power_table(f: TruncSeries) -> list:
+    """[1, f, f^2, ..., f^(D-1)] for a one-variable series f truncated at
+    D, each power a dense coefficient list through degree D reduced mod
+    p^N: the table of powers of Brent and Kung ("Fast algorithms for
+    manipulating formal power series", J. ACM 25 (1978)).  Each power is
+    one ``mul_coeffs`` product truncated at D."""
+    D, mod = f.trunc, f.R.mod
+    base = [0] * (D + 1)
+    for (k,), c in f.coeffs.items():
+        base[k] = c
+    table = [[1] + [0] * D]
+    for _ in range(1, D):
+        table.append([c % mod for c in
+                      mul_coeffs(table[-1], base, [0] * (D + 1))])
+    return table
+
 
 def compositional_inverse(f: TruncSeries) -> TruncSeries:
     """Inverse of a 1-variable series with unit linear coefficient under
     composition, through the truncation degree.
 
     g(f(z)) = z is triangular in the powers of f: [f^n]_n = a1^n, so
-    degree n fixes g_n = -(sum over k < n of g_k [f^k]_n) / a1^n."""
+    degree n fixes g_n = -(sum over k < n of g_k [f^k]_n) / a1^n, read
+    from ``power_table(f)``."""
     if f.nvars != 1:
         raise ValidationError("compositional inverse needs one variable")
     a1 = f.coefficient((1,))
@@ -862,20 +882,13 @@ def compositional_inverse(f: TruncSeries) -> TruncSeries:
     if not f.constant_term().is_zero():
         raise ValidationError("series has a constant term")
     D, mod = f.trunc, f.R.mod
-    base = [0] * (D + 1)
-    for (k,), c in f.coeffs.items():
-        base[k] = c
+    powers = power_table(f)
     inv_a1 = a1.inverse().value
     g = [0, inv_a1]
-    powers = [None, base]  # powers[k] = f^k through degree D
     scale = inv_a1
     for n in range(2, D + 1):
         scale = scale * inv_a1 % mod
         s = sum(g[k] * powers[k][n] for k in range(1, n))
         g.append(-s * scale % mod)
-        if n < D:
-            # f^n from f^(n-1), which starts at degree n - 1
-            cur = mul_coeffs(powers[-1][:D], base[:D + 2 - n])
-            powers.append([c % mod for c in cur[:D + 1]])
     return TruncSeries(f.p, f.N, 1, D, {(k,): c for k, c in enumerate(g)},
                        f.eff_prec)

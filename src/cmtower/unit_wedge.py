@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InvariantError, ValidationError
-from .padic import ring_det
+from .padic import is_prime, ring_det
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class UnitJet:
     alphas: tuple
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError(f"jets need a prime p >= 2, got {self.p}")
+        if not is_prime(self.p):
+            raise ValidationError(f"p must be prime, got {self.p}")
         object.__setattr__(
             self, "alphas",
             tuple(None if a is None else a % self.p for a in self.alphas),

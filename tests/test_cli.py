@@ -11,6 +11,7 @@ import pytest
 
 from cmtower import cli
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
+from cmtower.padic import TruncSeries
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -52,6 +53,29 @@ class TestFixtures:
 
     def test_every_command_has_a_fixture(self):
         assert {c for c, _ in FIXTURES} == set(COMMANDS)
+
+    def test_every_config_is_a_fixture(self):
+        assert {f for _, f in FIXTURES} == {
+            f for f in os.listdir(CONFIG_DIR) if f.endswith(".ini")}
+
+    @pytest.mark.parametrize("command,config", FIXTURES)
+    def test_no_sparse_series_product(self, monkeypatch, capsys, command,
+                                      config):
+        """One-variable series multiply through the dense kernel: no
+        command multiplies two sparse series (``TruncSeries.__mul__``
+        stays the multivariate product behind ``compose``)."""
+        products = 0
+        mul = TruncSeries.__mul__
+
+        def counting(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counting)
+        assert main([command, "--config",
+                     os.path.join(CONFIG_DIR, config)]) == 0
+        assert products == 0
 
 
 class TestResults:
@@ -174,6 +198,8 @@ class TestMain:
         ("wedge-reduce", "[wedge]\np = five\njets = 2 3; 4 1\n"),
         ("galois-orders", "[galois]\np = 3\nm = x\nn = 1\n"),
         ("wedge-reduce", "[wedge]\np = 0\njets = 2 3; 4 1\n"),
+        ("wedge-reduce", "[wedge]\np = 4\njets = 2 3; 2 1\n"),
+        ("wedge-extend", "[wedge]\np = 4\njets = 2 3; 2 1\ns = 2\n"),
         ("tower-build", TOWER + "level = 0\n"),
         ("tower-build", TOWER + "level = -1\n"),
         ("divide", TOWER + "t0 = 5\nlevel = 0\n"),
@@ -188,6 +214,7 @@ class TestMain:
         ("elliptic-fg", CURVE + "a = 2\n"),
         ("elliptic-fg", "a = -1\n" + CURVE),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
+            "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
             "divide-level-zero", "divide-level-negative", "seed-trunc-zero",
             "elliptic-fg-trunc-negative", "elliptic-fg-trunc-zero",

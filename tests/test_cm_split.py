@@ -1,14 +1,15 @@
 """Split CM fields: CRT coordinates, uniformizer search, type-norm
 shapes, product groups and kernel location."""
 
+import itertools
 import random
 
 import pytest
 
 from cmtower import lubin_tate
-from cmtower.cm_split import (CMField, ProductGroup, embed, kernel_locate,
-                              pick_pi, product_cm_endo, ramified_set,
-                              type_norm_check)
+from cmtower.cm_split import (CMField, ProductGroup, _shell, embed,
+                              kernel_locate, pick_pi, product_cm_endo,
+                              ramified_set, type_norm_check)
 from cmtower.errors import InvariantError, ValidationError
 from cmtower.padic import PadicInt, PadicPoly, resultant_valuation
 
@@ -131,6 +132,36 @@ class TestPickPi:
         pi = pick_pi(K, 2, bound=2)
         vec = [x.valuation() for x in embed(K, pi)]
         assert vec[2] == 1 and vec.count(0) == 3
+
+    @pytest.mark.parametrize("idx,coeffs", (
+        (0, (-2, 0, -1)), (1, (-2, 0, 0, -1)), (2, (-1, -2)), (3, (-2, -1))))
+    def test_degree4_default_box_finds_the_smallest(self, idx, coeffs):
+        """Every box is searched in one order, so the default box
+        (bound p = 11, 23^4 points) finds what the box of bound 2 finds."""
+        K = cyclotomic5_field()
+        assert pick_pi(K, idx).coeffs == coeffs
+        assert pick_pi(K, idx, bound=2).coeffs == coeffs
+
+    @pytest.mark.parametrize("n,bound", (
+        (1, 0), (1, 3), (2, 1), (2, 4), (3, 2), (4, 2), (4, 3)))
+    def test_shells_are_the_sorted_box(self, n, bound):
+        box = itertools.product(range(-bound, bound + 1), repeat=n)
+        want = sorted(box, key=lambda c: (sum(map(abs, c)), c))
+        got = [c for s in range(n * bound + 1) for c in _shell(n, bound, s)]
+        assert got == want
+
+    @pytest.mark.parametrize("p", (5, 13, 17, 29, 37))
+    def test_gauss_matches_the_sorted_box(self, p):
+        """Degree 2: the first element of the sorted box that qualifies."""
+        K = gauss_field(p)
+        box = sorted(itertools.product(range(-p, p + 1), repeat=2),
+                     key=lambda c: (sum(map(abs, c)), c))
+        for idx in (0, 1):
+            want = next(
+                c for c in box if any(c)
+                and [x.valuation() for x in embed(K, K.element(c))]
+                == [int(i == idx) for i in range(2)])
+            assert pick_pi(K, idx).coeffs == K.element(want).coeffs
 
 
 class TestTypeNorm:

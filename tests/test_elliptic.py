@@ -363,6 +363,18 @@ class TestCmEndo:
         series = gauss_fracs(cm_endo_elliptic(data, (0, 1)))
         assert series == {1: (Fraction(0), Fraction(1))}
 
+    @pytest.mark.parametrize("a,p,D,N", (
+        (-1, 5, 12, 22), (-1, 13, 20, 30), (-4, 13, 16, 26),
+        (2, 17, 18, 28), (3, 29, 14, 24), (-7, 37, 9, 11)))
+    def test_embedded_i_is_the_root(self, a, p, D, N):
+        """The linear coefficient of the embedded [i] is i e_1 [log]_1 =
+        i, so elliptic-match reports the root as the image of i without
+        expanding [i]."""
+        data = curve_group_law(WeierstrassCurve(a, 0), D, p=p)
+        root = gauss_embed_root(p, N)
+        emb = embed_gauss_series(cm_endo_elliptic(data, (0, 1)), D, root)
+        assert emb.coefficient((1,)) == root
+
     def test_endo_additive_inverse(self, data):
         # F(z, [-1]z) = 0: substitute into the two-variable law
         minus = gauss_fracs(cm_endo_elliptic(data, (-1, 0)))

@@ -13,8 +13,8 @@ from cmtower.local_tower import EisensteinTower
 from cmtower.lubin_tate import LTSeed, endo, solve_intertwine
 from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
                            Zp, compositional_inverse, hensel_root,
-                           mul_coeffs, newton_polygon, rem_coeffs,
-                           resultant_valuation)
+                           is_prime, mul_coeffs, newton_polygon,
+                           power_table, rem_coeffs, resultant_valuation)
 
 
 def total_length(poly: NewtonPolygon) -> int:
@@ -63,6 +63,14 @@ class TestRing:
             R = Zp(p, N)
             assert (R.p, R.N, R.mod) == (p, N, p ** N)
             assert Zp(p, N) is R
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-3, 5000))
+    @example(2)
+    @example(4)
+    @example(4999)
+    def test_one_primality_test(self, n):
+        assert is_prime(n) == _is_prime(n)
 
     def test_every_carrier_at_one_pair_shares_one_ring(self):
         seed = LTSeed.standard(5, 12, 10)
@@ -246,6 +254,28 @@ class TestKernels:
         assert mul_coeffs([3, 4], [5, 0, 6], out) is out
         assert out == [16, 22, 21, 28, 5]
         assert mul_coeffs([0, 2], [7], out) == [16, 36, 21, 28, 5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 12), st.data())
+    def test_product_truncates_at_the_length_of_out(self, p, N, data):
+        """mul_coeffs(a, b, [0] * n) is the first n coefficients of the
+        full product, for every n; residues are drawn from the ends of
+        the range too (0 and p^N - 1)."""
+        mod = p ** N
+        residue = st.one_of(st.just(0), st.just(mod - 1),
+                            st.integers(0, mod - 1))
+        a = data.draw(st.lists(residue, min_size=1, max_size=9))
+        b = data.draw(st.lists(residue, min_size=1, max_size=9))
+        full = mul_coeffs(a, b)
+        for n in range(len(full) + 3):
+            want = (full + [0] * n)[:n]
+            assert mul_coeffs(a, b, [0] * n) == want
+            assert mul_coeffs(b, a, [0] * n) == want
+
+    def test_truncated_product_adds_into_out(self):
+        out = [1, 2, 3]
+        assert mul_coeffs([3, 4], [5, 0, 6], out) is out
+        assert out == [16, 22, 21]
 
     def test_divmod_unit_non_monic(self):
         p, N = 3, 6
@@ -437,6 +467,25 @@ class TestTruncSeries:
             s2 = TruncSeries(p, N, 1, D, {})
             for _ in range(N + 1):
                 s2 = s2.divide_exact(PadicInt(p, N, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 10),
+           st.integers(0, 11), st.data())
+    def test_power_table_matches_repeated_products(self, p, N, D, data):
+        """power_table(f)[k] is f^k formed by k - 1 sparse products, for
+        every k < D, dense through degree D."""
+        mod = p ** N
+        residue = st.one_of(st.just(0), st.just(mod - 1),
+                            st.integers(0, mod - 1))
+        coeffs = data.draw(st.lists(residue, min_size=D + 1,
+                                    max_size=D + 1))
+        f = TruncSeries.from_coeff_list(p, N, D, coeffs)
+        table = power_table(f)
+        assert len(table) == max(D, 1)
+        fk = TruncSeries.constant(p, N, 1, D, 1)
+        for k, row in enumerate(table):
+            assert row == [fk.coeffs.get((i,), 0) for i in range(D + 1)]
+            fk = fk * f
 
     def test_compositional_inverse(self):
         p, N, D = 5, 12, 8
