@@ -103,10 +103,6 @@ class TestUnitJet:
         with pytest.raises(ValidationError, match="p must be prime"):
             UnitJet(p, (2, 3))
 
-    @pytest.mark.parametrize("p", (2, 3, 13))
-    def test_prime_accepted(self, p):
-        assert UnitJet(p, (2, 3)).alphas == (2 % p, 3 % p)
-
     def test_multiply_adds(self):
         v = UnitJet(5, (2, 3))
         w = UnitJet(5, (4, 4))
