@@ -123,21 +123,25 @@ class RunConfig:
 
     # -- shared object builders ---------------------------------------
 
-    def trunc_for(self, p: int) -> int:
+    # --trunc and --precision override a seed section, whose values fall
+    # back to [seed]'s, then to max(2p, 10) and the truncation + 10
+    def trunc_for(self, p: int, section="seed") -> int:
         if self.trunc is not None:
             return self.trunc
-        return self.integer("seed", "trunc", max(2 * p, 10))
+        return self.integer(section, "trunc", self.integer(
+            "seed", "trunc", max(2 * p, 10)))
 
-    def prec_for(self, trunc: int) -> int:
+    def prec_for(self, trunc: int, section="seed") -> int:
         if self.precision is not None:
             return self.precision
-        return self.integer("seed", "precision", trunc + 10)
+        return self.integer(section, "precision", self.integer(
+            "seed", "precision", trunc + 10))
 
     def seed(self, section="seed") -> LTSeed:
         p = self.integer(section, "p")
         kind = self.get(section, "kind")
-        D = self.trunc_for(p)
-        N = self.prec_for(D)
+        D = self.trunc_for(p, section)
+        N = self.prec_for(D, section)
         if kind == "multiplicative":
             return LTSeed.multiplicative(p, N, D)
         if kind == "standard":

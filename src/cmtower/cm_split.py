@@ -13,7 +13,7 @@ containing one label from each complex-conjugation orbit.
 
 from __future__ import annotations
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, PrecisionError, ValidationError
 from .lubin_tate import FormalGroupLaw, LTSeed, endo
 from .padic import InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs
 
@@ -219,6 +219,13 @@ class CMField(InRing):
                 return i
         raise InvariantError(f"value {value.value} is not near any root")
 
+    def prime_index(self, i: int) -> int:
+        """i, checked to index one of the 2g primes over p."""
+        if not 0 <= i < 2 * self.g:
+            raise ValidationError(
+                f"prime index {i} is outside 0..{2 * self.g - 1}")
+        return i
+
     def apply_auto(self, label: int, root_idx: int) -> int:
         """Index of h_label applied to root root_idx."""
         return self.perm_by_label[label][root_idx]
@@ -259,6 +266,10 @@ def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
     prime of fp_index and 0 at every other prime over p: coefficient
     vectors in [-bound, bound] are tried by increasing sum of absolute
     values, lexicographically within one sum (existence is a CRT fact)."""
+    K.prime_index(fp_index)
+    if K.N < 2:
+        raise PrecisionError(
+            f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
     if bound is None:
         bound = K.p
     deg = 2 * K.g
@@ -283,6 +294,7 @@ def type_norm_check(K: CMField, alpha: FieldElement, P_index: int, cm_type=None)
     for precision-capped entries."""
     if alpha.is_zero():
         raise ValidationError("type-norm check needs a nonzero element")
+    K.prime_index(P_index)
     labels = sorted(cm_type) if cm_type is not None else K.type_labels()
     support = {K.apply_auto(l, P_index) for l in labels}
     vec = [x.valuation() for x in embed(K, alpha)]
@@ -298,6 +310,7 @@ def ramified_set(K: CMField, fp_index: int, cm_type=None):
 
     The label-l embedding sends the prime of index k to the prime of
     index fp_index exactly when h_l maps root k to root fp_index."""
+    K.prime_index(fp_index)
     labels = sorted(cm_type) if cm_type is not None else K.type_labels()
     out = set()
     for l in labels:

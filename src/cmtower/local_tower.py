@@ -11,6 +11,10 @@ On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
 at e), and the conductor computation for the ramified step, done in the
 compositum Z_p[lambda, theta] with theta a division value.
+
+One ring class, ``TowerRing``, holds all of this arithmetic (the level
+rings and the compositum, with the one product ``mul`` and the one
+valuation ``val``); ``LocalElement`` is the one element class.
 """
 
 from __future__ import annotations
@@ -25,11 +29,133 @@ from .padic import (InRing, PadicInt, PadicPoly, _sylvester_rows,
                     ring_det)
 
 
+class TowerRing:
+    """Z/p^N[lambda]/(h(lambda)) over the ring ``R`` of (p, N), or, with a
+    second modulus f, Z/p^N[lambda, theta]/(h(lambda), f(theta)): a tower
+    level (level 0, modulus X, is Z/p^N), or the division compositum with
+    h = h_1 and f = d - q.  Neither modulus need be monic: each is kept
+    with the inverse of its leading coefficient.
+
+    An element is one flat list of ``size`` residues in the Kronecker
+    layout: lambda^i theta^j (i < deg h, j < deg f) sits at i*w + j with
+    w = 2 deg f - 1 (w = 1 without f), and the slots j >= deg f of every
+    row are zero.  A product's theta-degree stays below w, so the product
+    of two flat lists is the product of the grids, and h is spread out as
+    h(X^w) to divide every theta column at once.
+
+    h and f are Eisenstein of coprime degrees a and b (b = 1 without f):
+    the ring is totally ramified of degree e = ab, with weights
+    ord(lambda) = b, ord(theta) = a, ord(p) = e.  The candidates
+    i*b + j*a + e*ord_p(c) are pairwise distinct, so a valuation below
+    ord(p^N) = e*N is read off exactly; from there on a capped coefficient
+    could be the least term, and the valuation is None (at a level every
+    candidate i + e*ord_p(c) is below e*N, so the cap is never reached).
+    """
+
+    __slots__ = ("R", "w", "hw", "hinv", "f", "finv", "gap", "weights",
+                 "size")
+
+    def __init__(self, R, h, f=None):
+        """``h`` and ``f`` are raw coefficient lists, reduced mod p^N."""
+        a, b = len(h) - 1, len(f) - 1 if f else 1
+        w = 2 * b - 1
+        self.R, self.w, self.f, self.size = R, w, f, a * w
+        self.hw = [0] * (a * w + 1)
+        self.hw[::w] = h
+        self.hinv = pow(h[-1], -1, R.mod)
+        self.finv = pow(f[-1], -1, R.mod) if f else None
+        self.gap = [0] * (w - b)
+        self.weights = (b, a, a * b)
+
+    def mul(self, x, y):
+        """The product of two raw elements, as a raw element."""
+        mod = self.R.mod
+        c = mul_coeffs(x, y)
+        rem_coeffs(c, self.hw, self.hinv, mod)  # lambda by h(X^w)
+        f = self.f
+        if f is None:
+            return c[:self.size]
+        w, finv, gap, k = self.w, self.finv, self.gap, len(f) - 1
+        out = []
+        for s in range(0, self.size, w):
+            row = c[s:s + w]
+            rem_coeffs(row, f, finv, mod)  # theta by f
+            row[k:] = gap
+            out += row
+        return out
+
+    def val(self, x):
+        """Exact valuation of a raw element; None means ">= cap"."""
+        R, w = self.R, self.w
+        ord_lam, ord_theta, e = self.weights
+        best = None
+        for k, c in enumerate(x):
+            if c:
+                i, j = divmod(k, w)
+                cand = i * ord_lam + j * ord_theta + e * R.val(c)
+                if best is None or cand < best:
+                    best = cand
+        return None if best is None or best >= e * R.N else best
+
+    def zero(self):
+        return LocalElement._reduced(self, [0] * self.size)
+
+    def lam(self):
+        x = self.zero()
+        x.coeffs[self.w] = 1
+        return x
+
+    def theta(self):
+        if self.f is None:
+            raise ValidationError("a tower level has no theta")
+        x = self.zero()
+        x.coeffs[1] = 1
+        return x
+
+    def powers(self, x, D):
+        """The table [1, x, ..., x^D], shared by every evaluation at x."""
+        table = [self.zero(), x]
+        table[0].coeffs[0] = 1
+        for _ in range(2, D + 1):
+            table.append(table[-1] * x)
+        return table
+
+    def eval_series(self, series, table, y=None):
+        """Evaluate a TruncSeries over ``R`` (no constant term) in one
+        variable at x, or in two at (x, y), with ``table = powers(x, D)``;
+        the points have positive valuation.
+
+        Each column sum_i c_ij x^i is a scalar combination of the table,
+        reduced mod p^N once, and the columns are summed by Horner in y
+        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)): one product
+        per power of y, none per monomial."""
+        if series.R is not self.R:
+            raise ValidationError("series and ring disagree on (p, N)")
+        mod = self.R.mod
+        cols = {}
+        for e, c in series.coeffs.items():
+            if not any(e):
+                raise ValidationError("series must have no constant term")
+            col = cols.setdefault(e[-1] if y is not None else 0,
+                                  [0] * self.size)
+            for k, x in enumerate(table[e[0]].coeffs):
+                if x:
+                    col[k] += c * x
+        acc = self.zero()
+        for j in range(max(cols, default=0), -1, -1):
+            if j in cols:
+                acc = acc + LocalElement._reduced(
+                    self, [c % mod for c in cols[j]])
+            if j:
+                acc = acc * y
+        return acc
+
+
 class EisensteinTower(InRing):
     """The tower of torsion fields of a polynomial seed, over the seed's
     ring ``R``."""
 
-    __slots__ = ("seed", "R", "max_degree", "pin", "levels", "inv_lead",
+    __slots__ = ("seed", "R", "max_degree", "pin", "levels", "rings",
                  "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
@@ -38,11 +164,11 @@ class EisensteinTower(InRing):
         self.seed = seed
         self.R = seed.R
         self.max_degree = max_degree
-        # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1),
-        # inv_lead[n] the inverse of its leading coefficient mod p^N
+        # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1);
+        # rings[n] the level-n ring, level 0 being Z/p^N (modulus X)
         self.pin = []
         self.levels = []
-        self.inv_lead = []
+        self.rings = [TowerRing(self.R, [0, 1])]
         # level_disc, once both routes have agreed
         self.disc = None
 
@@ -90,7 +216,7 @@ class EisensteinTower(InRing):
                 )
             self.pin.append(cur)
             self.levels.append(q)
-            self.inv_lead.append(pow(q.coeffs[-1], -1, self.R.mod))
+            self.rings.append(TowerRing(self.R, q.coeffs))
 
     def h(self, n: int) -> PadicPoly:
         """h_n = [pi^n](t)/[pi^(n-1)](t), the defining polynomial of
@@ -100,134 +226,127 @@ class EisensteinTower(InRing):
         self.build(n)
         return self.levels[n - 1]
 
+    def ring(self, n: int) -> TowerRing:
+        """The ring of level n, Z/p^N[lambda_n]/(h_n); level 0 is Z/p^N."""
+        if n < 0:
+            raise ValidationError("levels start at 0")
+        self.build(n)
+        return self.rings[n]
+
+    def compositum(self, q) -> TowerRing:
+        """The division compositum Z/p^N[lambda, theta]/(h_1(lambda),
+        d(theta) - q) for a division value q of this tower's ring."""
+        R = self.R
+        d = self.seed.to_poly().coeffs
+        return TowerRing(R, self.h(1).coeffs,
+                         [(d[0] - R.lift(q)) % R.mod] + d[1:])
+
     def element(self, n: int, coeffs) -> "LocalElement":
-        return LocalElement(self, n, coeffs)
+        return LocalElement(self.ring(n), coeffs)
 
     def lam(self, n: int) -> "LocalElement":
         """The canonical uniformizer of level n (the torsion value whose
         minimal polynomial is h_n)."""
         if n < 1:
             raise ValidationError("lambda exists from level 1 up")
-        return LocalElement(self, n, [0, 1])
+        return self.ring(n).lam()
 
 
 class LocalElement:
-    """Sum a_i lambda_n^i at level n, a_i in Z_p; level 0 is Z_p itself.
+    """An element of a ``TowerRing``: its flat list of residues.
 
-    Valuations are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.
+    At level n that is sum a_i lambda_n^i with a_i in Z_p, and valuations
+    are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  Elements of
+    two different rings never meet: every binary operation refuses them.
     """
 
-    __slots__ = ("tower", "level", "coeffs")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, tower: EisensteinTower, level: int, coeffs):
-        self.tower = tower
-        self.level = level
-        d = tower.degree(level)
-        raw = [tower.R.lift(c) for c in coeffs]
-        if len(raw) > d:
-            raise ValidationError(
-                f"level-{level} elements have at most {d} coefficients"
-            )
-        raw += [0] * (d - len(raw))
-        self.coeffs = tuple(raw)
+    def __init__(self, ring: TowerRing, coeffs):
+        """The first coefficients (ints or residues of ``ring.R``)."""
+        raw = [ring.R.lift(c) for c in coeffs]
+        if len(raw) > ring.size:
+            raise ValidationError(f"more than {ring.size} coefficients")
+        if any(raw[k] for k in range(len(raw))
+               if k % ring.w >= ring.w - len(ring.gap)):
+            raise ValidationError("a theta slot past deg f is not zero")
+        self.ring = ring
+        self.coeffs = raw + [0] * (ring.size - len(raw))
 
     @classmethod
-    def _reduced(cls, tower, level, coeffs):
-        """An element from all d_n coefficients, already reduced mod p^N."""
+    def _reduced(cls, ring, coeffs):
+        """An element from all ``ring.size`` coefficients, reduced."""
         x = object.__new__(cls)
-        x.tower, x.level, x.coeffs = tower, level, tuple(coeffs)
+        x.ring, x.coeffs = ring, coeffs
         return x
-
-    def _check(self, other: "LocalElement"):
-        if self.tower is not other.tower or self.level != other.level:
-            raise ValidationError("elements live at different levels")
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LocalElement(self.tower, self.level, [other])
-        self._check(other)
-        t = self.tower
-        mod = t.R.mod
-        return LocalElement._reduced(t, self.level, [
+            other = LocalElement(self.ring, [other])
+        elif getattr(other, "ring", None) is not self.ring:
+            raise ValidationError("elements of different tower rings")
+        mod = self.ring.R.mod
+        return LocalElement._reduced(self.ring, [
             (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        mod = self.tower.R.mod
-        return LocalElement._reduced(self.tower, self.level,
+        mod = self.ring.R.mod
+        return LocalElement._reduced(self.ring,
                                      [-a % mod for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LocalElement(self.tower, self.level, [other])
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, PadicInt)):
             return self.scale(other)
-        self._check(other)
-        t = self.tower
-        mod = t.R.mod
-        prod = mul_coeffs(self.coeffs, other.coeffs)
-        if self.level == 0:
-            return LocalElement._reduced(t, 0, [prod[0] % mod])
-        h = t.h(self.level).coeffs
-        rem_coeffs(prod, h, t.inv_lead[self.level - 1], mod)
-        return LocalElement._reduced(t, self.level, prod[:len(h) - 1])
+        ring = self.ring
+        if getattr(other, "ring", None) is not ring:
+            raise ValidationError("elements of different tower rings")
+        return LocalElement._reduced(ring, ring.mul(self.coeffs,
+                                                    other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        R = self.tower.R
+        R = self.ring.R
         c = R.lift(c)
-        return LocalElement._reduced(self.tower, self.level,
+        return LocalElement._reduced(self.ring,
                                      [c * a % R.mod for a in self.coeffs])
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def valuation(self):
-        """Exact valuation in lambda_n units; None means ">= cap" (all
-        coefficients precision-capped zero)."""
-        t = self.tower
-        d = t.degree(self.level)
-        best = None
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            cand = i + d * t.R.val(a)
-            if best is None or cand < best:
-                best = cand
-        return best
+        """Exact valuation in the ring's uniformizer units; None means
+        ">= cap"."""
+        return self.ring.val(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, LocalElement):
             return NotImplemented
-        return (self.tower is other.tower and self.level == other.level
-                and self.coeffs == other.coeffs)
+        return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"LocalElement(level={self.level}, coeffs={list(self.coeffs)})"
+        return f"LocalElement(coeffs={self.coeffs})"
 
 
 def filtration_step(tower: EisensteinTower, x):
     """Apply the pi-action to a point in the kernel of reduction; its
     valuation increases by exactly one base unit."""
-    d = tower.degree(x.level) if isinstance(x, LocalElement) else 1
+    e = x.ring.weights[2] if isinstance(x, LocalElement) else 1
     v = x.valuation()
-    if v is not None and v < d:
+    if v is not None and v < e:
         raise ValidationError(
             "filtration step needs a point in the kernel of reduction "
-            f"(valuation >= 1 in base units, got {Fraction(v, d)})"
+            f"(valuation >= 1 in base units, got {Fraction(v, e)})"
         )
-    poly = tower.seed.to_poly()
     if isinstance(x, PadicInt):
-        return poly.evaluate(x)
-    acc = LocalElement(x.tower, x.level, [])
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
+        return tower.seed.to_poly().evaluate(x)
+    ring = x.ring
+    return ring.eval_series(tower.seed.d, ring.powers(x, tower.p))
 
 
 def e_invariant(t0: PadicInt) -> int:
@@ -256,7 +375,7 @@ def _disc_direct(tower: EisensteinTower) -> int:
     level-2 element whose coefficients are those of d'."""
     tower.build(2)
     dp = tower.seed.to_poly().derivative()
-    val = tower.element(2, dp.coeffs).valuation()
+    val = tower.ring(2).val(dp.coeffs)
     if val is None:
         raise PrecisionError(
             "derivative at the level-2 uniformizer vanished at working "
@@ -275,7 +394,7 @@ def _disc_resultant(tower: EisensteinTower) -> int:
     m[0][1] = tower.R.mod - 1  # the constant term is d(0) - lambda_1
     mp = [[c] + pad for c in d.derivative().coeffs]
     det = ring_det(_sylvester_rows(m, mp, [0] + pad), tower.R.mod, h)
-    val = LocalElement._reduced(tower, 1, det).valuation()
+    val = tower.ring(1).val(det)
     if val is None:
         raise PrecisionError(
             "resultant of the level-2 minimal polynomial vanished at "
@@ -401,148 +520,6 @@ def divide_point(tower: EisensteinTower, state: DivisionState,
 # conductor of the ramified division step
 # ---------------------------------------------------------------------------
 
-class _CompElement:
-    """Element of the division compositum Z_p[lambda, theta] with
-    h_1(lambda) = 0 and d(theta) = q, as one flat coefficient list in the
-    Kronecker layout: lambda^i theta^j (0 <= i < p-1, 0 <= j < p) sits at
-    i*w + j with w = 2p - 1, and the slots j >= p of every row are zero.
-    The theta-degree of a product stays below w, so the product of two
-    flat lists is the product of the grids and never carries into the
-    next row.
-
-    Valuations (in compositum uniformizer units, ord(p) = p(p-1)):
-    ord(lambda) = p, ord(theta) = p-1.  The candidates
-    i*p + j*(p-1) + p(p-1)*ord_p(c) over the index grid are pairwise
-    distinct, so ord of any element below ord(p^N) = p(p-1)N is read off
-    exactly; from there on a capped coefficient could be the least term,
-    and the valuation is None.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        """``coeffs`` are already reduced mod p^N."""
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        mod = self.ring.R.mod
-        return _CompElement(self.ring, [
-            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        mod = self.ring.R.mod
-        return _CompElement(self.ring, [
-            (a - b) % mod for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c):
-        R = self.ring.R
-        c = R.lift(c)
-        return _CompElement(self.ring, [c * x % R.mod for x in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, PadicInt)):
-            return self.scale(other)
-        ring = self.ring
-        p, w, mod = ring.R.p, ring.w, ring.R.mod
-        c = mul_coeffs(self.coeffs, other.coeffs)
-        # lambda by h_1(X^w), which divides every theta column at once
-        rem_coeffs(c, ring.h1w, ring.h1inv, mod)
-        out = []
-        for s in range(0, len(ring.h1w) - 1, w):
-            row = c[s:s + w]
-            rem_coeffs(row, ring.dq, ring.dinv, mod)  # theta by d - q
-            row[p:] = ring.gap
-            out += row
-        return _CompElement(ring, out)
-
-    def valuation(self):
-        R, w = self.ring.R, self.ring.w
-        p = R.p
-        best = None
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            i, j = divmod(k, w)
-            cand = i * p + j * (p - 1) + p * (p - 1) * R.val(c)
-            if best is None or cand < best:
-                best = cand
-        return None if best is None or best >= p * (p - 1) * R.N else best
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-
-class _CompositumRing:
-    """Z_p[lambda, theta]/(h_1(lambda), d(theta) - q) over the tower's
-    ring ``R``.  Neither modulus need be monic: each is kept with the
-    inverse of its leading coefficient, h_1 spread out as h_1(X^w) for
-    the flat layout."""
-
-    __slots__ = ("R", "w", "h1w", "h1inv", "dq", "dinv", "gap")
-
-    def __init__(self, tower: EisensteinTower, q: PadicInt):
-        R = self.R = tower.R
-        p, mod = R.p, R.mod
-        w = self.w = 2 * p - 1
-        h1 = tower.h(1).coeffs
-        self.h1w = [0] * ((len(h1) - 1) * w + 1)
-        self.h1w[::w] = h1
-        self.h1inv = pow(h1[-1], -1, mod)
-        d = tower.seed.to_poly().coeffs
-        self.dq = [(d[0] - R.lift(q)) % mod] + d[1:]
-        self.dinv = pow(d[-1], -1, mod)
-        self.gap = [0] * (w - p)
-
-    def zero(self):
-        return _CompElement(self, [0] * (len(self.h1w) - 1))
-
-    def lam(self):
-        x = self.zero()
-        x.coeffs[self.w] = 1
-        return x
-
-    def theta(self):
-        x = self.zero()
-        x.coeffs[1] = 1
-        return x
-
-    def powers(self, x, D):
-        """The table [1, x, ..., x^D], shared by every evaluation at x."""
-        table = [self.zero(), x]
-        table[0].coeffs[0] = 1
-        for _ in range(2, D + 1):
-            table.append(table[-1] * x)
-        return table
-
-    def eval_series(self, series, table, y=None):
-        """Evaluate a TruncSeries (no constant term) in one variable at x,
-        or in two at (x, y), with ``table = powers(x, D)``; the points
-        have positive valuation.
-
-        Each column sum_i c_ij x^i is a scalar combination of the table,
-        reduced mod p^N once, and the columns are summed by Horner in y
-        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)): one product
-        per power of y, none per monomial."""
-        mod = self.R.mod
-        cols = {}
-        for e, c in series.coeffs.items():
-            if not any(e):
-                raise ValidationError("series must have no constant term")
-            col = cols.setdefault(e[-1] if y is not None else 0,
-                                  [0] * len(table[0].coeffs))
-            for k, x in enumerate(table[e[0]].coeffs):
-                if x:
-                    col[k] += c * x
-        acc = self.zero()
-        for j in range(max(cols, default=0), -1, -1):
-            if j in cols:
-                acc = acc + _CompElement(self, [c % mod for c in cols[j]])
-            if j:
-                acc = acc * y
-        return acc
-
-
 @dataclass(frozen=True)
 class ConductorReport:
     """Everything the ramified division step yields: the per-translate
@@ -589,7 +566,7 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
         raise ValidationError("conductor needs a ramified division state")
     p = tower.p
     q = state.last()
-    ring = _CompositumRing(tower, q)
+    ring = tower.compositum(q)
     theta = ring.theta()
     lam = ring.lam()
     if theta.valuation() != p - 1 or lam.valuation() != p:

@@ -243,6 +243,8 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """
     if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
+    if src.trunc != dst.trunc:
+        raise ValidationError("seeds disagree on truncation")
     if src.pi_val != dst.pi_val:
         raise ValidationError("seeds have different uniformizers")
     if linear.trunc != src.trunc:

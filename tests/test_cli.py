@@ -59,7 +59,7 @@ class TestFixtures:
             f for f in os.listdir(CONFIG_DIR) if f.endswith(".ini")}
 
     @pytest.mark.parametrize("command,config", FIXTURES)
-    def test_no_sparse_series_product(self, monkeypatch, capsys, command,
+    def test_no_sparse_series_product(self, monkeypatch, tmp_path, command,
                                       config):
         """One-variable series multiply through the dense kernel: no
         command multiplies two sparse series (``TruncSeries.__mul__``
@@ -73,8 +73,8 @@ class TestFixtures:
             return mul(a, b)
 
         monkeypatch.setattr(TruncSeries, "__mul__", counting)
-        assert main([command, "--config",
-                     os.path.join(CONFIG_DIR, config)]) == 0
+        assert main([command, "--config", os.path.join(CONFIG_DIR, config),
+                     "--out", str(tmp_path / "report.json")]) == 0
         assert products == 0
 
 
@@ -172,6 +172,31 @@ class TestGolden:
 
 TOWER = "[seed]\np = 5\nkind = multiplicative\n[tower]\n"
 CURVE = "[elliptic]\na = -1\nb = 0\np = 13\n"
+GAUSS = "[field]\npoly = 1 0 1\np = 5\nconj = 0 -1\ncm_type = 0\n[cm]\n"
+SEEDS = ("[seed]\np = 5\nkind = standard\ntrunc = 12\n"
+         "[seed2]\np = 5\nkind = multiplicative\n")
+
+
+class TestSeedSections:
+    """[seed2] reads trunc and precision from its own section, else from
+    [seed]; the flags override both."""
+
+    @pytest.mark.parametrize("seed2,flags,want", (
+        ("", {}, (12, 22)),
+        ("trunc = 12\n", {}, (12, 22)),
+        ("precision = 30\n", {}, (12, 30)),
+        ("trunc = 8\nprecision = 9\n", {}, (8, 9)),
+        ("trunc = 8\nprecision = 9\n", {"trunc": 10, "precision": 15},
+         (10, 15)),
+    ), ids=("fallback", "same-trunc", "own-precision", "own-both", "flags"))
+    def test_seed2_resolution(self, tmp_path, seed2, flags, want):
+        cfg = tmp_path / "seeds.ini"
+        cfg.write_text(SEEDS + seed2)
+        rc = RunConfig.load("lt-iso", str(cfg), flags)
+        assert (rc.seed().trunc, rc.seed().N) == (
+            flags.get("trunc", 12), flags.get("precision", 22))
+        s = rc.seed("seed2")
+        assert (s.trunc, s.N) == want
 
 
 class TestMain:
@@ -192,6 +217,7 @@ class TestMain:
     def test_missing_required_key_is_validation_error(self, capsys):
         code = main(["galois-orders",
                      "--config", os.path.join(CONFIG_DIR, "lt_p5.ini")])
+        capsys.readouterr()
         assert code == 2
 
     @pytest.mark.parametrize("command,body", (
@@ -213,6 +239,10 @@ class TestMain:
         ("elliptic-fg --trunc 0", CURVE + "trunc = 12\n"),
         ("elliptic-fg", CURVE + "a = 2\n"),
         ("elliptic-fg", "a = -1\n" + CURVE),
+        ("lt-iso", SEEDS + "trunc = 8\nprecision = 9\n"),
+        ("lt-iso", SEEDS + "trunc = 8\nprecision = 22\n"),
+        ("cm-pi", GAUSS + "fp_index = 5\n"),
+        ("cm-pi", GAUSS + "fp_index = -1\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -221,7 +251,8 @@ class TestMain:
             "elliptic-match-trunc-zero", "elliptic-fg-flag-trunc-zero",
             "elliptic-match-flag-trunc-zero",
             "elliptic-fg-flag-trunc-zero-over-config", "ini-repeated-key",
-            "ini-no-section-header"))
+            "ini-no-section-header", "seed2-trunc-and-precision",
+            "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"
@@ -276,6 +307,17 @@ class TestMain:
         assert main([command, "--config",
                      os.path.join(CONFIG_DIR, "wedge_p5_s2.ini")]) == 4
         assert "invariant falsified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,message", (
+        ("cm-pi --precision 1", GAUSS + "fp_index = 0\n",
+         "valuation 1 needs N >= 2"),
+    ), ids=("cm-pi-precision-one",))
+    def test_short_precision_is_inconclusive(self, tmp_path, capsys,
+                                             command, body, message):
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(body)
+        assert main([*command.split(), "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("trunc,code", ((12, 3), (13, 0)))
     def test_elliptic_match_needs_trunc_at_least_p(self, tmp_path, capsys,

@@ -10,7 +10,7 @@ from cmtower import lubin_tate
 from cmtower.cm_split import (CMField, ProductGroup, _shell, embed,
                               kernel_locate, pick_pi, product_cm_endo,
                               ramified_set, type_norm_check)
-from cmtower.errors import InvariantError, ValidationError
+from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.padic import PadicInt, PadicPoly, resultant_valuation
 
 
@@ -162,6 +162,35 @@ class TestPickPi:
                 and [x.valuation() for x in embed(K, K.element(c))]
                 == [int(i == idx) for i in range(2)])
             assert pick_pi(K, idx).coeffs == K.element(want).coeffs
+
+
+class TestPrimeIndex:
+    """Every operation that takes the index of a prime over p checks
+    0 <= index < 2g: an index past the end or a negative one (which
+    Python would read from the end) is refused."""
+
+    @pytest.mark.parametrize("idx", (2, 5, -1, -2))
+    def test_out_of_range_refused(self, idx):
+        K = gauss_field()
+        for op in (lambda: K.prime_index(idx),
+                   lambda: pick_pi(K, idx),
+                   lambda: type_norm_check(K, K.element([2, 1]), idx),
+                   lambda: ramified_set(K, idx),
+                   lambda: ProductGroup(K, K.element([2, 1]), idx, trunc=10)):
+            with pytest.raises(ValidationError, match="prime index"):
+                op()
+
+    def test_in_range_accepted(self):
+        K = cyclotomic5_field()
+        assert [K.prime_index(i) for i in range(4)] == [0, 1, 2, 3]
+
+    def test_pick_pi_needs_two_digits(self):
+        """At N = 1 valuation 1 is capped, so no box can succeed: the
+        search is inconclusive (exit 3), not a too-small box (exit 2)."""
+        with pytest.raises(PrecisionError, match="N >= 2"):
+            pick_pi(gauss_field(N=1), 0)
+        assert pick_pi(gauss_field(N=2), 0).coeffs == \
+            pick_pi(gauss_field(), 0).coeffs
 
 
 class TestTypeNorm:

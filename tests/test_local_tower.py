@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from cmtower import local_tower
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.local_tower import (DivisionState, EisensteinTower,
-                                 LocalElement, _CompositumRing,
+                                 LocalElement,
                                  _disc_direct, _disc_resultant,
                                  character_conductor_floor, divide_point,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, PadicPoly, TruncSeries, newton_polygon
+from cmtower.padic import (PadicInt, PadicPoly, TruncSeries, mul_coeffs,
+                           newton_polygon, rem_coeffs)
 
 
 def non_monic_seed(p, N):
@@ -140,6 +141,14 @@ class TestValuations:
                 assert acc.is_zero()
 
 
+def horner_filtration(tower, x):
+    """The filtration step as first written: Horner's rule for d at x."""
+    acc = LocalElement(x.ring, [])
+    for c in reversed(tower.seed.to_poly().coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestFiltration:
     def test_step_adds_one_base_unit(self):
         rng = random.Random(43)
@@ -160,6 +169,24 @@ class TestFiltration:
         t.build(1)
         with pytest.raises(ValidationError):
             filtration_step(t, t.element(1, [1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((3, 5)), st.sampled_from((1, 2)),
+           st.sampled_from(("standard", "non-monic")),
+           st.randoms(use_true_random=False))
+    def test_matches_horner(self, p, level, kind, rng):
+        """The step is the value of d at x by the power table, the same
+        element (not only the same valuation) as Horner's rule."""
+        N = 16
+        seed = (LTSeed.standard(p, N, p + 2) if kind == "standard"
+                else non_monic_seed(p, N))
+        t = EisensteinTower(seed)
+        coeffs = [p * rng.randrange(p ** (N - 1))
+                  for _ in range(t.degree(level))]
+        x = t.element(level, coeffs)
+        got, want = filtration_step(t, x), horner_filtration(t, x)
+        assert got == want
+        assert got.valuation() == want.valuation()
 
 
 class TestDiscriminant:
@@ -280,7 +307,7 @@ class TestDivide:
 def non_monic_ring(p, N=20):
     """The compositum of ``non_monic_seed`` over the division value p."""
     seed = non_monic_seed(p, N)
-    return seed, _CompositumRing(EisensteinTower(seed), PadicInt(p, N, p))
+    return seed, EisensteinTower(seed).compositum(PadicInt(p, N, p))
 
 
 # residues of valuation 1 in rings other than the (3, 20) tower's:
@@ -314,7 +341,7 @@ class TestForeignResidues:
 
     @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
     def test_compositum_scale(self, tw, x):
-        ring = _CompositumRing(tw, PadicInt(3, 20, 3))
+        ring = tw.compositum(PadicInt(3, 20, 3))
         for op in (lambda: ring.theta() * x, lambda: ring.lam().scale(x)):
             with pytest.raises(ValidationError):
                 op()
@@ -322,7 +349,7 @@ class TestForeignResidues:
     @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
     def test_compositum_division_value(self, tw, x):
         with pytest.raises(ValidationError):
-            _CompositumRing(tw, x)
+            tw.compositum(x)
 
     @pytest.mark.parametrize("t0", FOREIGN, ids=FOREIGN_IDS)
     def test_divide_start_value(self, tw, t0):
@@ -336,6 +363,131 @@ class TestForeignResidues:
         assert tw.lam(1) * x == x * tw.lam(1) == tw.lam(1).scale(7)
         st = divide_point(tw, DivisionState.start(PadicInt(3, 20, 3)), 1)
         assert st.ramified_at == 1
+
+
+class ReferenceCompositum:
+    """The compositum Z_p[lambda, theta]/(h_1(lambda), d(theta) - q) as
+    first written, before tower levels and the compositum shared one ring
+    class: a flat Kronecker list with w = 2p - 1, lambda divided out by
+    h_1(X^w) and then theta by d - q row by row, the gap slots reset."""
+
+    def __init__(self, tower, q):
+        R = self.R = tower.R
+        p, mod = R.p, R.mod
+        w = self.w = 2 * p - 1
+        h1 = tower.h(1).coeffs
+        self.h1w = [0] * ((len(h1) - 1) * w + 1)
+        self.h1w[::w] = h1
+        self.h1inv = pow(h1[-1], -1, mod)
+        d = tower.seed.to_poly().coeffs
+        self.dq = [(d[0] - R.lift(q)) % mod] + d[1:]
+        self.dinv = pow(d[-1], -1, mod)
+        self.gap = [0] * (w - p)
+
+    def mul(self, a, b):
+        p, w, mod = self.R.p, self.w, self.R.mod
+        c = mul_coeffs(a, b)
+        rem_coeffs(c, self.h1w, self.h1inv, mod)
+        out = []
+        for s in range(0, len(self.h1w) - 1, w):
+            row = c[s:s + w]
+            rem_coeffs(row, self.dq, self.dinv, mod)
+            row[p:] = self.gap
+            out += row
+        return out
+
+    def valuation(self, coeffs):
+        R, w = self.R, self.w
+        p = R.p
+        best = None
+        for k, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            i, j = divmod(k, w)
+            cand = i * p + j * (p - 1) + p * (p - 1) * R.val(c)
+            if best is None or cand < best:
+                best = cand
+        return None if best is None or best >= p * (p - 1) * R.N else best
+
+
+class TestAgainstReferenceCompositum:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products_and_valuations(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        N = data.draw(st.integers(4, 20))
+        # t^p coefficient 1 or 1 + p: the non-monic seed is one case
+        top = data.draw(st.sampled_from((1, 1 + p)))
+        seed = LTSeed.from_coeffs(p, N, p + 2, [0, p] + [0] * (p - 2) + [top])
+        tw = EisensteinTower(seed)
+        q = PadicInt(p, N, p * data.draw(st.integers(1, p ** (N - 1) - 1)))
+        ring, ref = tw.compositum(q), ReferenceCompositum(tw, q)
+        assert ring.w == ref.w and ring.size == len(ref.h1w) - 1
+        x = data.draw(compositum_point(ring, unit=True))
+        y = data.draw(compositum_point(ring, unit=True))
+        prod = x * y
+        assert prod.coeffs == ref.mul(x.coeffs, y.coeffs)
+        for z in (x, y, prod):
+            assert z.valuation() == ref.valuation(z.coeffs)
+
+
+class TestRingCheck:
+    """Elements of two different rings are refused by every binary
+    operation."""
+
+    @staticmethod
+    def _pairs():
+        tw = EisensteinTower(LTSeed.standard(3, 20, 8))
+        other_q = tw.compositum(PadicInt(3, 20, 6))
+        other_p = EisensteinTower(LTSeed.standard(5, 20, 8)).compositum(
+            PadicInt(5, 20, 5))
+        ring = tw.compositum(PadicInt(3, 20, 3))
+        return [(ring.theta(), other_q.theta()),
+                (ring.theta(), other_p.theta()),
+                (ring.lam(), tw.lam(1)),
+                (tw.lam(1), tw.lam(2)),
+                (tw.lam(1), EisensteinTower(LTSeed.standard(3, 20, 8)).lam(1))]
+
+    @pytest.mark.parametrize("op", ("add", "sub", "mul", "rmul"))
+    def test_two_rings_refused(self, op):
+        for x, y in self._pairs():
+            with pytest.raises(ValidationError, match="different tower"):
+                {"add": lambda: x + y, "sub": lambda: x - y,
+                 "mul": lambda: x * y, "rmul": lambda: y * x}[op]()
+
+    def test_same_ring_accepted(self):
+        tw = EisensteinTower(LTSeed.standard(3, 20, 8))
+        ring = tw.compositum(PadicInt(3, 20, 3))
+        theta = ring.theta()
+        assert (theta * theta - theta * theta).is_zero()
+        assert tw.lam(1) + 1 == 1 + tw.lam(1)
+
+    def test_level_ring_has_no_theta(self):
+        with pytest.raises(ValidationError):
+            tower(3).ring(1).theta()
+
+    def test_negative_level_refused(self):
+        with pytest.raises(ValidationError):
+            tower(3).ring(-1)
+
+    def test_gap_slot_refused(self):
+        ring = tower(3).compositum(PadicInt(3, 40, 3))
+        LocalElement(ring, [0, 0, 1])
+        with pytest.raises(ValidationError, match="theta slot"):
+            LocalElement(ring, [0, 0, 0, 1])
+
+    def test_too_many_coefficients_refused(self):
+        t = tower(3)
+        for ring in (t.ring(1), t.ring(2), t.compositum(PadicInt(3, 40, 3))):
+            LocalElement(ring, [0] * ring.size)
+            with pytest.raises(ValidationError, match="more than"):
+                LocalElement(ring, [0] * (ring.size + 1))
+
+    def test_level_zero_is_the_base(self):
+        t = tower(5)
+        x = t.element(0, [50])
+        assert (x * t.element(0, [3])).coeffs == [150]
+        assert x.valuation() == PadicInt(5, 40, 50).valuation() == 2
 
 
 class TestCompositum:
@@ -418,14 +570,16 @@ def reference_eval_series(ring, series, points):
 
 
 @st.composite
-def compositum_point(draw, ring):
-    """A random element of positive valuation: the lambda^0 theta^0
-    coefficient is divisible by p, the gap slots j >= p are zero."""
+def compositum_point(draw, ring, unit=False):
+    """A random element of positive valuation (of any valuation with
+    ``unit``): the lambda^0 theta^0 coefficient is divisible by p, the
+    gap slots j >= p are zero."""
     x = ring.zero()
     for k in range(len(x.coeffs)):
         if k % ring.w < ring.R.p:
             x.coeffs[k] = draw(st.integers(0, ring.R.mod - 1))
-    x.coeffs[0] = x.coeffs[0] * ring.R.p % ring.R.mod
+    if not unit:
+        x.coeffs[0] = x.coeffs[0] * ring.R.p % ring.R.mod
     return x
 
 
@@ -443,7 +597,7 @@ class TestEvalSeries:
         top = data.draw(st.sampled_from((1, 1 + p)))
         seed = LTSeed.from_coeffs(p, N, D, [0, p] + [0] * (p - 2) + [top])
         q = PadicInt(p, N, p * data.draw(st.integers(1, p - 1)))
-        ring = _CompositumRing(EisensteinTower(seed), q)
+        ring = EisensteinTower(seed).compositum(q)
         nvars = data.draw(st.sampled_from((1, 2)))
         exps = ([(k,) for k in range(1, D + 1)] if nvars == 1 else
                 [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)])
@@ -472,14 +626,14 @@ class TestConductor:
         t = tower(p, trunc=D)
         state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
         count = 0
-        mul = local_tower._CompElement.__mul__
+        mul = LocalElement.__mul__
 
         def counting(self, other):
             nonlocal count
-            count += isinstance(other, local_tower._CompElement)
+            count += isinstance(other, LocalElement)
             return mul(self, other)
 
-        monkeypatch.setattr(local_tower._CompElement, "__mul__", counting)
+        monkeypatch.setattr(LocalElement, "__mul__", counting)
         rep = division_conductor(t, state)
         assert set(rep.deltas.values()) == {2}
         assert 0 < count <= 2 * (D - 1) + (p - 1) * D

@@ -253,3 +253,14 @@ def test_precision_exhausted_at_degree_N_plus_1(p, nvars):
                 assert got[1] == 1
             else:
                 assert got == (PrecisionError, "effective precision exhausted")
+
+
+@pytest.mark.parametrize("src_trunc,dst_trunc", ((12, 8), (8, 12)))
+def test_seeds_of_different_truncations_refused(src_trunc, dst_trunc):
+    """The solver would give a series at src's truncation whose high
+    coefficients rest on dst's truncated terms: it refuses the pair, as
+    it refuses seeds over two rings."""
+    src = LTSeed.standard(5, 22, src_trunc)
+    dst = LTSeed.multiplicative(5, 22, dst_trunc)
+    with pytest.raises(ValidationError, match="truncation"):
+        strict_iso(src, dst)
