@@ -5,10 +5,9 @@ congruence engine on units."""
 from .errors import (CmtowerError, HenselError, InvariantError,
                      PrecisionError, ValidationError)
 from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries, Zp,
-                    compositional_inverse, hensel_root, newton_polygon,
-                    resultant_valuation)
+                    compositional_inverse, hensel_root, newton_polygon)
 from .lubin_tate import (FglHom, FormalGroupLaw, LTSeed, endo, group_law,
-                         solve_intertwine, strict_iso, verify_pi_shape)
+                         solve_intertwine, strict_iso)
 from .cm_split import (CMField, FieldElement, ProductGroup, embed,
                        kernel_locate, pick_pi, product_cm_endo,
                        ramified_set, type_norm_check)

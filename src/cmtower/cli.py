@@ -43,6 +43,18 @@ COMMANDS = (
 # config handling
 # ---------------------------------------------------------------------------
 
+# the keys of each INI section (README, "INI sections by command family");
+# a config with any other section or key is refused, not partly read
+_SEED_KEYS = {"p", "kind", "coeffs", "trunc", "precision", "a"}
+SECTION_KEYS = {
+    "seed": _SEED_KEYS, "seed2": _SEED_KEYS,
+    "field": {"poly", "p", "conj", "cm_type", "autos"},
+    "cm": {"alpha", "fp_index"}, "tower": {"t0", "level"},
+    "wedge": {"p", "jets", "s", "oracle"}, "galois": {"p", "m", "n"},
+    "elliptic": {"a", "b", "p", "trunc"},
+}
+
+
 class RunConfig:
     """Parsed and validated parameters for one command."""
 
@@ -68,6 +80,11 @@ class RunConfig:
             if not read:
                 raise ValidationError(f"config file not found: {path}")
             sections = {s: dict(cp.items(s)) for s in cp.sections()}
+        for name, body in sections.items():
+            unknown = sorted(body.keys() - SECTION_KEYS.get(name, set()))
+            if name not in SECTION_KEYS or unknown:
+                raise ValidationError(f"unknown config section or key: "
+                                      f"[{name}] {' '.join(unknown)}")
         return cls(command, sections, overrides)
 
     def get(self, section, key, default=None):

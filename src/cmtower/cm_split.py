@@ -14,7 +14,7 @@ containing one label from each complex-conjugation orbit.
 from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
-from .lubin_tate import FormalGroupLaw, LTSeed, endo
+from .lubin_tate import LTSeed, endo
 from .padic import InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs
 
 
@@ -66,12 +66,6 @@ class FieldElement:
         a += [0] * (n - len(a))
         b += [0] * (n - len(b))
         return FieldElement(self.field, [x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return FieldElement(self.field, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -291,17 +285,23 @@ def type_norm_check(K: CMField, alpha: FieldElement, P_index: int, cm_type=None)
     """Whether alpha's valuation vector is the indicator of the inverse
     CM type applied to the prime of P_index (the shape of a Frobenius
     element).  Returns (bool, valuation vector); the vector uses None
-    for precision-capped entries."""
+    for precision-capped entries.  Raises PrecisionError when a capped
+    entry could still complete the shape."""
     if alpha.is_zero():
         raise ValidationError("type-norm check needs a nonzero element")
     K.prime_index(P_index)
     labels = sorted(cm_type) if cm_type is not None else K.type_labels()
     support = {K.apply_auto(l, P_index) for l in labels}
     vec = [x.valuation() for x in embed(K, alpha)]
-    ok = len(support) == len(labels) and all(
-        (v == 1 if i in support else v == 0) for i, v in enumerate(vec)
-    )
-    return ok, vec
+    if len(support) != len(labels):
+        return False, vec
+    # a capped entry means v >= N, which can still be 1 only at N = 1
+    fits = [(v == 1 or v is None and K.N < 2) if i in support else v == 0
+            for i, v in enumerate(vec)]
+    if all(fits) and None in vec:
+        raise PrecisionError(
+            f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
+    return all(fits), vec
 
 
 def ramified_set(K: CMField, fp_index: int, cm_type=None):
@@ -321,16 +321,17 @@ def ramified_set(K: CMField, fp_index: int, cm_type=None):
 
 class ProductGroup:
     """Product of g one-dimensional Lubin-Tate groups over the completion
-    at the prime of P_index, indexed by the CM type.
+    at the prime of P_index, indexed by the CM type, held as its g seeds.
 
     Coordinate for label l uses the seed m_l*t + t^p where m_l is the
     image of the Frobenius-type element alpha under the label-l
     embedding, read off in the P_index completion.  The type-norm shape
-    of alpha makes every m_l a uniformizer.
+    of alpha makes every m_l a uniformizer.  Every CM action is diagonal
+    per coordinate (``product_cm_endo``), so no 2g-variable law is formed.
     """
 
     __slots__ = ("K", "alpha", "P_index", "labels", "coord_index",
-                 "seeds", "trunc", "_law")
+                 "seeds", "trunc")
 
     def __init__(self, K: CMField, alpha: FieldElement, P_index: int,
                  trunc: int):
@@ -365,23 +366,6 @@ class ProductGroup:
         the P_index completion."""
         vec = embed(self.K, beta)
         return [vec[idx] for idx in self.coord_index]
-
-    @property
-    def law(self) -> FormalGroupLaw:
-        """The product group law, one coordinate per seed, built on the
-        first read and kept."""
-        try:
-            return self._law
-        except AttributeError:
-            from .lubin_tate import group_law
-
-            g = self.g
-            laws = []
-            for j, seed in enumerate(self.seeds):
-                F = group_law(seed).F  # 2 variables: this coordinate's X, Y
-                laws.append(F.map_vars(2 * g, [j, g + j]))
-            self._law = FormalGroupLaw(laws)
-            return self._law
 
 
 def product_cm_endo(G: ProductGroup, beta: FieldElement):

@@ -41,7 +41,12 @@ class LTSeed(InRing):
                 f"truncation degree {d.trunc} is below p = {p}; the seed "
                 "congruence d = t^p mod p is not expressible"
             )
-        if pi_val.valuation() != 1:
+        v = pi_val.valuation()
+        if v is None and d.N == 1:
+            # capped: v >= 1 is all that one digit shows
+            raise PrecisionError(
+                "valuation 1 needs N >= 2 (got N = 1); raise N")
+        if v != 1:
             raise ValidationError("uniformizer must have valuation exactly 1")
         if not d.constant_term().is_zero():
             raise ValidationError("seed has a constant term")
@@ -118,8 +123,9 @@ class LTSeed(InRing):
 
 class FormalGroupLaw:
     """A g-dimensional formal group law: g series in 2g variables with
-    linear part X_j + Y_j.  Built one-dimensionally here; cm_split
-    assembles products."""
+    linear part X_j + Y_j.  ``group_law`` builds the one-dimensional law
+    of a seed; no product law is formed, since the CM action on a
+    product of seeds is diagonal per coordinate (cm_split.ProductGroup)."""
 
     __slots__ = ("nvars", "law")
 
@@ -371,46 +377,3 @@ def strict_iso(src: LTSeed, dst: LTSeed) -> FglHom:
     of two seeds sharing a uniformizer."""
     return FglHom((solve_intertwine(1, src, dst),))
 
-
-def verify_pi_shape(seed: LTSeed) -> dict:
-    """Decompose the seed's own pi-endomorphism as
-    pi*t + u*t^p + pi*alpha(t) + beta(t) with u a unit, alpha supported
-    in degrees 2..2p-1 (excluding p) and beta in degrees >= 2p.
-
-    Returns the decomposition; ``ok`` is False with a counterexample
-    coefficient if the structure fails (the test harness treats that as
-    a bug, not an expected outcome).
-    """
-    p, N, D = seed.p, seed.N, seed.trunc
-    s = endo(seed, seed.pi_val)  # equals seed.d by uniqueness
-    pi = seed.pi_val
-    u = s.coefficient((p,))
-    alpha = {}
-    beta = {}
-    report = {
-        "ok": True,
-        "u": u,
-        "counterexample": None,
-    }
-    if not u.is_unit():
-        report["ok"] = False
-        report["counterexample"] = (p, u)
-    if s.coefficient((1,)) != pi:
-        report["ok"] = False
-        report["counterexample"] = (1, s.coefficient((1,)))
-    for (k,), c in s.coeffs.items():
-        if k in (1, p):
-            continue
-        if k >= 2 * p:
-            beta[(k,)] = c
-            continue
-        ce = PadicInt(p, N, c)
-        if ce.is_unit():
-            report["ok"] = False
-            report["counterexample"] = (k, ce)
-            continue
-        alpha[(k,)] = ce.divide_exact(pi).value
-    report["alpha"] = TruncSeries(p, N, 1, D, alpha,
-                                  max(1, s.eff_prec - 1))
-    report["beta"] = TruncSeries(p, N, 1, D, beta, s.eff_prec)
-    return report

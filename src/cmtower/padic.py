@@ -8,20 +8,21 @@ Every residue lives in one ring object:
   ``lift(x)`` takes an int or a residue of this ring to a reduced raw
   residue, refusing a residue of another ring.
 
-Everything downstream is built on three carriers, each holding its ring
-as ``R`` (``p`` and ``N`` are views of it):
+Three carriers live here, each holding its ring as ``R`` (``p`` and
+``N`` are views of it):
 
 * ``PadicInt``      -- residues mod p^N with exact valuation bookkeeping,
 * ``PadicPoly``     -- dense polynomials over a fixed (p, N),
-* ``TruncSeries``   -- sparse truncated power series in g >= 1 variables
-  with an effective-precision counter that is decremented by divisions.
+* ``TruncSeries``   -- sparse truncated power series in one or more
+  variables, with ``eff_prec``, the digits known of every coefficient
+  (the Lubin-Tate recursion spends one per degree).
 
 Dense coefficient lists share two kernels: ``mul_coeffs``, the unreduced
 schoolbook product, and ``rem_coeffs``, long division mod p^N by a
-polynomial with a unit leading coefficient.  ``PadicPoly``, the tower
-elements of ``local_tower`` and its conductor compositum (whose bivariate
-elements are flattened by Kronecker substitution) all multiply and reduce
-through them; so does the determinant ``ring_det``, whose sums of
+polynomial with a unit leading coefficient.  ``PadicPoly`` and
+``local_tower.TowerRing`` (a tower level, or the conductor's compositum
+with its bivariate elements flattened by Kronecker substitution) multiply
+and reduce through them; so does the determinant ``ring_det``, whose sums of
 products accumulate unreduced in one list through ``mul_coeffs(a, b, out)``.
 That form stops at the last degree of ``out``: ``power_table``, the one
 table of powers of a one-variable series, and the elliptic expansion
@@ -148,12 +149,6 @@ class PadicInt(InRing):
             return o
         return PadicInt(self.p, self.N, self.value - o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PadicInt(self.p, self.N, o - self.value)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -176,8 +171,8 @@ class PadicInt(InRing):
         """Exact division by an element of valuation v.
 
         The result is only guaranteed to N - v digits; the caller is
-        responsible for tracking that loss (TruncSeries does so via
-        eff_prec).  Raises if the dividend is not divisible.
+        responsible for tracking that loss.  Raises if the dividend is
+        not divisible.
         """
         o = self._coerce(other)
         v = self.R.val(o)
@@ -208,9 +203,6 @@ class PadicInt(InRing):
         if not isinstance(other, PadicInt):
             return NotImplemented
         return self.R is other.R and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.N, self.value))
 
     def __repr__(self):
         return f"PadicInt({self.value} mod {self.p}^{self.N})"
@@ -305,12 +297,6 @@ class PadicPoly(InRing):
         a = self.coeffs + [0] * (n - len(self.coeffs))
         b = other.coeffs + [0] * (n - len(other.coeffs))
         return PadicPoly(self.p, self.N, [x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "PadicPoly":
-        return PadicPoly(self.p, self.N, [-x for x in self.coeffs])
-
-    def __sub__(self, other: "PadicPoly") -> "PadicPoly":
-        return self + (-other)
 
     def __mul__(self, other: "PadicPoly") -> "PadicPoly":
         self._check(other)
@@ -555,49 +541,6 @@ def _sylvester_rows(f: Sequence, g: Sequence, zero):
     return rows
 
 
-def _poly_gcd_is_nontrivial(f: PadicPoly, g: PadicPoly) -> bool:
-    """Try to certify a common factor via the Euclidean algorithm over
-    Z/p^N.  Returns True when a nontrivial common divisor is exhibited;
-    bails out (PrecisionError) when a leading coefficient goes non-unit."""
-    a, b = f, g
-    while not b.is_zero():
-        if b.coeffs[-1] % b.p == 0:
-            raise PrecisionError(
-                "resultant indistinguishable from 0 at this precision "
-                "(Euclidean step hit a non-unit leading coefficient)"
-            )
-        _, r = a.divmod_unit(b)
-        a, b = b, r
-    return a.degree >= 1
-
-
-def resultant_valuation(f: PadicPoly, g: PadicPoly):
-    """p-adic valuation of Res(f, g) via the Sylvester determinant over
-    Z/p^N.  Returns ``None`` for a certified-infinite resultant (shared
-    factor); raises PrecisionError when the determinant is zero at
-    precision N but no shared factor can be certified."""
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        raise ValidationError("resultant of a zero polynomial")
-    if f.degree == 0 or g.degree == 0:
-        # Res(c, g) = c^deg(g)
-        c = f if f.degree == 0 else g
-        other = g if f.degree == 0 else f
-        v = c.R.val(c.coeffs[0])
-        if v is None:
-            raise PrecisionError("constant polynomial is zero at precision N")
-        return v * other.degree
-    fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
-    v = f.R.val(ring_det(_sylvester_rows(fr, gr, [0]), f.R.mod)[0])
-    if v is not None:
-        return v
-    if _poly_gcd_is_nontrivial(f, g):
-        return None  # infinite: shared factor
-    raise PrecisionError(
-        f"resultant is 0 mod p^{f.N} but no common factor was certified"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------
@@ -625,7 +568,7 @@ class TruncSeries(InRing):
 
     Coefficients are stored as raw residues keyed by exponent tuples of
     total degree <= trunc.  ``eff_prec`` is the number of guaranteed
-    p-adic digits of every coefficient; divisions decrement it.
+    p-adic digits of every coefficient, at least 1.
     """
 
     __slots__ = ("R", "nvars", "trunc", "eff_prec", "coeffs")
@@ -739,17 +682,6 @@ class TruncSeries(InRing):
             parts.setdefault(sum(e), {})[pack_exponent(e, base)] = c
         return parts
 
-    def divide_exact(self, d: PadicInt) -> "TruncSeries":
-        """Exact coefficient-wise division by an element of valuation v;
-        costs v digits of effective precision."""
-        v = self.R.val(self.R.lift(d))
-        if v is None:
-            raise ValidationError("division by the zero residue")
-        out = {}
-        for e, c in self.coeffs.items():
-            out[e] = PadicInt(self.p, self.N, c).divide_exact(d).value
-        return self.copy_with(out, eff_prec=self.eff_prec - v)
-
     # -- composition ---------------------------------------------------
 
     def compose(self, args: Sequence["TruncSeries"]) -> "TruncSeries":
@@ -822,17 +754,6 @@ class TruncSeries(InRing):
             (self.coeffs.get(e, 0) - other.coeffs.get(e, 0)) % pk == 0
             for e in keys
         )
-
-    def map_vars(self, nvars, positions) -> "TruncSeries":
-        """Re-embed into a larger variable space: variable i of self
-        becomes variable positions[i]."""
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * nvars
-            for i, k in enumerate(e):
-                ne[positions[i]] = k
-            out[tuple(ne)] = c
-        return TruncSeries(self.p, self.N, nvars, self.trunc, out, self.eff_prec)
 
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

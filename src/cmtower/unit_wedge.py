@@ -167,14 +167,9 @@ class WedgeTranscript:
                 jets[entry["position"]][entry["first"]] = 0
         return tuple(UnitJet(p, tuple(r)) for r in jets)
 
-    def cumulative_matrix(self):
-        """Product of the step matrices as one integer matrix acting on
-        the exponent vectors; its determinant is +-1."""
-        return self.transform
-
     def cumulative_det(self) -> int:
         return ring_det([[[a] for a in row]
-                         for row in self.cumulative_matrix()])[0]
+                         for row in self.transform])[0]
 
     def check(self) -> None:
         """Certify the transcript: the replay reaches the final jets and

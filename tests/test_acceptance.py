@@ -249,7 +249,7 @@ def test_criterion_8_wedge_engine():
             assert found, f"no unimodular ladder for {rows}"
             # and the transcript's cumulative matrix is such a witness
             tr = reduce_wedge(jets, CftOracle("axiom"))
-            mat = tr.cumulative_matrix()
+            mat = tr.transform
             top = _word(jets[0], jets[1], mat[0][0], mat[0][1])
             assert top.clean_at(1)
 

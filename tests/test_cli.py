@@ -243,6 +243,10 @@ class TestMain:
         ("lt-iso", SEEDS + "trunc = 8\nprecision = 22\n"),
         ("cm-pi", GAUSS + "fp_index = 5\n"),
         ("cm-pi", GAUSS + "fp_index = -1\n"),
+        ("cm-embed", GAUSS.replace("[cm]", "precision = 30\n[cm]")
+         + "alpha = 2 1\n"),
+        ("lt-group-law", "[seed]\np = 5\nkind = standard\nbogus = 1\n"),
+        ("galois-orders", "[galois]\np = 3\nm = 2\nn = 1\n[extra]\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -252,7 +256,8 @@ class TestMain:
             "elliptic-match-flag-trunc-zero",
             "elliptic-fg-flag-trunc-zero-over-config", "ini-repeated-key",
             "ini-no-section-header", "seed2-trunc-and-precision",
-            "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative"))
+            "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative",
+            "field-precision-key", "seed-unknown-key", "unknown-section"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"
@@ -318,6 +323,17 @@ class TestMain:
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", (1, 2))
+    @pytest.mark.parametrize("command,config", FIXTURES)
+    def test_fixture_at_short_precision(self, tmp_path, capsys, command,
+                                        config, precision):
+        """Short precision either certifies or is inconclusive (exit 3):
+        never a validation error (2) or a falsified invariant (4)."""
+        code = main([command, "--config", os.path.join(CONFIG_DIR, config),
+                     "--precision", str(precision),
+                     "--out", str(tmp_path / "report.json")])
+        assert code in (0, 3), capsys.readouterr().err
 
     @pytest.mark.parametrize("trunc,code", ((12, 3), (13, 0)))
     def test_elliptic_match_needs_trunc_at_least_p(self, tmp_path, capsys,

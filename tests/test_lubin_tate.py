@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from cmtower.errors import InvariantError, ValidationError
+from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.lubin_tate import (FglHom, LTSeed, endo, group_law,
-                                solve_intertwine, strict_iso,
-                                verify_pi_shape)
+                                solve_intertwine, strict_iso)
 from cmtower.padic import PadicInt, TruncSeries
 
 
@@ -50,6 +49,17 @@ class TestSeedValidation:
     def test_reject_trunc_below_p(self):
         with pytest.raises(ValidationError):
             LTSeed.standard(11, 12, 8)
+
+    @pytest.mark.parametrize("N,pi,error", (
+        (1, 5, PrecisionError), (1, 3, ValidationError),
+        (12, 25, ValidationError), (2, 25, ValidationError),
+    ), ids=("capped-at-one-digit", "unit", "valuation-two",
+            "capped-at-two-digits"))
+    def test_uniformizer_valuation(self, N, pi, error):
+        """A capped valuation is short precision only at N = 1, where
+        v = 1 is still possible; elsewhere the answer is certain."""
+        with pytest.raises(error, match="valuation"):
+            LTSeed.standard(5, N, 10, pi=pi)
 
     @pytest.mark.parametrize("trunc", (-1, 0, 1, 4))
     def test_trunc_below_p_is_named_before_the_uniformizer(self, trunc):
@@ -200,30 +210,18 @@ class TestFglHom:
 
 
 class TestPiShape:
-    def test_standard_seed(self):
-        rep = verify_pi_shape(LTSeed.standard(5, 14, 12))
-        assert rep["ok"]
-        assert rep["u"].value == 1
-        assert rep["alpha"].coeffs == {} and rep["beta"].coeffs == {}
+    """endo(seed, pi) = d by uniqueness, so the pi-endomorphism has the
+    shape that LTSeed.__init__ checks on d (TestSeedValidation)."""
 
-    def test_multiplicative_seed(self):
-        from math import comb
-
-        p = 5
-        rep = verify_pi_shape(LTSeed.multiplicative(p, 14, 12))
-        assert rep["ok"] and rep["u"].value == 1
-        # alpha holds the middle binomial coefficients divided by p
-        want = {(k,): comb(p, k) // p for k in range(2, p)}
-        assert rep["alpha"].coeffs == want
-
-    def test_seed_with_tail(self):
-        # a seed with terms past degree 2p feeds beta
-        p, N, D = 3, 14, 10
-        coeffs = [0, p, p, 1, 0, 0, 0, 2 * p]
-        rep = verify_pi_shape(LTSeed.from_coeffs(p, N, D, coeffs))
-        assert rep["ok"]
-        assert rep["alpha"].coeffs == {(2,): 1}
-        assert rep["beta"].coeffs == {(7,): 2 * p}
+    @pytest.mark.parametrize("make", (
+        lambda: LTSeed.standard(5, 14, 12),
+        lambda: LTSeed.multiplicative(5, 14, 12),
+        # terms past degree 2p
+        lambda: LTSeed.from_coeffs(3, 14, 10, [0, 3, 3, 1, 0, 0, 0, 6]),
+    ), ids=("standard", "multiplicative", "tail"))
+    def test_endo_of_pi_is_d(self, make):
+        seed = make()
+        assert endo(seed, seed.pi_val).congruent(seed.d)
 
 
 class TestRandomSeeds:

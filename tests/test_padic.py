@@ -14,7 +14,7 @@ from cmtower.lubin_tate import LTSeed, endo, solve_intertwine
 from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
                            Zp, compositional_inverse, hensel_root,
                            is_prime, mul_coeffs, newton_polygon,
-                           power_table, rem_coeffs, resultant_valuation)
+                           power_table, rem_coeffs)
 
 
 def total_length(poly: NewtonPolygon) -> int:
@@ -107,10 +107,6 @@ class TestForeignResidues:
                    lambda y: x.divide_exact(y)):
             with pytest.raises(ValidationError):
                 op(PadicInt(5, 7, 1))
-
-    def test_series_divide_exact(self):
-        with pytest.raises(ValidationError):
-            TruncSeries(5, 6, 1, 4, {}).divide_exact(PadicInt(7, 6, 7))
 
     def test_resultant(self):
         with pytest.raises(ValidationError):
@@ -449,22 +445,15 @@ class TestTruncSeries:
         for k in (5, 10):
             with pytest.raises(ValidationError):
                 s.congruent(t, k)
-        # one division leaves 3 known digits
-        u = TruncSeries(5, 4, 1, 3, {(1,): 25}).divide_exact(PadicInt(5, 4, 5))
+        # a series known to 3 digits
+        u = TruncSeries(5, 4, 1, 3, {(1,): 5}, eff_prec=3)
         assert u.eff_prec == 3 and u.congruent(u, 3)
         with pytest.raises(ValidationError):
             u.congruent(u, 4)
 
-    def test_eff_prec_decrement(self):
-        p, N, D = 5, 10, 6
-        s = TruncSeries(p, N, 1, D, {(1,): 25})
-        t = s.divide_exact(PadicInt(p, N, 5))
-        assert t.eff_prec == N - 1
-        assert t.coeffs == {(1,): 5}
+    def test_no_known_digit_is_a_precision_error(self):
         with pytest.raises(PrecisionError):
-            s2 = TruncSeries(p, N, 1, D, {})
-            for _ in range(N + 1):
-                s2 = s2.divide_exact(PadicInt(p, N, 5))
+            TruncSeries(5, 10, 1, 6, {(1,): 25}, eff_prec=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((3, 5, 7)), st.integers(1, 10),
@@ -561,6 +550,53 @@ class TestCompositionalInverse:
         f = TruncSeries(5, 6, 2, 4, {(1, 0): 1})
         with pytest.raises(ValidationError, match="one variable"):
             compositional_inverse(f)
+
+
+# the resultant oracle (test_cm_split imports it too); the library's own
+# resultant route is local_tower.level_disc
+
+def _poly_gcd_is_nontrivial(f: PadicPoly, g: PadicPoly) -> bool:
+    """Try to certify a common factor via the Euclidean algorithm over
+    Z/p^N.  Returns True when a nontrivial common divisor is exhibited;
+    bails out (PrecisionError) when a leading coefficient goes non-unit."""
+    a, b = f, g
+    while not b.is_zero():
+        if b.coeffs[-1] % b.p == 0:
+            raise PrecisionError(
+                "resultant indistinguishable from 0 at this precision "
+                "(Euclidean step hit a non-unit leading coefficient)"
+            )
+        _, r = a.divmod_unit(b)
+        a, b = b, r
+    return a.degree >= 1
+
+
+def resultant_valuation(f: PadicPoly, g: PadicPoly):
+    """Oracle: p-adic valuation of Res(f, g) via the Sylvester
+    determinant over Z/p^N.  Returns ``None`` for a certified-infinite
+    resultant (shared factor); raises PrecisionError when the determinant
+    is zero at precision N but no shared factor can be certified."""
+    f._check(g)
+    if f.is_zero() or g.is_zero():
+        raise ValidationError("resultant of a zero polynomial")
+    if f.degree == 0 or g.degree == 0:
+        # Res(c, g) = c^deg(g)
+        c = f if f.degree == 0 else g
+        other = g if f.degree == 0 else f
+        v = c.R.val(c.coeffs[0])
+        if v is None:
+            raise PrecisionError("constant polynomial is zero at precision N")
+        return v * other.degree
+    fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
+    rows = padic._sylvester_rows(fr, gr, [0])
+    v = f.R.val(padic.ring_det(rows, f.R.mod)[0])
+    if v is not None:
+        return v
+    if _poly_gcd_is_nontrivial(f, g):
+        return None  # infinite: shared factor
+    raise PrecisionError(
+        f"resultant is 0 mod p^{f.N} but no common factor was certified"
+    )
 
 
 class TestResultant:

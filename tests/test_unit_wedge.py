@@ -239,7 +239,7 @@ class TestStepRows:
             mat[k] = [a * e + b * f for e, f in zip(x, y)]
             mat[k + 1] = [c * e + d * f for e, f in zip(x, y)]
         assert tr.replay() == tuple(work) == tr.final
-        assert tr.cumulative_matrix() == mat
+        assert tr.transform == mat
 
     @settings(max_examples=300, deadline=None)
     @given(_jets(min_g=2))
@@ -250,7 +250,7 @@ class TestStepRows:
         tr = extend_to_g(jets, s, CftOracle(mode))
         report, mat = object_extend_to_g(jets, s, CftOracle(mode))
         assert tr.to_json() == report
-        assert tr.cumulative_matrix() == mat
+        assert tr.transform == mat
 
     @settings(max_examples=200, deadline=None)
     @given(_jets())
