@@ -72,13 +72,19 @@ class RunConfig:
     def load(cls, command: str, path: "str | None", overrides: dict):
         sections = {}
         if path:
-            cp = configparser.ConfigParser()
+            # values are read as written: no %-interpolation
+            cp = configparser.ConfigParser(interpolation=None)
             try:
                 read = cp.read(path)
             except configparser.Error as exc:
                 raise ValidationError(str(exc)) from None
             if not read:
                 raise ValidationError(f"config file not found: {path}")
+            # a [DEFAULT] section would flow into every other one
+            if cp.defaults():
+                raise ValidationError(
+                    "unknown config section or key: [DEFAULT] "
+                    + " ".join(sorted(cp.defaults())))
             sections = {s: dict(cp.items(s)) for s in cp.sections()}
         for name, body in sections.items():
             unknown = sorted(body.keys() - SECTION_KEYS.get(name, set()))
@@ -211,8 +217,8 @@ def _run_lt_iso(cfg: RunConfig):
     dst = cfg.seed("seed2")
     iso = strict_iso(src, dst)
     return {
-        "series": iso.series[0].to_json(),
-        "jacobian": [[c.to_json() for c in row] for row in iso.jacobian],
+        "series": iso.to_json(),
+        "jacobian": [[iso.coefficient((1,)).to_json()]],
     }, ["strict isomorphism from the intertwining recursion"]
 
 
@@ -375,7 +381,7 @@ def _run_elliptic_match(cfg: RunConfig):
             f"expected exactly one passing associate, got {len(passing)}"
         )
     alpha = passing[0]["alpha"]
-    iso = match_lubin_tate(data, passing[0], root)
+    iso = match_lubin_tate(data, passing[0])
     return {
         "a_p": ap,
         "candidates": [
@@ -386,8 +392,8 @@ def _run_elliptic_match(cfg: RunConfig):
         "alpha_P": list(alpha),
         # the linear coefficient of the embedded [i]: i e_1 [log]_1 = i
         "embedded_i": root.to_json(),
-        "iso": iso.series[0].to_json(),
-        "iso_jacobian": iso.jacobian[0][0].to_json(),
+        "iso": iso.to_json(),
+        "iso_jacobian": iso.coefficient((1,)).to_json(),
     }, [
         "trace by brute-force point count",
         "associate selected by the Frobenius congruence",

@@ -22,7 +22,9 @@ exp(log X + log Y) binomially in the powers, and an endomorphism
 
 CM coefficients live in Q(i): a ``GaussSeries`` holds the real and
 imaginary numerators over one shared denominator; the split prime embeds
-i as a Hensel-lifted square root of -1.
+i as a Hensel-lifted square root of -1.  The Lubin-Tate match reads the
+embedded [alpha_P] of a passing Frobenius report as a seed and returns
+the strict isomorphism to the standard seed as its series.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import InvariantError, ValidationError
 # lt_group_law is unused here; perfbench/spans.py patches this binding
-from .lubin_tate import FglHom, LTSeed, group_law as lt_group_law, solve_intertwine
+from .lubin_tate import LTSeed, group_law as lt_group_law, solve_intertwine
 from .padic import (PadicInt, PadicPoly, TruncSeries, Zp, hensel_root,
                     mul_coeffs)
 
@@ -372,28 +374,21 @@ def frobenius_check(data: EllipticFormalData, alpha,
     }
 
 
-def match_lubin_tate(data: EllipticFormalData, alpha_P,
-                     root: PadicInt) -> FglHom:
+def match_lubin_tate(data: EllipticFormalData, rep: dict) -> TruncSeries:
     """Strict isomorphism from the curve's formal group to the standard
-    Lubin-Tate group of the Frobenius uniformizer, over root's ring.
-
-    ``alpha_P`` is a candidate (re, im), checked here, or the report
-    that ``frobenius_check`` gave for it over root's ring, which saves
-    checking it again.  Either way a candidate that fails the Frobenius
-    congruence is refused.
+    Lubin-Tate group of the Frobenius uniformizer, read from the report
+    ``frobenius_check`` gave for a candidate; the isomorphism lives in
+    the ring of the report's embedded series.  A candidate that fails
+    the Frobenius congruence is refused.
 
     The embedded [alpha_P] series is itself a Lubin-Tate seed (its
     linear coefficient is a uniformizer and it reduces to z^p); the
     intertwining solver then produces the isomorphism, integral by
     construction of the exact arithmetic."""
-    rep = (alpha_P if isinstance(alpha_P, dict)
-           else frobenius_check(data, alpha_P, root))
     if not rep["passes"]:
         raise ValidationError(
             f"candidate fails the Frobenius congruence at {rep['first_fail']}"
         )
-    emb = rep["embedded"]
-    pi = emb.coefficient((1,))
-    src = LTSeed(pi, emb)
-    dst = LTSeed.standard(root.p, root.N, data.D, pi=pi)
-    return FglHom((solve_intertwine(1, src, dst),))
+    src = LTSeed(rep["embedded"])
+    dst = LTSeed.standard(src.p, src.N, data.D, pi=src.pi_val)
+    return solve_intertwine(1, src, dst)

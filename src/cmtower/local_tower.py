@@ -333,19 +333,18 @@ class LocalElement:
         return f"LocalElement(coeffs={self.coeffs})"
 
 
-def filtration_step(tower: EisensteinTower, x):
-    """Apply the pi-action to a point in the kernel of reduction; its
-    valuation increases by exactly one base unit."""
-    e = x.ring.weights[2] if isinstance(x, LocalElement) else 1
+def filtration_step(tower: EisensteinTower, x: LocalElement):
+    """Apply the pi-action to a point in the kernel of reduction, an
+    element of some level (a base point is one of level 0); its valuation
+    increases by exactly one base unit."""
+    ring = x.ring
+    e = ring.weights[2]
     v = x.valuation()
     if v is not None and v < e:
         raise ValidationError(
             "filtration step needs a point in the kernel of reduction "
             f"(valuation >= 1 in base units, got {Fraction(v, e)})"
         )
-    if isinstance(x, PadicInt):
-        return tower.seed.to_poly().evaluate(x)
-    ring = x.ring
     return ring.eval_series(tower.seed.d, ring.powers(x, tower.p))
 
 

@@ -9,6 +9,11 @@ once, at the degree that first needs it.  Each degree divides by
 pi^k - pi (valuation exactly 1), so one digit of effective precision is
 spent per degree; seeds are built with guard digits to absorb this.
 
+Each object is held as its series: a seed as d, its uniformizer read
+from d's linear coefficient; a group law as F(X, Y); a homomorphism (an
+[a] or a strict isomorphism) as the one-variable series phi, which
+``check_hom`` certifies against two laws.
+
 A seed owns the table of powers 1, d, d^2, ..., d^(D-1) that the
 recursion reads, dense coefficient lists from ``padic.power_table``: the
 first solve from the seed builds it, and the group law, every [a] and
@@ -18,22 +23,19 @@ every strict isomorphism out of that seed share it.
 from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
-from .padic import (InRing, PadicInt, PadicPoly, TruncSeries, Zp,
-                    compositional_inverse, power_table, ring_det)
+from .padic import InRing, PadicInt, PadicPoly, TruncSeries, Zp, power_table
 
 
 class LTSeed(InRing):
-    """A Lubin-Tate seed: uniformizer pi_val and one-variable series d,
-    over d's ring."""
+    """A Lubin-Tate seed: a one-variable series d over its ring, with the
+    uniformizer pi_val read from d's linear coefficient."""
 
     __slots__ = ("pi_val", "d", "_d_powers")
     R = property(lambda self: self.d.R)
 
-    def __init__(self, pi_val: PadicInt, d: TruncSeries):
+    def __init__(self, d: TruncSeries):
         if d.nvars != 1:
             raise ValidationError("seed series must be one-variable")
-        if pi_val.R is not d.R:
-            raise ValidationError("pi and d disagree on (p, N)")
         p = d.p
         # before the uniformizer: truncating below degree 1 drops pi too
         if d.trunc < p:
@@ -41,6 +43,7 @@ class LTSeed(InRing):
                 f"truncation degree {d.trunc} is below p = {p}; the seed "
                 "congruence d = t^p mod p is not expressible"
             )
+        pi_val = d.coefficient((1,))
         v = pi_val.valuation()
         if v is None and d.N == 1:
             # capped: v >= 1 is all that one digit shows
@@ -50,8 +53,6 @@ class LTSeed(InRing):
             raise ValidationError("uniformizer must have valuation exactly 1")
         if not d.constant_term().is_zero():
             raise ValidationError("seed has a constant term")
-        if d.coefficient((1,)) != pi_val:
-            raise ValidationError("linear coefficient of d must equal pi")
         for (k,), c in d.coeffs.items():
             if k == p:
                 if c % p != 1:
@@ -98,8 +99,7 @@ class LTSeed(InRing):
     @classmethod
     def from_coeffs(cls, p, N, trunc, coeffs):
         """Seed from a dense coefficient list [0, pi, a2, ...]."""
-        d = TruncSeries.from_coeff_list(p, N, trunc, coeffs)
-        return cls(d.coefficient((1,)), d)
+        return cls(TruncSeries.from_coeff_list(p, N, trunc, coeffs))
 
     @classmethod
     def multiplicative(cls, p, N, trunc):
@@ -122,89 +122,31 @@ class LTSeed(InRing):
 
 
 class FormalGroupLaw:
-    """A g-dimensional formal group law: g series in 2g variables with
-    linear part X_j + Y_j.  ``group_law`` builds the one-dimensional law
-    of a seed; no product law is formed, since the CM action on a
-    product of seeds is diagonal per coordinate (cm_split.ProductGroup)."""
+    """A one-dimensional formal group law F(X, Y) = X + Y + higher, held
+    as its series.  ``group_law`` builds the law of a seed; no product
+    law is formed, since the CM action on a product of seeds is diagonal
+    per coordinate (cm_split.ProductGroup)."""
 
-    __slots__ = ("nvars", "law")
+    __slots__ = ("F",)
 
-    def __init__(self, law):
-        self.law = tuple(law)
-        self.nvars = len(self.law)
+    def __init__(self, F: TruncSeries):
+        self.F = F
 
-    @property
-    def F(self) -> TruncSeries:
-        if self.nvars != 1:
-            raise ValidationError("F shortcut is one-dimensional only")
-        return self.law[0]
-
-    def add(self, xs, ys):
-        """Formal sum of two coordinate tuples of series (each in some
-        common ambient variable space)."""
-        args = list(xs) + list(ys)
-        return tuple(Fj.compose(args) for Fj in self.law)
+    def add(self, x: TruncSeries, y: TruncSeries) -> TruncSeries:
+        """The formal sum F(x, y) of two series in one common ambient
+        variable space."""
+        return self.F.compose([x, y])
 
 
-class FglHom:
-    """Homomorphism of formal group laws, held as its series tuple (one
-    series per codomain coordinate, all in the domain's variables) and
-    their jacobian, the matrix of linear coefficients.  The laws it
-    intertwines are not stored: ``check`` certifies it against two."""
-
-    __slots__ = ("series", "jacobian")
-
-    def __init__(self, series):
-        self.series = tuple(series)
-        g = self.series[0].nvars
-        jac = []
-        for s in self.series:
-            if s.nvars != g:
-                raise ValidationError("series must share one arity")
-            if not s.constant_term().is_zero():
-                raise ValidationError("homomorphism series has a constant term")
-            jac.append([s.coefficient(tuple(int(k == i) for k in range(g)))
-                        for i in range(g)])
-        self.jacobian = jac
-
-    def check(self, domain: FormalGroupLaw, codomain: FormalGroupLaw):
-        """Raise ``InvariantError`` unless phi(F(X, Y)) = G(phi X, phi Y)
-        through the truncation degree, F the domain law and G the
-        codomain law."""
-        g = domain.nvars
-        s0 = self.series[0]
-        if s0.nvars != g or len(self.series) != codomain.nvars:
-            raise ValidationError("series do not match the laws' dimensions")
-        vs = [TruncSeries.variable(s0.p, s0.N, 2 * g, s0.trunc, i)
-              for i in range(2 * g)]
-        xs, ys = vs[:g], vs[g:]
-        fxy = [Fj.compose(xs + ys) for Fj in domain.law]
-        lhs = [s.compose(fxy) for s in self.series]
-        phix = [s.compose(xs) for s in self.series]
-        phiy = [s.compose(ys) for s in self.series]
-        rhs = [Gj.compose(phix + phiy) for Gj in codomain.law]
-        for a, b in zip(lhs, rhs):
-            if not a.congruent(b):
-                raise InvariantError("series do not intertwine the group laws")
-
-    def is_invertible(self) -> bool:
-        """Whether the jacobian determinant is a unit."""
-        R = self.jacobian[0][0].R
-        det = ring_det([[[x.value] for x in row] for row in self.jacobian],
-                       R.mod)
-        return R.val(det[0]) == 0
-
-    def inverse(self) -> "FglHom":
-        """Compositional inverse; fails unless the jacobian determinant
-        is a unit."""
-        if not self.is_invertible():
-            raise ValidationError(
-                "homomorphism is not invertible: jacobian determinant "
-                "is not a unit"
-            )
-        if len(self.series) != 1 or self.series[0].nvars != 1:
-            raise ValidationError("inverse implemented for dimension 1 only")
-        return FglHom((compositional_inverse(self.series[0]),))
+def check_hom(phi: TruncSeries, F: TruncSeries, G: TruncSeries):
+    """Raise ``InvariantError`` unless the one-variable series phi is a
+    homomorphism from the law F to the law G: phi(F(X, Y)) = G(phi X,
+    phi Y) through the truncation degree."""
+    x, y = (TruncSeries.variable(phi.p, phi.N, 2, phi.trunc, i)
+            for i in (0, 1))
+    rhs = G.compose([phi.compose([x]), phi.compose([y])])
+    if not phi.compose([F]).congruent(rhs):
+        raise InvariantError("series does not intertwine the group laws")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +305,7 @@ def group_law(seed: LTSeed) -> FormalGroupLaw:
     """The unique F(X, Y) = X + Y + higher with F(d(X), d(Y)) = d(F(X, Y))."""
     p, N, D = seed.p, seed.N, seed.trunc
     linear = TruncSeries(p, N, 2, D, {(1, 0): 1, (0, 1): 1})
-    return FormalGroupLaw((_lt_solve(linear, seed, seed),))
+    return FormalGroupLaw(_lt_solve(linear, seed, seed))
 
 
 def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
@@ -372,8 +314,9 @@ def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
     return solve_intertwine(a, seed, seed)
 
 
-def strict_iso(src: LTSeed, dst: LTSeed) -> FglHom:
-    """The strict isomorphism (identity jacobian) between the group laws
-    of two seeds sharing a uniformizer."""
-    return FglHom((solve_intertwine(1, src, dst),))
+def strict_iso(src: LTSeed, dst: LTSeed) -> TruncSeries:
+    """The strict isomorphism phi(t) = t + higher between the group laws
+    of two seeds sharing a uniformizer.  Its compositional inverse is
+    ``padic.compositional_inverse(phi)``."""
+    return solve_intertwine(1, src, dst)
 

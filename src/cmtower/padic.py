@@ -92,6 +92,17 @@ class Zp:
             return x.value
         return x % self.mod
 
+    def divide_exact(self, x: int, y: int) -> int:
+        """x / y for reduced raw residues, y of valuation v: the quotient
+        is known to N - v digits only.  Raises unless p^v divides x."""
+        v = self.val(y)
+        if v is None:
+            raise ValidationError("division by the zero residue")
+        pv = self.p ** v
+        if x % pv:
+            raise ValidationError(f"residue {x} not divisible by p^{v}")
+        return x // pv * pow(y // pv, -1, self.mod) % self.mod
+
 
 class InRing:
     """An object over the ring ``R``: ``p`` and ``N`` are views of it."""
@@ -174,17 +185,8 @@ class PadicInt(InRing):
         responsible for tracking that loss.  Raises if the dividend is
         not divisible.
         """
-        o = self._coerce(other)
-        v = self.R.val(o)
-        if v is None:
-            raise ValidationError("division by the zero residue")
-        pv = self.p ** v
-        if self.value % pv != 0:
-            raise ValidationError(
-                f"residue {self.value} not divisible by p^{v}"
-            )
         return PadicInt(self.p, self.N,
-                        self.value // pv * pow(o // pv, -1, self.R.mod))
+                        self.R.divide_exact(self.value, self._coerce(other)))
 
     # -- comparisons / misc -------------------------------------------
 
@@ -445,14 +447,7 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
         fx = _horner(fc, x, mod)
         if not fx:
             break
-        dx = _horner(dc, x, mod)
-        w = R.val(dx)
-        if w is None:
-            raise ValidationError("division by the zero residue")
-        pw = p ** w
-        if fx % pw:
-            raise ValidationError(f"residue {fx} not divisible by p^{w}")
-        x = (x - fx // pw * pow(dx // pw, -1, mod)) % mod
+        x = (x - R.divide_exact(fx, _horner(dc, x, mod))) % mod
     else:
         raise HenselError("Newton iteration failed to stabilize")
     if (x - a) % p ** (k + 1):

@@ -23,7 +23,8 @@ from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  division_conductor,
                                  filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed, endo, group_law
-from cmtower.padic import PadicInt, TruncSeries, newton_polygon
+from cmtower.padic import (PadicInt, TruncSeries, compositional_inverse,
+                           newton_polygon)
 from cmtower.unit_wedge import CftOracle, UnitJet, combine, reduce_wedge
 
 
@@ -81,13 +82,13 @@ def test_criterion_2_random_seed_axioms():
                 # identity section F(X, 0) = X
                 x = TruncSeries.variable(p, seed.N, 1, 15, 0)
                 z = TruncSeries(p, seed.N, 1, 15, {})
-                fx0, = G.add((x,), (z,))
+                fx0 = G.add(x, z)
                 assert fx0.coeffs == x.coeffs
                 # endo ring laws on random multipliers
                 a = PadicInt(p, seed.N, rng.randrange(1, p ** 3))
                 b = PadicInt(p, seed.N, rng.randrange(1, p ** 3))
                 ea, eb = endo(seed, a), endo(seed, b)
-                sum_series, = G.add((ea,), (eb,))
+                sum_series = G.add(ea, eb)
                 assert sum_series.congruent(endo(seed, a + b))
                 assert ea.compose([eb]).congruent(endo(seed, a * b))
                 # the seed's own uniformizer endo is the seed series
@@ -272,10 +273,10 @@ def test_criterion_9_elliptic_bridge():
         # [i](z) = i z: zero numerators but the imaginary one at degree 1
         series = cm_endo_elliptic(data, (0, 1))
         assert series == ([0] * 21, [0, 1] + [0] * 19, 1)
-        iso = match_lubin_tate(data, (3, 2), root)
-        assert iso.jacobian[0][0].value == 1
-        assert iso.is_invertible()
-        comp = iso.series[0].compose(iso.inverse().series)
+        iso = match_lubin_tate(data, passing[0])
+        assert iso.coefficient((1,)).value == 1
+        assert iso.coefficient((1,)).is_unit()
+        comp = iso.compose([compositional_inverse(iso)])
         assert comp.coeffs == {(1,): 1}
 
 

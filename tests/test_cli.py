@@ -247,6 +247,8 @@ class TestMain:
          + "alpha = 2 1\n"),
         ("lt-group-law", "[seed]\np = 5\nkind = standard\nbogus = 1\n"),
         ("galois-orders", "[galois]\np = 3\nm = 2\nn = 1\n[extra]\n"),
+        ("lt-endo", "[seed]\np = 5\nkind = standard\na = 3%\n"),
+        ("lt-group-law", "[DEFAULT]\np = 7\n[seed]\nkind = standard\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -257,7 +259,8 @@ class TestMain:
             "elliptic-fg-flag-trunc-zero-over-config", "ini-repeated-key",
             "ini-no-section-header", "seed2-trunc-and-precision",
             "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative",
-            "field-precision-key", "seed-unknown-key", "unknown-section"))
+            "field-precision-key", "seed-unknown-key", "unknown-section",
+            "percent-in-value", "default-section"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"

@@ -171,12 +171,13 @@ class TestFiltration:
             filtration_step(t, t.element(1, [1]))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((3, 5)), st.sampled_from((1, 2)),
+    @given(st.sampled_from((3, 5)), st.sampled_from((0, 1, 2)),
            st.sampled_from(("standard", "non-monic")),
            st.randoms(use_true_random=False))
     def test_matches_horner(self, p, level, kind, rng):
         """The step is the value of d at x by the power table, the same
-        element (not only the same valuation) as Horner's rule."""
+        element (not only the same valuation) as Horner's rule; a base
+        point is an element of level 0."""
         N = 16
         seed = (LTSeed.standard(p, N, p + 2) if kind == "standard"
                 else non_monic_seed(p, N))

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
-from cmtower.lubin_tate import (FglHom, LTSeed, endo, group_law,
+from cmtower.lubin_tate import (LTSeed, check_hom, endo, group_law,
                                 solve_intertwine, strict_iso)
-from cmtower.padic import PadicInt, TruncSeries
+from cmtower.padic import PadicInt, TruncSeries, compositional_inverse
 
 
 def random_seed(rng, p, N, trunc):
@@ -88,7 +88,7 @@ class TestGroupLaw:
         p, N, D = seed.p, seed.N, seed.trunc
         x = TruncSeries.variable(p, N, 1, D, 0)
         z = TruncSeries(p, N, 1, D, {})
-        fx0, = G.add((x,), (z,))
+        fx0 = G.add(x, z)
         assert fx0.coeffs == x.coeffs
 
     def test_associative(self):
@@ -96,8 +96,8 @@ class TestGroupLaw:
         G = group_law(seed)
         p, N, D = seed.p, seed.N, seed.trunc
         xs = [TruncSeries.variable(p, N, 3, D, i) for i in range(3)]
-        left, = G.add(G.add((xs[0],), (xs[1],)), (xs[2],))
-        right, = G.add((xs[0],), G.add((xs[1],), (xs[2],)))
+        left = G.add(G.add(xs[0], xs[1]), xs[2])
+        right = G.add(xs[0], G.add(xs[1], xs[2]))
         assert left.congruent(right)
 
 
@@ -134,7 +134,7 @@ class TestEndo:
             a = PadicInt(p, N, rng.randrange(1, p ** 4))
             b = PadicInt(p, N, rng.randrange(1, p ** 4))
             ea, eb = endo(seed, a), endo(seed, b)
-            sum_series, = G.add((ea,), (eb,))
+            sum_series = G.add(ea, eb)
             assert sum_series.congruent(endo(seed, a + b))
             assert ea.compose([eb]).congruent(endo(seed, a * b))
 
@@ -150,63 +150,62 @@ class TestStrictIso:
         p, N, D = 5, 18, 12
         src = LTSeed.standard(p, N, D)
         dst = LTSeed.multiplicative(p, N, D)
-        iso = strict_iso(src, dst)
-        phi = iso.series[0]
+        phi = strict_iso(src, dst)
         assert phi.coeffs[(1,)] == 1
         # the defining residual: dst.d(phi) = phi(src.d)
         lhs = dst.d.compose([phi])
         rhs = phi.compose([src.d])
         assert lhs.congruent(rhs)
-        assert iso.is_invertible()
+        assert phi.coefficient((1,)).is_unit()
 
     def test_iso_round_trip(self):
         p, N, D = 3, 18, 10
         src = LTSeed.standard(p, N, D)
         dst = LTSeed.multiplicative(p, N, D)
-        iso = strict_iso(src, dst)
-        inv = iso.inverse()
-        comp = iso.series[0].compose(inv.series)
+        phi = strict_iso(src, dst)
+        comp = phi.compose([compositional_inverse(phi)])
         assert comp.coeffs == {(1,): 1}
 
     def test_transports_group_law(self):
         p, N, D = 3, 16, 9
         src = LTSeed.standard(p, N, D)
         dst = LTSeed.multiplicative(p, N, D)
-        iso = strict_iso(src, dst)
-        phi = iso.series[0]
+        phi = strict_iso(src, dst)
         Gs, Gd = group_law(src), group_law(dst)
         x = TruncSeries.variable(p, N, 2, D, 0)
         y = TruncSeries.variable(p, N, 2, D, 1)
         lhs = phi.compose([Gs.F])
         rhs = Gd.F.compose([phi.compose([x]), phi.compose([y])])
         assert lhs.congruent(rhs)
-        iso.check(Gs, Gd)
+        check_hom(phi, Gs.F, Gd.F)
 
 
-class TestFglHom:
+class TestHom:
+    """A homomorphism is its series phi: invertible when its linear
+    coefficient is a unit, certified by ``check_hom``."""
+
     def test_pi_endo_not_invertible(self):
         seed = LTSeed.standard(5, 14, 10)
-        h = FglHom((endo(seed, seed.pi_val),))
-        assert not h.is_invertible()
+        h = endo(seed, seed.pi_val)
+        assert not h.coefficient((1,)).is_unit()
         with pytest.raises(ValidationError):
-            h.inverse()
+            compositional_inverse(h)
 
     def test_unit_endo_invertible(self):
         seed = LTSeed.standard(5, 14, 10)
-        G = group_law(seed)
-        h = FglHom((endo(seed, PadicInt(5, 14, 2)),))
-        h.check(G, G)
-        assert h.is_invertible()
-        inv = h.inverse()
-        comp = h.series[0].compose(inv.series)
+        F = group_law(seed).F
+        h = endo(seed, PadicInt(5, 14, 2))
+        check_hom(h, F, F)
+        assert h.coefficient((1,)).is_unit()
+        comp = h.compose([compositional_inverse(h)])
         assert comp.coeffs == {(1,): 1}
 
     def test_verify_rejects_non_hom(self):
         seed = LTSeed.standard(3, 14, 8)
-        G = group_law(seed)
-        bad = FglHom((TruncSeries(3, 14, 1, 8, {(1,): 1, (2,): 1}),))
+        F = group_law(seed).F
+        bad = TruncSeries(3, 14, 1, 8, {(1,): 1, (2,): 1})
         with pytest.raises(InvariantError):
-            bad.check(G, G)
+            check_hom(bad, F, F)
 
 
 class TestPiShape:
