@@ -6,8 +6,8 @@ from .errors import (CmtowerError, HenselError, InvariantError,
                      PrecisionError, ValidationError)
 from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries, Zp,
                     compositional_inverse, hensel_root, newton_polygon)
-from .lubin_tate import (FormalGroupLaw, LTSeed, check_hom, endo,
-                         group_law, solve_intertwine, strict_iso)
+from .lubin_tate import (FormalGroupLaw, LTSeed, endo, group_law,
+                         solve_intertwine, strict_iso)
 from .cm_split import (CMField, FieldElement, ProductGroup, embed,
                        kernel_locate, pick_pi, product_cm_endo,
                        ramified_set, type_norm_check)

@@ -123,12 +123,15 @@ class TowerRing:
     def eval_series(self, series, table, y=None):
         """Evaluate a TruncSeries over ``R`` (no constant term) in one
         variable at x, or in two at (x, y), with ``table = powers(x, D)``;
-        the points have positive valuation.
+        the points have positive valuation: ``horner(columns(...), y)``."""
+        return self.horner(self.columns(series, table, y is not None), y)
 
-        Each column sum_i c_ij x^i is a scalar combination of the table,
-        reduced mod p^N once, and the columns are summed by Horner in y
-        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)): one product
-        per power of y, none per monomial."""
+    def columns(self, series, table, two=False):
+        """The columns {j: sum_i c_ij x^i} of a two-variable series at x
+        (``two``), or {0: its value} for a one-variable one, with
+        ``table = powers(x, D)``.  Each column is a scalar combination of
+        the table, reduced mod p^N once; columns at one x serve every
+        y."""
         if series.R is not self.R:
             raise ValidationError("series and ring disagree on (p, N)")
         mod = self.R.mod
@@ -136,16 +139,21 @@ class TowerRing:
         for e, c in series.coeffs.items():
             if not any(e):
                 raise ValidationError("series must have no constant term")
-            col = cols.setdefault(e[-1] if y is not None else 0,
-                                  [0] * self.size)
+            col = cols.setdefault(e[-1] if two else 0, [0] * self.size)
             for k, x in enumerate(table[e[0]].coeffs):
                 if x:
                     col[k] += c * x
+        return {j: LocalElement._reduced(self, [c % mod for c in col])
+                for j, col in cols.items()}
+
+    def horner(self, cols, y=None):
+        """sum_j cols[j] y^j, by Horner in y (Paterson and Stockmeyer,
+        SIAM J. Comput. 2 (1973)): one product per power of y, none per
+        monomial."""
         acc = self.zero()
         for j in range(max(cols, default=0), -1, -1):
             if j in cols:
-                acc = acc + LocalElement._reduced(
-                    self, [c % mod for c in cols[j]])
+                acc = acc + cols[j]
             if j:
                 acc = acc * y
         return acc
@@ -571,9 +579,10 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     if theta.valuation() != p - 1 or lam.valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
     F = group_law(tower.seed).F
-    # lambda's and theta's powers, shared by all p - 1 translates
+    # lambda's powers and F's theta-columns, shared by all p - 1
+    # translates: each translate runs only the Horner pass in t(v)
     lams = ring.powers(lam, tower.seed.trunc)
-    thetas = ring.powers(theta, tower.seed.trunc)
+    cols = ring.columns(F, ring.powers(theta, tower.seed.trunc), two=True)
     deltas = {}
     prov = [
         f"jumps: theta displacement under torsion translation, seed degree "
@@ -585,7 +594,7 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"
             )
-        sigma_theta = ring.eval_series(F, thetas, tv)
+        sigma_theta = ring.horner(cols, tv)
         disp = (theta - sigma_theta).valuation()
         if disp is None:
             raise PrecisionError(

@@ -11,16 +11,19 @@ spent per degree; seeds are built with guard digits to absorb this.
 
 Each object is held as its series: a seed as d, its uniformizer read
 from d's linear coefficient; a group law as F(X, Y); a homomorphism (an
-[a] or a strict isomorphism) as the one-variable series phi, which
-``check_hom`` certifies against two laws.
+[a] or a strict isomorphism) as the one-variable series phi.
 
-A seed owns the table of powers 1, d, d^2, ..., d^(D-1) that the
-recursion reads, dense coefficient lists from ``padic.power_table``: the
-first solve from the seed builds it, and the group law, every [a] and
-every strict isomorphism out of that seed share it.
+A seed owns the two tables that the recursion reads: its power table
+1, d, d^2, ..., d^(D-1), dense coefficient lists from
+``padic.power_table``, and its divisor table, the inverses of
+(pi^k - pi)/p for k = 2..D from ``divisor_table``.  The first solve from
+the seed builds them, and the group law, every [a] and every strict
+isomorphism out of that seed share them.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .padic import InRing, PadicInt, PadicPoly, TruncSeries, Zp, power_table
@@ -30,7 +33,7 @@ class LTSeed(InRing):
     """A Lubin-Tate seed: a one-variable series d over its ring, with the
     uniformizer pi_val read from d's linear coefficient."""
 
-    __slots__ = ("pi_val", "d", "_d_powers")
+    __slots__ = ("pi_val", "d", "_d_powers", "_divisor_inverses")
     R = property(lambda self: self.d.R)
 
     def __init__(self, d: TruncSeries):
@@ -82,6 +85,16 @@ class LTSeed(InRing):
             self._d_powers = power_table(self.d)
             return self._d_powers
 
+    def divisor_inverses(self) -> list:
+        """``divisor_table(pi, D)``: the inverses of (pi^k - pi)/p that
+        the recursion divides by, built on the first call and kept on
+        the seed."""
+        try:
+            return self._divisor_inverses
+        except AttributeError:
+            self._divisor_inverses = divisor_table(self.pi_val, self.trunc)
+            return self._divisor_inverses
+
     @property
     def is_polynomial(self) -> bool:
         """True when d has no term beyond degree p; torsion-polynomial
@@ -121,6 +134,22 @@ class LTSeed(InRing):
         return f"LTSeed(p={self.p}, pi={self.pi_val.value}, d={self.d!r})"
 
 
+def divisor_table(pi_val: PadicInt, D: int) -> list:
+    """t[k] = the inverse of (pi^k - pi)/p mod p^N for k = 2..D (t[0] and
+    t[1] are None), or None where pi^k - pi does not have valuation
+    exactly 1 and degree k cannot be corrected."""
+    R, pi = pi_val.R, pi_val.value
+    p, mod = R.p, R.mod
+    table = [None, None]
+    pk = pi
+    for _ in range(2, D + 1):
+        pk = pk * pi % mod
+        divisor = (pk - pi) % mod
+        table.append(pow(divisor // p, -1, mod) if R.val(divisor) == 1
+                     else None)
+    return table
+
+
 class FormalGroupLaw:
     """A one-dimensional formal group law F(X, Y) = X + Y + higher, held
     as its series.  ``group_law`` builds the law of a seed; no product
@@ -138,17 +167,6 @@ class FormalGroupLaw:
         return self.F.compose([x, y])
 
 
-def check_hom(phi: TruncSeries, F: TruncSeries, G: TruncSeries):
-    """Raise ``InvariantError`` unless the one-variable series phi is a
-    homomorphism from the law F to the law G: phi(F(X, Y)) = G(phi X,
-    phi Y) through the truncation degree."""
-    x, y = (TruncSeries.variable(phi.p, phi.N, 2, phi.trunc, i)
-            for i in (0, 1))
-    rhs = G.compose([phi.compose([x]), phi.compose([y])])
-    if not phi.compose([F]).congruent(rhs):
-        raise InvariantError("series does not intertwine the group laws")
-
-
 # ---------------------------------------------------------------------------
 # The fundamental recursion
 # ---------------------------------------------------------------------------
@@ -160,34 +178,51 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
 
     Degree k corrects by R_k / (pi^k - pi); the divisor has valuation
     exactly 1 and the obstruction must be divisible by pi, else the
-    seeds fail the defining congruences.
+    seeds fail the defining congruences.  The inverses of
+    (pi^k - pi) / p are src's own table (``LTSeed.divisor_inverses``).
 
     The solver is online (van der Hoeven, "Relax, but don't be too
     lazy", JSC 34 (2002)).  With phi_j the homogeneous parts of phi and
-    d_m the coefficients of dst.d, R_k is
+    d_m the coefficients of dst.d (d_1 = pi, M the top degree), dst.d(phi)
+    is evaluated by Horner: dst.d(phi) = phi G_1 with G_M = d_M and
+    G_m = d_m + phi G_(m+1), so that, apart from the term pi phi_k,
 
-        sum_{m=2}^{k} d_m (phi^m)_k  -  [phi_{<k}(src.d(X_1), ...)]_k.
+        R_k = total_k - [phi_{<k}(src.d(X_1), ...)]_k,
+        total_k = sum_{j<k} phi_j [G_1]_(k-j),
+        [G_m]_s = sum_{j=1}^{s} phi_j [G_(m+1)]_(s-j)   (s >= 1),
 
-    Each (phi^m)_k = sum_j phi_j (phi^{m-1})_{k-j} uses parts of degree
-    below k only and is formed once, at step k.  A degree-k part is
-    dense: k + 1 coefficients indexed by the exponent of X in two
-    variables, one coefficient in one.  Each part is packed once, when
-    it is formed, into one integer with one slot of
-    2 bitlen(p^N) + 2 bitlen(D + 1) + 1 bits per coefficient (Kronecker
-    substitution; Schoenhage, EUROCAM 1982): the product of two packed
-    parts is then the packed product of the parts, and the sum over j is
-    a sum of integer products.  A slot of that sum adds fewer than
-    (D + 1)^2 products of residues below p^N, so it never carries into
-    the next one.  The sum is unpacked and reduced mod p^N once per
-    (m, k); sum_m d_m (phi^m)_k is likewise added up packed and unpacked
-    once per k.
+    with [G_m]_0 = d_m.  At step k, [G_m]_(k-m) reads [G_(m+1)] through
+    degree k-m-1, whose top part is formed at this same step: so m runs
+    downward, from min(k, M) - 1 to 1, and then total_k reads
+    [G_1]_(k-1).  Each part is formed once and read by every later
+    degree.
+
+    A degree-s part is dense: s + 1 coefficients indexed by the exponent
+    of X in two variables, one coefficient in one.  In one variable the
+    sums are sums of integer products, each reduced mod p^N once.  In
+    two, each part is packed once, when it is formed, into one integer
+    with one slot of 2 bitlen(p^N) + 2 bitlen(D + 2) - 2 bits per
+    coefficient (Kronecker substitution; Schoenhage, EUROCAM 1982): the
+    product of two packed parts is the packed product of the parts.  A
+    slot of [G_m]_s or of total_k (degree s <= D) adds, for each j, the
+    products of the coefficient pairs whose X-exponents sum to the
+    slot's, at most min(j, s - j) + 1 of them: at most s + s^2/4 <
+    (D + 2)^2 / 4 products of residues below p^N over all j.  So the
+    slot's sum stays below 2^slot and never carries into the next one.
+    Each sum is unpacked and reduced once.
 
     The right-hand side is linear in phi: when phi_j is fixed, its
-    monomials times the powers of src.d are added into per-degree dense
+    monomials times the powers of src.d are added into per-degree
     buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
     what the divisor accounts for.  Those powers are src's own table
-    (``LTSeed.d_powers``), dense lists read as they are: the first solve
-    from src builds it, every later one reads it.
+    (``LTSeed.d_powers``), dense lists.  In two variables the bucket of
+    X^f is one integer packed over the exponent g of Y, with the same
+    slot, and a monomial c X^i Y^(j-i) adds (c [src.d^i]_f mod p^N)
+    times src.d^(j-i) packed to it, for each f.  The slot of X^f Y^g,
+    read at degree f + g <= D, adds one product of two residues per
+    (j, i) with i <= f and j - i <= g: at most (f + 1)(g + 1) <=
+    (D + 2)^2 / 4.  Slots of degree above D are never read; their carries
+    run only into slots of higher g, which are not read either.
     """
     if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
@@ -201,18 +236,19 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     if n > 2 or any(sum(e) != 1 for e in linear.coeffs):
         raise ValidationError(
             "linear part must be of degree 1 in one or two variables")
-    p, N, mod = src.p, src.N, src.R.mod
+    p, mod = src.p, src.R.mod
     D = linear.trunc
-    pi = src.pi_val.value
     two = n == 2
-    d = {k: c for (k,), c in dst.d.coeffs.items() if 2 <= k <= D}
-    M = max(d, default=1)
-    # A slot of a packed sum below adds fewer than (D + 1)^2 products of
-    # residues below p^N: fewer than D terms j, each with at most D + 1
-    # pairs of exponents.  So it stays below 2^(slot - 1) and never
-    # carries into the next slot; sum_m d_m (phi^m)_k is smaller still.
-    slot = 2 * mod.bit_length() + 2 * (D + 1).bit_length() + 1
+    d = [0] * (D + 1)
+    for (m,), c in dst.d.coeffs.items():
+        if 2 <= m <= D:
+            d[m] = c
+    M = max((m for m in range(2, D + 1) if d[m]), default=1)
+    # a packed slot adds at most (D + 2)^2 / 4 products of residues below
+    # p^N (the docstring counts them), so this width never carries
+    slot = 2 * mod.bit_length() + 2 * (D + 2).bit_length() - 2
     mask = (1 << slot) - 1
+    shifts = [slot * i for i in range(D + 1)]
 
     def pack(part):
         x = 0
@@ -220,75 +256,78 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
             x = x << slot | c
         return x
 
-    def unpack(x, k):
-        return [x >> (slot * i) & mask for i in range(k + 1 if two else 1)]
-
     def exponent(j, i):
         # of coefficient i of a degree-j part
         return (i, j - i) if two else (j,)
 
-    # phi[j] is the dense part of degree j; pw[m][k] = (phi^m)_k packed
+    # phi[j] is the part of degree j as a dense list, P[j] the same part
+    # packed (in one variable, its one coefficient); G[m][s] = [G_m]_s
+    # packed, G[m][0] = d_m (G[1][0] = pi is never read)
     phi = [None] * (D + 1)
-    pw = [None] + [[0] * (D + 1) for _ in range(M)]
-    packed_phi = pw[1]
     phi[1] = [linear.coeffs.get(exponent(1, i), 0) for i in range(n)]
-    packed_phi[1] = pack(phi[1])
+    P = [0] * (D + 1)
+    P[1] = pack(phi[1]) if two else phi[1][0]
+    G = [None] + [[d[m]] + [0] * D for m in range(1, M + 1)]
+    inv = src.divisor_inverses()
     sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
-    rhs = [[0] * (k + 1 if two else 1) for k in range(D + 1)]
+    # rhs[f]: the right-hand side's term of degree f, or in two variables
+    # its terms X^f Y^g packed over g, as sy[a] packs src.d^a
+    rhs = [0] * (D + 1)
+    sy = [pack(a) for a in sp] if two else None
 
     def push_rhs(j):
         # add phi_j(src.d(X)) or phi_j(src.d(X), src.d(Y)) above degree j
-        # to rhs; in two variables the term of degree j lands in rhs[j],
-        # which is spent
-        for i, c in enumerate(phi[j]):
-            if not c:
-                continue
-            if not two:
+        # to rhs; in two variables the terms of degree j, which are spent,
+        # land too
+        if not two:
+            c = P[j]
+            if c:
                 for f in range(j + 1, D + 1):
-                    rhs[f][0] += c * sp[j][f]
-                continue
-            ys = sp[j - i]
-            for f in range(i, D + 1 - (j - i)):
-                cx = c * sp[i][f]
-                if cx:
-                    for g in range(j - i, D + 1 - f):
-                        rhs[f + g][f] += cx * ys[g]
+                    rhs[f] += c * sp[j][f]
+            return
+        for i, c in enumerate(phi[j]):
+            if c:
+                xs, ys = sp[i], sy[j - i]
+                for f in range(i, D + 1 - (j - i)):
+                    cx = c * xs[f] % mod
+                    if cx:
+                        rhs[f] += cx * ys
 
     eff = linear.eff_prec
     for k in range(2, D + 1):
         push_rhs(k - 1)
-        total = 0
-        for m in range(2, min(k, M) + 1):
-            lower = pw[m - 1]
-            acc = 0
-            for j in range(1, k - m + 2):
-                acc += packed_phi[j] * lower[k - j]
-            part = pack([c % mod for c in unpack(acc, k)])
-            pw[m][k] = part
-            dm = d.get(m)
-            if dm:
-                total += dm * part
-        divisor = (pow(pi, k, mod) - pi) % mod
-        if src.R.val(divisor) != 1:
+        for m in range(min(k, M) - 1, 0, -1):
+            s = k - m
+            acc = sum(map(mul, P[1:s + 1], G[m + 1][s - 1::-1]))
+            G[m][s] = pack([(acc >> sh & mask) % mod
+                            for sh in shifts[:s + 1]]) if two else acc % mod
+        total = sum(map(mul, P[1:k], G[1][k - 1:0:-1]))
+        u = inv[k]
+        if u is None:
             raise InvariantError("correction divisor lost valuation 1")
-        inv = pow(divisor // p, -1, mod)
+        # R_k, coefficient by coefficient
+        if two:
+            r_k = [(total >> shifts[f] & mask)
+                   - (rhs[f] >> shifts[k - f] & mask) for f in range(k + 1)]
+        else:
+            r_k = [total - rhs[k]]
         part = []
-        for c, r in zip(unpack(total, k), rhs[k]):
-            c = (c - r) % mod
+        for c in r_k:
+            c %= mod
             if c % p:
                 raise InvariantError(
                     f"obstruction at degree {k} is a unit: input is not a "
                     "valid Lubin-Tate seed pair"
                 )
-            part.append((c // p) * inv % mod)
+            part.append((c // p) * u % mod)
         phi[k] = part
-        packed_phi[k] = pack(part)
+        P[k] = pack(part) if two else part[0]
         eff -= 1
         if eff <= 0:
             raise PrecisionError("effective precision exhausted")
-    return TruncSeries(p, N, n, D, {
+    return TruncSeries._reduced(src.R, n, D, {
         exponent(j, i): c
-        for j in range(1, D + 1) for i, c in enumerate(phi[j])
+        for j in range(1, D + 1) for i, c in enumerate(phi[j]) if c
     }, eff)
 
 

@@ -605,6 +605,15 @@ class TruncSeries(InRing):
         """One-variable series from a dense coefficient list."""
         return cls(p, N, 1, trunc, {(i,): c for i, c in enumerate(coeffs)})
 
+    @classmethod
+    def _reduced(cls, R, nvars, trunc, coeffs, eff_prec):
+        """A series from coefficients that are already reduced, nonzero
+        and of degree at most ``trunc``, with ``eff_prec`` >= 1."""
+        s = object.__new__(cls)
+        s.R, s.nvars, s.trunc, s.eff_prec, s.coeffs = (
+            R, nvars, trunc, eff_prec, coeffs)
+        return s
+
     # -- basics --------------------------------------------------------
 
     def _check(self, other: "TruncSeries"):

@@ -68,28 +68,28 @@ def unchecked_seed(p, N, trunc, coeffs):
 
 
 @st.composite
-def seed_coeffs(draw, p, D, N, pi):
+def seed_coeffs(draw, p, D, N, pi, sparse=False):
     """Dense coefficients [0, pi, a_2, ..., a_D] of a valid seed, each
-    drawn from every residue below p^N it may take."""
+    drawn from every residue below p^N it may take; with ``sparse``,
+    each multiple of p among them is zero with probability about 1/2."""
     top = p ** (N - 1) - 1
     coeffs = [0, pi]
     for k in range(2, D + 1):
-        if k == p:
-            coeffs.append(1 + p * draw(st.integers(0, top)))
-        else:
-            coeffs.append(p * draw(st.integers(0, top)))
+        c = 0 if sparse and draw(st.booleans()) else p * draw(
+            st.integers(0, top))
+        coeffs.append(1 + c if k == p else c)
     return coeffs
 
 
 @st.composite
-def seed_pair(draw, max_D=14):
+def seed_pair(draw, max_D=14, sparse=False):
     p = draw(st.sampled_from((3, 5, 7)))
     D = draw(st.integers(p, max_D))
     # N <= D - 1 runs out of precision at degree N + 1
     N = draw(st.integers(max(2, D - 3), D + 10))
     pi = p * draw(st.integers(1, p ** (N - 1) - 1).filter(lambda u: u % p))
-    src = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi)))
-    dst = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi)))
+    src = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi, sparse)))
+    dst = LTSeed.from_coeffs(p, N, D, draw(seed_coeffs(p, D, N, pi, sparse)))
     return src, dst
 
 
@@ -139,6 +139,17 @@ def test_group_law_matches_reference(pair):
     assert_same(linear_part(seed, 2), seed, seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed_pair(sparse=True), st.sampled_from((1, 2)), st.data())
+def test_sparse_seeds_match_reference(pair, nvars, data):
+    """Sparse seeds give Horner levels with d_m = 0 and a top degree M
+    below D; the solve from src to dst, with linear part a*t or X + Y,
+    still equals the reference's coefficients, precision and errors."""
+    src, dst = pair
+    a = data.draw(st.integers(0, src.R.mod - 1))
+    assert_same(linear_part(src, nvars, a), src, dst)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_group_law_matches_reference_at_14(p):
     seed = LTSeed.from_coeffs(p, 20, 14, [0, p] + [p * (k % 4) for k in
@@ -184,29 +195,41 @@ def test_solver_takes_one_or_two_variables_in_degree_one(coeffs):
 @given(seed_pair(max_D=12), st.integers(2, 7 ** 4))
 def test_one_seed_shares_its_power_table(pair, a):
     """group_law, endo(a), endo(pi) and strict_iso in sequence on one
-    seed object: the first solve builds the seed's table of d's powers,
-    the later ones from that seed read it, so the four solves build one
-    table, src's; every result equals the reference."""
+    seed object: the first solve builds the seed's table of d's powers
+    and its table of divisor inverses, the later ones from that seed read
+    them, so the four solves build one table of each, src's; every
+    result equals the reference."""
     src, dst = pair
     assume(src.N >= src.trunc)  # precision runs out below that
     builds = []
+    divisor_builds = []
     build = lubin_tate.power_table
+    divisor_build = lubin_tate.divisor_table
 
     def counting(f):
         builds.append(f)
         return build(f)
 
+    def counting_divisors(pi, D):
+        divisor_builds.append(pi)
+        return divisor_build(pi, D)
+
     lubin_tate.power_table = counting
+    lubin_tate.divisor_table = counting_divisors
     try:
         law = group_law(src).F
         table = src.d_powers()
+        divisors = src.divisor_inverses()
         phis = [endo(src, PadicInt(src.p, src.N, b))
                 for b in (a, src.pi_val.value)]
         iso = strict_iso(src, dst)
     finally:
         lubin_tate.power_table = build
+        lubin_tate.divisor_table = divisor_build
     assert len(builds) == 1 and builds[0] is src.d
     assert src.d_powers() is table
+    assert len(divisor_builds) == 1 and divisor_builds[0] is src.pi_val
+    assert src.divisor_inverses() is divisors
     assert (law.coeffs, law.eff_prec) == outcome(
         reference_lt_solve, linear_part(src, 2), src, src)
     for b, phi in zip((a, src.pi_val.value), phis):
@@ -238,6 +261,16 @@ def test_unit_obstruction_degree():
     seed = unchecked_seed(5, 12, 8, [0, 5, 0, 1, 0, 1])
     with pytest.raises(InvariantError, match="degree 3"):
         _lt_solve(linear_part(seed, 1, 2), seed, seed)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_divisor_without_valuation_one_refused(p, nvars):
+    """pi = p^2 makes every pi^k - pi of valuation 2: the seed's divisor
+    table marks degree 2, and both solvers refuse it there."""
+    seed = unchecked_seed(p, 12, 2 * p, [0, p * p] + [0] * (p - 2) + [1])
+    got = assert_same(linear_part(seed, nvars), seed, seed)
+    assert got == (InvariantError, "correction divisor lost valuation 1")
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

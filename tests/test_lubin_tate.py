@@ -6,9 +6,20 @@ import random
 import pytest
 
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
-from cmtower.lubin_tate import (LTSeed, check_hom, endo, group_law,
-                                solve_intertwine, strict_iso)
+from cmtower.lubin_tate import (LTSeed, endo, group_law, solve_intertwine,
+                                strict_iso)
 from cmtower.padic import PadicInt, TruncSeries, compositional_inverse
+
+
+def check_hom(phi: TruncSeries, F: TruncSeries, G: TruncSeries):
+    """Raise ``InvariantError`` unless the one-variable series phi is a
+    homomorphism from the law F to the law G: phi(F(X, Y)) = G(phi X,
+    phi Y) through the truncation degree."""
+    x, y = (TruncSeries.variable(phi.p, phi.N, 2, phi.trunc, i)
+            for i in (0, 1))
+    rhs = G.compose([phi.compose([x]), phi.compose([y])])
+    if not phi.compose([F]).congruent(rhs):
+        raise InvariantError("series does not intertwine the group laws")
 
 
 def random_seed(rng, p, N, trunc):
