@@ -9,12 +9,17 @@ pairwise distinct, valuations of sums are exact, never estimates.
 
 On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
-at e), and the conductor computation for the ramified step, done in the
-compositum Z_p[lambda, theta] with theta a division value.
+at e), and the conductor of the ramified step, whose Galois displacements
+are valued in the compositum Z_p[lambda, theta] with theta a division
+value.
 
 One ring class, ``TowerRing``, holds all of this arithmetic (the level
 rings and the compositum, with the one product ``mul`` and the one
-valuation ``val``); ``LocalElement`` is the one element class.
+valuation ``val``); ``LocalElement`` is the one element class.  The two
+certified invariants of the ramified step take level-1 products and
+scalar linear algebra only: the discriminant's resultant is a p x p norm
+determinant over level 1, and the conductor reduces the powers of theta
+mod d - q to scalars once, so no compositum product is formed.
 """
 
 from __future__ import annotations
@@ -24,9 +29,8 @@ from fractions import Fraction
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .lubin_tate import LTSeed, endo, group_law
-from .padic import (InRing, PadicInt, PadicPoly, _sylvester_rows,
-                    hensel_root, mul_coeffs, newton_polygon, rem_coeffs,
-                    ring_det)
+from .padic import (InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs,
+                    newton_polygon, rem_coeffs, ring_det)
 
 
 class TowerRing:
@@ -50,6 +54,11 @@ class TowerRing:
     ord(p^N) = e*N is read off exactly; from there on a capped coefficient
     could be the least term, and the valuation is None (at a level every
     candidate i + e*ord_p(c) is below e*N, so the cap is never reached).
+
+    The compositum is where the conductor lays out and values its
+    displacements theta - F(theta, t(v)) and its generators; the
+    displacements themselves are formed over level 1 (``_displacements``),
+    so no report multiplies two compositum elements.
     """
 
     __slots__ = ("R", "w", "hw", "hinv", "f", "finv", "gap", "weights",
@@ -120,43 +129,21 @@ class TowerRing:
             table.append(table[-1] * x)
         return table
 
-    def eval_series(self, series, table, y=None):
-        """Evaluate a TruncSeries over ``R`` (no constant term) in one
-        variable at x, or in two at (x, y), with ``table = powers(x, D)``;
-        the points have positive valuation: ``horner(columns(...), y)``."""
-        return self.horner(self.columns(series, table, y is not None), y)
-
-    def columns(self, series, table, two=False):
-        """The columns {j: sum_i c_ij x^i} of a two-variable series at x
-        (``two``), or {0: its value} for a one-variable one, with
-        ``table = powers(x, D)``.  Each column is a scalar combination of
-        the table, reduced mod p^N once; columns at one x serve every
-        y."""
+    def eval_series(self, series, table):
+        """Evaluate a one-variable TruncSeries over ``R`` with no constant
+        term at x, with ``table = powers(x, D)``: a scalar combination of
+        the table, reduced mod p^N once, with no product."""
         if series.R is not self.R:
             raise ValidationError("series and ring disagree on (p, N)")
         mod = self.R.mod
-        cols = {}
-        for e, c in series.coeffs.items():
-            if not any(e):
+        acc = [0] * self.size
+        for (k,), c in series.coeffs.items():
+            if not k:
                 raise ValidationError("series must have no constant term")
-            col = cols.setdefault(e[-1] if two else 0, [0] * self.size)
-            for k, x in enumerate(table[e[0]].coeffs):
+            for i, x in enumerate(table[k].coeffs):
                 if x:
-                    col[k] += c * x
-        return {j: LocalElement._reduced(self, [c % mod for c in col])
-                for j, col in cols.items()}
-
-    def horner(self, cols, y=None):
-        """sum_j cols[j] y^j, by Horner in y (Paterson and Stockmeyer,
-        SIAM J. Comput. 2 (1973)): one product per power of y, none per
-        monomial."""
-        acc = self.zero()
-        for j in range(max(cols, default=0), -1, -1):
-            if j in cols:
-                acc = acc + cols[j]
-            if j:
-                acc = acc * y
-        return acc
+                    acc[i] += c * x
+        return LocalElement._reduced(self, [c % mod for c in acc])
 
 
 class EisensteinTower(InRing):
@@ -391,17 +378,51 @@ def _disc_direct(tower: EisensteinTower) -> int:
     return val
 
 
-def _disc_resultant(tower: EisensteinTower) -> int:
-    """Same valuation via the Sylvester resultant of m(t) = d(t) - lambda_1
-    and m'(t) over the level-1 ring."""
-    h = tower.h(1).coeffs
+def _resultant_element(tower: EisensteinTower) -> list:
+    """Res(m, m') over the level-1 ring, as a raw level-1 element, for
+    m(t) = d(t) - lambda_1 and m' = d' of formal degree n.
+
+    m has degree p and a unit lead lc = d_p, so R_1[t]/(m) is free on
+    1, t, ..., t^(p-1), and Res(m, m') = lc^n det M, M the p x p matrix
+    of multiplication by m', whose column k is t^k m' mod m (Cohen,
+    GTM 138, section 3.3: the resultant as a norm).  That is a polynomial
+    identity over Z[coefficients, 1/lc], and ``ring_det`` is
+    division-free, so the result is the same ring element as the
+    determinant of the (2p - 1)-square Sylvester matrix of m and m'.
+    The columns come by shift and reduce: t times a column is the column
+    shifted up plus its top entry times -m_i/lc in row i, and only
+    m_0 = d_0 - lambda_1 involves lambda_1."""
+    ring = tower.ring(1)
+    mod, size = tower.R.mod, ring.size
     d = tower.seed.to_poly()
-    pad = [0] * (len(h) - 2)
-    m = [[c] + pad for c in d.coeffs]
-    m[0][1] = tower.R.mod - 1  # the constant term is d(0) - lambda_1
-    mp = [[c] + pad for c in d.derivative().coeffs]
-    det = ring_det(_sylvester_rows(m, mp, [0] + pad), tower.R.mod, h)
-    val = tower.ring(1).val(det)
+    dp = d.derivative().coeffs
+    d = d.coeffs
+    p = len(d) - 1
+    linv = pow(d[p], -1, mod)
+    # -m_i/lc; for i = 0 the lambda_1/lc part is added apart
+    neg = [-c * linv % mod for c in d[:p]]
+    lam = ring.lam().coeffs
+    pad = [0] * (size - 1)
+    col = [[c] + pad for c in dp] + [[0] + pad] * (p - len(dp))
+    cols = [col]
+    for _ in range(p - 1):
+        top = col[-1]
+        top_lam = ring.mul(top, lam)
+        col = [[(x * neg[0] + y * linv) % mod
+                for x, y in zip(top, top_lam)]] + [
+            [(x * s + y) % mod for x, y in zip(top, prev)]
+            for s, prev in zip(neg[1:], col[:-1])]
+        cols.append(col)
+    # det M^T = det M: the columns go in as rows
+    det = ring_det(cols, mod, tower.h(1).coeffs)
+    scale = pow(d[p], len(dp) - 1, mod)
+    return [scale * x % mod for x in det]
+
+
+def _disc_resultant(tower: EisensteinTower) -> int:
+    """Same valuation, read off Res(d - lambda_1, d') over level 1
+    (``_resultant_element``)."""
+    val = tower.ring(1).val(_resultant_element(tower))
     if val is None:
         raise PrecisionError(
             "resultant of the level-2 minimal polynomial vanished at "
@@ -413,9 +434,12 @@ def _disc_resultant(tower: EisensteinTower) -> int:
 def level_disc(tower: EisensteinTower) -> int:
     """Discriminant valuation of level 2 over level 1, in level-1
     uniformizer units.  Computed two independent ways (direct valuation
-    at level 2 and Sylvester resultant over level 1) and cross-checked;
-    p(p-1) for a valid tower.  The certified value is kept on the tower,
-    so later calls return it without rerunning either route."""
+    at level 2, and the resultant of d - lambda_1 and d' over level 1 as
+    one p x p norm determinant) and cross-checked; p(p-1) for a valid
+    tower.  The resultant is the Sylvester determinant's ring element,
+    so the reports still name the "Sylvester resultant".  The certified
+    value is kept on the tower, so later calls return it without
+    rerunning either route."""
     if tower.disc is None:
         direct = _disc_direct(tower)
         resultant = _disc_resultant(tower)
@@ -556,16 +580,68 @@ class ConductorReport:
         }
 
 
+def _displacements(tower: EisensteinTower, ring: TowerRing):
+    """Yield (a, theta - F(theta, t_a)) for a = 1, ..., p - 1, where
+    t_a = [a](lambda) is the torsion translate and each displacement is a
+    raw element of the compositum ``ring``.
+
+    f = d - q and F have scalar coefficients and t_a lies in level 1, so
+    F(theta, t_a) = sum_(k<p) theta^k Q_k(t_a) with
+    Q_k(Y) = sum_j E[k][j] Y^j: each theta^i is reduced mod f to scalars
+    s_ik once, and E[k][j] = sum_i c_ij s_ik.  The compositum is free over
+    level 1 on 1, theta, ..., theta^(p-1), so Q_k(t_a) laid out in the
+    theta^k slots is the reduced element that evaluating F in the
+    compositum gives.  A translate costs the level-1 powers of t_a and
+    scalar combinations; t_a's valuation is read in the compositum before
+    its displacement is formed."""
+    p, seed, level = tower.p, tower.seed, tower.ring(1)
+    mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
+    b = len(f) - 1
+    s = []  # s[i] = theta^i mod f, as b scalars
+    for i in range(D + 1):
+        c = [0] * max(i + 1, b)
+        c[i] = 1
+        rem_coeffs(c, f, ring.finv, mod)
+        s.append(c[:b])
+    E = [[0] * (D + 1) for _ in range(b)]
+    for (i, j), c in group_law(seed).F.coeffs.items():
+        for k, x in enumerate(s[i]):
+            E[k][j] += c * x
+    E = [[x % mod for x in row] for row in E]
+    lams = level.powers(level.lam(), D)
+    for a in range(1, p):
+        tv = level.eval_series(endo(seed, a), lams)
+        disp = [0] * ring.size
+        disp[::w] = tv.coeffs
+        if ring.val(disp) != p:
+            raise InvariantError(
+                f"torsion value [{a}] does not have valuation {p}"
+            )
+        tvs = level.powers(tv, D)
+        for k, row in enumerate(E):
+            acc = [0] * level.size
+            for e, y in zip(row, tvs):
+                if e:
+                    for i, x in enumerate(y.coeffs):
+                        acc[i] += e * x
+            disp[k::w] = [-x % mod for x in acc]
+        disp[1] = (disp[1] + 1) % mod
+        yield a, disp
+
+
 def division_conductor(tower: EisensteinTower, state: DivisionState,
                        ramified_primes=None) -> ConductorReport:
-    """Conductor of the ramified division step, computed from scratch in
-    the compositum.
+    """Conductor of the ramified division step, computed from scratch.
 
     For each nonzero torsion translate v, the Galois displacement of the
-    division value theta is theta - F(theta, t(v)); with the compositum
+    division value theta is theta - F(theta, t(v)), valued in the
+    compositum Z_p[lambda, theta]/(h_1, d - q); with the compositum
     uniformizer eta = lambda/theta this gives the jump
     Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1), computed without
-    any division.  All jumps must equal 2 (single break at 1); the
+    any division.  The displacements are formed over level 1, theta's
+    powers reduced mod d - q to scalars once (``_displacements``): the
+    same reduced elements as evaluating F in the compositum, with no
+    compositum product.  All jumps must equal 2 (single break at 1); the
     discriminant exponent is their sum 2(p-1) and the conductor exponent
     is 2, confirmed against the conductor-discriminant identity.
     """
@@ -574,33 +650,20 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     p = tower.p
     q = state.last()
     ring = tower.compositum(q)
-    theta = ring.theta()
-    lam = ring.lam()
-    if theta.valuation() != p - 1 or lam.valuation() != p:
+    if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
-    F = group_law(tower.seed).F
-    # lambda's powers and F's theta-columns, shared by all p - 1
-    # translates: each translate runs only the Horner pass in t(v)
-    lams = ring.powers(lam, tower.seed.trunc)
-    cols = ring.columns(F, ring.powers(theta, tower.seed.trunc), two=True)
     deltas = {}
     prov = [
         f"jumps: theta displacement under torsion translation, seed degree "
         f"{tower.seed.p}, division value of valuation {q.valuation()}",
     ]
-    for a in range(1, p):
-        tv = ring.eval_series(endo(tower.seed, a), lams)
-        if tv.valuation() != p:
-            raise InvariantError(
-                f"torsion value [{a}] does not have valuation {p}"
-            )
-        sigma_theta = ring.horner(cols, tv)
-        disp = (theta - sigma_theta).valuation()
-        if disp is None:
+    for a, disp in _displacements(tower, ring):
+        v = ring.val(disp)
+        if v is None:
             raise PrecisionError(
                 "Galois displacement vanished at working precision; raise N"
             )
-        delta = p + disp - 2 * (p - 1)
+        delta = p + v - 2 * (p - 1)
         if delta != 2:
             raise InvariantError(
                 f"jump for translate [{a}] is {delta}, not 2: the run's "

@@ -522,20 +522,6 @@ def ring_det(rows, mod=None, h=None) -> list:
     return list(c[n]) if n % 2 == 0 else red([-x for x in c[n]])
 
 
-def _sylvester_rows(f: Sequence, g: Sequence, zero):
-    """Sylvester matrix of two coefficient lists (lowest degree first,
-    entries from any ring), padded with ``zero``."""
-    m, n = len(f) - 1, len(g) - 1
-    rows = []
-    for c, shifts in ((f, n), (g, m)):
-        top = list(reversed(c))
-        for i in range(shifts):
-            row = [zero] * (m + n)
-            row[i:i + len(top)] = top
-            rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cmtower import local_tower
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.local_tower import (DivisionState, EisensteinTower,
-                                 LocalElement,
+                                 LocalElement, TowerRing,
                                  _disc_direct, _disc_resultant,
+                                 _displacements,
                                  character_conductor_floor, divide_point,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc)
-from cmtower.lubin_tate import LTSeed
+from cmtower.lubin_tate import LTSeed, endo, group_law
 from cmtower.padic import (PadicInt, PadicPoly, TruncSeries, mul_coeffs,
                            newton_polygon, rem_coeffs)
 
@@ -245,6 +246,22 @@ class TestDiscriminant:
         monkeypatch.setattr(LocalElement, "__mul__", None)
         monkeypatch.setattr(LocalElement, "__rmul__", None)
         assert _disc_direct(t) == 20
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_resultant_is_one_p_by_p_determinant(self, p, monkeypatch):
+        """The resultant route runs ring_det once, on the p x p norm
+        matrix, not on the (2p - 1)-square Sylvester matrix."""
+        t = tower(p, N=20)
+        dims = []
+        det = local_tower.ring_det
+
+        def recording(rows, *ring):
+            dims.append((len(rows), {len(row) for row in rows}))
+            return det(rows, *ring)
+
+        monkeypatch.setattr(local_tower, "ring_det", recording)
+        assert level_disc(t) == p * (p - 1)
+        assert dims == [(p, {p})]
 
     def test_precision_cap_raises(self):
         """At p = 13, N = 12 the level-1 cap (p-1)N = 144 is below
@@ -546,6 +563,31 @@ class TestCompositum:
         assert self._element(ring, both).valuation() == 30
 
 
+def horner_eval(ring, series, x, y):
+    """A two-variable series at (x, y), as the conductor evaluated F in the
+    compositum before its theta-reduction: the columns
+    {j: sum_i c_ij x^i}, scalar combinations of x's power table reduced
+    once, then Horner in y, one product per power of y (Paterson and
+    Stockmeyer, SIAM J. Comput. 2 (1973))."""
+    mod = ring.R.mod
+    table = ring.powers(x, series.trunc)
+    cols = {}
+    for (i, j), c in series.coeffs.items():
+        if not i + j:
+            raise ValidationError("series must have no constant term")
+        col = cols.setdefault(j, [0] * ring.size)
+        for k, t in enumerate(table[i].coeffs):
+            col[k] += c * t
+    acc = ring.zero()
+    for j in range(max(cols, default=0), -1, -1):
+        if j in cols:
+            acc = acc + LocalElement._reduced(ring,
+                                              [c % mod for c in cols[j]])
+        if j:
+            acc = acc * y
+    return acc
+
+
 def reference_eval_series(ring, series, points):
     """The evaluation as first written: one compositum product per
     monomial, the points' powers rebuilt on every call."""
@@ -585,7 +627,8 @@ def compositum_point(draw, ring, unit=False):
 
 
 class TestEvalSeries:
-    """Horner over a shared power table against the evaluation with one
+    """One-variable scalar combinations of a shared power table, and the
+    two-variable compositum Horner oracle, against the evaluation with one
     product per monomial."""
 
     @settings(max_examples=30, deadline=None)
@@ -605,8 +648,10 @@ class TestEvalSeries:
         series = TruncSeries(p, N, nvars, D, data.draw(st.dictionaries(
             st.sampled_from(exps), st.integers(0, ring.R.mod - 1))))
         points = [data.draw(compositum_point(ring)) for _ in range(nvars)]
-        got = ring.eval_series(series, ring.powers(points[0], D),
-                               *points[1:])
+        if nvars == 1:
+            got = ring.eval_series(series, ring.powers(points[0], D))
+        else:
+            got = horner_eval(ring, series, *points)
         want = reference_eval_series(ring, series, points)
         assert got.coeffs == want.coeffs
 
@@ -617,12 +662,69 @@ class TestEvalSeries:
             ring.eval_series(series, ring.powers(ring.lam(), seed.trunc))
 
 
+def reference_displacements(tower, ring):
+    """(a, theta - F(theta, [a](lambda))) for each a, evaluated in the
+    compositum ``ring`` as the conductor did before its theta-reduction:
+    [a](lambda) from the compositum's powers of lambda, F by
+    ``horner_eval``."""
+    seed, p = tower.seed, tower.p
+    F = group_law(seed).F
+    lams = ring.powers(ring.lam(), seed.trunc)
+    theta = ring.theta()
+    for a in range(1, p):
+        tv = ring.eval_series(endo(seed, a), lams)
+        if tv.valuation() != p:
+            raise InvariantError(f"torsion value [{a}] lost its valuation")
+        yield a, (theta - horner_eval(ring, F, theta, tv)).coeffs
+
+
+def displacement_outcomes(route, tower, q):
+    """The route's displacements in order, ending with the class of what
+    it raised, if it raised."""
+    out = []
+    try:
+        ring = tower.compositum(q)
+        out += [(a, disp) for a, disp in route(tower, ring)]
+    except Exception as exc:  # the class is compared across routes
+        out.append(type(exc))
+    return out
+
+
+class TestDisplacements:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_match_compositum_horner(self, data):
+        """For every a, theta - F(theta, [a](lambda)) formed over level 1
+        is the element the compositum Horner gives, or both routes raise
+        the same class."""
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        N = data.draw(st.integers(2, 20))
+        D = data.draw(st.sampled_from((p + 2, 2 * p)))
+        # t^p coefficient 1 or 1 + p: the non-monic seed is one case
+        top = data.draw(st.sampled_from((1, 1 + p)))
+        pi = p * data.draw(st.integers(1, p ** 3).filter(lambda u: u % p))
+        mid = [p * data.draw(st.integers(0, p ** 3)) for _ in range(2, p)]
+        tw = EisensteinTower(
+            LTSeed.from_coeffs(p, N, D, [0, pi] + mid + [top]))
+        q = PadicInt(p, N, p * data.draw(st.integers(1, p ** (N - 1) - 1)))
+        got = displacement_outcomes(_displacements, tw, q)
+        assert got == displacement_outcomes(reference_displacements, tw, q)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_standard_seed(self, p):
+        t = tower(p, N=20, trunc=2 * p)
+        q = PadicInt(p, 20, p)
+        got = displacement_outcomes(_displacements, t, q)
+        assert [a for a, _ in got] == list(range(1, p))
+        assert got == displacement_outcomes(reference_displacements, t, q)
+
+
 class TestConductor:
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_products_per_power_not_per_monomial(self, p, monkeypatch):
-        """The lambda and theta tables cost D - 1 products each and each
-        translate's Horner chain at most D; one product per monomial
-        of F would exceed this at p = 5 and 7."""
+        """The level-1 table of lambda and each translate's table of t(v)
+        cost D - 1 products each; one product per monomial of F would
+        exceed this at p = 5 and 7."""
         D = 2 * p
         t = tower(p, trunc=D)
         state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
@@ -637,7 +739,31 @@ class TestConductor:
         monkeypatch.setattr(LocalElement, "__mul__", counting)
         rep = division_conductor(t, state)
         assert set(rep.deltas.values()) == {2}
-        assert 0 < count <= 2 * (D - 1) + (p - 1) * D
+        assert count == p * (D - 1)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_no_compositum_product(self, p, monkeypatch):
+        """Every product the conductor makes is in level 1: no element
+        product and no raw ``TowerRing.mul`` on a ring with f set."""
+        t = tower(p, trunc=2 * p)
+        state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
+        rings = []
+        elem_mul, ring_mul = LocalElement.__mul__, TowerRing.mul
+
+        def elem(self, other):
+            rings.append(self.ring)
+            return elem_mul(self, other)
+
+        def raw(self, x, y):
+            rings.append(self)
+            return ring_mul(self, x, y)
+
+        monkeypatch.setattr(LocalElement, "__mul__", elem)
+        monkeypatch.setattr(LocalElement, "__rmul__", elem)
+        monkeypatch.setattr(TowerRing, "mul", raw)
+        rep = division_conductor(t, state)
+        assert set(rep.deltas.values()) == {2}
+        assert rings and all(ring.f is None for ring in rings)
 
     def test_all_jumps_two(self):
         for p in (3, 5):

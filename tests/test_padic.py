@@ -15,6 +15,7 @@ from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
                            Zp, compositional_inverse, hensel_root,
                            is_prime, mul_coeffs, newton_polygon,
                            power_table, rem_coeffs)
+from test_ring_det import sylvester_rows
 
 
 def total_length(poly: NewtonPolygon) -> int:
@@ -588,7 +589,7 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
             raise PrecisionError("constant polynomial is zero at precision N")
         return v * other.degree
     fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
-    rows = padic._sylvester_rows(fr, gr, [0])
+    rows = sylvester_rows(fr, gr, [0])
     v = f.R.val(padic.ring_det(rows, f.R.mod)[0])
     if v is not None:
         return v

@@ -1,8 +1,9 @@
 """Differential tests: the raw-entry Berkowitz kernel ring_det against
 Laplace expansion and against Berkowitz on ring elements, over the
-integers, over Z/p^N (with zero divisors) and over the level-1 tower ring,
-where the Sylvester resultant of the discriminant is taken; and the
-precision ladder of that resultant and of level_disc."""
+integers, over Z/p^N (with zero divisors) and over the level-1 tower ring;
+the discriminant's p x p norm determinant against the Sylvester
+determinant of the same resultant; and the precision ladder of that
+resultant and of level_disc."""
 
 from functools import lru_cache
 
@@ -10,9 +11,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtower.errors import PrecisionError
-from cmtower.local_tower import EisensteinTower, _disc_resultant, level_disc
+from cmtower.local_tower import (EisensteinTower, _disc_resultant,
+                                 _resultant_element, level_disc)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, _sylvester_rows, ring_det
+from cmtower.padic import PadicInt, ring_det
+from test_bench_workloads import lib as bench
+
+
+def sylvester_rows(f, g, zero):
+    """Sylvester matrix of two coefficient lists (lowest degree first,
+    entries from any ring), padded with ``zero``: the resultant oracle."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = []
+    for c, shifts in ((f, n), (g, m)):
+        top = list(reversed(c))
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            row[i:i + len(top)] = top
+            rows.append(row)
+    return rows
 
 
 def laplace_det(rows, zero, one):
@@ -173,7 +190,61 @@ def disc_sylvester(tower):
     m = [tower.element(1, [c]) for c in d.coeffs]
     m[0] = m[0] - tower.lam(1)
     mp = [tower.element(1, [c]) for c in d.derivative().coeffs]
-    return _sylvester_rows(m, mp, tower.element(1, []))
+    return sylvester_rows(m, mp, tower.element(1, []))
+
+
+def sylvester_resultant(tower):
+    """Res(d - lambda_1, d') as the Sylvester determinant over level 1,
+    a raw level-1 element."""
+    rows = disc_sylvester(tower)
+    return ring_det([[raw(x) for x in row] for row in rows], tower.R.mod,
+                    tower.h(1).coeffs)
+
+
+def outcome(route, tower):
+    """The route's raw element, or the class of what it raised."""
+    try:
+        return route(tower)
+    except Exception as exc:  # the class is compared across routes
+        return type(exc)
+
+
+def assert_norm_is_sylvester(tower):
+    want = outcome(sylvester_resultant, tower)
+    assert outcome(_resultant_element, tower) == want
+    return want
+
+
+def test_norm_matches_sylvester_on_the_benchmark_towers():
+    """The seed-0 jobs of the benchmark's ``tower`` workload."""
+    jobs = bench.WORKLOADS["tower"].generate(0, None)
+    assert jobs
+    for job in jobs:
+        q = job.params
+        seed = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
+        assert isinstance(assert_norm_is_sylvester(EisensteinTower(seed)),
+                          list), job.id
+
+
+@st.composite
+def any_top_seed(draw):
+    """A polynomial seed at p in {3, 5, 7} with t^p coefficient 1 or
+    1 + p (non-monic h_1 and d - lambda_1), at N in [2, 20]."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(2, 20))
+    pi = p * draw(st.integers(1, p ** 3).filter(lambda u: u % p))
+    mid = [p * draw(st.integers(0, p ** 3)) for _ in range(2, p)]
+    top = draw(st.sampled_from((1, 1 + p)))
+    return LTSeed.from_coeffs(p, N, p + 2, [0, pi] + mid + [top])
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_top_seed())
+def test_norm_matches_sylvester(seed):
+    """The p x p norm determinant times lc^n is the Sylvester
+    determinant's ring element, not only its valuation; where one route
+    raises, the other raises the same class."""
+    assert_norm_is_sylvester(EisensteinTower(seed))
 
 
 @pytest.mark.parametrize("p, coeffs", [(7, None), NON_MONIC],
