@@ -592,8 +592,10 @@ def _displacements(tower: EisensteinTower, ring: TowerRing):
     level 1 on 1, theta, ..., theta^(p-1), so Q_k(t_a) laid out in the
     theta^k slots is the reduced element that evaluating F in the
     compositum gives.  A translate costs the level-1 powers of t_a and
-    scalar combinations; t_a's valuation is read in the compositum before
-    its displacement is formed."""
+    scalar combinations, except t_1 = lambda: [1](t) = t exactly (every
+    obstruction of its solve is 0), so it takes the table of lambda's
+    powers and no solve.  t_a's valuation is read in the compositum
+    before its displacement is formed."""
     p, seed, level = tower.p, tower.seed, tower.ring(1)
     mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
     b = len(f) - 1
@@ -610,14 +612,14 @@ def _displacements(tower: EisensteinTower, ring: TowerRing):
     E = [[x % mod for x in row] for row in E]
     lams = level.powers(level.lam(), D)
     for a in range(1, p):
-        tv = level.eval_series(endo(seed, a), lams)
+        tv = lams[1] if a == 1 else level.eval_series(endo(seed, a), lams)
         disp = [0] * ring.size
         disp[::w] = tv.coeffs
         if ring.val(disp) != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"
             )
-        tvs = level.powers(tv, D)
+        tvs = lams if a == 1 else level.powers(tv, D)
         for k, row in enumerate(E):
             acc = [0] * level.size
             for e, y in zip(row, tvs):

@@ -8,6 +8,12 @@ degree k needs only the parts of phi below k, so every product is formed
 once, at the degree that first needs it.  Each degree divides by
 pi^k - pi (valuation exactly 1), so one digit of effective precision is
 spent per degree; seeds are built with guard digits to absorb this.
+Its sums of products run on packed integers: in one variable one
+integer per anti-diagonal of the Horner levels, so that a degree costs
+one packed sum for every level at once; in two variables (c(X + Y),
+as in the group law) symmetric parts in sigma1 = X + Y and sigma2 = XY,
+half the coefficients of the X^f Y^g basis.  ``_lt_solve`` derives
+both layouts and their slot widths.
 
 Each object is held as its series: a seed as d, its uniformizer read
 from d's linear coefficient; a group law as F(X, Y); a homomorphism (an
@@ -23,7 +29,7 @@ isomorphism out of that seed share them.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .padic import InRing, PadicInt, PadicPoly, TruncSeries, Zp, power_table
@@ -171,10 +177,55 @@ class FormalGroupLaw:
 # The fundamental recursion
 # ---------------------------------------------------------------------------
 
+def _slot_widths(mod: int, D: int) -> tuple:
+    """Bits per packed slot in ``_lt_solve`` at p^N = mod and truncation
+    D: (one-variable anti-diagonal, symmetric part in sigma coordinates,
+    X^f Y^g bucket of the right-hand side).  Each width holds the most
+    products of two residues below mod that a slot of its layout adds
+    (the solver's docstring counts them), so no slot carries."""
+    b = 2 * mod.bit_length()
+    return (b + (D + 1).bit_length(), b + 2 * (D + 4).bit_length() - 3,
+            b + 2 * (D + 2).bit_length() - 2)
+
+
+def _pascal(D: int) -> list:
+    """C(r, u) for r <= D and u <= D/2 by Pascal's rule, laid out row
+    after row in rows of W = D // 2 + 1: C(r, u) = B[rW + u]."""
+    W = D // 2 + 1
+    row = [1] + [0] * (W - 1)
+    B = row[:]
+    for _ in range(D):
+        row = [1, *map(add, row[1:], row)]
+        B += row
+    return B
+
+
+def _sigma_rows(B: list, W: int, k: int) -> list:
+    """Row f <= k/2 of the degree-k change of basis from sigma1^(k-2j)
+    sigma2^j to X^f Y^(k-f): [C(k - 2j, f - j) for j = 0..f], read from
+    B = ``_pascal(D)``, where C(k - 2j, f - j) is B[kW + f - j(2W + 1)].
+    The matrix is unit-triangular: row f ends in C(k - 2f, 0) = 1."""
+    return [B[k * W + f::-2 * W - 1][:f + 1] for f in range(k // 2 + 1)]
+
+
+def _unit_obstruction(k: int) -> InvariantError:
+    return InvariantError(f"obstruction at degree {k} is a unit: input is "
+                          "not a valid Lubin-Tate seed pair")
+
+
+def _check_seeds(src: LTSeed, dst: LTSeed) -> None:
+    if src.R is not dst.R:
+        raise ValidationError("seeds disagree on (p, N)")
+    if src.trunc != dst.trunc:
+        raise ValidationError("seeds disagree on truncation")
+    if src.pi_val != dst.pi_val:
+        raise ValidationError("seeds have different uniformizers")
+
+
 def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique phi = linear + higher with dst.d(phi) = phi(src.d per
-    variable), solved degree by degree; ``linear`` is homogeneous of
-    degree 1 in one or two variables.
+    variable), solved degree by degree; ``linear`` is a*t in one
+    variable or c(X + Y) in two.
 
     Degree k corrects by R_k / (pi^k - pi); the divisor has valuation
     exactly 1 and the obstruction must be divisible by pi, else the
@@ -191,104 +242,133 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
         total_k = sum_{j<k} phi_j [G_1]_(k-j),
         [G_m]_s = sum_{j=1}^{s} phi_j [G_(m+1)]_(s-j)   (s >= 1),
 
-    with [G_m]_0 = d_m.  At step k, [G_m]_(k-m) reads [G_(m+1)] through
-    degree k-m-1, whose top part is formed at this same step: so m runs
-    downward, from min(k, M) - 1 to 1, and then total_k reads
-    [G_1]_(k-1).  Each part is formed once and read by every later
-    degree.
+    with [G_m]_0 = d_m.  Degree k forms [G_m]_(k-m) for m from
+    min(k, M) - 1 down to 1, each reading [G_(m+1)]_(k-m-1) formed just
+    before it, and then total_k, which is level 0 of the same chain.
+    Each part is formed once and read by every later degree.  Sums of
+    products are taken on packed integers (Kronecker substitution;
+    Schoenhage, EUROCAM 1982), one slot per coefficient, each slot
+    reduced mod p^N once; the widths are ``_slot_widths``.
 
-    A degree-s part is dense: s + 1 coefficients indexed by the exponent
-    of X in two variables, one coefficient in one.  In one variable the
-    sums are sums of integer products, each reduced mod p^N once.  In
-    two, each part is packed once, when it is formed, into one integer
-    with one slot of 2 bitlen(p^N) + 2 bitlen(D + 2) - 2 bits per
-    coefficient (Kronecker substitution; Schoenhage, EUROCAM 1982): the
-    product of two packed parts is the packed product of the parts.  A
-    slot of [G_m]_s or of total_k (degree s <= D) adds, for each j, the
-    products of the coefficient pairs whose X-exponents sum to the
-    slot's, at most min(j, s - j) + 1 of them: at most s + s^2/4 <
-    (D + 2)^2 / 4 products of residues below p^N over all j.  So the
-    slot's sum stays below 2^slot and never carries into the next one.
-    Each sum is unpacked and reduced once.
+    One variable.  A[t] packs the anti-diagonal t: slot m holds
+    [G_(m+1)]_(t-m-1), so d_t sits at slot t - 1.  Degree k forms
+    O = sum_{j=2}^{k-1} phi_j A[k+1-j], whose slot m is the j >= 2 part
+    of [G_m]_(k-m) for every level at once; the j = 1 part is a chain
+    x_m = (phi_1 x_(m+1) + O_m) mod p^N from the top level down, whose
+    level 0 is total_k, and the x_m are packed as A[k].  A slot of O
+    adds at most k - 2 <= D products of residues below p^N, so a slot of
+    2 bitlen(p^N) + bitlen(D + 1) bits never carries.
+
+    Two variables.  With linear part c(X + Y), phi is symmetric:
+    phi(Y, X) solves the same equation with the same linear part, and
+    the solution is unique (for the group law, F(X, Y) = F(Y, X); Lubin
+    and Tate, Ann. of Math. 81 (1965)); so is every G_m.  Each part is
+    held in sigma1 = X + Y and sigma2 = XY: a degree-s part is
+    floor(s/2) + 1 coefficients of sigma1^(s-2j) sigma2^j, packed by j,
+    and two packs multiply as the parts do, since the sigma2 exponents
+    add.  Slot j of a degree-s sum adds, per j1 = 1..s, the products of
+    coefficient pairs of degrees j1 and s - j1 whose sigma2 exponents
+    sum to j: at most min(j1, s - j1)/2 + 1 of them, s + s^2/8 <
+    (D + 4)^2 / 8 over all j1.  So a slot of 2 bitlen(p^N) +
+    2 bitlen(D + 4) - 3 bits never carries.  The levels are summed one
+    at a time: packing them per anti-diagonal, as in one variable, was
+    measured 3-5% slower on the group law.  R_k, its unit check and the
+    division by p are taken in the basis X^f Y^(k-f), for f <= k/2 only,
+    the other half being the mirror: the division sets phi_k's top digit
+    from the representative of R_k in [0, p^N), so the same division in
+    sigma coordinates would give other digits.  Row f of the change of
+    basis (``_sigma_rows``) is C(k-2j, f-j), j = 0..f, the coefficient of
+    X^f Y^(k-f) in sigma1^(k-2j) sigma2^j; it is unit-triangular.  So
+    per f, one row takes total_k's coefficient of X^f Y^(k-f) from its
+    sigma slots, and after the division gives phi_k's sigma coefficient
+    f by forward substitution.  The binomials are Pascal's triangle
+    through row D (``_pascal``), built once per solve.
 
     The right-hand side is linear in phi: when phi_j is fixed, its
     monomials times the powers of src.d are added into per-degree
     buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
     what the divisor accounts for.  Those powers are src's own table
     (``LTSeed.d_powers``), dense lists.  In two variables the bucket of
-    X^f is one integer packed over the exponent g of Y, with the same
-    slot, and a monomial c X^i Y^(j-i) adds (c [src.d^i]_f mod p^N)
-    times src.d^(j-i) packed to it, for each f.  The slot of X^f Y^g,
-    read at degree f + g <= D, adds one product of two residues per
-    (j, i) with i <= f and j - i <= g: at most (f + 1)(g + 1) <=
-    (D + 2)^2 / 4.  Slots of degree above D are never read; their carries
-    run only into slots of higher g, which are not read either.
+    X^f, for f <= D/2 only, is one integer packed over the exponent g of
+    Y, as src.d^a is packed, and a monomial c X^i Y^(j-i) adds
+    (c [src.d^i]_f mod p^N) times src.d^(j-i) packed to it, for each f.
+    The slot of X^f Y^g, read at degree f + g <= D, adds one product of
+    two residues per (j, i) with i <= f and j - i <= g: at most
+    (f + 1)(g + 1) <= (D + 2)^2 / 4, within 2 bitlen(p^N) +
+    2 bitlen(D + 2) - 2 bits.  Slots of degree above D are never read;
+    their carries run only into slots of higher g, which are not read
+    either.
     """
-    if src.R is not dst.R:
-        raise ValidationError("seeds disagree on (p, N)")
-    if src.trunc != dst.trunc:
-        raise ValidationError("seeds disagree on truncation")
-    if src.pi_val != dst.pi_val:
-        raise ValidationError("seeds have different uniformizers")
+    _check_seeds(src, dst)
     if linear.trunc != src.trunc:
         raise ValidationError("linear part and seed disagree on truncation")
     n = linear.nvars
     if n > 2 or any(sum(e) != 1 for e in linear.coeffs):
         raise ValidationError(
             "linear part must be of degree 1 in one or two variables")
+    two = n == 2
+    a = linear.coeffs.get((1, 0) if two else (1,), 0)
+    if two and linear.coeffs.get((0, 1), 0) != a:
+        raise ValidationError(
+            "a two-variable linear part must be c(X + Y)")
     p, mod = src.p, src.R.mod
     D = linear.trunc
-    two = n == 2
     d = [0] * (D + 1)
     for (m,), c in dst.d.coeffs.items():
         if 2 <= m <= D:
             d[m] = c
     M = max((m for m in range(2, D + 1) if d[m]), default=1)
-    # a packed slot adds at most (D + 2)^2 / 4 products of residues below
-    # p^N (the docstring counts them), so this width never carries
-    slot = 2 * mod.bit_length() + 2 * (D + 2).bit_length() - 2
+    widths = _slot_widths(mod, D)
+    slot = widths[1] if two else widths[0]
     mask = (1 << slot) - 1
     shifts = [slot * i for i in range(D + 1)]
-
-    def pack(part):
-        x = 0
-        for c in reversed(part):
-            x = x << slot | c
-        return x
 
     def exponent(j, i):
         # of coefficient i of a degree-j part
         return (i, j - i) if two else (j,)
 
-    # phi[j] is the part of degree j as a dense list, P[j] the same part
-    # packed (in one variable, its one coefficient); G[m][s] = [G_m]_s
-    # packed, G[m][0] = d_m (G[1][0] = pi is never read)
+    # phi[j] is the part of degree j as a dense list over the exponent of
+    # X (one coefficient in one variable), P[j] the same part packed in
+    # sigma coordinates (in one variable, its one coefficient)
     phi = [None] * (D + 1)
-    phi[1] = [linear.coeffs.get(exponent(1, i), 0) for i in range(n)]
+    phi[1] = [a] * n
     P = [0] * (D + 1)
-    P[1] = pack(phi[1]) if two else phi[1][0]
-    G = [None] + [[d[m]] + [0] * D for m in range(1, M + 1)]
+    P[1] = a
     inv = src.divisor_inverses()
     sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
     # rhs[f]: the right-hand side's term of degree f, or in two variables
     # its terms X^f Y^g packed over g, as sy[a] packs src.d^a
     rhs = [0] * (D + 1)
-    sy = [pack(a) for a in sp] if two else None
+    if two:
+        # G[m][s] = [G_m]_s packed, G[m][0] = d_m (G[1][0] is never read)
+        G = [None] + [[d[m]] + [0] * D for m in range(1, M + 1)]
+        xslot = widths[2]
+        xmask = (1 << xslot) - 1
+        xshifts = [xslot * i for i in range(D + 1)]
+        sy = []
+        for row in sp:
+            x = 0
+            for c in reversed(row):
+                x = x << xslot | c
+            sy.append(x)
+        B, W = _pascal(D), D // 2 + 1
+    else:
+        A = [0] * (D + 1)  # A[t]: the anti-diagonal t, packed
 
     def push_rhs(j):
         # add phi_j(src.d(X)) or phi_j(src.d(X), src.d(Y)) above degree j
         # to rhs; in two variables the terms of degree j, which are spent,
-        # land too
+        # land too, and only X^f with f <= D/2
         if not two:
             c = P[j]
             if c:
                 for f in range(j + 1, D + 1):
                     rhs[f] += c * sp[j][f]
             return
-        for i, c in enumerate(phi[j]):
+        for i, c in enumerate(phi[j][:D // 2 + 1]):
             if c:
                 xs, ys = sp[i], sy[j - i]
-                for f in range(i, D + 1 - (j - i)):
+                for f in range(i, min(D - j + i, D // 2) + 1):
                     cx = c * xs[f] % mod
                     if cx:
                         rhs[f] += cx * ys
@@ -296,32 +376,49 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     eff = linear.eff_prec
     for k in range(2, D + 1):
         push_rhs(k - 1)
-        for m in range(min(k, M) - 1, 0, -1):
-            s = k - m
-            acc = sum(map(mul, P[1:s + 1], G[m + 1][s - 1::-1]))
-            G[m][s] = pack([(acc >> sh & mask) % mod
-                            for sh in shifts[:s + 1]]) if two else acc % mod
-        total = sum(map(mul, P[1:k], G[1][k - 1:0:-1]))
         u = inv[k]
         if u is None:
             raise InvariantError("correction divisor lost valuation 1")
-        # R_k, coefficient by coefficient
         if two:
-            r_k = [(total >> shifts[f] & mask)
-                   - (rhs[f] >> shifts[k - f] & mask) for f in range(k + 1)]
+            for m in range(min(k, M) - 1, 0, -1):
+                s = k - m
+                acc = sum(map(mul, P[1:s + 1], G[m + 1][s - 1::-1]))
+                x = 0  # acc with each slot reduced, repacked from the top
+                for sh in shifts[s // 2::-1]:
+                    x = x << slot | (acc >> sh & mask) % mod
+                G[m][s] = x
+            total = sum(map(mul, P[1:k], G[1][k - 1:0:-1]))
+            ts = [total >> sh & mask for sh in shifts[:k // 2 + 1]]
+            # for f <= k/2: R_k's coefficient of X^f Y^(k-f), checked and
+            # divided, then phi_k's coefficient of sigma1^(k-2f) sigma2^f
+            part, sigma, x = [], [], 0
+            for f, row in enumerate(_sigma_rows(B, W, k)):
+                c = (sum(map(mul, ts, row))
+                     - (rhs[f] >> xshifts[k - f] & xmask)) % mod
+                if c % p:
+                    raise _unit_obstruction(k)
+                c = c // p * u % mod
+                part.append(c)
+                c = (c - sum(map(mul, sigma, row))) % mod
+                sigma.append(c)
+                x |= c << shifts[f]
+            phi[k] = part + part[(k - 1) // 2::-1]
+            P[k] = x
         else:
-            r_k = [total - rhs[k]]
-        part = []
-        for c in r_k:
-            c %= mod
+            O = sum(map(mul, P[2:k], A[k - 1:1:-1]))
+            # x runs down the levels m = min(k, M), ..., 1 and is packed
+            # below the levels above it; the top one is d_k at k <= M,
+            # else [G_M]_(k-M) = 0, and d_k = 0 there too
+            x = ak = d[k]
+            for sh in shifts[min(k, M) - 1:0:-1]:  # sh = shifts[m]
+                x = (a * x + (O >> sh & mask)) % mod
+                ak = ak << slot | x
+            A[k] = ak
+            c = (a * x + (O & mask) - rhs[k]) % mod  # R_k
             if c % p:
-                raise InvariantError(
-                    f"obstruction at degree {k} is a unit: input is not a "
-                    "valid Lubin-Tate seed pair"
-                )
-            part.append((c // p) * u % mod)
-        phi[k] = part
-        P[k] = pack(part) if two else part[0]
+                raise _unit_obstruction(k)
+            P[k] = c // p * u % mod
+            phi[k] = [P[k]]
         eff -= 1
         if eff <= 0:
             raise PrecisionError("effective precision exhausted")
@@ -335,9 +432,10 @@ def solve_intertwine(a: PadicInt, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique series phi = a*t + higher with dst.d(phi(t)) =
     phi(src.d(t)); a is an int or a residue of the seeds' ring."""
     linear = TruncSeries(src.p, src.N, 1, src.trunc, {(1,): src.R.lift(a)})
-    if not linear.coeffs:
-        return linear
-    return _lt_solve(linear, src, dst)
+    if linear.coeffs:
+        return _lt_solve(linear, src, dst)
+    _check_seeds(src, dst)
+    return linear
 
 
 def group_law(seed: LTSeed) -> FormalGroupLaw:

@@ -723,8 +723,8 @@ class TestConductor:
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_products_per_power_not_per_monomial(self, p, monkeypatch):
         """The level-1 table of lambda and each translate's table of t(v)
-        cost D - 1 products each; one product per monomial of F would
-        exceed this at p = 5 and 7."""
+        cost D - 1 products each, and t_1 = lambda reuses lambda's table;
+        one product per monomial of F would exceed this at p = 5 and 7."""
         D = 2 * p
         t = tower(p, trunc=D)
         state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
@@ -739,7 +739,7 @@ class TestConductor:
         monkeypatch.setattr(LocalElement, "__mul__", counting)
         rep = division_conductor(t, state)
         assert set(rep.deltas.values()) == {2}
-        assert count == p * (D - 1)
+        assert count == (p - 1) * (D - 1)
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_no_compositum_product(self, p, monkeypatch):

@@ -2,13 +2,16 @@
 degree-by-degree reference that recomposes the whole series at every
 degree."""
 
+from math import comb
+from operator import mul
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cmtower import lubin_tate
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
-from cmtower.lubin_tate import (LTSeed, _lt_solve, endo, group_law,
-                                strict_iso)
+from cmtower.lubin_tate import (LTSeed, _lt_solve, _pascal, _sigma_rows,
+                                _slot_widths, endo, group_law, strict_iso)
 from cmtower.padic import PadicInt, TruncSeries
 
 
@@ -175,6 +178,133 @@ def test_top_of_the_residue_range(p, nvars):
         for j in range(nvars)})
     coeffs, eff = assert_same(linear, seed, seed)
     assert eff == N - (D - 1) and coeffs
+
+
+def pack(part, width):
+    x = 0
+    for c in reversed(part):
+        x = x << width | c
+    return x
+
+
+def unpack(x, width, count):
+    return [x >> (width * i) & ((1 << width) - 1) for i in range(count)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_anti_diagonal_slot_holds_the_worst_sum(p):
+    """The one-variable solve's largest packed sum, O at degree D: every
+    phi_j and every slot of every anti-diagonal A[t] at p^N - 1, and M =
+    D so that every level is present.  Each slot of O must come out as
+    the exact sum, (p^N - 1)^2 times its count of products, with no carry
+    between slots."""
+    for N in range(1, 13):
+        top = p ** N - 1
+        for D in range(3, 41):
+            width = _slot_widths(p ** N, D)[0]
+            P = [top] * D
+            A = [None, None] + [pack([top] * t, width) for t in range(2, D)]
+            O = sum(map(mul, P[2:D], A[D - 1:1:-1]))
+            # slot m of A[D + 1 - j] exists for m <= D - j, j = 2..D-1
+            want = [top * top * max(0, D - 1 - max(m, 1)) for m in range(D)]
+            assert unpack(O, width, D) == want, (p, N, D)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_sigma_slot_holds_the_worst_sum(p):
+    """The group law's largest packed sums, [G_1]_(D-1) and total_D: every
+    sigma coefficient of every part of phi and of every G level at
+    p^N - 1.  Each slot must come out as the exact sum of its products."""
+    for N in range(1, 13):
+        top = p ** N - 1
+        for D in range(3, 41):
+            width = _slot_widths(p ** N, D)[1]
+            # the degree-s part packed, floor(s/2) + 1 slots
+            parts = [pack([top] * (s // 2 + 1), width) for s in range(D)]
+            for s in (D - 1, D):
+                # [G_m]_s reads G's parts of degree s - 1 down to 0; total
+                # reads G_1's of degree D - 1 down to 1
+                js = range(1, s + 1) if s < D else range(1, D)
+                acc = sum(parts[j] * parts[s - j] for j in js)
+                want = [top * top * sum(
+                    1 for j in js for i in range(j // 2 + 1)
+                    if 0 <= c - i <= (s - j) // 2)
+                    for c in range(s // 2 + 1)]
+                assert unpack(acc, width, s // 2 + 1) == want, (p, N, D, s)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_rhs_bucket_slot_holds_the_worst_sum(p):
+    """The group law's right-hand-side buckets after every push: each
+    monomial c X^i Y^(j-i), j < D, adds (c [src.d^i]_f mod p^N) src.d^(j-i)
+    packed to the bucket of X^f for i <= f <= min(D - (j - i), D/2), with
+    every such residue and every coefficient of src.d^a (a >= 1, from
+    degree a on) at p^N - 1.  Each slot of degree f + g <= D must come
+    out as the exact sum of its products."""
+    for N in range(1, 13):
+        top = p ** N - 1
+        for D in range(3, 31):
+            width = _slot_widths(p ** N, D)[2]
+            powers = [[1] + [0] * D] + [[0] * a + [top] * (D + 1 - a)
+                                        for a in range(1, D + 1)]
+            packed = [pack(row, width) for row in powers]
+            for f in range(D // 2 + 1):
+                terms = [(j, i) for j in range(1, D) for i in range(j + 1)
+                         if i <= f <= D - j + i and powers[i][f]]
+                bucket = sum(top * packed[j - i] for j, i in terms)
+                want = [sum(top * powers[j - i][g] for j, i in terms)
+                        for g in range(D - f + 1)]
+                assert unpack(bucket, width, D - f + 1) == want, (p, N, D, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.data())
+def test_sigma_and_xy_round_trip(k, data):
+    """A random symmetric degree-k part, written in sigma1 = X + Y and
+    sigma2 = XY, goes through the rows of ``_sigma_rows`` to its
+    X^f Y^(k-f) coefficients (f <= k/2), as the expansion of the sigma
+    monomials gives them, and back by forward substitution."""
+    mod = 7 ** 6
+    D = data.draw(st.integers(k, 26))
+    B, W = _pascal(D), D // 2 + 1
+    assert B == [comb(r, u) for r in range(D + 1) for u in range(W)]
+    c = data.draw(st.lists(st.integers(0, mod - 1), min_size=k // 2 + 1,
+                           max_size=k // 2 + 1))
+    xy = [0] * (k + 1)
+    for j, cj in enumerate(c):
+        for i in range(k - 2 * j + 1):
+            xy[i + j] += cj * comb(k - 2 * j, i)
+    assert xy == xy[::-1]
+    rows = _sigma_rows(B, W, k)
+    assert [sum(map(mul, c, row)) for row in rows] == xy[:k // 2 + 1]
+    back = []
+    for x, row in zip(xy, rows):
+        assert row[-1] == 1
+        back.append((x - sum(map(mul, back, row))) % mod)
+    assert back == c
+
+
+@pytest.mark.parametrize("c", (0, 3, 5 ** 12 - 1))
+def test_symmetric_linear_part_matches_reference(c):
+    """The two-variable solve takes c(X + Y) for every c, not only the
+    group law's c = 1."""
+    seed = LTSeed.standard(5, 12, 10)
+    linear = TruncSeries(5, 12, 2, 10, {(1, 0): c, (0, 1): c})
+    assert_same(linear, seed, seed)
+
+
+@pytest.mark.parametrize("coeffs", (
+    {(1, 0): 1, (0, 1): 2},
+    {(1, 0): 1},
+    {(0, 1): 3},
+))
+def test_two_variable_linear_part_must_be_symmetric(coeffs):
+    """The two-variable solve holds its parts in symmetric coordinates,
+    so a linear part aX + bY with a != b is refused."""
+    seed = LTSeed.standard(5, 12, 8)
+    linear = TruncSeries(5, 12, 2, 8, coeffs)
+    with pytest.raises(ValidationError, match=r"c\(X \+ Y\)"):
+        _lt_solve(linear, seed, seed)
 
 
 @pytest.mark.parametrize("coeffs", (

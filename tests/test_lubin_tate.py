@@ -155,6 +155,21 @@ class TestEndo:
         with pytest.raises(ValidationError):
             solve_intertwine(PadicInt(5, 14, 1), src, dst)
 
+    @pytest.mark.parametrize("a", (0, 1))
+    @pytest.mark.parametrize("dst,match", (
+        (LTSeed.standard(5, 15, 10), r"\(p, N\)"),
+        (LTSeed.standard(5, 14, 12), "truncation"),
+        (LTSeed.standard(5, 14, 10, pi=10), "uniformizers"),
+    ))
+    def test_mismatched_seeds_rejected_for_every_multiplier(self, a, dst,
+                                                            match):
+        """A seed pair that disagrees on (p, N), on truncation or on the
+        uniformizer is refused before the multiplier is looked at: a = 0,
+        whose series is 0 with no solve, is refused like a = 1."""
+        src = LTSeed.standard(5, 14, 10)
+        with pytest.raises(ValidationError, match=match):
+            solve_intertwine(a, src, dst)
+
 
 class TestStrictIso:
     def test_standard_to_multiplicative(self):
