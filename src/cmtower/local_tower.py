@@ -16,10 +16,10 @@ value.
 One ring class, ``TowerRing``, holds all of this arithmetic (the level
 rings and the compositum, with the one product ``mul`` and the one
 valuation ``val``); ``LocalElement`` is the one element class.  The two
-certified invariants of the ramified step take level-1 products and
-scalar linear algebra only: the discriminant's resultant is a p x p norm
-determinant over level 1, and the conductor reduces the powers of theta
-mod d - q to scalars once, so no compositum product is formed.
+certified invariants of the ramified step form no compositum product:
+the discriminant's resultant is a p x p norm determinant over level 1,
+and the conductor values the head -a*lambda of each displacement against
+a tail bound on the terms it drops, with no Lubin-Tate solve.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError, PrecisionError, ValidationError
+# endo and group_law are unused here; perfbench/spans.py patches these
+# bindings
 from .lubin_tate import LTSeed, endo, group_law
 from .padic import (InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs,
                     newton_polygon, rem_coeffs, ring_det)
@@ -56,9 +58,8 @@ class TowerRing:
     candidate i + e*ord_p(c) is below e*N, so the cap is never reached).
 
     The compositum is where the conductor lays out and values its
-    displacements theta - F(theta, t(v)) and its generators; the
-    displacements themselves are formed over level 1 (``_displacements``),
-    so no report multiplies two compositum elements.
+    generators and the head -a*lambda of each displacement; no report
+    multiplies two compositum elements.
     """
 
     __slots__ = ("R", "w", "hw", "hinv", "f", "finv", "gap", "weights",
@@ -580,55 +581,20 @@ class ConductorReport:
         }
 
 
-def _displacements(tower: EisensteinTower, ring: TowerRing):
-    """Yield (a, theta - F(theta, t_a)) for a = 1, ..., p - 1, where
-    t_a = [a](lambda) is the torsion translate and each displacement is a
-    raw element of the compositum ``ring``.
-
-    f = d - q and F have scalar coefficients and t_a lies in level 1, so
-    F(theta, t_a) = sum_(k<p) theta^k Q_k(t_a) with
-    Q_k(Y) = sum_j E[k][j] Y^j: each theta^i is reduced mod f to scalars
-    s_ik once, and E[k][j] = sum_i c_ij s_ik.  The compositum is free over
-    level 1 on 1, theta, ..., theta^(p-1), so Q_k(t_a) laid out in the
-    theta^k slots is the reduced element that evaluating F in the
-    compositum gives.  A translate costs the level-1 powers of t_a and
-    scalar combinations, except t_1 = lambda: [1](t) = t exactly (every
-    obstruction of its solve is 0), so it takes the table of lambda's
-    powers and no solve.  t_a's valuation is read in the compositum
-    before its displacement is formed."""
-    p, seed, level = tower.p, tower.seed, tower.ring(1)
-    mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
-    b = len(f) - 1
-    s = []  # s[i] = theta^i mod f, as b scalars
-    for i in range(D + 1):
-        c = [0] * max(i + 1, b)
-        c[i] = 1
-        rem_coeffs(c, f, ring.finv, mod)
-        s.append(c[:b])
-    E = [[0] * (D + 1) for _ in range(b)]
-    for (i, j), c in group_law(seed).F.coeffs.items():
-        for k, x in enumerate(s[i]):
-            E[k][j] += c * x
-    E = [[x % mod for x in row] for row in E]
-    lams = level.powers(level.lam(), D)
-    for a in range(1, p):
-        tv = lams[1] if a == 1 else level.eval_series(endo(seed, a), lams)
-        disp = [0] * ring.size
-        disp[::w] = tv.coeffs
-        if ring.val(disp) != p:
-            raise InvariantError(
-                f"torsion value [{a}] does not have valuation {p}"
-            )
-        tvs = lams if a == 1 else level.powers(tv, D)
-        for k, row in enumerate(E):
-            acc = [0] * level.size
-            for e, y in zip(row, tvs):
-                if e:
-                    for i, x in enumerate(y.coeffs):
-                        acc[i] += e * x
-            disp[k::w] = [-x % mod for x in acc]
-        disp[1] = (disp[1] + 1) % mod
-        yield a, disp
+def _head_valuation(ring: TowerRing, head, tail: int) -> int:
+    """The valuation of an element of ``ring`` that is the raw ``head``
+    plus terms of valuation >= ``tail``: the head's valuation, certified
+    when it is below both the cap and ``tail``, for then no dropped term
+    can reach it."""
+    v = ring.val(head)
+    if v is None:
+        raise PrecisionError(
+            "head of the element vanished at working precision; raise N")
+    if v >= tail:
+        raise PrecisionError(
+            f"head valuation {v} is not below the tail bound {tail}: the "
+            "dropped terms could cancel it")
+    return v
 
 
 def division_conductor(tower: EisensteinTower, state: DivisionState,
@@ -640,12 +606,21 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     compositum Z_p[lambda, theta]/(h_1, d - q); with the compositum
     uniformizer eta = lambda/theta this gives the jump
     Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1), computed without
-    any division.  The displacements are formed over level 1, theta's
-    powers reduced mod d - q to scalars once (``_displacements``): the
-    same reduced elements as evaluating F in the compositum, with no
-    compositum product.  All jumps must equal 2 (single break at 1); the
-    discriminant exponent is their sum 2(p-1) and the conductor exponent
-    is 2, confirmed against the conductor-discriminant identity.
+    any division.
+
+    The valuation is read off a certified head.  F(X, 0) = X,
+    F(0, Y) = Y and [a](t) = a t + higher, so for t_a = [a](lambda)
+    the displacement is the head -a lambda minus the cross terms of F at
+    (theta, t_a) and the terms of [a] past degree 1: all of total degree
+    >= K + 1 in theta and lambda, K = 1, so of valuation
+    >= (K + 1) min(ord theta, ord lambda) = 2(p - 1), the tail bound.
+    The head has valuation p < 2p - 2 for every odd p, so K = 1
+    certifies and no group law or endomorphism is solved (Lubin and
+    Tate, Ann. of Math. 81 (1965); Serre, Local Fields, ch. IV).
+
+    All jumps must equal 2 (single break at 1); the discriminant exponent
+    is their sum 2(p-1) and the conductor exponent is 2, confirmed
+    against the conductor-discriminant identity.
     """
     if state.ramified_at is None:
         raise ValidationError("conductor needs a ramified division state")
@@ -654,16 +629,20 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
     ring = tower.compositum(q)
     if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
+    ord_lam, ord_theta, _ = ring.weights
+    tail = 2 * min(ord_lam, ord_theta)  # (K + 1) min, K = 1
     deltas = {}
     prov = [
         f"jumps: theta displacement under torsion translation, seed degree "
         f"{tower.seed.p}, division value of valuation {q.valuation()}",
     ]
-    for a, disp in _displacements(tower, ring):
-        v = ring.val(disp)
-        if v is None:
-            raise PrecisionError(
-                "Galois displacement vanished at working precision; raise N"
+    for a in range(1, p):
+        head = [0] * ring.size
+        head[ring.w] = -a % tower.R.mod  # -a lambda
+        v = _head_valuation(ring, head, tail)
+        if v != p:
+            raise InvariantError(
+                f"torsion value [{a}] does not have valuation {p}"
             )
         delta = p + v - 2 * (p - 1)
         if delta != 2:

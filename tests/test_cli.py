@@ -319,13 +319,30 @@ class TestMain:
     @pytest.mark.parametrize("command,body,message", (
         ("cm-pi --precision 1", GAUSS + "fp_index = 0\n",
          "valuation 1 needs N >= 2"),
-    ), ids=("cm-pi-precision-one",))
+        ("tower-conductor --precision 1", TOWER + "t0 = 5\n",
+         "valuation 1 needs N >= 2"),
+    ), ids=("cm-pi-precision-one", "tower-conductor-precision-one"))
     def test_short_precision_is_inconclusive(self, tmp_path, capsys,
                                              command, body, message):
         cfg = tmp_path / "short.ini"
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_conductor_certifies_from_precision_two(self, tmp_path, N):
+        """The conductor values a head against a tail bound and solves no
+        series, so its fixture certifies at every N >= 2 (N = 1 is short
+        for the seed itself, above), with the results it gives at N + 5."""
+        path = os.path.join(CONFIG_DIR, "tower_mult_p5.ini")
+
+        def results(precision):
+            out = tmp_path / f"report-{precision}.json"
+            assert main(["tower-conductor", "--config", path, "--precision",
+                         str(precision), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["results"]
+
+        assert results(N) == results(N + 5)
 
     @pytest.mark.parametrize("precision", (1, 2))
     @pytest.mark.parametrize("command,config", FIXTURES)

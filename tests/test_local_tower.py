@@ -6,18 +6,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower import local_tower
-from cmtower.errors import InvariantError, PrecisionError, ValidationError
+from cmtower import local_tower, lubin_tate
+from cmtower.errors import (HenselError, InvariantError, PrecisionError,
+                            ValidationError)
 from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  LocalElement, TowerRing,
                                  _disc_direct, _disc_resultant,
-                                 _displacements,
+                                 _head_valuation,
                                  character_conductor_floor, divide_point,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed, endo, group_law
 from cmtower.padic import (PadicInt, PadicPoly, TruncSeries, mul_coeffs,
                            newton_polygon, rem_coeffs)
+from test_bench_workloads import lib as bench
 
 
 def non_monic_seed(p, N):
@@ -662,6 +664,56 @@ class TestEvalSeries:
             ring.eval_series(series, ring.powers(ring.lam(), seed.trunc))
 
 
+def level1_displacements(tower, ring):
+    """Yield (a, theta - F(theta, t_a)) for a = 1, ..., p - 1, where
+    t_a = [a](lambda) is the torsion translate and each displacement is a
+    raw element of the compositum ``ring``: the conductor's route before
+    the head and tail bound, kept as its oracle.
+
+    f = d - q and F have scalar coefficients and t_a lies in level 1, so
+    F(theta, t_a) = sum_(k<p) theta^k Q_k(t_a) with
+    Q_k(Y) = sum_j E[k][j] Y^j: each theta^i is reduced mod f to scalars
+    s_ik once, and E[k][j] = sum_i c_ij s_ik.  The compositum is free over
+    level 1 on 1, theta, ..., theta^(p-1), so Q_k(t_a) laid out in the
+    theta^k slots is the reduced element that evaluating F in the
+    compositum gives.  t_1 = lambda: [1](t) = t exactly, so it takes the
+    table of lambda's powers and no solve.  t_a's valuation is read in
+    the compositum before its displacement is formed."""
+    p, seed, level = tower.p, tower.seed, tower.ring(1)
+    mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
+    b = len(f) - 1
+    s = []  # s[i] = theta^i mod f, as b scalars
+    for i in range(D + 1):
+        c = [0] * max(i + 1, b)
+        c[i] = 1
+        rem_coeffs(c, f, ring.finv, mod)
+        s.append(c[:b])
+    E = [[0] * (D + 1) for _ in range(b)]
+    for (i, j), c in group_law(seed).F.coeffs.items():
+        for k, x in enumerate(s[i]):
+            E[k][j] += c * x
+    E = [[x % mod for x in row] for row in E]
+    lams = level.powers(level.lam(), D)
+    for a in range(1, p):
+        tv = lams[1] if a == 1 else level.eval_series(endo(seed, a), lams)
+        disp = [0] * ring.size
+        disp[::w] = tv.coeffs
+        if ring.val(disp) != p:
+            raise InvariantError(
+                f"torsion value [{a}] does not have valuation {p}"
+            )
+        tvs = lams if a == 1 else level.powers(tv, D)
+        for k, row in enumerate(E):
+            acc = [0] * level.size
+            for e, y in zip(row, tvs):
+                if e:
+                    for i, x in enumerate(y.coeffs):
+                        acc[i] += e * x
+            disp[k::w] = [-x % mod for x in acc]
+        disp[1] = (disp[1] + 1) % mod
+        yield a, disp
+
+
 def reference_displacements(tower, ring):
     """(a, theta - F(theta, [a](lambda))) for each a, evaluated in the
     compositum ``ring`` as the conductor did before its theta-reduction:
@@ -690,61 +742,46 @@ def displacement_outcomes(route, tower, q):
     return out
 
 
+@st.composite
+def seed_coeffs(draw):
+    """(p, N, D, coeffs) of a degree-p seed: p in {3, 5, 7}, N in 2-20,
+    D in {p + 2, 2p}, t^p coefficient 1 or 1 + p (the non-monic case)."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(2, 20))
+    D = draw(st.sampled_from((p + 2, 2 * p)))
+    top = draw(st.sampled_from((1, 1 + p)))
+    pi = p * draw(st.integers(1, p ** 3).filter(lambda u: u % p))
+    mid = [p * draw(st.integers(0, p ** 3)) for _ in range(2, p)]
+    return p, N, D, [0, pi] + mid + [top]
+
+
 class TestDisplacements:
     @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_match_compositum_horner(self, data):
+    @given(seed_coeffs(), st.data())
+    def test_match_compositum_horner(self, case, data):
         """For every a, theta - F(theta, [a](lambda)) formed over level 1
         is the element the compositum Horner gives, or both routes raise
         the same class."""
-        p = data.draw(st.sampled_from((3, 5, 7)))
-        N = data.draw(st.integers(2, 20))
-        D = data.draw(st.sampled_from((p + 2, 2 * p)))
-        # t^p coefficient 1 or 1 + p: the non-monic seed is one case
-        top = data.draw(st.sampled_from((1, 1 + p)))
-        pi = p * data.draw(st.integers(1, p ** 3).filter(lambda u: u % p))
-        mid = [p * data.draw(st.integers(0, p ** 3)) for _ in range(2, p)]
-        tw = EisensteinTower(
-            LTSeed.from_coeffs(p, N, D, [0, pi] + mid + [top]))
+        p, N, D, coeffs = case
+        tw = EisensteinTower(LTSeed.from_coeffs(p, N, D, coeffs))
         q = PadicInt(p, N, p * data.draw(st.integers(1, p ** (N - 1) - 1)))
-        got = displacement_outcomes(_displacements, tw, q)
+        got = displacement_outcomes(level1_displacements, tw, q)
         assert got == displacement_outcomes(reference_displacements, tw, q)
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_standard_seed(self, p):
         t = tower(p, N=20, trunc=2 * p)
         q = PadicInt(p, 20, p)
-        got = displacement_outcomes(_displacements, t, q)
+        got = displacement_outcomes(level1_displacements, t, q)
         assert [a for a, _ in got] == list(range(1, p))
         assert got == displacement_outcomes(reference_displacements, t, q)
 
 
 class TestConductor:
     @pytest.mark.parametrize("p", (3, 5, 7))
-    def test_products_per_power_not_per_monomial(self, p, monkeypatch):
-        """The level-1 table of lambda and each translate's table of t(v)
-        cost D - 1 products each, and t_1 = lambda reuses lambda's table;
-        one product per monomial of F would exceed this at p = 5 and 7."""
-        D = 2 * p
-        t = tower(p, trunc=D)
-        state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
-        count = 0
-        mul = LocalElement.__mul__
-
-        def counting(self, other):
-            nonlocal count
-            count += isinstance(other, LocalElement)
-            return mul(self, other)
-
-        monkeypatch.setattr(LocalElement, "__mul__", counting)
-        rep = division_conductor(t, state)
-        assert set(rep.deltas.values()) == {2}
-        assert count == (p - 1) * (D - 1)
-
-    @pytest.mark.parametrize("p", (3, 5, 7))
     def test_no_compositum_product(self, p, monkeypatch):
-        """Every product the conductor makes is in level 1: no element
-        product and no raw ``TowerRing.mul`` on a ring with f set."""
+        """The conductor multiplies nothing: no element product and no raw
+        ``TowerRing.mul``, neither in the compositum nor in level 1."""
         t = tower(p, trunc=2 * p)
         state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
         rings = []
@@ -763,7 +800,23 @@ class TestConductor:
         monkeypatch.setattr(TowerRing, "mul", raw)
         rep = division_conductor(t, state)
         assert set(rep.deltas.values()) == {2}
-        assert rings and all(ring.f is None for ring in rings)
+        assert rings == []
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_no_lubin_tate_solve(self, p, monkeypatch):
+        """The bound needs only the linear terms of F and [a], so neither
+        is solved."""
+        t = tower(p, trunc=2 * p)
+        state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
+
+        def refuse(*args):
+            raise AssertionError("the conductor solved a series")
+
+        monkeypatch.setattr(local_tower, "group_law", refuse)
+        monkeypatch.setattr(local_tower, "endo", refuse)
+        monkeypatch.setattr(lubin_tate, "_lt_solve", refuse)
+        rep = division_conductor(t, state)
+        assert rep.deltas == {a: 2 for a in range(1, p)}
 
     def test_all_jumps_two(self):
         for p in (3, 5):
@@ -810,3 +863,145 @@ class TestConductor:
         t = tower(3)
         with pytest.raises(ValidationError):
             division_conductor(t, DivisionState.start(PadicInt(3, 40, 9)))
+
+
+def oracle_conductor(tower, state):
+    """The report ``division_conductor`` gave before its head and tail
+    bound: each jump read off the whole displacement that
+    ``level1_displacements`` forms, solving F and every [a]."""
+    p, q = tower.p, state.last()
+    ring = tower.compositum(q)
+    if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
+        raise InvariantError("compositum generators lost their valuations")
+    deltas = {}
+    for a, disp in level1_displacements(tower, ring):
+        v = ring.val(disp)
+        if v is None:
+            raise PrecisionError("Galois displacement vanished")
+        deltas[a] = p + v - 2 * (p - 1)
+        if deltas[a] != 2:
+            raise InvariantError(f"jump for translate [{a}] is not 2")
+    disc = sum(deltas.values())
+    if disc != 2 * (p - 1) or deltas[1] != disc // (p - 1):
+        raise InvariantError("conductor routes disagree")
+    prov = [
+        f"jumps: theta displacement under torsion translation, seed degree "
+        f"{tower.seed.p}, division value of valuation {q.valuation()}",
+        "conductor: break+1 and disc/(p-1) agree",
+    ]
+    if state.e > 1:
+        prov.append(
+            f"exponent computed at the first level; equality at level "
+            f"{state.e} is recorded as an assumption, not recomputed"
+        )
+    return local_tower.ConductorReport(
+        p=p, e=state.e, deltas=deltas, break_value=deltas[1] - 1,
+        disc_exponent=disc, conductor_exponent=deltas[1],
+        provenance=tuple(prov))
+
+
+def conductor_case(p, N, D, coeffs, t0, e):
+    """The tower of the seed with ``coeffs`` at (p, N, D), and t0 divided
+    up to its ramified level e."""
+    tw = EisensteinTower(LTSeed.from_coeffs(p, N, D, coeffs))
+    return tw, divide_point(tw, DivisionState.start(PadicInt(p, N, t0)), e)
+
+
+def conductor_outcome(route, tower, state):
+    """The route's report as JSON, or the exception it raised."""
+    try:
+        return route(tower, state).to_json()
+    except Exception as exc:  # the class is compared across routes
+        return exc
+
+
+def solve_exhausted(outcome):
+    return (isinstance(outcome, PrecisionError)
+            and "effective precision exhausted" in str(outcome))
+
+
+def check_against_oracle(p, N, D, coeffs, t0, e):
+    """The head-and-tail report is the oracle's, or both raise the same
+    class; where only the oracle's solves ran short of precision, the
+    report is the oracle's at the least N + k where it certifies."""
+    case = conductor_case(p, N, D, coeffs, t0, e)
+    got = conductor_outcome(division_conductor, *case)
+    want = conductor_outcome(oracle_conductor, *case)
+    k = 0
+    while solve_exhausted(want):
+        k += 1
+        assert k <= 40, "the oracle never certifies"
+        want = conductor_outcome(oracle_conductor,
+                                 *conductor_case(p, N + k, D, coeffs, t0, e))
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+    else:
+        assert got == want
+    return k
+
+
+class TestConductorAgainstOracle:
+    """``division_conductor`` against the displacement route it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tower_workload_jobs(self, seed):
+        for job in bench.WORKLOADS["tower"].generate(seed):
+            q = job.params
+            assert check_against_oracle(q["p"], q["N"], q["trunc"],
+                                        q["coeffs"], q["t0"], q["e"]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed_coeffs(), st.data())
+    def test_hypothesis_seeds(self, case, data):
+        p, N, D, coeffs = case
+        e = data.draw(st.integers(1, 2 if N > 2 else 1))
+        t0 = p ** e * data.draw(st.integers(1, p ** 3).filter(
+            lambda u: u % p))
+        try:
+            conductor_case(p, N, D, coeffs, t0, e)
+        except (PrecisionError, HenselError):
+            return  # no ramified state to take a conductor of
+        check_against_oracle(p, N, D, coeffs, t0, e)
+
+    def test_short_precision_certifies(self):
+        """At N = 2 the oracle's group-law solve runs short; the head and
+        tail bound gives the report the oracle gives once it certifies."""
+        assert check_against_oracle(5, 2, 7, [0, 5, 0, 0, 0, 1], 5, 1) > 0
+
+
+class TestHeadValuation:
+    def test_certified_only_below_cap_and_tail(self):
+        """p = 3, N = 6: ord lambda = 3, ord theta = 2, the tail bound
+        2 min = 4 and the cap 6 N = 36."""
+        _, ring = non_monic_ring(3, 6)
+        head = ring.zero().coeffs
+        head[ring.w] = 2  # 2 lambda
+        assert _head_valuation(ring, head, 4) == 3
+        head[ring.w] = 0
+        head[ring.w + 1] = 1  # lambda theta, valuation 5
+        with pytest.raises(PrecisionError, match="tail bound 4"):
+            _head_valuation(ring, head, 4)
+        head[ring.w + 1] = 0  # the zero element
+        with pytest.raises(PrecisionError, match="vanished"):
+            _head_valuation(ring, head, 4)
+
+
+class TestBoundPremises:
+    """The tail bound rests on F(X, 0) = X, F(0, Y) = Y and
+    [a](t) = a t + higher; checked on the solver's output."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed_coeffs())
+    def test_law_and_translates_are_linear_on_the_axes(self, case):
+        p, N, D, coeffs = case
+        seed = LTSeed.from_coeffs(p, N, D, coeffs)
+        try:
+            F = group_law(seed).F
+        except PrecisionError:
+            return  # the solve ran short: no series to check
+        assert F.coefficient((1, 0)).value == 1
+        assert F.coefficient((0, 1)).value == 1
+        assert not any(c for (i, j), c in F.coeffs.items()
+                       if i + j >= 2 and not (i and j))
+        for a in range(1, p):
+            assert endo(seed, a).coefficient((1,)).value == a
