@@ -3,9 +3,11 @@
 Level n adjoins the n-th torsion of the seed: it is the totally ramified
 extension of Z_p cut out by h_n = [pi^n](t) / [pi^(n-1)](t), an
 Eisenstein polynomial of degree p^(n-1)(p-1) certified by its Newton
-polygon.  Elements are written in the power basis of the level-n torsion
-value lambda_n; because the candidate valuations i + d_n*ord_p(a_i) are
-pairwise distinct, valuations of sums are exact, never estimates.
+polygon.  Since d = t g(t), h_n = g([pi^(n-1)](t)) exactly, so the build
+divides nothing.  Elements are written in the power basis of the level-n
+torsion value lambda_n; because the candidate valuations
+i + d_n*ord_p(a_i) are pairwise distinct, valuations of sums are exact,
+never estimates.
 
 On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
@@ -13,13 +15,14 @@ at e), and the conductor of the ramified step, whose Galois displacements
 are valued in the compositum Z_p[lambda, theta] with theta a division
 value.
 
-One ring class, ``TowerRing``, holds all of this arithmetic (the level
-rings and the compositum, with the one product ``mul`` and the one
-valuation ``val``); ``LocalElement`` is the one element class.  The two
-certified invariants of the ramified step form no compositum product:
-the discriminant's resultant is a p x p norm determinant over level 1,
-and the conductor values the head -a*lambda of each displacement against
-a tail bound on the terms it drops, with no Lubin-Tate solve.
+One ring class, ``TowerRing``, holds the levels (with their one product
+``mul``) and the compositum (a layout and a valuation, no product), with
+the one valuation ``val``; ``LocalElement`` is the one element class.
+The two certified invariants of the ramified step form no compositum
+product: the discriminant's resultant is a p x p norm determinant over
+level 1, and the conductor values the head -a*lambda of each
+displacement against a tail bound on the terms it drops, with no
+Lubin-Tate solve.
 """
 
 from __future__ import annotations
@@ -39,15 +42,15 @@ class TowerRing:
     """Z/p^N[lambda]/(h(lambda)) over the ring ``R`` of (p, N), or, with a
     second modulus f, Z/p^N[lambda, theta]/(h(lambda), f(theta)): a tower
     level (level 0, modulus X, is Z/p^N), or the division compositum with
-    h = h_1 and f = d - q.  Neither modulus need be monic: each is kept
-    with the inverse of its leading coefficient.
+    h = h_1 and f = d - q.  Neither modulus need be monic.
 
-    An element is one flat list of ``size`` residues in the Kronecker
-    layout: lambda^i theta^j (i < deg h, j < deg f) sits at i*w + j with
-    w = 2 deg f - 1 (w = 1 without f), and the slots j >= deg f of every
-    row are zero.  A product's theta-degree stays below w, so the product
-    of two flat lists is the product of the grids, and h is spread out as
-    h(X^w) to divide every theta column at once.
+    An element is one flat list of ``size`` residues: lambda^i theta^j
+    (i < deg h, j < deg f) sits at i*w + j with w = deg f (w = 1 without
+    f).  A level multiplies (``mul``: the product of the lists, divided
+    by h with the inverse of its leading coefficient); the compositum is
+    a layout and a valuation, where the conductor lays out and values its
+    generators and the head -a*lambda of each displacement, and it
+    refuses a product.
 
     h and f are Eisenstein of coprime degrees a and b (b = 1 without f):
     the ring is totally ramified of degree e = ab, with weights
@@ -56,43 +59,24 @@ class TowerRing:
     ord(p^N) = e*N is read off exactly; from there on a capped coefficient
     could be the least term, and the valuation is None (at a level every
     candidate i + e*ord_p(c) is below e*N, so the cap is never reached).
-
-    The compositum is where the conductor lays out and values its
-    generators and the head -a*lambda of each displacement; no report
-    multiplies two compositum elements.
     """
 
-    __slots__ = ("R", "w", "hw", "hinv", "f", "finv", "gap", "weights",
-                 "size")
+    __slots__ = ("R", "h", "hinv", "f", "w", "weights", "size")
 
     def __init__(self, R, h, f=None):
         """``h`` and ``f`` are raw coefficient lists, reduced mod p^N."""
         a, b = len(h) - 1, len(f) - 1 if f else 1
-        w = 2 * b - 1
-        self.R, self.w, self.f, self.size = R, w, f, a * w
-        self.hw = [0] * (a * w + 1)
-        self.hw[::w] = h
+        self.R, self.h, self.f, self.w, self.size = R, h, f, b, a * b
         self.hinv = pow(h[-1], -1, R.mod)
-        self.finv = pow(f[-1], -1, R.mod) if f else None
-        self.gap = [0] * (w - b)
         self.weights = (b, a, a * b)
 
     def mul(self, x, y):
-        """The product of two raw elements, as a raw element."""
-        mod = self.R.mod
+        """The product of two raw elements of a level, as a raw element."""
+        if self.f is not None:
+            raise ValidationError("the division compositum has no product")
         c = mul_coeffs(x, y)
-        rem_coeffs(c, self.hw, self.hinv, mod)  # lambda by h(X^w)
-        f = self.f
-        if f is None:
-            return c[:self.size]
-        w, finv, gap, k = self.w, self.finv, self.gap, len(f) - 1
-        out = []
-        for s in range(0, self.size, w):
-            row = c[s:s + w]
-            rem_coeffs(row, f, finv, mod)  # theta by f
-            row[k:] = gap
-            out += row
-        return out
+        rem_coeffs(c, self.h, self.hinv, self.R.mod)
+        return c[:self.size]
 
     def val(self, x):
         """Exact valuation of a raw element; None means ">= cap"."""
@@ -149,9 +133,9 @@ class TowerRing:
 
 class EisensteinTower(InRing):
     """The tower of torsion fields of a polynomial seed, over the seed's
-    ring ``R``."""
+    ring ``R``; the seed polynomial d is formed once, as ``d``."""
 
-    __slots__ = ("seed", "R", "max_degree", "pin", "levels", "rings",
+    __slots__ = ("seed", "R", "d", "max_degree", "pin", "levels", "rings",
                  "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
@@ -159,6 +143,7 @@ class EisensteinTower(InRing):
             raise ValidationError("tower construction needs a polynomial seed")
         self.seed = seed
         self.R = seed.R
+        self.d = seed.to_poly()
         self.max_degree = max_degree
         # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1);
         # rings[n] the level-n ring, level 0 being Z/p^N (modulus X)
@@ -176,10 +161,13 @@ class EisensteinTower(InRing):
         return self.p ** (n - 1) * (self.p - 1)
 
     def build(self, n: int) -> None:
-        """Build and certify levels up to n."""
+        """Build and certify levels up to n.  d = t g(t), so
+        [pi^k] = d([pi^(k-1)]) = [pi^(k-1)] g([pi^(k-1)]): the quotient
+        h_k is g([pi^(k-1)]) exactly, and [pi^k] = [pi^(k-1)] h_k (Lubin
+        and Tate, Ann. of Math. 81, 1965).  Nothing is divided."""
         if len(self.levels) >= n:
             return
-        d = self.seed.to_poly()
+        g = PadicPoly(self.p, self.N, self.d.coeffs[1:])
         while len(self.levels) < n:
             k = len(self.levels) + 1
             dk = self.degree(k)
@@ -189,12 +177,7 @@ class EisensteinTower(InRing):
                 )
             prev = self.pin[-1] if self.pin else PadicPoly(self.p, self.N,
                                                            [0, 1])
-            cur = d.compose_poly(prev)
-            q, r = cur.divmod_unit(prev)
-            if not r.is_zero():
-                raise InvariantError(
-                    f"[pi^{k}] is not divisible by [pi^{k - 1}]"
-                )
+            q = g.compose_poly(prev)
             if q.degree != dk:
                 raise InvariantError(
                     f"torsion polynomial at level {k} has degree {q.degree}, "
@@ -210,7 +193,7 @@ class EisensteinTower(InRing):
                 raise InvariantError(
                     f"level {k} constant term does not have valuation 1"
                 )
-            self.pin.append(cur)
+            self.pin.append(prev * q)
             self.levels.append(q)
             self.rings.append(TowerRing(self.R, q.coeffs))
 
@@ -232,8 +215,7 @@ class EisensteinTower(InRing):
     def compositum(self, q) -> TowerRing:
         """The division compositum Z/p^N[lambda, theta]/(h_1(lambda),
         d(theta) - q) for a division value q of this tower's ring."""
-        R = self.R
-        d = self.seed.to_poly().coeffs
+        R, d = self.R, self.d.coeffs
         return TowerRing(R, self.h(1).coeffs,
                          [(d[0] - R.lift(q)) % R.mod] + d[1:])
 
@@ -252,8 +234,9 @@ class LocalElement:
     """An element of a ``TowerRing``: its flat list of residues.
 
     At level n that is sum a_i lambda_n^i with a_i in Z_p, and valuations
-    are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  Elements of
-    two different rings never meet: every binary operation refuses them.
+    are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  The one
+    operation is the product of two elements of the same level; a scalar,
+    or an element of another ring, is refused.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -263,9 +246,6 @@ class LocalElement:
         raw = [ring.R.lift(c) for c in coeffs]
         if len(raw) > ring.size:
             raise ValidationError(f"more than {ring.size} coefficients")
-        if any(raw[k] for k in range(len(raw))
-               if k % ring.w >= ring.w - len(ring.gap)):
-            raise ValidationError("a theta slot past deg f is not zero")
         self.ring = ring
         self.coeffs = raw + [0] * (ring.size - len(raw))
 
@@ -276,54 +256,23 @@ class LocalElement:
         x.ring, x.coeffs = ring, coeffs
         return x
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LocalElement(self.ring, [other])
-        elif getattr(other, "ring", None) is not self.ring:
-            raise ValidationError("elements of different tower rings")
-        mod = self.ring.R.mod
-        return LocalElement._reduced(self.ring, [
-            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        mod = self.ring.R.mod
-        return LocalElement._reduced(self.ring,
-                                     [-a % mod for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + -other
-
     def __mul__(self, other):
-        if isinstance(other, (int, PadicInt)):
-            return self.scale(other)
+        if not isinstance(other, LocalElement):
+            raise ValidationError(
+                "a tower element has no scalar product: it multiplies only "
+                f"a tower element, not {type(other).__name__}")
         ring = self.ring
-        if getattr(other, "ring", None) is not ring:
+        if other.ring is not ring:
             raise ValidationError("elements of different tower rings")
         return LocalElement._reduced(ring, ring.mul(self.coeffs,
                                                     other.coeffs))
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        R = self.ring.R
-        c = R.lift(c)
-        return LocalElement._reduced(self.ring,
-                                     [c * a % R.mod for a in self.coeffs])
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def valuation(self):
         """Exact valuation in the ring's uniformizer units; None means
         ">= cap"."""
         return self.ring.val(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalElement):
-            return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"LocalElement(coeffs={self.coeffs})"
@@ -369,7 +318,7 @@ def _disc_direct(tower: EisensteinTower) -> int:
     d' has degree p - 1, below deg h_2 = p(p - 1), so d'(lambda_2) is the
     level-2 element whose coefficients are those of d'."""
     tower.build(2)
-    dp = tower.seed.to_poly().derivative()
+    dp = tower.d.derivative()
     val = tower.ring(2).val(dp.coeffs)
     if val is None:
         raise PrecisionError(
@@ -395,9 +344,8 @@ def _resultant_element(tower: EisensteinTower) -> list:
     m_0 = d_0 - lambda_1 involves lambda_1."""
     ring = tower.ring(1)
     mod, size = tower.R.mod, ring.size
-    d = tower.seed.to_poly()
-    dp = d.derivative().coeffs
-    d = d.coeffs
+    dp = tower.d.derivative().coeffs
+    d = tower.d.coeffs
     p = len(d) - 1
     linv = pow(d[p], -1, mod)
     # -m_i/lc; for i = 0 the lambda_1/lc part is added apart
@@ -493,9 +441,12 @@ class DivisionState:
         return self.history[-1] if self.history else self.t0
 
 
-def _divide_once(tower: EisensteinTower, q: PadicInt) -> DivisionState:
-    """One division step for the value q = previous division value."""
-    d = tower.seed.to_poly()
+def _divide_once(tower: EisensteinTower, q: PadicInt) -> tuple:
+    """One division step for the value q = previous division value, as a
+    pair (kind, payload): ("split", root) with root a certified base-field
+    root of d - q, or ("ramified", polygon) with the certified single
+    slope 1/p polygon of d - q."""
+    d = tower.d
     g = d + PadicPoly(d.p, d.N, [-tower.R.lift(q)])
     vq = q.valuation()
     if vq is None or vq < 1:

@@ -19,11 +19,10 @@ Three carriers live here, each holding its ring as ``R`` (``p`` and
 
 Dense coefficient lists share two kernels: ``mul_coeffs``, the unreduced
 schoolbook product, and ``rem_coeffs``, long division mod p^N by a
-polynomial with a unit leading coefficient.  ``PadicPoly`` and
-``local_tower.TowerRing`` (a tower level, or the conductor's compositum
-with its bivariate elements flattened by Kronecker substitution) multiply
-and reduce through them; so does the determinant ``ring_det``, whose sums of
-products accumulate unreduced in one list through ``mul_coeffs(a, b, out)``.
+polynomial with a unit leading coefficient.  ``PadicPoly`` and the tower
+levels of ``local_tower.TowerRing`` multiply and reduce through them; so
+does the determinant ``ring_det``, whose sums of products accumulate
+unreduced in one list through ``mul_coeffs(a, b, out)``.
 That form stops at the last degree of ``out``: ``power_table``, the one
 table of powers of a one-variable series, and the elliptic expansion
 multiply series truncated at D into ``[0] * (D + 1)``.  The sparse

@@ -19,7 +19,67 @@ from cmtower.local_tower import (DivisionState, EisensteinTower,
 from cmtower.lubin_tate import LTSeed, endo, group_law
 from cmtower.padic import (PadicInt, PadicPoly, TruncSeries, mul_coeffs,
                            newton_polygon, rem_coeffs)
-from test_bench_workloads import lib as bench
+from test_bench_workloads import lib as bench, plain_call
+
+
+class Elt:
+    """An element of ``alg`` (a tower level or a ``ReferenceCompositum``)
+    with the whole ring algebra on its raw list: sums, negation and
+    scalar multiples mod p^N, products by ``alg.mul``.  ``LocalElement``
+    keeps only the product; the oracles need the rest."""
+
+    __slots__ = ("alg", "coeffs")
+
+    def __init__(self, alg, coeffs=()):
+        mod = alg.R.mod
+        self.alg = alg
+        self.coeffs = ([c % mod for c in coeffs]
+                       + [0] * (alg.size - len(coeffs)))
+
+    def _raw(self, other):
+        if isinstance(other, int):
+            return Elt(self.alg, [other]).coeffs
+        assert isinstance(other, Elt) and other.alg is self.alg
+        return other.coeffs
+
+    def __add__(self, other):
+        return Elt(self.alg, [a + b for a, b in
+                              zip(self.coeffs, self._raw(other))])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Elt(self.alg, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Elt(self.alg, [other * a for a in self.coeffs])
+        return Elt(self.alg, self.alg.mul(self.coeffs, self._raw(other)))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, Elt) and other.alg is self.alg
+                and self.coeffs == other.coeffs)
+
+    __hash__ = None
+
+    def valuation(self):
+        return self.alg.val(self.coeffs)
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k for a ``LocalElement`` x by Horner's rule: the
+    element's own product, each constant added on the raw list."""
+    mod = x.ring.R.mod
+    acc = x.ring.zero()
+    for c in reversed(coeffs):
+        acc = acc * x
+        acc.coeffs[0] = (acc.coeffs[0] + c) % mod
+    return acc
 
 
 def non_monic_seed(p, N):
@@ -82,6 +142,80 @@ class TestTorsionPolys:
             EisensteinTower(seed).build(1)
 
 
+def divided_torsion_polys(seed, n):
+    """(levels, pin) as raw lists up to level n, by the build as first
+    written: [pi^k] = d([pi^(k-1)]) by composition, and h_k its quotient
+    by [pi^(k-1)], with the remainder checked to be zero."""
+    d = seed.to_poly()
+    prev = PadicPoly(seed.p, seed.N, [0, 1])
+    levels, pin = [], []
+    for k in range(1, n + 1):
+        cur = d.compose_poly(prev)
+        q, r = cur.divmod_unit(prev)
+        assert r.is_zero(), f"[pi^{k}] is not divisible by [pi^{k - 1}]"
+        levels.append(q.coeffs)
+        pin.append(cur.coeffs)
+        prev = cur
+    return levels, pin
+
+
+def check_against_division(seed, n):
+    """The tower's levels and pin up to level n are the divided route's,
+    byte for byte; where the build refuses a level, the levels it did
+    certify are."""
+    tw = EisensteinTower(seed)
+    try:
+        tw.build(n)
+    except InvariantError:
+        assert len(tw.levels) < n
+    levels, pin = divided_torsion_polys(seed, len(tw.levels))
+    assert [h.coeffs for h in tw.levels] == levels
+    assert [x.coeffs for x in tw.pin] == pin
+    return len(tw.levels)
+
+
+class TestTorsionPolysAgainstDivision:
+    """h_k = g([pi^(k-1)]) with g = d/t against the quotient
+    [pi^k] / [pi^(k-1)] the build first computed."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tower_workload_jobs(self, seed):
+        for job in bench.WORKLOADS["tower"].generate(seed):
+            q = job.params
+            lt = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
+            assert check_against_division(lt, 2) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 20), st.sampled_from((1, 4)), st.data())
+    def test_hypothesis_seeds_up_to_level_three(self, N, top, data):
+        """p = 3, t^p coefficient 1 or 1 + p."""
+        pi = 3 * data.draw(st.integers(1, 27).filter(lambda u: u % 3))
+        mid = 3 * data.draw(st.integers(0, 27))
+        check_against_division(LTSeed.from_coeffs(3, N, 5, [0, pi, mid, top]),
+                               3)
+
+    def test_no_division_and_one_seed_polynomial(self, monkeypatch):
+        """A ``tower`` job at seed 0 forms d once per tower and divides
+        no polynomial."""
+        calls = []
+        to_poly = LTSeed.to_poly
+
+        def counting(self):
+            calls.append(self)
+            return to_poly(self)
+
+        def refuse(*args):
+            raise AssertionError("a polynomial was divided")
+
+        monkeypatch.setattr(LTSeed, "to_poly", counting)
+        monkeypatch.setattr(PadicPoly, "divmod_unit", refuse)
+        wl = bench.WORKLOADS["tower"]
+        for job in wl.generate(0):
+            calls.clear()
+            assert wl.check(job, wl.run(job, plain_call)) == []
+            assert len(calls) == 1, job.id
+
+
 class TestValuations:
     def test_examples(self):
         t = tower(5)
@@ -107,7 +241,8 @@ class TestValuations:
             if va is None or vb is None or va + vb >= cap:
                 continue
             assert (a * b).valuation() == va + vb
-            s = (a + b).valuation()
+            s = a.ring.val([(x + y) % t.R.mod
+                            for x, y in zip(a.coeffs, b.coeffs)])
             if va != vb:
                 assert s == min(va, vb)
             else:
@@ -136,20 +271,12 @@ class TestValuations:
         for p in (3, 5):
             t = tower(p)
             for n in (1, 2):
-                h = t.h(n)
-                lam = t.lam(n)
-                acc = t.element(n, [])
-                for c in reversed(h.coeffs):
-                    acc = acc * lam + c
-                assert acc.is_zero()
+                assert not any(horner(t.h(n).coeffs, t.lam(n)).coeffs)
 
 
 def horner_filtration(tower, x):
     """The filtration step as first written: Horner's rule for d at x."""
-    acc = LocalElement(x.ring, [])
-    for c in reversed(tower.seed.to_poly().coeffs):
-        acc = acc * x + c
-    return acc
+    return horner(tower.seed.to_poly().coeffs, x)
 
 
 class TestFiltration:
@@ -189,7 +316,7 @@ class TestFiltration:
                   for _ in range(t.degree(level))]
         x = t.element(level, coeffs)
         got, want = filtration_step(t, x), horner_filtration(t, x)
-        assert got == want
+        assert got.coeffs == want.coeffs
         assert got.valuation() == want.valuation()
 
 
@@ -235,11 +362,8 @@ class TestDiscriminant:
         t = EisensteinTower(LTSeed.from_coeffs(p, 20, p + 2, coeffs),
                             max_degree=p * (p - 1))
         dp = t.seed.to_poly().derivative().coeffs
-        lam = t.lam(2)
-        acc = t.element(2, [])
-        for c in reversed(dp):
-            acc = acc * lam + c
-        assert acc == t.element(2, dp)
+        acc = horner(dp, t.lam(2))
+        assert acc.coeffs == t.element(2, dp).coeffs
         assert _disc_direct(t) == acc.valuation() == p * (p - 1)
 
     def test_direct_route_multiplies_nothing(self, monkeypatch):
@@ -338,7 +462,8 @@ FOREIGN_IDS = ("other-p", "fewer-digits", "more-digits")
 
 class TestForeignResidues:
     """Tower and compositum operations refuse a residue of another ring
-    instead of reading its raw value into the tower's."""
+    instead of reading its raw value into the tower's; products refuse
+    every scalar, of any ring."""
 
     @pytest.fixture(scope="class")
     def tw(self):
@@ -351,19 +476,20 @@ class TestForeignResidues:
         with pytest.raises(ValidationError):
             tw.element(1, [1, x])
 
-    @pytest.mark.parametrize("x", (PadicInt(7, 2, 10),) + FOREIGN,
-                             ids=("other-p-short",) + FOREIGN_IDS)
+    @pytest.mark.parametrize(
+        "x", (7, PadicInt(3, 20, 7), PadicInt(7, 2, 10)) + FOREIGN,
+        ids=("int", "own-ring", "other-p-short") + FOREIGN_IDS)
     def test_scale(self, tw, x):
         lam = tw.lam(1)
-        for op in (lambda: lam * x, lambda: x * lam, lambda: lam.scale(x)):
-            with pytest.raises(ValidationError):
+        for op in (lambda: lam * x, lambda: x * lam):
+            with pytest.raises(ValidationError, match="no scalar product"):
                 op()
 
     @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
     def test_compositum_scale(self, tw, x):
         ring = tw.compositum(PadicInt(3, 20, 3))
-        for op in (lambda: ring.theta() * x, lambda: ring.lam().scale(x)):
-            with pytest.raises(ValidationError):
+        for op in (lambda: ring.theta() * x, lambda: x * ring.lam()):
+            with pytest.raises(ValidationError, match="no scalar product"):
                 op()
 
     @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
@@ -379,8 +505,7 @@ class TestForeignResidues:
 
     def test_own_ring_still_accepted(self, tw):
         x = PadicInt(3, 20, 7)
-        assert tw.element(1, [x]) == tw.element(1, [7])
-        assert tw.lam(1) * x == x * tw.lam(1) == tw.lam(1).scale(7)
+        assert tw.element(1, [x]).coeffs == tw.element(1, [7]).coeffs
         st = divide_point(tw, DivisionState.start(PadicInt(3, 20, 3)), 1)
         assert st.ramified_at == 1
 
@@ -389,7 +514,8 @@ class ReferenceCompositum:
     """The compositum Z_p[lambda, theta]/(h_1(lambda), d(theta) - q) as
     first written, before tower levels and the compositum shared one ring
     class: a flat Kronecker list with w = 2p - 1, lambda divided out by
-    h_1(X^w) and then theta by d - q row by row, the gap slots reset."""
+    h_1(X^w) and then theta by d - q row by row, the gap slots reset.
+    The library's compositum has no product; this one is the oracles'."""
 
     def __init__(self, tower, q):
         R = self.R = tower.R
@@ -399,6 +525,7 @@ class ReferenceCompositum:
         self.h1w = [0] * ((len(h1) - 1) * w + 1)
         self.h1w[::w] = h1
         self.h1inv = pow(h1[-1], -1, mod)
+        self.size = len(self.h1w) - 1
         d = tower.seed.to_poly().coeffs
         self.dq = [(d[0] - R.lift(q)) % mod] + d[1:]
         self.dinv = pow(d[-1], -1, mod)
@@ -409,7 +536,7 @@ class ReferenceCompositum:
         c = mul_coeffs(a, b)
         rem_coeffs(c, self.h1w, self.h1inv, mod)
         out = []
-        for s in range(0, len(self.h1w) - 1, w):
+        for s in range(0, self.size, w):
             row = c[s:s + w]
             rem_coeffs(row, self.dq, self.dinv, mod)
             row[p:] = self.gap
@@ -429,11 +556,30 @@ class ReferenceCompositum:
                 best = cand
         return None if best is None or best >= p * (p - 1) * R.N else best
 
+    def lam(self):
+        return Elt(self, [0] * self.w + [1])
+
+    def theta(self):
+        return Elt(self, [0, 1])
+
+
+def relayout(x, w_from, w_to, b):
+    """The raw compositum element x, its lambda rows moved from stride
+    ``w_from`` to stride ``w_to``; slots j >= b of a row are zero."""
+    rows = len(x) // w_from
+    out = [0] * (rows * w_to)
+    for i in range(rows):
+        out[i * w_to:i * w_to + b] = x[i * w_from:i * w_from + b]
+    return out
+
 
 class TestAgainstReferenceCompositum:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_products_and_valuations(self, data):
+        """The valuation of random elements and of their reference
+        product, laid out in the library's compositum (w = p, no gap
+        slots) and in the reference's (w = 2p - 1)."""
         p = data.draw(st.sampled_from((3, 5, 7)))
         N = data.draw(st.integers(4, 20))
         # t^p coefficient 1 or 1 + p: the non-monic seed is one case
@@ -442,18 +588,18 @@ class TestAgainstReferenceCompositum:
         tw = EisensteinTower(seed)
         q = PadicInt(p, N, p * data.draw(st.integers(1, p ** (N - 1) - 1)))
         ring, ref = tw.compositum(q), ReferenceCompositum(tw, q)
-        assert ring.w == ref.w and ring.size == len(ref.h1w) - 1
-        x = data.draw(compositum_point(ring, unit=True))
-        y = data.draw(compositum_point(ring, unit=True))
-        prod = x * y
-        assert prod.coeffs == ref.mul(x.coeffs, y.coeffs)
-        for z in (x, y, prod):
-            assert z.valuation() == ref.valuation(z.coeffs)
+        assert ring.w == p and ring.size == (p - 1) * p
+        x = data.draw(ring_point(ring, unit=True))
+        y = data.draw(ring_point(ring, unit=True))
+        xr, yr = (relayout(z, p, ref.w, p) for z in (x, y))
+        prod = ref.mul(xr, yr)
+        for z, zr in ((x, xr), (y, yr), (relayout(prod, ref.w, p, p), prod)):
+            assert ring.val(z) == ref.valuation(zr)
 
 
 class TestRingCheck:
-    """Elements of two different rings are refused by every binary
-    operation."""
+    """Elements of two different rings are refused by the product, and
+    the compositum refuses every product."""
 
     @staticmethod
     def _pairs():
@@ -468,19 +614,27 @@ class TestRingCheck:
                 (tw.lam(1), tw.lam(2)),
                 (tw.lam(1), EisensteinTower(LTSeed.standard(3, 20, 8)).lam(1))]
 
-    @pytest.mark.parametrize("op", ("add", "sub", "mul", "rmul"))
+    @pytest.mark.parametrize("op", ("mul", "rmul"))
     def test_two_rings_refused(self, op):
         for x, y in self._pairs():
             with pytest.raises(ValidationError, match="different tower"):
-                {"add": lambda: x + y, "sub": lambda: x - y,
-                 "mul": lambda: x * y, "rmul": lambda: y * x}[op]()
+                {"mul": lambda: x * y, "rmul": lambda: y * x}[op]()
 
-    def test_same_ring_accepted(self):
-        tw = EisensteinTower(LTSeed.standard(3, 20, 8))
-        ring = tw.compositum(PadicInt(3, 20, 3))
+    def test_compositum_product_refused(self, monkeypatch):
+        """A product on the compositum raises before computing anything."""
+        ring = tower(3).compositum(PadicInt(3, 40, 3))
         theta = ring.theta()
-        assert (theta * theta - theta * theta).is_zero()
-        assert tw.lam(1) + 1 == 1 + tw.lam(1)
+
+        def refuse(*args):
+            raise AssertionError("the compositum computed a product")
+
+        monkeypatch.setattr(local_tower, "mul_coeffs", refuse)
+        monkeypatch.setattr(local_tower, "rem_coeffs", refuse)
+        for op in (lambda: theta * theta,
+                   lambda: ring.mul(theta.coeffs, theta.coeffs),
+                   lambda: ring.powers(theta, 2)):
+            with pytest.raises(ValidationError, match="has no product"):
+                op()
 
     def test_level_ring_has_no_theta(self):
         with pytest.raises(ValidationError):
@@ -489,12 +643,6 @@ class TestRingCheck:
     def test_negative_level_refused(self):
         with pytest.raises(ValidationError):
             tower(3).ring(-1)
-
-    def test_gap_slot_refused(self):
-        ring = tower(3).compositum(PadicInt(3, 40, 3))
-        LocalElement(ring, [0, 0, 1])
-        with pytest.raises(ValidationError, match="theta slot"):
-            LocalElement(ring, [0, 0, 0, 1])
 
     def test_too_many_coefficients_refused(self):
         t = tower(3)
@@ -512,29 +660,18 @@ class TestRingCheck:
 
 class TestCompositum:
     @pytest.mark.parametrize("p", (3, 5))
-    def test_theta_powers_past_p(self, p):
-        """theta^(p-1) theta^2 reduces theta^(p+1) onto theta^1, the same
-        element as multiplying by theta one step at a time."""
-        _, ring = non_monic_ring(p)
-        theta = ring.theta()
-        step = theta
-        for _ in range(p):
-            step = step * theta
-        low = theta
-        for _ in range(p - 2):
-            low = low * theta
-        assert (low * (theta * theta) - step).is_zero()
-
-    @pytest.mark.parametrize("p", (3, 5))
     def test_moduli_vanish_for_non_monic_seed(self, p):
         """With t^p coefficient 1 + p, d(lambda) = lambda h_1(lambda) and
-        theta (d(theta) - q) are zero in the ring."""
+        theta (d(theta) - q) are zero in the reference compositum, whose
+        theta modulus is the library compositum's f."""
         seed, ring = non_monic_ring(p)
-        lam, theta = ring.lam(), ring.theta()
-        assert ring.eval_series(seed.d, ring.powers(lam, seed.trunc)).is_zero()
-        d_theta = ring.eval_series(seed.d, ring.powers(theta, seed.trunc))
         q = PadicInt(p, seed.N, p)
-        assert (d_theta * theta - theta.scale(q)).is_zero()
+        ref = ReferenceCompositum(EisensteinTower(seed), q)
+        assert ring.f == ref.dq
+        lam, theta = ref.lam(), ref.theta()
+        assert not any(reference_eval_series(seed.d, [lam]).coeffs)
+        d_theta = reference_eval_series(seed.d, [theta])
+        assert not any((d_theta * theta - theta * q.value).coeffs)
 
     @pytest.mark.parametrize("p", (3, 5))
     def test_conductor_for_non_monic_seed(self, p):
@@ -565,35 +702,42 @@ class TestCompositum:
         assert self._element(ring, both).valuation() == 30
 
 
-def horner_eval(ring, series, x, y):
-    """A two-variable series at (x, y), as the conductor evaluated F in the
-    compositum before its theta-reduction: the columns
+def elt_powers(x, D):
+    """[1, x, ..., x^D] for an ``Elt`` x, by its products."""
+    table = [Elt(x.alg, [1]), x]
+    for _ in range(2, D + 1):
+        table.append(table[-1] * x)
+    return table
+
+
+def horner_eval(series, x, y):
+    """A two-variable series at the ``Elt`` pair (x, y), as the conductor
+    evaluated F in the compositum before its theta-reduction: the columns
     {j: sum_i c_ij x^i}, scalar combinations of x's power table reduced
     once, then Horner in y, one product per power of y (Paterson and
     Stockmeyer, SIAM J. Comput. 2 (1973))."""
-    mod = ring.R.mod
-    table = ring.powers(x, series.trunc)
+    alg = x.alg
+    table = elt_powers(x, series.trunc)
     cols = {}
     for (i, j), c in series.coeffs.items():
         if not i + j:
             raise ValidationError("series must have no constant term")
-        col = cols.setdefault(j, [0] * ring.size)
+        col = cols.setdefault(j, [0] * alg.size)
         for k, t in enumerate(table[i].coeffs):
             col[k] += c * t
-    acc = ring.zero()
+    acc = Elt(alg)
     for j in range(max(cols, default=0), -1, -1):
         if j in cols:
-            acc = acc + LocalElement._reduced(ring,
-                                              [c % mod for c in cols[j]])
+            acc = acc + Elt(alg, cols[j])
         if j:
             acc = acc * y
     return acc
 
 
-def reference_eval_series(ring, series, points):
-    """The evaluation as first written: one compositum product per
+def reference_eval_series(series, points):
+    """The evaluation as first written, at ``Elt`` points: one product per
     monomial, the points' powers rebuilt on every call."""
-    acc = ring.zero()
+    acc = Elt(points[0].alg)
     pows = [dict() for _ in points]
 
     def pt_power(i, k):
@@ -610,28 +754,26 @@ def reference_eval_series(ring, series, points):
             if k:
                 pw = pt_power(i, k)
                 term = pw if term is None else term * pw
-        acc = acc + term.scale(c)
+        acc = acc + term * c
     return acc
 
 
 @st.composite
-def compositum_point(draw, ring, unit=False):
-    """A random element of positive valuation (of any valuation with
-    ``unit``): the lambda^0 theta^0 coefficient is divisible by p, the
-    gap slots j >= p are zero."""
-    x = ring.zero()
-    for k in range(len(x.coeffs)):
-        if k % ring.w < ring.R.p:
-            x.coeffs[k] = draw(st.integers(0, ring.R.mod - 1))
+def ring_point(draw, ring, unit=False):
+    """The raw list of a random element of ``ring`` (a level, or the
+    compositum's layout) of positive valuation, of any valuation with
+    ``unit``: the constant coefficient is divisible by p."""
+    R = ring.R
+    x = [draw(st.integers(0, R.mod - 1)) for _ in range(ring.size)]
     if not unit:
-        x.coeffs[0] = x.coeffs[0] * ring.R.p % ring.R.mod
+        x[0] = x[0] * R.p % R.mod
     return x
 
 
 class TestEvalSeries:
     """One-variable scalar combinations of a shared power table, and the
-    two-variable compositum Horner oracle, against the evaluation with one
-    product per monomial."""
+    two-variable Horner oracle, against the evaluation with one product
+    per monomial, in a tower level."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -642,32 +784,34 @@ class TestEvalSeries:
         # t^p coefficient 1 or 1 + p: the non-monic seed is one case
         top = data.draw(st.sampled_from((1, 1 + p)))
         seed = LTSeed.from_coeffs(p, N, D, [0, p] + [0] * (p - 2) + [top])
-        q = PadicInt(p, N, p * data.draw(st.integers(1, p - 1)))
-        ring = EisensteinTower(seed).compositum(q)
+        ring = EisensteinTower(seed).ring(data.draw(st.sampled_from((1, 2))))
         nvars = data.draw(st.sampled_from((1, 2)))
         exps = ([(k,) for k in range(1, D + 1)] if nvars == 1 else
                 [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)])
         series = TruncSeries(p, N, nvars, D, data.draw(st.dictionaries(
             st.sampled_from(exps), st.integers(0, ring.R.mod - 1))))
-        points = [data.draw(compositum_point(ring)) for _ in range(nvars)]
+        points = [Elt(ring, data.draw(ring_point(ring)))
+                  for _ in range(nvars)]
         if nvars == 1:
-            got = ring.eval_series(series, ring.powers(points[0], D))
+            x = LocalElement(ring, points[0].coeffs)
+            got = ring.eval_series(series, ring.powers(x, D))
         else:
-            got = horner_eval(ring, series, *points)
-        want = reference_eval_series(ring, series, points)
+            got = horner_eval(series, *points)
+        want = reference_eval_series(series, points)
         assert got.coeffs == want.coeffs
 
     def test_constant_term_rejected(self):
-        seed, ring = non_monic_ring(3)
+        seed = non_monic_seed(3, 20)
+        ring = EisensteinTower(seed).ring(1)
         series = TruncSeries(3, seed.N, 1, seed.trunc, {(0,): 1, (1,): 1})
         with pytest.raises(ValidationError, match="constant term"):
             ring.eval_series(series, ring.powers(ring.lam(), seed.trunc))
 
 
-def level1_displacements(tower, ring):
+def level1_displacements(tower, q):
     """Yield (a, theta - F(theta, t_a)) for a = 1, ..., p - 1, where
     t_a = [a](lambda) is the torsion translate and each displacement is a
-    raw element of the compositum ``ring``: the conductor's route before
+    raw element of ``tower.compositum(q)``: the conductor's route before
     the head and tail bound, kept as its oracle.
 
     f = d - q and F have scalar coefficients and t_a lies in level 1, so
@@ -680,13 +824,15 @@ def level1_displacements(tower, ring):
     table of lambda's powers and no solve.  t_a's valuation is read in
     the compositum before its displacement is formed."""
     p, seed, level = tower.p, tower.seed, tower.ring(1)
+    ring = tower.compositum(q)
     mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
+    finv = pow(f[-1], -1, mod)
     b = len(f) - 1
     s = []  # s[i] = theta^i mod f, as b scalars
     for i in range(D + 1):
         c = [0] * max(i + 1, b)
         c[i] = 1
-        rem_coeffs(c, f, ring.finv, mod)
+        rem_coeffs(c, f, finv, mod)
         s.append(c[:b])
     E = [[0] * (D + 1) for _ in range(b)]
     for (i, j), c in group_law(seed).F.coeffs.items():
@@ -714,20 +860,21 @@ def level1_displacements(tower, ring):
         yield a, disp
 
 
-def reference_displacements(tower, ring):
+def reference_displacements(tower, q):
     """(a, theta - F(theta, [a](lambda))) for each a, evaluated in the
-    compositum ``ring`` as the conductor did before its theta-reduction:
-    [a](lambda) from the compositum's powers of lambda, F by
-    ``horner_eval``."""
+    reference compositum as the conductor did before its theta-reduction
+    ([a](lambda) from the powers of lambda, F by ``horner_eval``), laid
+    out in ``tower.compositum(q)``."""
     seed, p = tower.seed, tower.p
+    ring, ref = tower.compositum(q), ReferenceCompositum(tower, q)
     F = group_law(seed).F
-    lams = ring.powers(ring.lam(), seed.trunc)
-    theta = ring.theta()
+    lam, theta = ref.lam(), ref.theta()
     for a in range(1, p):
-        tv = ring.eval_series(endo(seed, a), lams)
-        if tv.valuation() != p:
+        tv = reference_eval_series(endo(seed, a), [lam])
+        if ref.valuation(tv.coeffs) != p:
             raise InvariantError(f"torsion value [{a}] lost its valuation")
-        yield a, (theta - horner_eval(ring, F, theta, tv)).coeffs
+        disp = theta - horner_eval(F, theta, tv)
+        yield a, relayout(disp.coeffs, ref.w, ring.w, p)
 
 
 def displacement_outcomes(route, tower, q):
@@ -735,8 +882,7 @@ def displacement_outcomes(route, tower, q):
     it raised, if it raised."""
     out = []
     try:
-        ring = tower.compositum(q)
-        out += [(a, disp) for a, disp in route(tower, ring)]
+        out += [(a, disp) for a, disp in route(tower, q)]
     except Exception as exc:  # the class is compared across routes
         out.append(type(exc))
     return out
@@ -874,7 +1020,7 @@ def oracle_conductor(tower, state):
     if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
     deltas = {}
-    for a, disp in level1_displacements(tower, ring):
+    for a, disp in level1_displacements(tower, q):
         v = ring.val(disp)
         if v is None:
             raise PrecisionError("Galois displacement vanished")

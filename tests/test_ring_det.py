@@ -16,6 +16,7 @@ from cmtower.local_tower import (EisensteinTower, _disc_resultant,
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import PadicInt, ring_det
 from test_bench_workloads import lib as bench
+from test_local_tower import Elt
 
 
 def sylvester_rows(f, g, zero):
@@ -160,13 +161,13 @@ NON_MONIC = (5, (0, 5, 0, 0, 0, 6))
 
 
 def check_level1(tower, data):
-    d = tower.degree(1)
+    d, ring = tower.degree(1), tower.ring(1)
     coeffs = st.lists(st.integers(0, tower.R.mod - 1), min_size=d,
                       max_size=d)
-    rows = [[tower.element(1, c or []) for c in row]
+    rows = [[Elt(ring, c or []) for c in row]
             for row in data.draw(square(coeffs, 6))]
-    assert_same(rows, tower.element(1, []), tower.element(1, [1]),
-                tower.R.mod, tower.h(1).coeffs)
+    assert_same(rows, Elt(ring), Elt(ring, [1]), tower.R.mod,
+                tower.h(1).coeffs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,12 +186,12 @@ def test_non_monic_level1_matches_laplace(data):
 
 def disc_sylvester(tower):
     """The Sylvester matrix of d(t) - lambda_1 and d'(t) over level 1,
-    as tower elements."""
-    d = tower.seed.to_poly()
-    m = [tower.element(1, [c]) for c in d.coeffs]
-    m[0] = m[0] - tower.lam(1)
-    mp = [tower.element(1, [c]) for c in d.derivative().coeffs]
-    return sylvester_rows(m, mp, tower.element(1, []))
+    as level-1 elements with the whole ring algebra (``Elt``)."""
+    d, ring = tower.seed.to_poly(), tower.ring(1)
+    m = [Elt(ring, [c]) for c in d.coeffs]
+    m[0] = m[0] - Elt(ring, ring.lam().coeffs)
+    mp = [Elt(ring, [c]) for c in d.derivative().coeffs]
+    return sylvester_rows(m, mp, Elt(ring))
 
 
 def sylvester_resultant(tower):
@@ -253,7 +254,7 @@ def test_disc_sylvester_matches_element_berkowitz(p, coeffs):
     tower = level1(p, coeffs)
     rows = disc_sylvester(tower)
     assert len(rows) == 2 * p - 1
-    zero, one = tower.element(1, []), tower.element(1, [1])
+    zero, one = Elt(tower.ring(1)), Elt(tower.ring(1), [1])
     want = berkowitz_det(rows, zero, one)
     got = ring_det([[raw(x) for x in row] for row in rows], tower.R.mod,
                    tower.h(1).coeffs)
