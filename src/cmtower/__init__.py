@@ -1,5 +1,6 @@
 """cmtower: exact p-adic computations around formal-group division
-towers, their discriminants and conductors, and the exterior-product
+towers, their discriminants and conductors, the coordinates and
+uniformizers of CM fields split at p, and the exterior-product
 congruence engine on units."""
 
 from .errors import (CmtowerError, HenselError, InvariantError,
@@ -8,9 +9,7 @@ from .padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries, Zp,
                     compositional_inverse, hensel_root, newton_polygon)
 from .lubin_tate import (FormalGroupLaw, LTSeed, endo, group_law,
                          solve_intertwine, strict_iso)
-from .cm_split import (CMField, FieldElement, ProductGroup, embed,
-                       kernel_locate, pick_pi, product_cm_endo,
-                       ramified_set, type_norm_check)
+from .cm_split import CMField, FieldElement, embed, pick_pi
 from .local_tower import (ConductorReport, DivisionState, EisensteinTower,
                           LocalElement, character_conductor_floor,
                           divide_point, division_conductor, e_invariant,

@@ -281,8 +281,16 @@ def _run_tower_disc(cfg: RunConfig):
 
 
 def _division_state(cfg: RunConfig, tw: EisensteinTower):
+    """The start state of t0; a nonzero t0 that is 0 mod p^N has a depth
+    the precision cannot see (exit 3), while t0 = 0 is torsion (exit 2)."""
     t0 = cfg.integer("tower", "t0")
-    return DivisionState.start(PadicInt(tw.p, tw.N, t0))
+    x = PadicInt(tw.p, tw.N, t0)
+    if t0 and x.valuation() is None:
+        v = next(k for k in range(tw.N, abs(t0)) if t0 % tw.p ** (k + 1))
+        raise PrecisionError(
+            f"t0 = {t0} is 0 mod p^{tw.N}, so its depth {v} is capped; "
+            f"raise --precision to at least {v + 1}")
+    return DivisionState.start(x)
 
 
 def _run_divide(cfg: RunConfig):

@@ -3,18 +3,21 @@
 A degree-2g field K = Q[x]/(f) with p split completely is handled
 entirely through the 2g Hensel-lifted roots of f: embeddings become
 coordinate evaluations, primes over p become root indices, and field
-automorphisms become permutations of the roots.
+automorphisms become permutations of the roots.  Reports read the
+coordinates (``embed``) and a uniformizer at one prime (``pick_pi``).
 
 Automorphisms are supplied as polynomials h(x) with f(h(x)) = 0 mod f
 and labeled by root indices: the automorphism sending the base root
 (index 0) to root i gets label i.  The CM type is a set of g labels
-containing one label from each complex-conjugation orbit.
+containing one label from each complex-conjugation orbit.  Both are
+validated on construction and feed no reported value.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError, PrecisionError, ValidationError
-from .lubin_tate import LTSeed, endo
+# endo is unused here; perfbench/spans.py patches this binding
+from .lubin_tate import endo
 from .padic import InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs
 
 
@@ -60,40 +63,6 @@ class FieldElement:
         self.field = field
         self.coeffs = tuple(_zreduce(list(coeffs), field.f))
 
-    def __add__(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        n = max(len(a), len(b))
-        a += [0] * (n - len(a))
-        b += [0] * (n - len(b))
-        return FieldElement(self.field, [x + y for x, y in zip(a, b)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FieldElement(self.field, [other * x for x in self.coeffs])
-        # the constructor reduces mod f
-        return FieldElement(self.field, mul_coeffs(self.coeffs, other.coeffs))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValidationError("negative powers are not available")
-        acc = FieldElement(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
-
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"
 
@@ -113,7 +82,7 @@ class CMField(InRing):
     """
 
     __slots__ = ("f", "R", "g", "roots", "conj", "cm_type",
-                 "autos", "auto_by_label", "perm_by_label")
+                 "auto_by_label", "perm_by_label")
 
     def __init__(self, f, p, N, conj, cm_type, autos=None):
         f = list(f)
@@ -157,7 +126,6 @@ class CMField(InRing):
         autos = [_zreduce(list(h), f) for h in autos]
         if len(autos) != deg:
             raise ValidationError(f"need {deg} automorphisms, got {len(autos)}")
-        self.autos = autos
 
         self.auto_by_label = {}
         self.perm_by_label = {}
@@ -220,15 +188,8 @@ class CMField(InRing):
                 f"prime index {i} is outside 0..{2 * self.g - 1}")
         return i
 
-    def apply_auto(self, label: int, root_idx: int) -> int:
-        """Index of h_label applied to root root_idx."""
-        return self.perm_by_label[label][root_idx]
-
     def element(self, coeffs) -> FieldElement:
         return FieldElement(self, coeffs)
-
-    def type_labels(self):
-        return sorted(self.cm_type)
 
 
 # ---------------------------------------------------------------------------
@@ -280,113 +241,3 @@ def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
         "enlarge the search box"
     )
 
-
-def type_norm_check(K: CMField, alpha: FieldElement, P_index: int, cm_type=None):
-    """Whether alpha's valuation vector is the indicator of the inverse
-    CM type applied to the prime of P_index (the shape of a Frobenius
-    element).  Returns (bool, valuation vector); the vector uses None
-    for precision-capped entries.  Raises PrecisionError when a capped
-    entry could still complete the shape."""
-    if alpha.is_zero():
-        raise ValidationError("type-norm check needs a nonzero element")
-    K.prime_index(P_index)
-    labels = sorted(cm_type) if cm_type is not None else K.type_labels()
-    support = {K.apply_auto(l, P_index) for l in labels}
-    vec = [x.valuation() for x in embed(K, alpha)]
-    if len(support) != len(labels):
-        return False, vec
-    # a capped entry means v >= N, which can still be 1 only at N = 1
-    fits = [(v == 1 or v is None and K.N < 2) if i in support else v == 0
-            for i, v in enumerate(vec)]
-    if all(fits) and None in vec:
-        raise PrecisionError(
-            f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
-    return all(fits), vec
-
-
-def ramified_set(K: CMField, fp_index: int, cm_type=None):
-    """The root indices of the primes that ramify in the division tower:
-    the images of the fp_index prime under the CM-type embeddings.
-
-    The label-l embedding sends the prime of index k to the prime of
-    index fp_index exactly when h_l maps root k to root fp_index."""
-    K.prime_index(fp_index)
-    labels = sorted(cm_type) if cm_type is not None else K.type_labels()
-    out = set()
-    for l in labels:
-        perm = K.perm_by_label[l]
-        out.add(perm.index(fp_index))
-    return out
-
-
-class ProductGroup:
-    """Product of g one-dimensional Lubin-Tate groups over the completion
-    at the prime of P_index, indexed by the CM type, held as its g seeds.
-
-    Coordinate for label l uses the seed m_l*t + t^p where m_l is the
-    image of the Frobenius-type element alpha under the label-l
-    embedding, read off in the P_index completion.  The type-norm shape
-    of alpha makes every m_l a uniformizer.  Every CM action is diagonal
-    per coordinate (``product_cm_endo``), so no 2g-variable law is formed.
-    """
-
-    __slots__ = ("K", "alpha", "P_index", "labels", "coord_index",
-                 "seeds", "trunc")
-
-    def __init__(self, K: CMField, alpha: FieldElement, P_index: int,
-                 trunc: int):
-        ok, vec = type_norm_check(K, alpha, P_index)
-        if not ok:
-            raise ValidationError(
-                f"element does not have type-norm valuations at prime "
-                f"{P_index}: {vec}"
-            )
-        self.K = K
-        self.alpha = alpha
-        self.P_index = P_index
-        self.trunc = trunc
-        self.labels = K.type_labels()
-        # label-l embedding read in the P_index completion evaluates at
-        # the image root h_l(r_P)
-        self.coord_index = [K.apply_auto(l, P_index) for l in self.labels]
-        avec = embed(K, alpha)
-        self.seeds = []
-        for idx in self.coord_index:
-            m = avec[idx]
-            if m.valuation() != 1:
-                raise InvariantError("coordinate multiplier is not a uniformizer")
-            self.seeds.append(LTSeed.standard(K.p, K.N, trunc, pi=m))
-
-    @property
-    def g(self):
-        return self.K.g
-
-    def embed_at_coords(self, beta: FieldElement):
-        """The g images of beta under the CM-type embeddings, read in
-        the P_index completion."""
-        vec = embed(self.K, beta)
-        return [vec[idx] for idx in self.coord_index]
-
-
-def product_cm_endo(G: ProductGroup, beta: FieldElement):
-    """The coordinate endomorphism series of the CM action of beta:
-    coordinate j is the [m]-endomorphism of seed j with m the label-j
-    image of beta.  The jacobian is the diagonal of those images."""
-    mults = G.embed_at_coords(beta)
-    return [endo(seed, m) for seed, m in zip(G.seeds, mults)]
-
-
-def kernel_locate(G: ProductGroup, pi: FieldElement, n: int = 1) -> int:
-    """The unique coordinate where the pi^n action has non-unit linear
-    coefficient (its kernel carries all the torsion); every other
-    coordinate must act by an automorphism."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    mults = G.embed_at_coords(pi ** n)
-    bad = [j for j, m in enumerate(mults) if not m.is_unit()]
-    if len(bad) != 1:
-        raise InvariantError(
-            f"expected exactly one non-unit coordinate, found {bad} "
-            f"(valuations {[m.valuation() for m in mults]})"
-        )
-    return bad[0]

@@ -26,6 +26,11 @@ from math import gcd
 from .errors import InvariantError, ValidationError
 from .padic import is_prime
 
+# The largest p^m modelled: ``SubgroupSpec.order`` and the cyclicity
+# check of ``tower_indices`` walk O(p^m) residues, and the largest
+# model in use is 11^4.
+MAX_MODULUS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class TriElement:
@@ -81,11 +86,16 @@ class SubgroupSpec:
     k: int
 
     def __post_init__(self):
-        p = self.p
+        p, m = self.p, self.m
         if not is_prime(p):
             raise ValidationError(f"p must be prime, got {p}")
-        if not (0 <= self.j <= self.m and 0 <= self.k <= self.m):
+        if not (0 <= self.j <= m and 0 <= self.k <= m):
             raise ValidationError("congruence levels must lie in [0, m]")
+        # p >= 2, so p^m is formed only for m up to the bound's bit length
+        if m > MAX_MODULUS.bit_length() or p ** m > MAX_MODULUS:
+            raise ValidationError(
+                f"p^m = {p}^{m} is above {MAX_MODULUS}, the largest "
+                "modulus the model counts")
         # closure is automatic: a'' = a' + a b' and b'' = b b' preserve
         # both congruences; checked on the generators and their products
         gens = self.generators()

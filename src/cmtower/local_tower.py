@@ -27,7 +27,7 @@ Lubin-Tate solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, PrecisionError, ValidationError
@@ -515,7 +515,6 @@ class ConductorReport:
     break_value: int
     disc_exponent: int
     conductor_exponent: int
-    prime_exponents: dict = field(default_factory=dict)
     provenance: tuple = ()
 
     def to_json(self):
@@ -526,8 +525,9 @@ class ConductorReport:
             "break": self.break_value,
             "disc_exponent": self.disc_exponent,
             "conductor_exponent": self.conductor_exponent,
-            "prime_exponents": {str(k): v for k, v in
-                                sorted(self.prime_exponents.items())},
+            # no report computes per-prime exponents; the empty key
+            # keeps the report bytes and digests unchanged
+            "prime_exponents": {},
             "provenance": list(self.provenance),
         }
 
@@ -548,8 +548,8 @@ def _head_valuation(ring: TowerRing, head, tail: int) -> int:
     return v
 
 
-def division_conductor(tower: EisensteinTower, state: DivisionState,
-                       ramified_primes=None) -> ConductorReport:
+def division_conductor(tower: EisensteinTower,
+                       state: DivisionState) -> ConductorReport:
     """Conductor of the ramified division step, computed from scratch.
 
     For each nonzero torsion translate v, the Galois displacement of the
@@ -619,12 +619,8 @@ def division_conductor(tower: EisensteinTower, state: DivisionState,
             f"exponent computed at the first level; equality at level "
             f"{state.e} is recorded as an assumption, not recomputed"
         )
-    primes = {}
-    if ramified_primes is not None:
-        for idx in sorted(ramified_primes):
-            primes[idx] = cond_break
     return ConductorReport(
         p=p, e=state.e, deltas=deltas, break_value=break_value,
         disc_exponent=disc, conductor_exponent=cond_break,
-        prime_exponents=primes, provenance=tuple(prov),
+        provenance=tuple(prov),
     )

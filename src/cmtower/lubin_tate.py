@@ -158,9 +158,8 @@ def divisor_table(pi_val: PadicInt, D: int) -> list:
 
 class FormalGroupLaw:
     """A one-dimensional formal group law F(X, Y) = X + Y + higher, held
-    as its series.  ``group_law`` builds the law of a seed; no product
-    law is formed, since the CM action on a product of seeds is diagonal
-    per coordinate (cm_split.ProductGroup)."""
+    as its series.  ``group_law`` builds the law of a seed; no report
+    forms a product of seeds, so no g-dimensional law is built."""
 
     __slots__ = ("F",)
 
@@ -211,15 +210,6 @@ def _sigma_rows(B: list, W: int, k: int) -> list:
 def _unit_obstruction(k: int) -> InvariantError:
     return InvariantError(f"obstruction at degree {k} is a unit: input is "
                           "not a valid Lubin-Tate seed pair")
-
-
-def _check_seeds(src: LTSeed, dst: LTSeed) -> None:
-    if src.R is not dst.R:
-        raise ValidationError("seeds disagree on (p, N)")
-    if src.trunc != dst.trunc:
-        raise ValidationError("seeds disagree on truncation")
-    if src.pi_val != dst.pi_val:
-        raise ValidationError("seeds have different uniformizers")
 
 
 def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
@@ -299,7 +289,12 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
     their carries run only into slots of higher g, which are not read
     either.
     """
-    _check_seeds(src, dst)
+    if src.R is not dst.R:
+        raise ValidationError("seeds disagree on (p, N)")
+    if src.trunc != dst.trunc:
+        raise ValidationError("seeds disagree on truncation")
+    if src.pi_val != dst.pi_val:
+        raise ValidationError("seeds have different uniformizers")
     if linear.trunc != src.trunc:
         raise ValidationError("linear part and seed disagree on truncation")
     n = linear.nvars
@@ -430,12 +425,10 @@ def _lt_solve(linear: TruncSeries, src: LTSeed, dst: LTSeed) -> TruncSeries:
 
 def solve_intertwine(a: PadicInt, src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The unique series phi = a*t + higher with dst.d(phi(t)) =
-    phi(src.d(t)); a is an int or a residue of the seeds' ring."""
+    phi(src.d(t)); a is an int or a residue of the seeds' ring.  An a
+    that is 0 mod p^N is solved too: phi = 0 to N - (D - 1) digits."""
     linear = TruncSeries(src.p, src.N, 1, src.trunc, {(1,): src.R.lift(a)})
-    if linear.coeffs:
-        return _lt_solve(linear, src, dst)
-    _check_seeds(src, dst)
-    return linear
+    return _lt_solve(linear, src, dst)
 
 
 def group_law(seed: LTSeed) -> FormalGroupLaw:

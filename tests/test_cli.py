@@ -173,6 +173,8 @@ class TestGolden:
 TOWER = "[seed]\np = 5\nkind = multiplicative\n[tower]\n"
 CURVE = "[elliptic]\na = -1\nb = 0\np = 13\n"
 GAUSS = "[field]\npoly = 1 0 1\np = 5\nconj = 0 -1\ncm_type = 0\n[cm]\n"
+# t0 = 9 is nonzero but 0 mod 3^2: its depth 2 needs N >= 3
+CAPPED_T0 = "[seed]\np = 3\nkind = standard\n[tower]\nt0 = 9\n"
 SEEDS = ("[seed]\np = 5\nkind = standard\ntrunc = 12\n"
          "[seed2]\np = 5\nkind = multiplicative\n")
 
@@ -249,6 +251,9 @@ class TestMain:
         ("galois-orders", "[galois]\np = 3\nm = 2\nn = 1\n[extra]\n"),
         ("lt-endo", "[seed]\np = 5\nkind = standard\na = 3%\n"),
         ("lt-group-law", "[DEFAULT]\np = 7\n[seed]\nkind = standard\n"),
+        ("divide", TOWER + "t0 = 0\n"),
+        ("tower-conductor", TOWER + "t0 = 0\n"),
+        ("galois-orders", "[galois]\np = 3\nm = 40\nn = 1\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -260,7 +265,8 @@ class TestMain:
             "ini-no-section-header", "seed2-trunc-and-precision",
             "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative",
             "field-precision-key", "seed-unknown-key", "unknown-section",
-            "percent-in-value", "default-section"))
+            "percent-in-value", "default-section", "divide-t0-torsion",
+            "tower-conductor-t0-torsion", "galois-depth-past-bound"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body):
         cfg = tmp_path / "bad.ini"
@@ -321,13 +327,28 @@ class TestMain:
          "valuation 1 needs N >= 2"),
         ("tower-conductor --precision 1", TOWER + "t0 = 5\n",
          "valuation 1 needs N >= 2"),
-    ), ids=("cm-pi-precision-one", "tower-conductor-precision-one"))
+        ("divide --precision 2", CAPPED_T0, "raise --precision to at least 3"),
+        ("tower-conductor --precision 2", CAPPED_T0,
+         "raise --precision to at least 3"),
+    ), ids=("cm-pi-precision-one", "tower-conductor-precision-one",
+            "divide-t0-capped", "tower-conductor-t0-capped"))
     def test_short_precision_is_inconclusive(self, tmp_path, capsys,
                                              command, body, message):
         cfg = tmp_path / "short.ini"
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("divide", "tower-conductor"))
+    def test_capped_t0_certifies_at_the_named_precision(self, tmp_path,
+                                                        command):
+        """The exit-3 message for t0 = 9 at N = 2 names N = 3, and N = 3
+        certifies."""
+        cfg = tmp_path / "t0.ini"
+        cfg.write_text(CAPPED_T0)
+        assert [main([command, "--config", str(cfg), "--precision", str(N),
+                      "--out", str(tmp_path / "report.json")])
+                for N in (2, 3, 7)] == [3, 0, 0]
 
     @pytest.mark.parametrize("N", range(2, 10))
     def test_conductor_certifies_from_precision_two(self, tmp_path, N):

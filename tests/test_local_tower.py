@@ -999,12 +999,6 @@ class TestConductor:
             assert m == (p - 1) * t0.valuation()
             assert rep.conductor_exponent == p - m + 1
 
-    def test_prime_exponent_broadcast(self):
-        t = tower(3)
-        st = divide_point(t, DivisionState.start(PadicInt(3, 40, 3)), 1)
-        rep = division_conductor(t, st, ramified_primes={0, 2})
-        assert rep.prime_exponents == {0: 2, 2: 2}
-
     def test_requires_ramified_state(self):
         t = tower(3)
         with pytest.raises(ValidationError):

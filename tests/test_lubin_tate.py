@@ -149,6 +149,20 @@ class TestEndo:
             assert sum_series.congruent(endo(seed, a + b))
             assert ea.compose([eb]).congruent(endo(seed, a * b))
 
+    @pytest.mark.parametrize("a", (0, 3 ** 12))
+    def test_capped_multiplier_spends_a_digit_per_degree(self, a):
+        """A multiplier that is 0 mod p^N is solved like any other: the
+        zero series certifies N - (D - 1) digits, which the same
+        multiplier at N = 22 confirms ([3^12] has t^3 coefficient 3^11),
+        and no digit at all raises."""
+        e = endo(LTSeed.standard(3, 12, 10), a)
+        assert e.coeffs == {} and e.eff_prec == 12 - 9
+        big = endo(LTSeed.standard(3, 22, 10), 3 ** 12)
+        assert big.coeffs[(3,)] % 3 ** 12 == 3 ** 11
+        assert all(c % 3 ** e.eff_prec == 0 for c in big.coeffs.values())
+        with pytest.raises(PrecisionError, match="exhausted"):
+            endo(LTSeed.standard(3, 9, 10), a)
+
     def test_mismatched_uniformizers_rejected(self):
         src = LTSeed.standard(5, 14, 10)
         dst = LTSeed.standard(5, 14, 10, pi=10)
