@@ -17,7 +17,7 @@ import time
 from .errors import (HenselError, InvariantError, PrecisionError,
                      ValidationError)
 from .padic import PadicInt
-from .lubin_tate import LTSeed, endo, group_law, strict_iso
+from .lubin_tate import LTSeed, check_trunc, endo, group_law, strict_iso
 from .cm_split import CMField, embed, pick_pi
 from .local_tower import (DivisionState, EisensteinTower, divide_point,
                           division_conductor, character_conductor_floor,
@@ -53,6 +53,13 @@ SECTION_KEYS = {
     "wedge": {"p", "jets", "s", "oracle"}, "galois": {"p", "m", "n"},
     "elliptic": {"a", "b", "p", "trunc"},
 }
+
+# The largest seed truncation D a command takes: a seed is a dense list
+# of D + 1 coefficients, so the size is refused (exit 2) before a seed of
+# that size is built.  The fixtures and benchmark jobs use D <= 14; 100
+# leaves room for D = 2p = 74 at p = 37, where the Coates-Wiles
+# homomorphisms find 37 | B_32 (ROADMAP item 9).
+MAX_SEED_TRUNC = 100
 
 
 class RunConfig:
@@ -164,6 +171,11 @@ class RunConfig:
         p = self.integer(section, "p")
         kind = self.get(section, "kind")
         D = self.trunc_for(p, section)
+        if D > MAX_SEED_TRUNC:
+            raise ValidationError(
+                f"truncation degree {D} is above {MAX_SEED_TRUNC}, the "
+                "largest a seed takes")
+        check_trunc(p, D)
         N = self.prec_for(D, section)
         if kind == "multiplicative":
             return LTSeed.multiplicative(p, N, D)

@@ -87,15 +87,16 @@ class SubgroupSpec:
 
     def __post_init__(self):
         p, m = self.p, self.m
-        if not is_prime(p):
-            raise ValidationError(f"p must be prime, got {p}")
         if not (0 <= self.j <= m and 0 <= self.k <= m):
             raise ValidationError("congruence levels must lie in [0, m]")
-        # p >= 2, so p^m is formed only for m up to the bound's bit length
+        # before the trial division of p, O(sqrt p) steps; p^m is formed
+        # only for m up to the bound's bit length
         if m > MAX_MODULUS.bit_length() or p ** m > MAX_MODULUS:
             raise ValidationError(
                 f"p^m = {p}^{m} is above {MAX_MODULUS}, the largest "
                 "modulus the model counts")
+        if not is_prime(p):
+            raise ValidationError(f"p must be prime, got {p}")
         # closure is automatic: a'' = a' + a b' and b'' = b b' preserve
         # both congruences; checked on the generators and their products
         gens = self.generators()

@@ -11,17 +11,17 @@ never estimates.
 
 On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
-at e), and the conductor of the ramified step, whose Galois displacements
-are valued in the compositum Z_p[lambda, theta] with theta a division
-value.
+at e), and the conductor of the ramified step, whose Galois
+displacements are valued in the compositum Z_p[lambda, theta] with theta
+a division value.
 
-One ring class, ``TowerRing``, holds the levels (with their one product
-``mul``) and the compositum (a layout and a valuation, no product), with
-the one valuation ``val``; ``LocalElement`` is the one element class.
-The two certified invariants of the ramified step form no compositum
-product: the discriminant's resultant is a p x p norm determinant over
-level 1, and the conductor values the head -a*lambda of each
-displacement against a tail bound on the terms it drops, with no
+One ring class, ``TowerRing``, is a tower level, with its one product
+``mul`` and its one valuation ``val``; ``LocalElement`` is the one
+element class.  The two certified invariants of the ramified step form
+no compositum: the discriminant's resultant is a p x p norm determinant
+over level 1, and the conductor values the head -a*lambda of each
+displacement with weights read off the two Eisenstein certificates
+(h_1 and d - q), against a tail bound on the terms it drops, with no
 Lubin-Tate solve.
 """
 
@@ -39,69 +39,40 @@ from .padic import (InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs,
 
 
 class TowerRing:
-    """Z/p^N[lambda]/(h(lambda)) over the ring ``R`` of (p, N), or, with a
-    second modulus f, Z/p^N[lambda, theta]/(h(lambda), f(theta)): a tower
-    level (level 0, modulus X, is Z/p^N), or the division compositum with
-    h = h_1 and f = d - q.  Neither modulus need be monic.
+    """A tower level Z/p^N[lambda]/(h(lambda)) over the ring ``R`` of
+    (p, N); level 0, modulus X, is Z/p^N.  h is Eisenstein of degree e
+    and need not be monic.
 
-    An element is one flat list of ``size`` residues: lambda^i theta^j
-    (i < deg h, j < deg f) sits at i*w + j with w = deg f (w = 1 without
-    f).  A level multiplies (``mul``: the product of the lists, divided
-    by h with the inverse of its leading coefficient); the compositum is
-    a layout and a valuation, where the conductor lays out and values its
-    generators and the head -a*lambda of each displacement, and it
-    refuses a product.
-
-    h and f are Eisenstein of coprime degrees a and b (b = 1 without f):
-    the ring is totally ramified of degree e = ab, with weights
-    ord(lambda) = b, ord(theta) = a, ord(p) = e.  The candidates
-    i*b + j*a + e*ord_p(c) are pairwise distinct, so a valuation below
-    ord(p^N) = e*N is read off exactly; from there on a capped coefficient
-    could be the least term, and the valuation is None (at a level every
-    candidate i + e*ord_p(c) is below e*N, so the cap is never reached).
+    An element is one list of e residues, lambda^i at i.  ``mul`` is the
+    product of two lists, divided by h with the inverse of its leading
+    coefficient.  ord(lambda) = 1 and ord(p) = e: the candidates
+    i + e*ord_p(c) are pairwise distinct and, for reduced residues, below
+    ord(p^N) = e*N, so ``val`` is exact and None only for zero.
     """
 
-    __slots__ = ("R", "h", "hinv", "f", "w", "weights", "size")
+    __slots__ = ("R", "h", "hinv", "size")
 
-    def __init__(self, R, h, f=None):
-        """``h`` and ``f`` are raw coefficient lists, reduced mod p^N."""
-        a, b = len(h) - 1, len(f) - 1 if f else 1
-        self.R, self.h, self.f, self.w, self.size = R, h, f, b, a * b
+    def __init__(self, R, h):
+        """``h`` is a raw coefficient list, reduced mod p^N."""
+        self.R, self.h, self.size = R, h, len(h) - 1
         self.hinv = pow(h[-1], -1, R.mod)
-        self.weights = (b, a, a * b)
 
     def mul(self, x, y):
-        """The product of two raw elements of a level, as a raw element."""
-        if self.f is not None:
-            raise ValidationError("the division compositum has no product")
+        """The product of two raw elements, as a raw element."""
         c = mul_coeffs(x, y)
         rem_coeffs(c, self.h, self.hinv, self.R.mod)
         return c[:self.size]
 
     def val(self, x):
-        """Exact valuation of a raw element; None means ">= cap"."""
-        R, w = self.R, self.w
-        ord_lam, ord_theta, e = self.weights
-        best = None
-        for k, c in enumerate(x):
-            if c:
-                i, j = divmod(k, w)
-                cand = i * ord_lam + j * ord_theta + e * R.val(c)
-                if best is None or cand < best:
-                    best = cand
-        return None if best is None or best >= e * R.N else best
+        """Exact valuation of a raw element; None for zero."""
+        val, e = self.R.val, self.size
+        return min((i + e * val(c) for i, c in enumerate(x) if c),
+                   default=None)
 
     def zero(self):
         return LocalElement._reduced(self, [0] * self.size)
 
     def lam(self):
-        x = self.zero()
-        x.coeffs[self.w] = 1
-        return x
-
-    def theta(self):
-        if self.f is None:
-            raise ValidationError("a tower level has no theta")
         x = self.zero()
         x.coeffs[1] = 1
         return x
@@ -212,13 +183,6 @@ class EisensteinTower(InRing):
         self.build(n)
         return self.rings[n]
 
-    def compositum(self, q) -> TowerRing:
-        """The division compositum Z/p^N[lambda, theta]/(h_1(lambda),
-        d(theta) - q) for a division value q of this tower's ring."""
-        R, d = self.R, self.d.coeffs
-        return TowerRing(R, self.h(1).coeffs,
-                         [(d[0] - R.lift(q)) % R.mod] + d[1:])
-
     def element(self, n: int, coeffs) -> "LocalElement":
         return LocalElement(self.ring(n), coeffs)
 
@@ -231,12 +195,12 @@ class EisensteinTower(InRing):
 
 
 class LocalElement:
-    """An element of a ``TowerRing``: its flat list of residues.
+    """An element of a tower level: its list of residues.
 
     At level n that is sum a_i lambda_n^i with a_i in Z_p, and valuations
     are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  The one
     operation is the product of two elements of the same level; a scalar,
-    or an element of another ring, is refused.
+    or an element of another level, is refused.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -270,8 +234,8 @@ class LocalElement:
     __rmul__ = __mul__
 
     def valuation(self):
-        """Exact valuation in the ring's uniformizer units; None means
-        ">= cap"."""
+        """Exact valuation in the level's uniformizer units; None for
+        zero."""
         return self.ring.val(self.coeffs)
 
     def __repr__(self):
@@ -283,7 +247,7 @@ def filtration_step(tower: EisensteinTower, x: LocalElement):
     element of some level (a base point is one of level 0); its valuation
     increases by exactly one base unit."""
     ring = x.ring
-    e = ring.weights[2]
+    e = ring.size  # ord(p) in the level's units
     v = x.valuation()
     if v is not None and v < e:
         raise ValidationError(
@@ -532,13 +496,12 @@ class ConductorReport:
         }
 
 
-def _head_valuation(ring: TowerRing, head, tail: int) -> int:
-    """The valuation of an element of ``ring`` that is the raw ``head``
-    plus terms of valuation >= ``tail``: the head's valuation, certified
-    when it is below both the cap and ``tail``, for then no dropped term
-    can reach it."""
-    v = ring.val(head)
-    if v is None:
+def _head_valuation(v, cap: int, tail: int) -> int:
+    """The valuation of an element that is a head of valuation ``v``
+    (None when the head's coefficient is capped) plus terms of valuation
+    >= ``tail``: v, certified when it is below both ``cap`` and ``tail``,
+    for then no dropped term can reach it."""
+    if v is None or v >= cap:
         raise PrecisionError(
             "head of the element vanished at working precision; raise N")
     if v >= tail:
@@ -554,10 +517,17 @@ def division_conductor(tower: EisensteinTower,
 
     For each nonzero torsion translate v, the Galois displacement of the
     division value theta is theta - F(theta, t(v)), valued in the
-    compositum Z_p[lambda, theta]/(h_1, d - q); with the compositum
-    uniformizer eta = lambda/theta this gives the jump
-    Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1), computed without
-    any division.
+    compositum Z_p[lambda, theta] of lambda = lambda_1 and theta, a root
+    of d - q; with the compositum uniformizer eta = lambda/theta this
+    gives the jump Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1),
+    computed without any division.
+
+    The compositum's valuation weights come from the two Eisenstein
+    certificates, whose degrees a = deg h_1 and b = deg(d - q) are
+    coprime: it is totally ramified of degree e = ab over Z_p, with
+    ord(theta) = a, ord(lambda) = b and ord(p) = e.  a is the degree of
+    h_1, which ``build`` certified; b is the length of the one segment of
+    the division step's polygon (``state.certificate``).
 
     The valuation is read off a certified head.  F(X, 0) = X,
     F(0, Y) = Y and [a](t) = a t + higher, so for t_a = [a](lambda)
@@ -565,9 +535,10 @@ def division_conductor(tower: EisensteinTower,
     (theta, t_a) and the terms of [a] past degree 1: all of total degree
     >= K + 1 in theta and lambda, K = 1, so of valuation
     >= (K + 1) min(ord theta, ord lambda) = 2(p - 1), the tail bound.
-    The head has valuation p < 2p - 2 for every odd p, so K = 1
-    certifies and no group law or endomorphism is solved (Lubin and
-    Tate, Ann. of Math. 81 (1965); Serre, Local Fields, ch. IV).
+    The head has valuation ord(lambda) + e ord_p(a) = p < 2p - 2 for
+    every odd p, so K = 1 certifies and no group law or endomorphism is
+    solved, nor any compositum element formed (Lubin and Tate, Ann. of
+    Math. 81 (1965); Serre, Local Fields, ch. IV).
 
     All jumps must equal 2 (single break at 1); the discriminant exponent
     is their sum 2(p-1) and the conductor exponent is 2, confirmed
@@ -575,12 +546,16 @@ def division_conductor(tower: EisensteinTower,
     """
     if state.ramified_at is None:
         raise ValidationError("conductor needs a ramified division state")
-    p = tower.p
+    p, R = tower.p, tower.R
     q = state.last()
-    ring = tower.compositum(q)
-    if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
+    if q.R is not R:
+        raise ValidationError("division state and tower disagree on (p, N)")
+    ord_theta = tower.h(1).degree
+    segments = state.certificate.segments
+    ord_lam = segments[0][1] if len(segments) == 1 else None
+    if ord_theta != p - 1 or ord_lam != p:
         raise InvariantError("compositum generators lost their valuations")
-    ord_lam, ord_theta, _ = ring.weights
+    e = ord_lam * ord_theta
     tail = 2 * min(ord_lam, ord_theta)  # (K + 1) min, K = 1
     deltas = {}
     prov = [
@@ -588,9 +563,9 @@ def division_conductor(tower: EisensteinTower,
         f"{tower.seed.p}, division value of valuation {q.valuation()}",
     ]
     for a in range(1, p):
-        head = [0] * ring.size
-        head[ring.w] = -a % tower.R.mod  # -a lambda
-        v = _head_valuation(ring, head, tail)
+        c = R.val(-a % R.mod)  # the head -a lambda
+        v = _head_valuation(None if c is None else ord_lam + e * c,
+                            e * R.N, tail)
         if v != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"

@@ -8,9 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmtower import cli
+from cmtower import cli, galois_model, padic
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
+from cmtower.errors import PrecisionError
+from cmtower.lubin_tate import LTSeed
 from cmtower.padic import TruncSeries
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -201,6 +204,47 @@ class TestSeedSections:
         assert (s.trunc, s.N) == want
 
 
+# a p above every size bound: building its seed, or testing it for
+# primality by trial division, would not finish
+HUGE_P = 10 ** 18 + 3
+
+
+@pytest.fixture
+def sizes_checked_first(monkeypatch):
+    """Seed constructors and primality tests fail at once on a p above
+    the size bounds, so a bound checked too late fails the test instead
+    of running for minutes."""
+    def refusing(f, bound, i):
+        def check(*args):
+            if args[i] > bound:
+                raise AssertionError(f"{f.__name__} ran before the size check")
+            return f(*args)
+        return check
+
+    for name in ("standard", "multiplicative"):
+        build = LTSeed.__dict__[name].__func__
+        monkeypatch.setattr(LTSeed, name, classmethod(
+            refusing(build, cli.MAX_SEED_TRUNC, 1)))
+    for module in (galois_model, padic):
+        monkeypatch.setattr(module, "is_prime", refusing(
+            padic.is_prime, galois_model.MAX_MODULUS, 0))
+
+
+@st.composite
+def tower_seed(draw):
+    """(p, a [seed] section) of the benchmark's ``tower`` job shape, p in
+    {3, 5}: pi = p u with u a unit below p, a_k = p x with x below p^3
+    for 1 < k < p, t^p coefficient 1 + p y with y below p, truncation
+    p + 2 or 2p."""
+    p = draw(st.sampled_from((3, 5)))
+    coeffs = ([0, p * draw(st.integers(1, p - 1))]
+              + [p * draw(st.integers(0, p ** 3 - 1)) for _ in range(2, p)]
+              + [1 + p * draw(st.integers(0, p - 1))])
+    trunc = draw(st.sampled_from((p + 2, 2 * p)))
+    return p, (f"[seed]\np = {p}\ncoeffs = {' '.join(map(str, coeffs))}\n"
+               f"trunc = {trunc}\n")
+
+
 class TestMain:
     def test_exit_zero_and_output_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -254,6 +298,10 @@ class TestMain:
         ("divide", TOWER + "t0 = 0\n"),
         ("tower-conductor", TOWER + "t0 = 0\n"),
         ("galois-orders", "[galois]\np = 3\nm = 40\nn = 1\n"),
+        ("lt-group-law", f"[seed]\np = {HUGE_P}\nkind = standard\n"),
+        ("lt-endo", f"[seed]\np = {HUGE_P}\nkind = multiplicative\n"
+         "trunc = 12\na = 2\n"),
+        ("galois-orders", f"[galois]\np = {HUGE_P}\nm = 2\nn = 1\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -266,9 +314,10 @@ class TestMain:
             "seed2-trunc", "cm-pi-index-past-2g", "cm-pi-index-negative",
             "field-precision-key", "seed-unknown-key", "unknown-section",
             "percent-in-value", "default-section", "divide-t0-torsion",
-            "tower-conductor-t0-torsion", "galois-depth-past-bound"))
+            "tower-conductor-t0-torsion", "galois-depth-past-bound",
+            "seed-p-huge", "seed-p-above-trunc", "galois-p-huge"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
-                                           body):
+                                           body, sizes_checked_first):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 2
@@ -364,6 +413,33 @@ class TestMain:
             return json.loads(out.read_text())["results"]
 
         assert results(N) == results(N + 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tower_seed(), st.integers(2, 12))
+    def test_tower_reports_agree_at_N_and_N_plus_5(self, tmp_path_factory,
+                                                   seed, N):
+        """tower-build and tower-disc at N give the results of N + 5, h_1
+        and h_2 read mod p^N, or N is inconclusive (exit 3); N + 5 >= 7 is
+        above p, so it certifies."""
+        p, body = seed
+        path = tmp_path_factory.mktemp("ladder") / "tower.ini"
+        path.write_text(body)
+
+        def results(command, precision):
+            cfg = RunConfig.load(command, str(path), {"precision": precision})
+            return dispatch(cfg)["results"]
+
+        for command in ("tower-build", "tower-disc"):
+            want = results(command, N + 5)
+            try:
+                got = results(command, N)
+            except PrecisionError:
+                continue
+            if command == "tower-build":
+                mod = p ** N
+                for level in want["levels"]:
+                    level["coeffs"] = [c % mod for c in level["coeffs"]]
+            assert got == want
 
     @pytest.mark.parametrize("precision", (1, 2))
     @pytest.mark.parametrize("command,config", FIXTURES)

@@ -2,6 +2,8 @@
 discriminants, point division and the ramified-step conductor."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,8 @@ from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc)
 from cmtower.lubin_tate import LTSeed, endo, group_law
-from cmtower.padic import (PadicInt, PadicPoly, TruncSeries, mul_coeffs,
-                           newton_polygon, rem_coeffs)
+from cmtower.padic import (NewtonPolygon, PadicInt, PadicPoly, TruncSeries,
+                           mul_coeffs, newton_polygon, rem_coeffs)
 from test_bench_workloads import lib as bench, plain_call
 
 
@@ -448,12 +450,6 @@ class TestDivide:
             divide_point(t, st, 2)
 
 
-def non_monic_ring(p, N=20):
-    """The compositum of ``non_monic_seed`` over the division value p."""
-    seed = non_monic_seed(p, N)
-    return seed, EisensteinTower(seed).compositum(PadicInt(p, N, p))
-
-
 # residues of valuation 1 in rings other than the (3, 20) tower's:
 # another p, fewer digits, more digits
 FOREIGN = (PadicInt(5, 4, 10), PadicInt(3, 6, 3), PadicInt(3, 21, 3))
@@ -461,9 +457,9 @@ FOREIGN_IDS = ("other-p", "fewer-digits", "more-digits")
 
 
 class TestForeignResidues:
-    """Tower and compositum operations refuse a residue of another ring
-    instead of reading its raw value into the tower's; products refuse
-    every scalar, of any ring."""
+    """Tower operations refuse a residue of another ring instead of
+    reading its raw value into the tower's; products refuse every scalar,
+    of any ring."""
 
     @pytest.fixture(scope="class")
     def tw(self):
@@ -486,16 +482,11 @@ class TestForeignResidues:
                 op()
 
     @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
-    def test_compositum_scale(self, tw, x):
-        ring = tw.compositum(PadicInt(3, 20, 3))
-        for op in (lambda: ring.theta() * x, lambda: x * ring.lam()):
-            with pytest.raises(ValidationError, match="no scalar product"):
-                op()
-
-    @pytest.mark.parametrize("x", FOREIGN, ids=FOREIGN_IDS)
-    def test_compositum_division_value(self, tw, x):
-        with pytest.raises(ValidationError):
-            tw.compositum(x)
+    def test_conductor_division_value(self, tw, x):
+        """A ramified state whose division value lies in another ring."""
+        state = divide_point(tw, DivisionState.start(PadicInt(3, 20, 3)), 1)
+        with pytest.raises(ValidationError, match="disagree on"):
+            division_conductor(tw, replace(state, t0=x))
 
     @pytest.mark.parametrize("t0", FOREIGN, ids=FOREIGN_IDS)
     def test_divide_start_value(self, tw, t0):
@@ -515,7 +506,7 @@ class ReferenceCompositum:
     first written, before tower levels and the compositum shared one ring
     class: a flat Kronecker list with w = 2p - 1, lambda divided out by
     h_1(X^w) and then theta by d - q row by row, the gap slots reset.
-    The library's compositum has no product; this one is the oracles'."""
+    The library forms no compositum; this one is the oracles'."""
 
     def __init__(self, tower, q):
         R = self.R = tower.R
@@ -543,7 +534,7 @@ class ReferenceCompositum:
             out += row
         return out
 
-    def valuation(self, coeffs):
+    def val(self, coeffs):
         R, w = self.R, self.w
         p = R.p
         best = None
@@ -563,55 +554,18 @@ class ReferenceCompositum:
         return Elt(self, [0, 1])
 
 
-def relayout(x, w_from, w_to, b):
-    """The raw compositum element x, its lambda rows moved from stride
-    ``w_from`` to stride ``w_to``; slots j >= b of a row are zero."""
-    rows = len(x) // w_from
-    out = [0] * (rows * w_to)
-    for i in range(rows):
-        out[i * w_to:i * w_to + b] = x[i * w_from:i * w_from + b]
-    return out
-
-
-class TestAgainstReferenceCompositum:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_products_and_valuations(self, data):
-        """The valuation of random elements and of their reference
-        product, laid out in the library's compositum (w = p, no gap
-        slots) and in the reference's (w = 2p - 1)."""
-        p = data.draw(st.sampled_from((3, 5, 7)))
-        N = data.draw(st.integers(4, 20))
-        # t^p coefficient 1 or 1 + p: the non-monic seed is one case
-        top = data.draw(st.sampled_from((1, 1 + p)))
-        seed = LTSeed.from_coeffs(p, N, p + 2, [0, p] + [0] * (p - 2) + [top])
-        tw = EisensteinTower(seed)
-        q = PadicInt(p, N, p * data.draw(st.integers(1, p ** (N - 1) - 1)))
-        ring, ref = tw.compositum(q), ReferenceCompositum(tw, q)
-        assert ring.w == p and ring.size == (p - 1) * p
-        x = data.draw(ring_point(ring, unit=True))
-        y = data.draw(ring_point(ring, unit=True))
-        xr, yr = (relayout(z, p, ref.w, p) for z in (x, y))
-        prod = ref.mul(xr, yr)
-        for z, zr in ((x, xr), (y, yr), (relayout(prod, ref.w, p, p), prod)):
-            assert ring.val(z) == ref.valuation(zr)
-
-
 class TestRingCheck:
-    """Elements of two different rings are refused by the product, and
-    the compositum refuses every product."""
+    """Elements of two different rings are refused by the product."""
 
     @staticmethod
     def _pairs():
         tw = EisensteinTower(LTSeed.standard(3, 20, 8))
-        other_q = tw.compositum(PadicInt(3, 20, 6))
-        other_p = EisensteinTower(LTSeed.standard(5, 20, 8)).compositum(
-            PadicInt(5, 20, 5))
-        ring = tw.compositum(PadicInt(3, 20, 3))
-        return [(ring.theta(), other_q.theta()),
-                (ring.theta(), other_p.theta()),
-                (ring.lam(), tw.lam(1)),
+        other_p = EisensteinTower(LTSeed.standard(5, 20, 8))
+        other_n = EisensteinTower(LTSeed.standard(3, 21, 8))
+        return [(tw.element(0, [3]), tw.lam(1)),
                 (tw.lam(1), tw.lam(2)),
+                (tw.lam(1), other_p.lam(1)),
+                (tw.lam(1), other_n.lam(1)),
                 (tw.lam(1), EisensteinTower(LTSeed.standard(3, 20, 8)).lam(1))]
 
     @pytest.mark.parametrize("op", ("mul", "rmul"))
@@ -620,33 +574,13 @@ class TestRingCheck:
             with pytest.raises(ValidationError, match="different tower"):
                 {"mul": lambda: x * y, "rmul": lambda: y * x}[op]()
 
-    def test_compositum_product_refused(self, monkeypatch):
-        """A product on the compositum raises before computing anything."""
-        ring = tower(3).compositum(PadicInt(3, 40, 3))
-        theta = ring.theta()
-
-        def refuse(*args):
-            raise AssertionError("the compositum computed a product")
-
-        monkeypatch.setattr(local_tower, "mul_coeffs", refuse)
-        monkeypatch.setattr(local_tower, "rem_coeffs", refuse)
-        for op in (lambda: theta * theta,
-                   lambda: ring.mul(theta.coeffs, theta.coeffs),
-                   lambda: ring.powers(theta, 2)):
-            with pytest.raises(ValidationError, match="has no product"):
-                op()
-
-    def test_level_ring_has_no_theta(self):
-        with pytest.raises(ValidationError):
-            tower(3).ring(1).theta()
-
     def test_negative_level_refused(self):
         with pytest.raises(ValidationError):
             tower(3).ring(-1)
 
     def test_too_many_coefficients_refused(self):
         t = tower(3)
-        for ring in (t.ring(1), t.ring(2), t.compositum(PadicInt(3, 40, 3))):
+        for ring in (t.ring(0), t.ring(1), t.ring(2)):
             LocalElement(ring, [0] * ring.size)
             with pytest.raises(ValidationError, match="more than"):
                 LocalElement(ring, [0] * (ring.size + 1))
@@ -663,11 +597,11 @@ class TestCompositum:
     def test_moduli_vanish_for_non_monic_seed(self, p):
         """With t^p coefficient 1 + p, d(lambda) = lambda h_1(lambda) and
         theta (d(theta) - q) are zero in the reference compositum, whose
-        theta modulus is the library compositum's f."""
-        seed, ring = non_monic_ring(p)
+        theta modulus is the division step's polynomial d - q."""
+        seed = non_monic_seed(p, 20)
         q = PadicInt(p, seed.N, p)
         ref = ReferenceCompositum(EisensteinTower(seed), q)
-        assert ring.f == ref.dq
+        assert ref.dq == (seed.to_poly() + PadicPoly(p, seed.N, [-p])).coeffs
         lam, theta = ref.lam(), ref.theta()
         assert not any(reference_eval_series(seed.d, [lam]).coeffs)
         d_theta = reference_eval_series(seed.d, [theta])
@@ -680,27 +614,6 @@ class TestCompositum:
         rep = division_conductor(t, st)
         assert set(rep.deltas.values()) == {2}
         assert rep.conductor_exponent == 2
-
-    @staticmethod
-    def _element(ring, entries):
-        x = ring.zero()
-        for (i, j), c in entries.items():
-            x.coeffs[i * ring.w + j] = c
-        return x
-
-    def test_valuation_past_the_cap_is_none(self):
-        """p = 3, N = 6: 3^5 lambda theta^2 has candidate 3 + 4 + 30 = 37,
-        past ord(3^6) = 36, so an unseen capped term could be smaller."""
-        _, ring = non_monic_ring(3, 6)
-        assert self._element(ring, {(1, 2): 3 ** 5}).valuation() is None
-        assert self._element(ring, {(1, 2): 3 ** 4}).valuation() == 31
-
-    def test_valuation_from_the_constant_term_stays_certified(self):
-        _, ring = non_monic_ring(3, 6)
-        assert self._element(ring, {(0, 0): 3 ** 5}).valuation() == 30
-        both = {(0, 0): 3 ** 5, (1, 2): 3 ** 5}
-        assert self._element(ring, both).valuation() == 30
-
 
 def elt_powers(x, D):
     """[1, x, ..., x^D] for an ``Elt`` x, by its products."""
@@ -759,14 +672,12 @@ def reference_eval_series(series, points):
 
 
 @st.composite
-def ring_point(draw, ring, unit=False):
-    """The raw list of a random element of ``ring`` (a level, or the
-    compositum's layout) of positive valuation, of any valuation with
-    ``unit``: the constant coefficient is divisible by p."""
+def ring_point(draw, ring):
+    """The raw list of a random element of the level ``ring`` of positive
+    valuation: the constant coefficient is divisible by p."""
     R = ring.R
     x = [draw(st.integers(0, R.mod - 1)) for _ in range(ring.size)]
-    if not unit:
-        x[0] = x[0] * R.p % R.mod
+    x[0] = x[0] * R.p % R.mod
     return x
 
 
@@ -811,8 +722,8 @@ class TestEvalSeries:
 def level1_displacements(tower, q):
     """Yield (a, theta - F(theta, t_a)) for a = 1, ..., p - 1, where
     t_a = [a](lambda) is the torsion translate and each displacement is a
-    raw element of ``tower.compositum(q)``: the conductor's route before
-    the head and tail bound, kept as its oracle.
+    raw element of ``ReferenceCompositum(tower, q)``: the conductor's
+    route before the head and tail bound, kept as its oracle.
 
     f = d - q and F have scalar coefficients and t_a lies in level 1, so
     F(theta, t_a) = sum_(k<p) theta^k Q_k(t_a) with
@@ -824,8 +735,8 @@ def level1_displacements(tower, q):
     table of lambda's powers and no solve.  t_a's valuation is read in
     the compositum before its displacement is formed."""
     p, seed, level = tower.p, tower.seed, tower.ring(1)
-    ring = tower.compositum(q)
-    mod, w, f, D = tower.R.mod, ring.w, ring.f, seed.trunc
+    ref = ReferenceCompositum(tower, q)
+    mod, w, f, D = tower.R.mod, ref.w, ref.dq, seed.trunc
     finv = pow(f[-1], -1, mod)
     b = len(f) - 1
     s = []  # s[i] = theta^i mod f, as b scalars
@@ -842,9 +753,9 @@ def level1_displacements(tower, q):
     lams = level.powers(level.lam(), D)
     for a in range(1, p):
         tv = lams[1] if a == 1 else level.eval_series(endo(seed, a), lams)
-        disp = [0] * ring.size
+        disp = [0] * ref.size
         disp[::w] = tv.coeffs
-        if ring.val(disp) != p:
+        if ref.val(disp) != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"
             )
@@ -863,18 +774,17 @@ def level1_displacements(tower, q):
 def reference_displacements(tower, q):
     """(a, theta - F(theta, [a](lambda))) for each a, evaluated in the
     reference compositum as the conductor did before its theta-reduction
-    ([a](lambda) from the powers of lambda, F by ``horner_eval``), laid
-    out in ``tower.compositum(q)``."""
+    ([a](lambda) from the powers of lambda, F by ``horner_eval``)."""
     seed, p = tower.seed, tower.p
-    ring, ref = tower.compositum(q), ReferenceCompositum(tower, q)
+    ref = ReferenceCompositum(tower, q)
     F = group_law(seed).F
     lam, theta = ref.lam(), ref.theta()
     for a in range(1, p):
         tv = reference_eval_series(endo(seed, a), [lam])
-        if ref.valuation(tv.coeffs) != p:
+        if tv.valuation() != p:
             raise InvariantError(f"torsion value [{a}] lost its valuation")
         disp = theta - horner_eval(F, theta, tv)
-        yield a, relayout(disp.coeffs, ref.w, ring.w, p)
+        yield a, disp.coeffs
 
 
 def displacement_outcomes(route, tower, q):
@@ -927,7 +837,7 @@ class TestConductor:
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_no_compositum_product(self, p, monkeypatch):
         """The conductor multiplies nothing: no element product and no raw
-        ``TowerRing.mul``, neither in the compositum nor in level 1."""
+        ``TowerRing.mul`` in any level."""
         t = tower(p, trunc=2 * p)
         state = divide_point(t, DivisionState.start(PadicInt(p, 40, p)), 1)
         rings = []
@@ -963,6 +873,36 @@ class TestConductor:
         monkeypatch.setattr(lubin_tate, "_lt_solve", refuse)
         rep = division_conductor(t, state)
         assert rep.deltas == {a: 2 for a in range(1, p)}
+
+    def test_builds_no_ring_and_values_nothing(self, monkeypatch):
+        """The weights come from the two certificates: past the level-1
+        build, the conductor builds no ring and values no element."""
+        t = tower(5)
+        state = divide_point(t, DivisionState.start(PadicInt(5, 40, 5)), 1)
+        t.build(1)
+
+        def refuse(*args):
+            raise AssertionError("the conductor used a ring")
+
+        monkeypatch.setattr(TowerRing, "__init__", refuse)
+        monkeypatch.setattr(TowerRing, "val", refuse)
+        assert division_conductor(t, state).deltas == {1: 2, 2: 2, 3: 2, 4: 2}
+
+    @pytest.mark.parametrize("segments", (
+        ((Fraction(1, 4), 4),),
+        ((Fraction(1, 3), 3), (Fraction(1, 2), 2)),
+        ((Fraction(1, 7), 7),),
+    ), ids=("h1-polygon", "two-segments", "other-p"))
+    def test_reads_the_division_certificate(self, segments):
+        """ord lambda is the length of the division step's one segment: a
+        state whose certificate is not one segment of length p = 5 (h_1's
+        polygon, two segments, a step at p = 7) is refused."""
+        t = tower(5)
+        state = divide_point(t, DivisionState.start(PadicInt(5, 40, 5)), 1)
+        assert state.certificate.segments == ((Fraction(1, 5), 5),)
+        bad = replace(state, certificate=NewtonPolygon(segments, 0))
+        with pytest.raises(InvariantError, match="lost their valuations"):
+            division_conductor(t, bad)
 
     def test_all_jumps_two(self):
         for p in (3, 5):
@@ -1010,12 +950,12 @@ def oracle_conductor(tower, state):
     bound: each jump read off the whole displacement that
     ``level1_displacements`` forms, solving F and every [a]."""
     p, q = tower.p, state.last()
-    ring = tower.compositum(q)
-    if ring.theta().valuation() != p - 1 or ring.lam().valuation() != p:
+    ref = ReferenceCompositum(tower, q)
+    if ref.theta().valuation() != p - 1 or ref.lam().valuation() != p:
         raise InvariantError("compositum generators lost their valuations")
     deltas = {}
     for a, disp in level1_displacements(tower, q):
-        v = ring.val(disp)
+        v = ref.val(disp)
         if v is None:
             raise PrecisionError("Galois displacement vanished")
         deltas[a] = p + v - 2 * (p - 1)
@@ -1110,20 +1050,21 @@ class TestConductorAgainstOracle:
 
 
 class TestHeadValuation:
+    """p = 3, N = 6: ord lambda = 3, ord theta = 2, the tail bound
+    2 min = 4 and the cap 6 N = 36."""
+
     def test_certified_only_below_cap_and_tail(self):
-        """p = 3, N = 6: ord lambda = 3, ord theta = 2, the tail bound
-        2 min = 4 and the cap 6 N = 36."""
-        _, ring = non_monic_ring(3, 6)
-        head = ring.zero().coeffs
-        head[ring.w] = 2  # 2 lambda
-        assert _head_valuation(ring, head, 4) == 3
-        head[ring.w] = 0
-        head[ring.w + 1] = 1  # lambda theta, valuation 5
+        assert _head_valuation(3, 36, 4) == 3
+
+    @pytest.mark.parametrize("v", (4, 5))
+    def test_tail_bound_reached(self, v):
         with pytest.raises(PrecisionError, match="tail bound 4"):
-            _head_valuation(ring, head, 4)
-        head[ring.w + 1] = 0  # the zero element
+            _head_valuation(v, 36, 4)
+
+    @pytest.mark.parametrize("v", (None, 36, 37))
+    def test_capped_head_vanished(self, v):
         with pytest.raises(PrecisionError, match="vanished"):
-            _head_valuation(ring, head, 4)
+            _head_valuation(v, 36, 40)
 
 
 class TestBoundPremises:

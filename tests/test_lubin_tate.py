@@ -178,8 +178,8 @@ class TestEndo:
     def test_mismatched_seeds_rejected_for_every_multiplier(self, a, dst,
                                                             match):
         """A seed pair that disagrees on (p, N), on truncation or on the
-        uniformizer is refused before the multiplier is looked at: a = 0,
-        whose series is 0 with no solve, is refused like a = 1."""
+        uniformizer is refused before any degree is solved, for a = 0 as
+        for a = 1."""
         src = LTSeed.standard(5, 14, 10)
         with pytest.raises(ValidationError, match=match):
             solve_intertwine(a, src, dst)
