@@ -31,13 +31,6 @@ from .elliptic_fg import (WeierstrassCurve, curve_group_law,
 
 REPORT_VERSION = 1
 
-COMMANDS = (
-    "lt-group-law", "lt-endo", "lt-iso", "cm-embed", "cm-pi",
-    "tower-build", "tower-disc", "tower-conductor", "divide",
-    "wedge-reduce", "wedge-extend", "galois-orders", "elliptic-fg",
-    "elliptic-match",
-)
-
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -60,6 +53,26 @@ SECTION_KEYS = {
 # leaves room for D = 2p = 74 at p = 37, where the Coates-Wiles
 # homomorphisms find 37 | B_32 (ROADMAP item 9).
 MAX_SEED_TRUNC = 100
+
+# The largest p of [field], [elliptic] and [wedge]: the field's root scan
+# and the curve's point count walk all p residues, and primality is
+# tested by trial division.  Fixtures and jobs use p <= 29.
+MAX_PRIME = 1000
+# The largest precision N: ``Zp(p, N)`` forms p^N at once.  Defaults are
+# inside: a seed's D + 10 <= 110, a field's 2p + 10 <= 2010 (its
+# truncation falls back to 2p).  Fixtures and jobs use N <= 68.
+MAX_PRECISION = 4000
+# The largest [elliptic] truncation: the exact rational expansion's time
+# grew tenfold from D = 200 to D = 400.  Fixtures and jobs use D <= 20.
+MAX_CURVE_TRUNC = 200
+
+
+def _at_most(value: int, bound: int, what: str) -> int:
+    """``value``, refused (exit 2) above ``bound``, before any work."""
+    if value > bound:
+        raise ValidationError(
+            f"{what} {value} is above {bound}, the largest a command takes")
+    return value
 
 
 class RunConfig:
@@ -162,19 +175,17 @@ class RunConfig:
             "seed", "trunc", max(2 * p, 10)))
 
     def prec_for(self, trunc: int, section="seed") -> int:
-        if self.precision is not None:
-            return self.precision
-        return self.integer(section, "precision", self.integer(
-            "seed", "precision", trunc + 10))
+        N = self.precision
+        if N is None:
+            N = self.integer(section, "precision", self.integer(
+                "seed", "precision", trunc + 10))
+        return _at_most(N, MAX_PRECISION, "precision")
 
     def seed(self, section="seed") -> LTSeed:
         p = self.integer(section, "p")
         kind = self.get(section, "kind")
-        D = self.trunc_for(p, section)
-        if D > MAX_SEED_TRUNC:
-            raise ValidationError(
-                f"truncation degree {D} is above {MAX_SEED_TRUNC}, the "
-                "largest a seed takes")
+        D = _at_most(self.trunc_for(p, section), MAX_SEED_TRUNC,
+                     "truncation degree")
         check_trunc(p, D)
         N = self.prec_for(D, section)
         if kind == "multiplicative":
@@ -187,7 +198,7 @@ class RunConfig:
 
     def field(self) -> CMField:
         poly = self.integers("field", "poly")
-        p = self.integer("field", "p")
+        p = _at_most(self.integer("field", "p"), MAX_PRIME, "[field] p")
         N = self.prec_for(self.trunc_for(p))
         conj = self.integers("field", "conj")
         cm_type = set(self.integers("field", "cm_type"))
@@ -199,7 +210,7 @@ class RunConfig:
         return CMField(poly, p, N, conj, cm_type, autos)
 
     def jets(self):
-        p = self.integer("wedge", "p")
+        p = _at_most(self.integer("wedge", "p"), MAX_PRIME, "[wedge] p")
         rows = self.require("wedge", "jets").split(";")
         return [UnitJet(p, tuple(self.integers("wedge", "jets", r)))
                 for r in rows]
@@ -360,9 +371,10 @@ def _run_galois_orders(cfg: RunConfig):
 def _elliptic(cfg: RunConfig):
     a = cfg.integer("elliptic", "a")
     b = cfg.integer("elliptic", "b")
-    p = cfg.integer("elliptic", "p")
-    D = (cfg.trunc if cfg.trunc is not None
-         else cfg.integer("elliptic", "trunc", 20))
+    p = _at_most(cfg.integer("elliptic", "p"), MAX_PRIME, "[elliptic] p")
+    D = _at_most(cfg.trunc if cfg.trunc is not None
+                 else cfg.integer("elliptic", "trunc", 20),
+                 MAX_CURVE_TRUNC, "truncation degree")
     E = WeierstrassCurve(a, b)
     return E, p, D
 
@@ -437,6 +449,8 @@ _RUNNERS = {
     "elliptic-fg": _run_elliptic_fg,
     "elliptic-match": _run_elliptic_match,
 }
+
+COMMANDS = tuple(_RUNNERS)
 
 
 def dispatch(cfg: RunConfig) -> dict:

@@ -3,11 +3,11 @@
 Level n adjoins the n-th torsion of the seed: it is the totally ramified
 extension of Z_p cut out by h_n = [pi^n](t) / [pi^(n-1)](t), an
 Eisenstein polynomial of degree p^(n-1)(p-1) certified by its Newton
-polygon.  Since d = t g(t), h_n = g([pi^(n-1)](t)) exactly, so the build
-divides nothing.  Elements are written in the power basis of the level-n
-torsion value lambda_n; because the candidate valuations
-i + d_n*ord_p(a_i) are pairwise distinct, valuations of sums are exact,
-never estimates.
+polygon.  All is read off the seed polynomial d: h_1 = d/t, h_n =
+h_(n-1)(d) (one composition, no division), and the pi-action is d.
+Elements are written in the power basis of lambda_n; the candidate
+valuations i + d_n*ord_p(a_i) are pairwise distinct, so valuations of
+sums are exact, never estimates.
 
 On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
@@ -77,37 +77,12 @@ class TowerRing:
         x.coeffs[1] = 1
         return x
 
-    def powers(self, x, D):
-        """The table [1, x, ..., x^D], shared by every evaluation at x."""
-        table = [self.zero(), x]
-        table[0].coeffs[0] = 1
-        for _ in range(2, D + 1):
-            table.append(table[-1] * x)
-        return table
-
-    def eval_series(self, series, table):
-        """Evaluate a one-variable TruncSeries over ``R`` with no constant
-        term at x, with ``table = powers(x, D)``: a scalar combination of
-        the table, reduced mod p^N once, with no product."""
-        if series.R is not self.R:
-            raise ValidationError("series and ring disagree on (p, N)")
-        mod = self.R.mod
-        acc = [0] * self.size
-        for (k,), c in series.coeffs.items():
-            if not k:
-                raise ValidationError("series must have no constant term")
-            for i, x in enumerate(table[k].coeffs):
-                if x:
-                    acc[i] += c * x
-        return LocalElement._reduced(self, [c % mod for c in acc])
-
 
 class EisensteinTower(InRing):
     """The tower of torsion fields of a polynomial seed, over the seed's
     ring ``R``; the seed polynomial d is formed once, as ``d``."""
 
-    __slots__ = ("seed", "R", "d", "max_degree", "pin", "levels", "rings",
-                 "disc")
+    __slots__ = ("seed", "R", "d", "max_degree", "levels", "rings", "disc")
 
     def __init__(self, seed: LTSeed, max_degree: int = 60):
         if not seed.is_polynomial:
@@ -116,9 +91,8 @@ class EisensteinTower(InRing):
         self.R = seed.R
         self.d = seed.to_poly()
         self.max_degree = max_degree
-        # pin[n] = [pi^(n+1)](t) as a polynomial; levels[n] = h_(n+1);
-        # rings[n] the level-n ring, level 0 being Z/p^N (modulus X)
-        self.pin = []
+        # levels[n] = h_(n+1); rings[n] the level-n ring, level 0 being
+        # Z/p^N (modulus X)
         self.levels = []
         self.rings = [TowerRing(self.R, [0, 1])]
         # level_disc, once both routes have agreed
@@ -132,13 +106,11 @@ class EisensteinTower(InRing):
         return self.p ** (n - 1) * (self.p - 1)
 
     def build(self, n: int) -> None:
-        """Build and certify levels up to n.  d = t g(t), so
-        [pi^k] = d([pi^(k-1)]) = [pi^(k-1)] g([pi^(k-1)]): the quotient
-        h_k is g([pi^(k-1)]) exactly, and [pi^k] = [pi^(k-1)] h_k (Lubin
-        and Tate, Ann. of Math. 81, 1965).  Nothing is divided."""
-        if len(self.levels) >= n:
-            return
-        g = PadicPoly(self.p, self.N, self.d.coeffs[1:])
+        """Build and certify levels up to n.  d = t h_1(t), and
+        [pi^k] = [pi^(k-1)](d), so the quotient h_k = [pi^k]/[pi^(k-1)]
+        is h_(k-1)(d) exactly (Lubin and Tate, Ann. of Math. 81, 1965):
+        h_1 is read off d and each later level is one composition.
+        Nothing is divided."""
         while len(self.levels) < n:
             k = len(self.levels) + 1
             dk = self.degree(k)
@@ -146,9 +118,8 @@ class EisensteinTower(InRing):
                 raise ValidationError(
                     f"level {k} has degree {dk} > budget {self.max_degree}"
                 )
-            prev = self.pin[-1] if self.pin else PadicPoly(self.p, self.N,
-                                                           [0, 1])
-            q = g.compose_poly(prev)
+            q = (self.levels[-1].compose_poly(self.d) if self.levels
+                 else PadicPoly(self.p, self.N, self.d.coeffs[1:]))
             if q.degree != dk:
                 raise InvariantError(
                     f"torsion polynomial at level {k} has degree {q.degree}, "
@@ -164,7 +135,6 @@ class EisensteinTower(InRing):
                 raise InvariantError(
                     f"level {k} constant term does not have valuation 1"
                 )
-            self.pin.append(prev * q)
             self.levels.append(q)
             self.rings.append(TowerRing(self.R, q.coeffs))
 
@@ -200,7 +170,9 @@ class LocalElement:
     At level n that is sum a_i lambda_n^i with a_i in Z_p, and valuations
     are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  The one
     operation is the product of two elements of the same level; a scalar,
-    or an element of another level, is refused.
+    or an element of another level, is refused.  The library's own
+    products (the pi-action, the resultant's columns) run on raw lists
+    through ``TowerRing.mul``.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -244,8 +216,9 @@ class LocalElement:
 
 def filtration_step(tower: EisensteinTower, x: LocalElement):
     """Apply the pi-action to a point in the kernel of reduction, an
-    element of some level (a base point is one of level 0); its valuation
-    increases by exactly one base unit."""
+    element of some level (a base point is one of level 0): d(x), by
+    Horner's rule on x's list with the level's one product.  Its
+    valuation increases by exactly one base unit."""
     ring = x.ring
     e = ring.size  # ord(p) in the level's units
     v = x.valuation()
@@ -254,7 +227,14 @@ def filtration_step(tower: EisensteinTower, x: LocalElement):
             "filtration step needs a point in the kernel of reduction "
             f"(valuation >= 1 in base units, got {Fraction(v, e)})"
         )
-    return ring.eval_series(tower.seed.d, ring.powers(x, tower.p))
+    if ring.R is not tower.R:
+        raise ValidationError("point and tower disagree on (p, N)")
+    mod, d = tower.R.mod, tower.d.coeffs
+    acc = [d[-1]] + [0] * (e - 1)
+    for c in reversed(d[:-1]):
+        acc = ring.mul(acc, x.coeffs)
+        acc[0] = (acc[0] + c) % mod
+    return LocalElement._reduced(ring, acc)
 
 
 def e_invariant(t0: PadicInt) -> int:

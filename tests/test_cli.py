@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower import cli, galois_model, padic
+from cmtower import cli, elliptic_fg, galois_model, padic, unit_wedge
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
 from cmtower.errors import PrecisionError
 from cmtower.lubin_tate import LTSeed
@@ -211,9 +211,9 @@ HUGE_P = 10 ** 18 + 3
 
 @pytest.fixture
 def sizes_checked_first(monkeypatch):
-    """Seed constructors and primality tests fail at once on a p above
-    the size bounds, so a bound checked too late fails the test instead
-    of running for minutes."""
+    """Seed constructors, primality tests, rings and curve expansions
+    fail at once on a size above the bounds, so a bound checked too late
+    fails the test instead of running for minutes."""
     def refusing(f, bound, i):
         def check(*args):
             if args[i] > bound:
@@ -225,9 +225,14 @@ def sizes_checked_first(monkeypatch):
         build = LTSeed.__dict__[name].__func__
         monkeypatch.setattr(LTSeed, name, classmethod(
             refusing(build, cli.MAX_SEED_TRUNC, 1)))
-    for module in (galois_model, padic):
-        monkeypatch.setattr(module, "is_prime", refusing(
-            padic.is_prime, galois_model.MAX_MODULUS, 0))
+    is_prime = refusing(padic.is_prime, galois_model.MAX_MODULUS, 0)
+    for module in (galois_model, padic, unit_wedge):
+        monkeypatch.setattr(module, "is_prime", is_prime)
+    # Zp(p, N) forms p^N
+    monkeypatch.setattr(padic.Zp, "__new__", refusing(
+        padic.Zp.__new__, cli.MAX_PRECISION, 2))
+    monkeypatch.setattr(elliptic_fg, "EllipticFormalData", refusing(
+        elliptic_fg.EllipticFormalData, cli.MAX_CURVE_TRUNC, 1))
 
 
 @st.composite
@@ -302,6 +307,23 @@ class TestMain:
         ("lt-endo", f"[seed]\np = {HUGE_P}\nkind = multiplicative\n"
          "trunc = 12\na = 2\n"),
         ("galois-orders", f"[galois]\np = {HUGE_P}\nm = 2\nn = 1\n"),
+        (f"lt-group-law --precision {HUGE_P}",
+         "[seed]\np = 5\nkind = standard\n"),
+        ("lt-group-law",
+         f"[seed]\np = 5\nkind = standard\nprecision = {HUGE_P}\n"),
+        ("lt-iso", SEEDS + f"precision = {HUGE_P}\n"),
+        ("cm-embed",
+         GAUSS + f"alpha = 2 1\n[seed]\nprecision = {HUGE_P}\n"),
+        (f"elliptic-match --precision {HUGE_P}", CURVE),
+        ("cm-embed",
+         GAUSS.replace("p = 5", f"p = {HUGE_P}") + "alpha = 2 1\n"),
+        ("elliptic-fg", CURVE.replace("p = 13", f"p = {HUGE_P}")),
+        ("elliptic-match", CURVE.replace("p = 13", f"p = {HUGE_P}")),
+        ("elliptic-fg", CURVE + f"trunc = {HUGE_P}\n"),
+        (f"elliptic-match --trunc {HUGE_P}", CURVE),
+        ("wedge-reduce", f"[wedge]\np = {HUGE_P}\njets = 2 3; 4 1\n"),
+        ("wedge-extend",
+         f"[wedge]\np = {HUGE_P}\njets = 2 3; 4 1\ns = 2\n"),
     ), ids=("wedge-p-word", "galois-m-word", "wedge-p-zero",
             "wedge-reduce-p-composite", "wedge-extend-p-composite",
             "tower-build-level-zero", "tower-build-level-negative",
@@ -315,13 +337,27 @@ class TestMain:
             "field-precision-key", "seed-unknown-key", "unknown-section",
             "percent-in-value", "default-section", "divide-t0-torsion",
             "tower-conductor-t0-torsion", "galois-depth-past-bound",
-            "seed-p-huge", "seed-p-above-trunc", "galois-p-huge"))
+            "seed-p-huge", "seed-p-above-trunc", "galois-p-huge",
+            "precision-flag-huge", "seed-precision-huge",
+            "seed2-precision-huge", "field-precision-huge",
+            "elliptic-precision-huge", "field-p-huge", "elliptic-fg-p-huge",
+            "elliptic-match-p-huge", "elliptic-trunc-huge",
+            "elliptic-flag-trunc-huge", "wedge-reduce-p-huge",
+            "wedge-extend-p-huge"))
     def test_bad_value_is_validation_error(self, tmp_path, capsys, command,
                                            body, sizes_checked_first):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
         assert main([*command.split(), "--config", str(cfg)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_size_bounds_admit_every_default(self):
+        """The default precisions of the largest seed truncation and of
+        the largest [field] p are inside the precision bound."""
+        cfg = RunConfig("cm-embed", {}, {})
+        assert cfg.prec_for(cli.MAX_SEED_TRUNC) == cli.MAX_SEED_TRUNC + 10
+        p = cli.MAX_PRIME
+        assert cfg.prec_for(cfg.trunc_for(p)) == 2 * p + 10
 
     @pytest.mark.parametrize("command", ("elliptic-fg", "elliptic-match"))
     @pytest.mark.parametrize("p", (0, 1, 2, 4, -13, 9, 21, 25))

@@ -145,39 +145,37 @@ class TestTorsionPolys:
 
 
 def divided_torsion_polys(seed, n):
-    """(levels, pin) as raw lists up to level n, by the build as first
+    """The levels as raw lists up to level n, by the build as first
     written: [pi^k] = d([pi^(k-1)]) by composition, and h_k its quotient
     by [pi^(k-1)], with the remainder checked to be zero."""
     d = seed.to_poly()
     prev = PadicPoly(seed.p, seed.N, [0, 1])
-    levels, pin = [], []
+    levels = []
     for k in range(1, n + 1):
         cur = d.compose_poly(prev)
         q, r = cur.divmod_unit(prev)
         assert r.is_zero(), f"[pi^{k}] is not divisible by [pi^{k - 1}]"
         levels.append(q.coeffs)
-        pin.append(cur.coeffs)
         prev = cur
-    return levels, pin
+    return levels
 
 
 def check_against_division(seed, n):
-    """The tower's levels and pin up to level n are the divided route's,
-    byte for byte; where the build refuses a level, the levels it did
-    certify are."""
+    """The tower's levels up to level n are the divided route's, byte for
+    byte; where the build refuses a level, the levels it did certify
+    are."""
     tw = EisensteinTower(seed)
     try:
         tw.build(n)
     except InvariantError:
         assert len(tw.levels) < n
-    levels, pin = divided_torsion_polys(seed, len(tw.levels))
-    assert [h.coeffs for h in tw.levels] == levels
-    assert [x.coeffs for x in tw.pin] == pin
+    assert ([h.coeffs for h in tw.levels]
+            == divided_torsion_polys(seed, len(tw.levels)))
     return len(tw.levels)
 
 
 class TestTorsionPolysAgainstDivision:
-    """h_k = g([pi^(k-1)]) with g = d/t against the quotient
+    """h_1 = d/t and h_k = h_(k-1)(d) against the quotient
     [pi^k] / [pi^(k-1)] the build first computed."""
 
     @pytest.mark.parametrize("seed", range(8))
@@ -195,6 +193,28 @@ class TestTorsionPolysAgainstDivision:
         mid = 3 * data.draw(st.integers(0, 27))
         check_against_division(LTSeed.from_coeffs(3, N, 5, [0, pi, mid, top]),
                                3)
+
+    @pytest.mark.parametrize("kind", ("standard", "multiplicative"))
+    def test_p3_seeds_to_level_four(self, kind):
+        """Level 4 at p = 3 has degree 54, inside the budget of 60."""
+        assert check_against_division(tower(3, kind=kind).seed, 4) == 4
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_one_composition_per_level_past_the_first(self, n, monkeypatch):
+        """A fresh ``build(n)`` reads h_1 off d and composes once for each
+        later level."""
+        calls = []
+        compose = PadicPoly.compose_poly
+
+        def counting(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(PadicPoly, "compose_poly", counting)
+        tw = tower(3)
+        tw.build(n)
+        assert len(calls) == n - 1
+        assert all(d is tw.d for d in calls)
 
     def test_no_division_and_one_seed_polynomial(self, monkeypatch):
         """A ``tower`` job at seed 0 forms d once per tower and divides
@@ -276,11 +296,6 @@ class TestValuations:
                 assert not any(horner(t.h(n).coeffs, t.lam(n)).coeffs)
 
 
-def horner_filtration(tower, x):
-    """The filtration step as first written: Horner's rule for d at x."""
-    return horner(tower.seed.to_poly().coeffs, x)
-
-
 class TestFiltration:
     def test_step_adds_one_base_unit(self):
         rng = random.Random(43)
@@ -307,9 +322,9 @@ class TestFiltration:
            st.sampled_from(("standard", "non-monic")),
            st.randoms(use_true_random=False))
     def test_matches_horner(self, p, level, kind, rng):
-        """The step is the value of d at x by the power table, the same
-        element (not only the same valuation) as Horner's rule; a base
-        point is an element of level 0."""
+        """The step is the value of d at x, the same element (not only
+        the same valuation) as the evaluation with one product per
+        monomial; a base point is an element of level 0."""
         N = 16
         seed = (LTSeed.standard(p, N, p + 2) if kind == "standard"
                 else non_monic_seed(p, N))
@@ -317,9 +332,17 @@ class TestFiltration:
         coeffs = [p * rng.randrange(p ** (N - 1))
                   for _ in range(t.degree(level))]
         x = t.element(level, coeffs)
-        got, want = filtration_step(t, x), horner_filtration(t, x)
+        got = filtration_step(t, x)
+        want = reference_eval_series(seed.d, [Elt(x.ring, coeffs)])
         assert got.coeffs == want.coeffs
         assert got.valuation() == want.valuation()
+
+    def test_foreign_point_rejected(self):
+        """A point of a tower over another (p, N) is refused."""
+        t, other = tower(3), tower(3, N=20)
+        x = other.element(1, [3, 3])
+        with pytest.raises(ValidationError, match="disagree on"):
+            filtration_step(t, x)
 
 
 class TestDiscriminant:
@@ -682,9 +705,8 @@ def ring_point(draw, ring):
 
 
 class TestEvalSeries:
-    """One-variable scalar combinations of a shared power table, and the
-    two-variable Horner oracle, against the evaluation with one product
-    per monomial, in a tower level."""
+    """The two-variable Horner oracle against the evaluation with one
+    product per monomial, in a tower level."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -696,27 +718,13 @@ class TestEvalSeries:
         top = data.draw(st.sampled_from((1, 1 + p)))
         seed = LTSeed.from_coeffs(p, N, D, [0, p] + [0] * (p - 2) + [top])
         ring = EisensteinTower(seed).ring(data.draw(st.sampled_from((1, 2))))
-        nvars = data.draw(st.sampled_from((1, 2)))
-        exps = ([(k,) for k in range(1, D + 1)] if nvars == 1 else
-                [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)])
-        series = TruncSeries(p, N, nvars, D, data.draw(st.dictionaries(
+        exps = [(k - j, j) for k in range(1, D + 1) for j in range(k + 1)]
+        series = TruncSeries(p, N, 2, D, data.draw(st.dictionaries(
             st.sampled_from(exps), st.integers(0, ring.R.mod - 1))))
-        points = [Elt(ring, data.draw(ring_point(ring)))
-                  for _ in range(nvars)]
-        if nvars == 1:
-            x = LocalElement(ring, points[0].coeffs)
-            got = ring.eval_series(series, ring.powers(x, D))
-        else:
-            got = horner_eval(series, *points)
+        points = [Elt(ring, data.draw(ring_point(ring))) for _ in range(2)]
+        got = horner_eval(series, *points)
         want = reference_eval_series(series, points)
         assert got.coeffs == want.coeffs
-
-    def test_constant_term_rejected(self):
-        seed = non_monic_seed(3, 20)
-        ring = EisensteinTower(seed).ring(1)
-        series = TruncSeries(3, seed.N, 1, seed.trunc, {(0,): 1, (1,): 1})
-        with pytest.raises(ValidationError, match="constant term"):
-            ring.eval_series(series, ring.powers(ring.lam(), seed.trunc))
 
 
 def level1_displacements(tower, q):
@@ -750,16 +758,17 @@ def level1_displacements(tower, q):
         for k, x in enumerate(s[i]):
             E[k][j] += c * x
     E = [[x % mod for x in row] for row in E]
-    lams = level.powers(level.lam(), D)
+    lams = elt_powers(Elt(level, [0, 1]), D)
     for a in range(1, p):
-        tv = lams[1] if a == 1 else level.eval_series(endo(seed, a), lams)
+        tv = lams[1] if a == 1 else reference_eval_series(endo(seed, a),
+                                                          [lams[1]])
         disp = [0] * ref.size
         disp[::w] = tv.coeffs
         if ref.val(disp) != p:
             raise InvariantError(
                 f"torsion value [{a}] does not have valuation {p}"
             )
-        tvs = lams if a == 1 else level.powers(tv, D)
+        tvs = lams if a == 1 else elt_powers(tv, D)
         for k, row in enumerate(E):
             acc = [0] * level.size
             for e, y in zip(row, tvs):
