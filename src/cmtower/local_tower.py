@@ -281,7 +281,8 @@ def _resultant_element(tower: EisensteinTower) -> list:
     of multiplication by m', whose column k is t^k m' mod m (Cohen,
     GTM 138, section 3.3: the resultant as a norm).  That is a polynomial
     identity over Z[coefficients, 1/lc], and ``ring_det`` is
-    division-free, so the result is the same ring element as the
+    division-free, whether it packs the entries into integers or reduces
+    as it goes, so the result is the same ring element as the
     determinant of the (2p - 1)-square Sylvester matrix of m and m'.
     The columns come by shift and reduce: t times a column is the column
     shifted up plus its top entry times -m_i/lc in row i, and only

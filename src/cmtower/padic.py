@@ -19,14 +19,20 @@ Three carriers live here, each holding its ring as ``R`` (``p`` and
 
 Dense coefficient lists share two kernels: ``mul_coeffs``, the unreduced
 schoolbook product, and ``rem_coeffs``, long division mod p^N by a
-polynomial with a unit leading coefficient.  ``PadicPoly`` and the tower
-levels of ``local_tower.TowerRing`` multiply and reduce through them; so
-does the determinant ``ring_det``, whose sums of products accumulate
-unreduced in one list through ``mul_coeffs(a, b, out)``.
-That form stops at the last degree of ``out``: ``power_table``, the one
-table of powers of a one-variable series, and the elliptic expansion
+polynomial with a unit leading coefficient.  ``PadicPoly`` (its Horner
+``compose_poly`` too) and the tower levels of ``local_tower.TowerRing``
+multiply and reduce through them.  ``mul_coeffs(a, b, out)`` adds a
+product into ``out`` and stops at its last degree: ``power_table``, the
+one table of powers of a one-variable series, and the elliptic expansion
 multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
 ``TruncSeries.__mul__`` is the multivariate product behind ``compose``.
+
+The determinant ``ring_det`` packs the coefficient lists of a tower level
+into integers (the Kronecker substitution X = 2^s), takes one integer
+determinant and reduces the result once, by h through ``rem_coeffs`` and
+mod p^N.  Past ``MAX_SLOT_BITS`` bits a slot, where packed integers cost
+more than reducing as it goes, its list kernel accumulates each sum of
+products in one list through ``mul_coeffs(a, b, out)`` and reduces it.
 
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
@@ -36,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from operator import attrgetter
+from math import factorial, isqrt
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .errors import HenselError, PrecisionError, ValidationError
@@ -326,11 +332,18 @@ class PadicPoly(InRing):
         return PadicPoly(self.p, self.N, c[d:]), PadicPoly(self.p, self.N, c[:d])
 
     def compose_poly(self, other: "PadicPoly") -> "PadicPoly":
+        """self(other), by Horner on raw lists: each step is one
+        ``mul_coeffs`` product reduced mod p^N, and one polynomial is
+        made at the end."""
         self._check(other)
-        acc = PadicPoly(self.p, self.N, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + PadicPoly(self.p, self.N, [c])
-        return acc
+        mod, g = self.R.mod, other.coeffs or [0]
+        *rest, top = self.coeffs or [0]
+        acc = [top]
+        for c in reversed(rest):
+            acc = mul_coeffs(acc, g)
+            acc[0] += c
+            acc = [x % mod for x in acc]
+        return PadicPoly(self.p, self.N, acc)
 
     def __eq__(self, other):
         if not isinstance(other, PadicPoly):
@@ -458,23 +471,64 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 # Determinants and resultants
 # ---------------------------------------------------------------------------
 
-def ring_det(rows, mod=None, h=None) -> list:
-    """Determinant over Z/mod[X]/(h) by Berkowitz's division-free
-    algorithm (Inf. Process. Lett. 18 (1984)): O(n^4) ring products and no
-    division, so the same ring element as Laplace expansion gives.
-    Entries, and the result, are raw coefficient lists, lowest degree
-    first: deg h residues over Z/mod[X]/(h) (h need not be monic, but its
-    leading coefficient must be a unit), one residue over Z/mod when ``h``
-    is None, and one integer over Z when ``mod`` is None too.
+# The widest slot, in bits, at which ring_det packs a level ring into
+# integers.  A packed entry is about n times wider than a reduced one, so
+# past some width the packed determinant loses to the list kernel.  On
+# the tower's p x p norm matrices (w = p - 1, random Eisenstein seeds,
+# Python 3.11, packed time / list time) the ratio was, by slot width s:
+# p = 7: 0.35 at s = 428 (N = 20), 0.60 at 820 (N = 40), 0.80 at 1016
+# (N = 50), 0.95 at 1212 (N = 60), 1.47 at 1604 (N = 80);
+# p = 5: 0.33 at 481 (N = 40), 0.61 at 946 (N = 80), 1.15 at 2341
+# (N = 200); p = 3: 0.47 at 957 (N = 200), 1.08 at 4761 (N = 1000).
+# p = 7 breaks even first, near s = 1250; below 1024 every shape packs
+# faster than the lists.
+MAX_SLOT_BITS = 1024
 
-    det(x - A_r) of the leading r x r block grows one row and column at a
-    time.  Writing the next block as [[M, C], [R, a]], its coefficients
-    are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
-    -R M^(r-1) C] with those of det(x - M), and det A = (-1)^n c_n.  Each
-    sum of products (an entry of M^k C, a q_k, a Toeplitz coefficient) is
-    accumulated unreduced through ``mul_coeffs(.., out)`` and reduced
-    once: by h through ``rem_coeffs``, then mod ``mod``.  Products with a
-    zero factor (``not any(entry)``) are skipped."""
+
+def _slot_width(n: int, w: int, mod: int) -> int:
+    """Bits per slot s when ``ring_det`` packs an n x n matrix of entries
+    with w coefficients in [0, mod) at X = 2^s.  A coefficient of the
+    unreduced determinant over Z[X] is a signed sum of n! Leibniz terms.
+    Each term's coefficient is one of a product of n polynomials with w
+    coefficients, a sum of at most w^(n-1) products (the degrees taken
+    from the first n - 1 factors fix the last) of n factors at most
+    mod - 1.  So its absolute value is at most B = n! w^(n-1) (mod-1)^n
+    < 2^bitlen(B), and a signed slot of bitlen(B) + 1 bits holds it.
+    bitlen(xy) <= bitlen(x) + bitlen(y) bounds bitlen(B) without forming
+    (mod-1)^n, which took a tenth of a list-kernel call at p = 3,
+    N = 1000."""
+    return (n * (mod - 1).bit_length()
+            + (factorial(n) * w ** max(n - 1, 0)).bit_length() + 1)
+
+
+def _berkowitz_ints(rows) -> int:
+    """The determinant of a square int matrix by Berkowitz's recursion
+    (see ``ring_det``), nothing reduced: every sum of products is one
+    ``sum(map(mul, ..))``."""
+    n = len(rows)
+    c = [1]  # coefficients of det(x - A_r), highest power first
+    for r in range(n):
+        block = [row[:r] for row in rows[:r]]
+        R = rows[r][:r]
+        v = [row[r] for row in rows[:r]]  # M^k C, from k = 0
+        q = [1, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, row, v)) for row in block]
+            q.append(-sum(map(mul, R, v)))
+        # c'_k = sum_j q_(k-j) c_j, q read backwards
+        q.reverse()
+        c = [sum(map(mul, c, q[r + 1 - k:])) for k in range(r + 2)]
+    return c[n] if n % 2 == 0 else -c[n]
+
+
+def _berkowitz_lists(rows, mod, h) -> list:
+    """``ring_det`` over Z/mod[X]/(h), or Z/mod when ``h`` is None, on
+    coefficient lists: each sum of products (an entry of M^k C, a q_k, a
+    Toeplitz coefficient) is accumulated unreduced through
+    ``mul_coeffs(.., out)`` and reduced once, by h through ``rem_coeffs``,
+    then mod ``mod``.  Products with a zero factor (``not any(entry)``)
+    are skipped."""
     w = len(h) - 1 if h else 1
     inv = pow(h[-1], -1, mod) if h else None
 
@@ -482,7 +536,7 @@ def ring_det(rows, mod=None, h=None) -> list:
         if h:
             rem_coeffs(buf, h, inv, mod)
             return buf[:w]
-        return [buf[0] % mod] if mod else buf
+        return [buf[0] % mod]
 
     def dot(pairs, v, nz):
         buf = [0] * (2 * w - 1)
@@ -519,6 +573,62 @@ def ring_det(rows, mod=None, h=None) -> list:
             out.append(red(buf))
         c = out
     return list(c[n]) if n % 2 == 0 else red([-x for x in c[n]])
+
+
+def ring_det(rows, mod=None, h=None) -> list:
+    """Determinant over Z/mod[X]/(h) by Berkowitz's division-free
+    algorithm (Inf. Process. Lett. 18 (1984)): O(n^4) ring products and no
+    division, so the same ring element as Laplace expansion gives.
+    Entries, and the result, are raw coefficient lists, lowest degree
+    first: at most deg h residues over Z/mod[X]/(h) (h need not be monic,
+    but its leading coefficient must be a unit), one residue over Z/mod
+    when ``h`` is None, and one integer over Z when ``mod`` is None too.
+
+    det(x - A_r) of the leading r x r block grows one row and column at a
+    time.  Writing the next block as [[M, C], [R, a]], its coefficients
+    are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
+    -R M^(r-1) C] with those of det(x - M), and det A = (-1)^n c_n.
+
+    Being division-free, the recursion runs unchanged over Z after the
+    Kronecker substitution X = 2^s (Schoenhage, EUROCAM 1982): each entry
+    is reduced mod ``mod`` and packed into one integer with slots of s
+    bits (``_slot_width``), ``_berkowitz_ints`` takes one integer
+    determinant, and its n(w - 1) + 1 signed slots are unpacked, reduced
+    mod ``mod`` and divided by h once.  Evaluation at 2^s is a ring
+    homomorphism and no slot carries, so this is the determinant
+    polynomial's remainder mod (h, mod), which is unique since h has a
+    unit lead.  Above ``MAX_SLOT_BITS`` the list kernel
+    ``_berkowitz_lists`` reduces every sum of products instead."""
+    if mod is None:
+        return [_berkowitz_ints([[a[0] for a in row] for row in rows])]
+    n, w = len(rows), len(h) - 1 if h else 1
+    s = _slot_width(n, w, mod)
+    if s > MAX_SLOT_BITS:
+        return _berkowitz_lists(rows, mod, h)
+    packed = []
+    for row in rows:
+        prow = []
+        for a in row:
+            x = 0
+            for c in reversed(a):
+                x = x << s | c % mod
+            prow.append(x)
+        packed.append(prow)
+    det = _berkowitz_ints(packed)
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    out = []
+    for _ in range(n * (w - 1) + 1):
+        x = det & mask
+        det >>= s
+        if x >= half:  # a negative slot borrowed from the next one
+            x -= mask + 1
+            det += 1
+        out.append(x % mod)
+    if h:
+        out += [0] * (w - len(out))
+        rem_coeffs(out, h, pow(h[-1], -1, mod), mod)
+        return out[:w]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,33 @@ class TestPadicInt:
                 x.congruent(2, k)
 
 
+def compose_by_polys(f, g):
+    """f(g) by Horner with a PadicPoly made at every step, as first
+    written: the oracle of the raw-list ``compose_poly``."""
+    acc = PadicPoly(f.p, f.N, [])
+    for c in reversed(f.coeffs):
+        acc = acc * g + PadicPoly(f.p, f.N, [c])
+    return acc
+
+
+@st.composite
+def compose_case(draw):
+    """Two coefficient lists mod p^N; g's last coefficient is at times
+    0 mod p^N (the constructor drops it) or has a power that is."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(1, 10))
+    mod = p ** N
+    coeff = st.integers(-mod, 2 * mod)
+    f = draw(st.lists(coeff, max_size=7))
+    g = draw(st.lists(coeff, max_size=5))
+    lead = draw(st.sampled_from(("any", "zero", "nilpotent")))
+    if lead == "zero":
+        g.append(mod * draw(st.integers(-2, 2)))
+    elif lead == "nilpotent":
+        g.append(p ** ((N + 1) // 2) * draw(st.integers(1, p)))
+    return p, N, f, g
+
+
 class TestPadicPoly:
     def test_divmod_unit(self):
         p, N = 5, 8
@@ -208,6 +235,18 @@ class TestPadicPoly:
         h = f.compose_poly(g)
         # f(g(x)) = 2(1+x) + (1+x)^2 = 3 + 4x + x^2
         assert h.coeffs == [3, 4, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(compose_case())
+    @example((3, 4, [1, 2, 3], [0, 9]))  # g's lead squares to 0 mod 3^4
+    @example((5, 3, [4, 0, 1], [2, 0, 125]))  # g's lead is 0 mod 5^3
+    @example((7, 2, [], [1, 1]))
+    @example((7, 2, [3, 1], []))
+    def test_compose_matches_per_step_polynomials(self, case):
+        p, N, f, g = case
+        f, g = PadicPoly(p, N, f), PadicPoly(p, N, g)
+        assert f.compose_poly(g) == compose_by_polys(f, g)
+
 
 
 @st.composite

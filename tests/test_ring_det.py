@@ -1,20 +1,24 @@
 """Differential tests: the raw-entry Berkowitz kernel ring_det against
 Laplace expansion and against Berkowitz on ring elements, over the
-integers, over Z/p^N (with zero divisors) and over the level-1 tower ring;
-the discriminant's p x p norm determinant against the Sylvester
-determinant of the same resultant; and the precision ladder of that
-resultant and of level_disc."""
+integers, over Z/p^N (with zero divisors) and over the level-1 tower ring,
+on both sides of the packed kernel's cutover; the slot width against the
+unreduced determinant over Z[X]; the discriminant's p x p norm
+determinant against the Sylvester determinant of the same resultant; and
+the precision ladder of that resultant and of level_disc."""
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmtower import padic
 from cmtower.errors import PrecisionError
 from cmtower.local_tower import (EisensteinTower, _disc_resultant,
                                  _resultant_element, level_disc)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, ring_det
+from cmtower.padic import (MAX_SLOT_BITS, PadicInt, _berkowitz_lists,
+                           _slot_width, rem_coeffs, ring_det)
 from test_bench_workloads import lib as bench
 from test_local_tower import Elt
 
@@ -147,10 +151,11 @@ def test_residues_match_laplace(p, N, data):
 
 
 @lru_cache(maxsize=None)
-def level1(p, coeffs=None):
-    """Level 1 of the standard seed at p, or of the seed ``coeffs``."""
-    seed = (LTSeed.standard(p, 8, p + 2) if coeffs is None
-            else LTSeed.from_coeffs(p, 8, p + 2, list(coeffs)))
+def level1(p, coeffs=None, N=8):
+    """Level 1 of the standard seed at p, or of the seed ``coeffs``, at
+    precision N."""
+    seed = (LTSeed.standard(p, N, p + 2) if coeffs is None
+            else LTSeed.from_coeffs(p, N, p + 2, list(coeffs)))
     tower = EisensteinTower(seed)
     tower.build(1)
     return tower
@@ -182,6 +187,92 @@ def test_non_monic_level1_matches_laplace(data):
     tower = level1(*NON_MONIC)
     assert tower.h(1).coeffs[-1] == 6
     check_level1(tower, data)
+
+
+# (p, N) on both sides of MAX_SLOT_BITS: the slot width grows with the
+# matrix size n and with N, so at each p some level-1 matrices of the
+# grid (n <= 6) pack and some run on the lists
+CUTOVER_GRID = [(7, 8), (3, 20), (5, 20), (7, 20), (7, 40), (3, 80),
+                (7, 80), (3, 200), (5, 200), (7, 200)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_cutover_grid_straddles_the_constant(p):
+    widths = [_slot_width(n, p - 1, p ** N)
+              for q, N in CUTOVER_GRID if q == p for n in range(1, 7)]
+    assert min(widths) <= MAX_SLOT_BITS < max(widths)
+
+
+@pytest.mark.parametrize("p, N", CUTOVER_GRID,
+                         ids=[f"p{p}-N{N}" for p, N in CUTOVER_GRID])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_level1_across_the_cutover_matches_laplace(p, N, data):
+    check_level1(level1(p, N=N), data)
+
+
+class ZX:
+    """An integer polynomial, lowest degree first, with the ring
+    operations Laplace expansion needs and no reduction at all."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = list(c)
+
+    def __add__(self, other):
+        n = max(len(self.c), len(other.c))
+        a, b = (x.c + [0] * (n - len(x.c)) for x in (self, other))
+        return ZX(x + y for x, y in zip(a, b))
+
+    def __neg__(self):
+        return ZX(-x for x in self.c)
+
+    def __mul__(self, other):
+        out = [0] * max(len(self.c) + len(other.c) - 1, 0)
+        for i, x in enumerate(self.c):
+            for j, y in enumerate(other.c):
+                out[i + j] += x * y
+        return ZX(out)
+
+
+def top_of_range(p, N, shape):
+    """A p x p matrix of entries with w = p - 1 coefficients, each
+    p^N - 1 where the entry is nonzero: diagonal, anti-diagonal, or
+    random (a quarter of the entries zero)."""
+    w, top = p - 1, p ** N - 1
+    full, zero = [top] * w, [0] * w
+    if shape == "diagonal":
+        return [[full if i == j else zero for j in range(p)]
+                for i in range(p)]
+    if shape == "anti-diagonal":
+        return [[full if i + j == p - 1 else zero for j in range(p)]
+                for i in range(p)]
+    rng = random.Random(p * N)
+    return [[[top if rng.random() < 0.75 else 0 for _ in range(w)]
+             for _ in range(p)] for _ in range(p)]
+
+
+@pytest.mark.parametrize("shape", ("diagonal", "anti-diagonal", "random"))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_slot_width_bounds_the_unreduced_determinant(p, shape):
+    """Every coefficient of the determinant over Z[X], expanded by
+    Laplace, fits a signed slot of ``_slot_width`` bits; the packed
+    kernel then gives the list kernel's element and Laplace's remainder
+    mod (h, p^N), for a non-monic h."""
+    N, w = 10, p - 1
+    mod = p ** N
+    s = _slot_width(p, w, mod)
+    assert s <= MAX_SLOT_BITS  # the packed path is the one under test
+    rows = top_of_range(p, N, shape)
+    det = laplace_det([[ZX(a) for a in row] for row in rows],
+                      ZX([]), ZX([1])).c
+    assert any(det) and all(abs(x) < 2 ** (s - 1) for x in det)
+    h = [p] * w + [1 + p]
+    want = [x % mod for x in det] + [0] * w
+    rem_coeffs(want, h, pow(h[-1], -1, mod), mod)
+    assert ring_det(rows, mod, h) == _berkowitz_lists(rows, mod, h) \
+        == want[:w]
 
 
 def disc_sylvester(tower):
@@ -225,6 +316,50 @@ def test_norm_matches_sylvester_on_the_benchmark_towers():
         seed = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
         assert isinstance(assert_norm_is_sylvester(EisensteinTower(seed)),
                           list), job.id
+
+
+def test_benchmark_norm_matrices_take_the_packed_path(monkeypatch):
+    """Every norm matrix of the benchmark's seed-0 ``tower`` batch goes
+    through one integer determinant, none through the lists: a change of
+    MAX_SLOT_BITS cannot quietly turn the packed kernel off there."""
+    dims = []
+    ints = padic._berkowitz_ints
+
+    def counting(rows):
+        dims.append(len(rows))
+        return ints(rows)
+
+    def refusing(*args):
+        raise AssertionError("the list kernel ran on a norm matrix")
+
+    monkeypatch.setattr(padic, "_berkowitz_ints", counting)
+    monkeypatch.setattr(padic, "_berkowitz_lists", refusing)
+    jobs = bench.WORKLOADS["tower"].generate(0, None)
+    for job in jobs:
+        q = job.params
+        seed = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
+        _resultant_element(EisensteinTower(seed))
+    assert dims == [job.params["p"] for job in jobs]
+
+
+@pytest.mark.parametrize("N, packed", [(20, True), (40, True),
+                                       (80, False), (200, False)])
+def test_norm_matrix_at_p7_on_each_side_of_the_cutover(N, packed,
+                                                      monkeypatch):
+    """At p = 7 the norm matrix packs up to N = 40 and runs on the lists
+    from N = 80; either way it is the Sylvester determinant's element."""
+    tower = level1(7, N=N)
+    kernels = []
+    for name in ("_berkowitz_ints", "_berkowitz_lists"):
+        def counting(*args, _name=name, _f=getattr(padic, name)):
+            kernels.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(padic, name, counting)
+    _resultant_element(tower)
+    assert kernels == (["_berkowitz_ints"] if packed
+                       else ["_berkowitz_lists"])
+    monkeypatch.undo()
+    assert isinstance(assert_norm_is_sylvester(tower), list)
 
 
 @st.composite
