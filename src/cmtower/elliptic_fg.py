@@ -29,10 +29,9 @@ the strict isomorphism to the standard seed as its series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction  # prints a coefficient in an error message
 from math import comb, gcd, isqrt, lcm
-from typing import NamedTuple
 
 from .errors import InvariantError, ValidationError
 # lt_group_law is unused here; perfbench/spans.py patches this binding
@@ -45,21 +44,18 @@ from .padic import (PadicInt, PadicPoly, TruncSeries, Zp, hensel_root,
 # series over Q and Q(i): integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
-class QSeries(NamedTuple):
+class QSeries(namedtuple("QSeries", "num den")):
     """A truncated series over Q: the coefficient of z^k is
     ``num[k] / den``, with ``den > 0``."""
 
-    num: list
-    den: int
+    __slots__ = ()
 
 
-class GaussSeries(NamedTuple):
+class GaussSeries(namedtuple("GaussSeries", "re im den")):
     """A truncated series over Q(i): the coefficient of z^k is
     ``(re[k] + im[k] i) / den``, with ``den > 0``."""
 
-    re: list
-    im: list
-    den: int
+    __slots__ = ()
 
 
 def _reduced(num: list, den: int) -> QSeries:
@@ -89,13 +85,11 @@ def gmul(a, b):
 # curve and formal data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a b")):
     """y^2 = x^3 + a x + b with integer coefficients (rational ones are
     expanded too, and their group law is checked for integrality)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     @property
     def discriminant(self) -> int:

@@ -20,7 +20,7 @@ listed elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import InvariantError, ValidationError
@@ -32,21 +32,17 @@ from .padic import is_prime
 MAX_MODULUS = 10 ** 5
 
 
-@dataclass(frozen=True)
-class TriElement:
+class TriElement(namedtuple("TriElement", "p m a b")):
     """The matrix (1 a; 0 b) over Z/p^m, b a unit."""
 
-    p: int
-    m: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        mod = self.p ** self.m
-        object.__setattr__(self, "a", self.a % mod)
-        object.__setattr__(self, "b", self.b % mod)
-        if gcd(self.b, self.p) != 1:
+    def __new__(cls, p, m, a, b):
+        mod = p ** m
+        a, b = a % mod, b % mod
+        if gcd(b, p) != 1:
             raise ValidationError("lower-right entry must be a unit")
+        return super().__new__(cls, p, m, a, b)
 
     def inverse(self) -> "TriElement":
         mod = self.p ** self.m
@@ -76,18 +72,13 @@ def _primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // d, p) != 1 for d in ds))
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "p m j k")):
     """Congruence subgroup {a = 0 mod p^j, b = 1 mod p^k}."""
 
-    p: int
-    m: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, m = self.p, self.m
-        if not (0 <= self.j <= m and 0 <= self.k <= m):
+    def __new__(cls, p, m, j, k):
+        if not (0 <= j <= m and 0 <= k <= m):
             raise ValidationError("congruence levels must lie in [0, m]")
         # before the trial division of p, O(sqrt p) steps; p^m is formed
         # only for m up to the bound's bit length
@@ -97,12 +88,14 @@ class SubgroupSpec:
                 "modulus the model counts")
         if not is_prime(p):
             raise ValidationError(f"p must be prime, got {p}")
+        self = super().__new__(cls, p, m, j, k)
         # closure is automatic: a'' = a' + a b' and b'' = b b' preserve
         # both congruences; checked on the generators and their products
         gens = self.generators()
         if not all(self.contains(z) for z in
                    gens + [compose(x, y) for x in gens for y in gens]):
             raise InvariantError("congruence set is not closed")
+        return self
 
     def contains(self, x: TriElement) -> bool:
         return (x.a % self.p ** self.j == 0

@@ -27,7 +27,7 @@ Lubin-Tate solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvariantError, PrecisionError, ValidationError
@@ -363,20 +363,16 @@ def character_conductor_floor(tower: EisensteinTower) -> int:
 # dividing a point through the tower
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisionState:
+class DivisionState(namedtuple(
+        "DivisionState", "t0 e level history ramified_at certificate",
+        defaults=((), None, None))):
     """Progress of dividing the point with coordinate t0 through the
     tower.  ``history[k]`` is the certified level-(k+1) division value
     (all of them live in the base field while division splits);
     ``ramified_at`` is set once the Eisenstein certificate is produced
     and no further division is possible here."""
 
-    t0: PadicInt
-    e: int
-    level: int
-    history: tuple = ()
-    ramified_at: "int | None" = None
-    certificate: "object | None" = None
+    __slots__ = ()
 
     @classmethod
     def start(cls, t0: PadicInt) -> "DivisionState":
@@ -448,19 +444,14 @@ def divide_point(tower: EisensteinTower, state: DivisionState,
 # conductor of the ramified division step
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConductorReport:
+class ConductorReport(namedtuple(
+        "ConductorReport", "p e deltas break_value disc_exponent "
+        "conductor_exponent provenance", defaults=((),))):
     """Everything the ramified division step yields: the per-translate
     jump sizes, the ramification break, discriminant and conductor
     exponents, and the provenance of each number."""
 
-    p: int
-    e: int
-    deltas: dict
-    break_value: int
-    disc_exponent: int
-    conductor_exponent: int
-    provenance: tuple = ()
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -40,11 +40,11 @@ Valuation of the zero residue is reported as the capped marker ``None``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, isqrt
 from operator import attrgetter, mul
-from typing import Sequence
 
 from .errors import HenselError, PrecisionError, ValidationError
 
@@ -358,8 +358,7 @@ class PadicPoly(InRing):
 # Newton polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", "segments lowest_power")):
     """Lower convex hull of (i, ord a_i).
 
     ``segments`` is a list of (slope, length) pairs with strictly
@@ -369,8 +368,7 @@ class NewtonPolygon:
     order of vanishing at 0 that was factored out first.
     """
 
-    segments: tuple
-    lowest_power: int
+    __slots__ = ()
 
     def single_slope(self):
         if len(self.segments) != 1:

@@ -22,28 +22,24 @@ final jets, and that the transform has determinant +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .errors import InvariantError, ValidationError
 from .padic import is_prime, ring_det
 
 
-@dataclass(frozen=True)
-class UnitJet:
+class UnitJet(namedtuple("UnitJet", "p alphas")):
     """Per-prime 2-jet coefficients of a unit about 1; None marks a
     coordinate known only to first order."""
 
-    p: int
-    alphas: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"p must be prime, got {self.p}")
-        object.__setattr__(
-            self, "alphas",
-            tuple(None if a is None else a % self.p for a in self.alphas),
-        )
+    def __new__(cls, p, alphas):
+        if not is_prime(p):
+            raise ValidationError(f"p must be prime, got {p}")
+        return super().__new__(
+            cls, p, tuple(None if a is None else a % p for a in alphas))
 
     @property
     def s(self) -> int:
@@ -138,21 +134,33 @@ def wedge_step(x, y, i: int, p: int):
     return x2, y2, mat
 
 
-@dataclass
 class WedgeTranscript:
     """Full ledger of a reduction: initial jets, the elementary steps
     (position, prime, 2x2 matrix), the transform the steps built (their
     product, acting on the exponent vectors), the oracle log, and the
-    outcome."""
+    outcome.  Mutable: the reduction fills it in as it runs."""
 
-    initial: tuple
-    steps: list = field(default_factory=list)
-    transform: list = field(default_factory=list)
-    final: tuple = ()
-    oracle_log: list = field(default_factory=list)
-    trivial: bool = False
-    blocked: bool = False
-    note: str = ""
+    def __init__(self, initial, steps=None, transform=None, final=(),
+                 oracle_log=None, trivial=False, blocked=False, note=""):
+        self.initial = initial
+        self.steps = [] if steps is None else steps
+        self.transform = [] if transform is None else transform
+        self.final = final
+        self.oracle_log = [] if oracle_log is None else oracle_log
+        self.trivial = trivial
+        self.blocked = blocked
+        self.note = note
+
+    def __repr__(self):
+        return "WedgeTranscript(%s)" % ", ".join(
+            f"{k}={v!r}" for k, v in vars(self).items())
+
+    def __eq__(self, other):
+        if type(other) is not WedgeTranscript:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
 
     def replay(self):
         """The final jets by a second route that re-runs no step: the

@@ -318,6 +318,27 @@ class TestCurve:
         with pytest.raises(ValidationError, match="at least 1"):
             curve_group_law(CURVE, D, p=13)
 
+    def test_curve_record(self):
+        curve = WeierstrassCurve(-1, 0)
+        assert repr(curve) == "WeierstrassCurve(a=-1, b=0)"
+        with pytest.raises(AttributeError):
+            curve.a = 1
+        twin = WeierstrassCurve(a=-1, b=0)
+        assert curve == twin and hash(curve) == hash(twin)
+
+    @pytest.mark.parametrize("series, text", (
+        (elliptic_fg.QSeries([1, 2], 3), "QSeries(num=[1, 2], den=3)"),
+        (GaussSeries([1], [0], 1), "GaussSeries(re=[1], im=[0], den=1)"),
+    ), ids=("rational", "gaussian"))
+    def test_series_record(self, series, text):
+        """Read-only fields over lists: equal by field, unhashable."""
+        assert repr(series) == text
+        with pytest.raises(AttributeError):
+            series.den = 2
+        assert series == type(series)(*series)
+        with pytest.raises(TypeError):
+            hash(series)
+
 
 class TestFormalData:
     def test_log_head(self, data):

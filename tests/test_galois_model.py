@@ -132,6 +132,48 @@ class TestSubgroups:
         with pytest.raises(ValidationError):
             SubgroupSpec(p, 2, 0, 0)
 
+    @pytest.mark.parametrize("args, message", (
+        ((4, 2, 3, 0), r"congruence levels must lie in \[0, m\]"),
+        ((10 ** 12, 1, 0, 0), r"p\^m = 1000000000000\^1 is above 100000"),
+        ((3, 11, 0, 0), r"p\^m = 3\^11 is above 100000"),
+        ((4, 2, 0, 0), "p must be prime, got 4"),
+    ), ids=("levels-before-bound", "bound-before-primality", "bound",
+            "composite"))
+    def test_checks_in_order(self, args, message):
+        """The levels, then the modulus bound (before any trial
+        division), then primality."""
+        with pytest.raises(ValidationError, match=message):
+            SubgroupSpec(*args)
+
+
+class TestRecords:
+    """TriElement and SubgroupSpec are immutable value records."""
+
+    def test_repr(self):
+        assert (repr(TriElement(3, 2, 10, 4))
+                == "TriElement(p=3, m=2, a=1, b=4)")
+        assert (repr(SubgroupSpec(3, 2, 1, 1))
+                == "SubgroupSpec(p=3, m=2, j=1, k=1)")
+
+    @pytest.mark.parametrize("record, field", (
+        (TriElement(3, 2, 1, 4), "a"), (SubgroupSpec(3, 2, 1, 1), "j")),
+        ids=("element", "subgroup"))
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+    def test_equality_and_hash_by_field(self):
+        x, y = TriElement(3, 2, 10, 4), TriElement(3, 2, 1, -5)
+        assert x == y and hash(x) == hash(y)
+        assert x != TriElement(3, 2, 1, 7)
+        s, t = SubgroupSpec(3, 2, 1, 1), SubgroupSpec(3, 2, 1, 1)
+        assert s == t and hash(s) == hash(t)
+
+    def test_unit_check_message(self):
+        with pytest.raises(ValidationError,
+                           match="lower-right entry must be a unit"):
+            TriElement(3, 2, 1, 6)
+
 
 class TestTowerIndices:
     def test_full_order_example(self):

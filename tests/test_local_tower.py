@@ -2,7 +2,6 @@
 discriminants, point division and the ramified-step conductor."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -472,6 +471,37 @@ class TestDivide:
         with pytest.raises(ValidationError):
             divide_point(t, st, 2)
 
+    def test_state_record(self):
+        """The start has no history and no certificate; the repr names
+        every field; no field can be assigned; equality goes field by
+        field, and the residue t0 makes a state unhashable."""
+        st = DivisionState.start(PadicInt(5, 6, 25))
+        assert (st.history, st.ramified_at, st.certificate) == ((), None, None)
+        assert repr(st) == ("DivisionState(t0=PadicInt(25 mod 5^6), e=2, "
+                            "level=0, history=(), ramified_at=None, "
+                            "certificate=None)")
+        with pytest.raises(AttributeError):
+            st.level = 1
+        assert st == DivisionState(PadicInt(5, 6, 25), e=2, level=0)
+        with pytest.raises(TypeError):
+            hash(st)
+
+    def test_conductor_report_record(self):
+        def report():
+            return local_tower.ConductorReport(
+                p=5, e=1, deltas={1: 2}, break_value=1, disc_exponent=8,
+                conductor_exponent=2)
+
+        rep = report()
+        assert repr(rep) == (
+            "ConductorReport(p=5, e=1, deltas={1: 2}, break_value=1, "
+            "disc_exponent=8, conductor_exponent=2, provenance=())")
+        with pytest.raises(AttributeError):
+            rep.e = 2
+        assert rep == report()
+        with pytest.raises(TypeError):  # the deltas dict
+            hash(rep)
+
 
 # residues of valuation 1 in rings other than the (3, 20) tower's:
 # another p, fewer digits, more digits
@@ -509,7 +539,7 @@ class TestForeignResidues:
         """A ramified state whose division value lies in another ring."""
         state = divide_point(tw, DivisionState.start(PadicInt(3, 20, 3)), 1)
         with pytest.raises(ValidationError, match="disagree on"):
-            division_conductor(tw, replace(state, t0=x))
+            division_conductor(tw, state._replace(t0=x))
 
     @pytest.mark.parametrize("t0", FOREIGN, ids=FOREIGN_IDS)
     def test_divide_start_value(self, tw, t0):
@@ -909,7 +939,7 @@ class TestConductor:
         t = tower(5)
         state = divide_point(t, DivisionState.start(PadicInt(5, 40, 5)), 1)
         assert state.certificate.segments == ((Fraction(1, 5), 5),)
-        bad = replace(state, certificate=NewtonPolygon(segments, 0))
+        bad = state._replace(certificate=NewtonPolygon(segments, 0))
         with pytest.raises(InvariantError, match="lost their valuations"):
             division_conductor(t, bad)
 

@@ -418,6 +418,17 @@ class TestNewtonPolygon:
         poly = newton_polygon(f)  # hull needs ord >= 1/2 at i=2: fine
         assert total_length(poly) == 4
 
+    def test_record(self):
+        """A value record: the repr names its fields, a field cannot be
+        assigned, and equality and hash go field by field."""
+        poly = newton_polygon(PadicPoly(5, 8, [5, 0, 1]))
+        assert repr(poly) == ("NewtonPolygon(segments=((Fraction(1, 2), 2),),"
+                              " lowest_power=0)")
+        with pytest.raises(AttributeError):
+            poly.lowest_power = 1
+        twin = NewtonPolygon(((Fraction(1, 2), 2),), lowest_power=0)
+        assert poly == twin and hash(poly) == hash(twin)
+
 
 class TestTruncSeries:
     def test_compose_identity(self):

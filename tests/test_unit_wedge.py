@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtower.errors import InvariantError, ValidationError
-from cmtower.unit_wedge import (CftOracle, UnitJet, combine, extend_to_g,
-                                reduce_wedge, wedge_step)
+from cmtower.unit_wedge import (CftOracle, UnitJet, WedgeTranscript,
+                                combine, extend_to_g, reduce_wedge,
+                                wedge_step)
 
 
 def jet_power(v, k):
@@ -124,6 +125,19 @@ class TestUnitJet:
     def test_rejects_p_below_two(self, p):
         with pytest.raises(ValidationError):
             UnitJet(p, (1, 2))
+
+    def test_record(self):
+        """Alphas are reduced mod p; the repr names the fields; no field
+        can be assigned; equality and hash go field by field."""
+        jet = UnitJet(5, (7, None))
+        assert jet.alphas == (2, None)
+        assert UnitJet(5, (-1, 12, 0)).alphas == (4, 2, 0)
+        assert repr(jet) == "UnitJet(p=5, alphas=(2, None))"
+        with pytest.raises(AttributeError):
+            jet.alphas = (1, 1)
+        twin = UnitJet(5, (2, None))
+        assert jet == twin and hash(jet) == hash(twin)
+        assert jet != UnitJet(7, (2, None))
 
 
 class TestCombine:
@@ -348,6 +362,25 @@ class TestReduce:
         tr.transform[1] = [6 * a for a in tr.transform[1]]
         with pytest.raises(InvariantError, match="determinant"):
             tr.check()
+
+
+class TestTranscript:
+    def test_repr_and_defaults(self):
+        tr = WedgeTranscript(initial=(UnitJet(5, (7, None)),))
+        assert repr(tr) == (
+            "WedgeTranscript(initial=(UnitJet(p=5, alphas=(2, None)),), "
+            "steps=[], transform=[], final=(), oracle_log=[], "
+            "trivial=False, blocked=False, note='')")
+        assert tr.steps is not WedgeTranscript(initial=()).steps
+
+    def test_mutable_and_compared_by_field(self):
+        jets = (UnitJet(5, (2, 3)), UnitJet(5, (4, 1)))
+        tr = reduce_wedge(jets, CftOracle("axiom"))
+        assert tr == reduce_wedge(jets, CftOracle("axiom"))
+        tr.note = "edited"
+        assert tr != reduce_wedge(jets, CftOracle("axiom"))
+        with pytest.raises(TypeError):
+            hash(tr)
 
 
 class TestExtend:
