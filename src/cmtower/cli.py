@@ -8,9 +8,9 @@ uncertified division roots), 4 mathematical invariant falsified.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -75,6 +75,61 @@ def _at_most(value: int, bound: int, what: str) -> int:
     return value
 
 
+# the standard library's INI header and option patterns
+_SECTION = re.compile(r"\[(?P<header>.+)\]")
+_OPTION = re.compile(r"(?P<option>.*?)\s*(?P<vi>[=:])\s*(?P<value>.*)$")
+
+
+def _read_ini(path: str):
+    """The sections of the INI file at ``path`` and its [DEFAULT] keys,
+    read by the grammar of the standard library's strict, uninterpolated
+    ``ConfigParser`` (README, "INI sections by command family").  The
+    lines are the file object's: ``str.splitlines`` splits on more."""
+    sections = {}                     # [DEFAULT] included
+    body = key = None                 # the current section and its last key
+    indent = 0                        # the indent of the last key's line
+    try:
+        with open(path) as fh:
+            for n, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text.startswith(("#", ";")):
+                    continue
+                if not text:
+                    if key:
+                        body[key].append("")
+                    continue
+                lead = len(line) - len(line.lstrip())
+                if key and lead > indent:
+                    body[key].append(text)
+                    continue
+                indent, head = lead, _SECTION.match(text)
+                if head:
+                    name, key = head["header"], None
+                    if name in sections and name != "DEFAULT":
+                        raise ValidationError(
+                            f"{path} line {n}: section [{name}] repeated")
+                    body = sections.setdefault(name, {})
+                    continue
+                opt = _OPTION.match(text) if body is not None else None
+                if opt is None or not opt["option"]:
+                    raise ValidationError(f"{path} line {n}: not a [section] "
+                                          f"or key = value line: {line!r}")
+                key = opt["option"].lower()
+                if key in body:
+                    raise ValidationError(
+                        f"{path} line {n}: key {key!r} repeated")
+                body[key] = [opt["value"]]
+    except OSError:
+        raise ValidationError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"config file {path} does not decode: {exc}") from None
+    values = {name: {k: "\n".join(v).rstrip() for k, v in kv.items()}
+              for name, kv in sections.items()}
+    defaults = values.pop("DEFAULT", {})
+    return values, defaults
+
+
 class RunConfig:
     """Parsed and validated parameters for one command."""
 
@@ -92,20 +147,12 @@ class RunConfig:
     def load(cls, command: str, path: "str | None", overrides: dict):
         sections = {}
         if path:
-            # values are read as written: no %-interpolation
-            cp = configparser.ConfigParser(interpolation=None)
-            try:
-                read = cp.read(path)
-            except configparser.Error as exc:
-                raise ValidationError(str(exc)) from None
-            if not read:
-                raise ValidationError(f"config file not found: {path}")
+            sections, defaults = _read_ini(path)
             # a [DEFAULT] section would flow into every other one
-            if cp.defaults():
+            if defaults:
                 raise ValidationError(
                     "unknown config section or key: [DEFAULT] "
-                    + " ".join(sorted(cp.defaults())))
-            sections = {s: dict(cp.items(s)) for s in cp.sections()}
+                    + " ".join(sorted(defaults)))
         for name, body in sections.items():
             unknown = sorted(body.keys() - SECTION_KEYS.get(name, set()))
             if name not in SECTION_KEYS or unknown:
@@ -502,8 +549,12 @@ def main(argv=None) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"cannot write report: {e}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

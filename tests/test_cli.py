@@ -1,6 +1,7 @@
 """Command-line front end: fixture configs, report shape, determinism,
 exit codes."""
 
+import configparser
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmtower import cli, elliptic_fg, galois_model, padic, unit_wedge
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
-from cmtower.errors import PrecisionError
+from cmtower.errors import PrecisionError, ValidationError
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import TruncSeries
 
@@ -264,6 +265,25 @@ class TestMain:
         code = main(["tower-disc", "--config", "/nonexistent.ini"])
         assert code == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_undecodable_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"[seed]\np = 5\nkind = standard\n# \xff\n")
+        assert main(["lt-group-law", "--config", str(cfg)]) == 2
+        assert "does not decode" in capsys.readouterr().err
+
+    def test_config_directory_is_validation_error(self, tmp_path, capsys):
+        assert main(["tower-disc", "--config", str(tmp_path)]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["galois-orders",
+                     "--config", os.path.join(CONFIG_DIR, "galois_p3.ini"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_key_is_validation_error(self, capsys):
         code = main(["galois-orders",
@@ -531,3 +551,78 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["cyclic"]
+
+
+def oracle_load(path):
+    """The sections ``RunConfig.load`` read through the standard
+    library's ``configparser``, with the checks it applied after."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(str(exc)) from None
+    if not read:
+        raise ValidationError(f"config file not found: {path}")
+    if cp.defaults():
+        raise ValidationError("[DEFAULT] " + " ".join(sorted(cp.defaults())))
+    sections = {s: dict(cp.items(s)) for s in cp.sections()}
+    for name, body in sections.items():
+        keys = cli.SECTION_KEYS.get(name)
+        if keys is None or body.keys() - keys:
+            raise ValidationError(f"unknown config section or key: [{name}]")
+    return sections
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except ValidationError:
+        return "refused"
+
+
+# the pieces of the differential texts: headers and keys the config takes,
+# both delimiters, comment and % characters, and every line break a file
+# object or str.splitlines treats differently
+INI_PIECES = ("[", "]", "seed", "tower", "DEFAULT", "p", "P", "=", ":", " ",
+              "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "\u2028",
+              "#", ";", "%", *"0123456789")
+
+
+class TestIniReader:
+    """``RunConfig.load`` reads INI text by the grammar of
+    ``configparser.ConfigParser(interpolation=None)``, the oracle here."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.sampled_from(("", "[seed]\n", "[tower]\n", "[DEFAULT]\n")),
+           st.lists(st.sampled_from(INI_PIECES), max_size=40))
+    def test_same_sections_as_configparser(self, tmp_path_factory, head,
+                                           pieces):
+        path = tmp_path_factory.getbasetemp() / "differential.ini"
+        # newline="" keeps each \r as written
+        with open(path, "w", newline="") as fh:
+            fh.write(head + "".join(pieces))
+        want = outcome(oracle_load, str(path))
+        got = outcome(lambda: RunConfig.load("lt-group-law", str(path),
+                                             {}).sections)
+        assert got == want
+
+    def test_continuation_and_comment_lines(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text("[wedge]\nP : 5\n; comment\njets = 2 3;\n\n"
+                        "  4 1\n  # comment\n\n[DEFAULT]\n")
+        assert RunConfig.load("wedge-reduce", str(path), {}).sections == {
+            "wedge": {"p": "5", "jets": "2 3;\n\n4 1"}}
+        assert oracle_load(str(path)) == {
+            "wedge": {"p": "5", "jets": "2 3;\n\n4 1"}}
+
+    def test_refused_default_leaves_nothing_behind(self, tmp_path):
+        """A load after a refused [DEFAULT] file reads what a fresh
+        parser reads: none of the refused file's defaults flow in."""
+        refused = tmp_path / "default.ini"
+        refused.write_text("[DEFAULT]\nprecision = 30\n[seed]\np = 5\n")
+        clean = os.path.join(CONFIG_DIR, "lt_p5.ini")
+        with pytest.raises(ValidationError, match="DEFAULT"):
+            RunConfig.load("lt-group-law", str(refused), {})
+        cfg = RunConfig.load("lt-group-law", clean, {})
+        assert cfg.sections == oracle_load(clean)
+        assert not any("precision" in kv for kv in cfg.sections.values())
