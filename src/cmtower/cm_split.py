@@ -150,14 +150,13 @@ class CMField(InRing):
         cm_type = frozenset(cm_type)
         if len(cm_type) != self.g:
             raise ValidationError(f"CM type must have {self.g} labels")
-        # conjugate of the label-i embedding has label conj_perm-of-i
-        # computed on the base root
+        # conjugate of the label-i embedding has label conj_perm[i]: the
+        # automorphisms were checked exactly above and K is Galois
         covered = set()
         for i in cm_type:
             if i not in self.auto_by_label:
                 raise ValidationError(f"unknown automorphism label {i}")
-            j = self.root_index(self._eval_poly_at_root(
-                _zcompose_mod(conj, self.auto_by_label[i], f), 0))
+            j = conj_perm[i]
             if j in cm_type:
                 raise ValidationError(
                     f"CM type contains a conjugate pair ({i}, {j})"

@@ -11,9 +11,8 @@ sums are exact, never estimates.
 
 On top of the tower sit the division operations: dividing a non-torsion
 value t0 through the levels (split below the depth invariant e, ramified
-at e), and the conductor of the ramified step, whose Galois
-displacements are valued in the compositum Z_p[lambda, theta] with theta
-a division value.
+at e), and the conductor of the ramified step, read off valuation
+weights and one head valuation per Galois displacement.
 
 One ring class, ``TowerRing``, is a tower level, with its one product
 ``mul`` and its one valuation ``val``; ``LocalElement`` is the one
@@ -485,14 +484,16 @@ def _head_valuation(v, cap: int, tail: int) -> int:
 
 def division_conductor(tower: EisensteinTower,
                        state: DivisionState) -> ConductorReport:
-    """Conductor of the ramified division step, computed from scratch.
+    """Conductor of the ramified division step: valuation weights from
+    the two Eisenstein certificates, then for each translate a head
+    valuation certified below a tail bound.
 
     For each nonzero torsion translate v, the Galois displacement of the
-    division value theta is theta - F(theta, t(v)), valued in the
-    compositum Z_p[lambda, theta] of lambda = lambda_1 and theta, a root
-    of d - q; with the compositum uniformizer eta = lambda/theta this
-    gives the jump Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1),
-    computed without any division.
+    division value theta, a root of d - q, is theta - F(theta, t(v)), and
+    its jump is Delta(v) = p + ord(theta - F(theta, t(v))) - 2(p-1), the
+    valuation being that of Z_p[lambda, theta], lambda = lambda_1, whose
+    uniformizer is eta = lambda/theta.  Only the valuation is computed:
+    no displacement, and no element of that ring, is formed.
 
     The compositum's valuation weights come from the two Eisenstein
     certificates, whose degrees a = deg h_1 and b = deg(d - q) are

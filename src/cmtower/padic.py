@@ -25,7 +25,9 @@ multiply and reduce through them.  ``mul_coeffs(a, b, out)`` adds a
 product into ``out`` and stops at its last degree: ``power_table``, the
 one table of powers of a one-variable series, and the elliptic expansion
 multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
-``TruncSeries.__mul__`` is the multivariate product behind ``compose``.
+``TruncSeries.__mul__`` and ``compose`` are plain reference arithmetic,
+term by term: no report reaches them, and the tests check the dense
+Lubin-Tate solver's series through them.
 
 The determinant ``ring_det`` packs the coefficient lists of a tower level
 into integers (the Kronecker substitution X = 2^s), takes one integer
@@ -44,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, isqrt
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 from .errors import HenselError, PrecisionError, ValidationError
 
@@ -633,24 +635,6 @@ def ring_det(rows, mod=None, h=None) -> list:
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------
 
-def pack_exponent(e, base) -> int:
-    """An exponent tuple as one integer with digit i (in ``base``) equal
-    to e[i].  While every entry of a sum stays below ``base``, packing
-    turns the addition of exponents into the addition of integers."""
-    key = 0
-    for k in reversed(e):
-        key = key * base + k
-    return key
-
-
-def unpack_exponent(key: int, base: int, nvars: int) -> tuple:
-    e = []
-    for _ in range(nvars):
-        key, k = divmod(key, base)
-        e.append(k)
-    return tuple(e)
-
-
 class TruncSeries(InRing):
     """Sparse truncated power series in ``nvars`` variables over Z/p^N.
 
@@ -749,55 +733,37 @@ class TruncSeries(InRing):
         return self + (-other)
 
     def __mul__(self, other):
-        """Homogeneous parts, exponents packed in one base, multiplied
-        when their degrees sum to at most trunc; reduced once at the end."""
+        """Term by term, a pair skipped when its degrees sum past trunc;
+        the constructor reduces the sums."""
         self._check(other)
-        mod = self.R.mod
-        trunc, base = self.trunc, self.trunc + 1
-        b = other._graded(base)
-        acc = {}
-        get = acc.get
-        for da, pa in self._graded(base).items():
-            for db, pb in b.items():
-                if da + db <= trunc:
-                    for ka, ca in pa.items():
-                        for kb, cb in pb.items():
-                            k = ka + kb
-                            acc[k] = get(k, 0) + ca * cb
-        out = {}
-        for key, c in acc.items():
-            c %= mod
-            if c:
-                out[unpack_exponent(key, base, self.nvars)] = c
-        return TruncSeries(self.p, self.N, self.nvars, trunc, out,
+        trunc, acc = self.trunc, {}
+        terms = [(e, sum(e), c) for e, c in other.coeffs.items()]
+        for ea, ca in self.coeffs.items():
+            room = trunc - sum(ea)
+            for eb, db, cb in terms:
+                if db <= room:
+                    e = tuple(map(add, ea, eb))
+                    acc[e] = acc.get(e, 0) + ca * cb
+        return TruncSeries(self.p, self.N, self.nvars, trunc, acc,
                            min(self.eff_prec, other.eff_prec))
-
-    def _graded(self, base):
-        """Homogeneous parts by degree, exponents packed in ``base``."""
-        parts = {}
-        for e, c in self.coeffs.items():
-            parts.setdefault(sum(e), {})[pack_exponent(e, base)] = c
-        return parts
 
     # -- composition ---------------------------------------------------
 
     def compose(self, args: Sequence["TruncSeries"]) -> "TruncSeries":
         """Substitute args[i] (zero constant term) for variable i.
 
-        All args must share (p, trunc') and have the same number of
-        variables; the result lives in the args' variable space.
+        All args must share (p, N, nvars, trunc); the result lives in the
+        args' ring, its coefficients reduced mod self's modulus too, and
+        is known to the fewest digits of self and the args.
 
-        Horner in the last variable over columns that are compositions
-        in the variables before it, down to one variable, where a column
-        is a scalar combination of the table of powers of args[0]
-        (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973)).  The
-        products are the table's and one per power of each later
-        argument in a Horner chain, none per monomial.
+        Each argument gets one table of its powers.  The monomials that
+        agree in every variable but the first fold into one row, a scalar
+        combination of the powers of args[0]; each row is then multiplied
+        by its powers of the later args.
         """
         if len(args) != self.nvars:
             raise ValidationError(
-                f"need {self.nvars} arguments, got {len(args)}"
-            )
+                f"need {self.nvars} arguments, got {len(args)}")
         for a in args:
             if not a.constant_term().is_zero():
                 raise ValidationError("composition argument has a constant term")
@@ -807,35 +773,25 @@ class TruncSeries(InRing):
         for a in args[1:]:
             tgt._check(a)
         eff = min([self.eff_prec] + [a.eff_prec for a in args])
-        table = [TruncSeries.constant(tgt.p, tgt.N, tgt.nvars, tgt.trunc, 1),
-                 args[0]]
-        for _ in range(2, max((e[0] for e in self.coeffs), default=0) + 1):
-            table.append(table[-1] * args[0])
-
-        def horner(coeffs, n):
-            # the monomials ``coeffs`` in the first n variables at args[:n]
-            if n == 1:
-                out = {}
-                for (k,), c in coeffs.items():
-                    for et, ct in table[k].coeffs.items():
-                        out[et] = out.get(et, 0) + c * ct
-                return tgt.copy_with(out, eff)
-            cols = {}
-            for e, c in coeffs.items():
-                cols.setdefault(e[-1], {})[e[:-1]] = c
-            top = max(cols, default=0)
-            acc = horner(cols.get(top, {}), n - 1)
-            for j in range(top - 1, -1, -1):
-                acc = acc * args[n - 1]
-                if j in cols:
-                    acc = acc + horner(cols[j], n - 1)
-            return acc
-
-        # every column starts at eff, so the sum has eff_prec eff; its
-        # coefficients are known mod self's modulus only
-        acc = horner(self.coeffs, self.nvars)
-        mod = self.R.mod
-        return acc.copy_with({e: c % mod for e, c in acc.coeffs.items()})
+        tables = []
+        for i, a in enumerate(args):
+            table = [tgt.copy_with({(0,) * tgt.nvars: 1})]
+            for _ in range(max((e[i] for e in self.coeffs), default=0)):
+                table.append(table[-1] * a)
+            tables.append(table)
+        rows = {}
+        for e, c in self.coeffs.items():
+            row = rows.setdefault(e[1:], {})
+            for et, ct in tables[0][e[0]].coeffs.items():
+                row[et] = row.get(et, 0) + c * ct
+        out = {}
+        for rest, row in rows.items():
+            term = tgt.copy_with(row, eff)
+            for table, k in zip(tables[1:], rest):
+                term = term * table[k]
+            for e, c in term.coeffs.items():
+                out[e] = out.get(e, 0) + c
+        return tgt.copy_with({e: c % self.R.mod for e, c in out.items()}, eff)
 
     # -- comparison ----------------------------------------------------
 

@@ -81,6 +81,20 @@ class TestFixtures:
                      "--out", str(tmp_path / "report.json")]) == 0
         assert products == 0
 
+    @pytest.mark.parametrize("command,config", FIXTURES)
+    def test_no_report_reaches_the_sparse_algebra(self, monkeypatch, command,
+                                                  config):
+        """Every report is made with the sparse product and composition
+        refusing to run: they are reference arithmetic for the tests, and
+        their speed is no report's concern."""
+        def refuse(*args):
+            raise AssertionError("a report reached the sparse series algebra")
+
+        monkeypatch.setattr(padic.TruncSeries, "__mul__", refuse)
+        monkeypatch.setattr(padic.TruncSeries, "compose", refuse)
+        report = run_command(command, config)
+        assert report["command"] == command and report["results"]
+
 
 class TestResults:
     def test_tower_conductor_values(self):

@@ -533,6 +533,124 @@ class TestTruncSeries:
         assert g.compose([f]).coeffs == {(1,): 1}
 
 
+# the brute-force oracle of the sparse product and composition: exact
+# integer dicts, every pair of terms or monomial expanded, reduced once
+
+def exact_product(a: dict, b: dict, trunc: int) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= trunc:
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def exact_compose(f: dict, f_trunc: int, args: list, nvars: int,
+                  trunc: int) -> dict:
+    """f (its terms past ``f_trunc`` dropped, as the constructor drops
+    them) at args, the monomials expanded one by one."""
+    out = {}
+    for e, c in f.items():
+        if sum(e) > f_trunc:
+            continue
+        term = {(0,) * nvars: c}
+        for a, k in zip(args, e):
+            for _ in range(k):
+                term = exact_product(term, a, trunc)
+        for et, ct in term.items():
+            out[et] = out.get(et, 0) + ct
+    return out
+
+
+def reduced(coeffs: dict, mod: int) -> dict:
+    return {e: c % mod for e, c in coeffs.items() if c % mod}
+
+
+@st.composite
+def raw_series(draw, p, nvars, N, trunc, constant=True):
+    """The raw dict, eff_prec and series of a draw: exponents up to two
+    degrees past ``trunc``, residues 0, mod - 1 and ints out of range."""
+    mod = p ** N
+    residue = st.one_of(st.just(0), st.just(mod - 1),
+                        st.integers(-3 * mod, 3 * mod))
+    exponent = st.tuples(*[st.integers(0, trunc + 2)] * nvars)
+    if not constant:
+        exponent = exponent.filter(any)
+    coeffs = draw(st.dictionaries(exponent, residue, max_size=6))
+    eff = draw(st.one_of(st.none(), st.integers(1, N + 2)))
+    return coeffs, eff, TruncSeries(p, N, nvars, trunc, coeffs, eff)
+
+
+class TestSparseAlgebraOracle:
+    """``a * b`` and ``f.compose(args)`` against the brute-force oracle:
+    coefficients, eff_prec, N and trunc, for self and args at different
+    precisions and truncations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 3), st.integers(1, 8),
+           st.integers(0, 6), st.data())
+    def test_product(self, p, nvars, N, trunc, data):
+        ca, ea, a = data.draw(raw_series(p, nvars, N, trunc))
+        cb, eb, b = data.draw(raw_series(p, nvars, N, trunc))
+        got = a * b
+        assert got.coeffs == reduced(exact_product(ca, cb, trunc), p ** N)
+        assert got.eff_prec == min(ea or N, eb or N)
+        assert (got.N, got.trunc, got.nvars) == (N, trunc, nvars)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 8), st.integers(1, 8), st.integers(0, 6),
+           st.integers(0, 6), st.data())
+    def test_compose(self, p, n, m, N_f, N_a, t_f, t_a, data):
+        cf, ef, f = data.draw(raw_series(p, n, N_f, t_f))
+        drawn = [data.draw(raw_series(p, m, N_a, t_a, constant=False))
+                 for _ in range(n)]
+        got = f.compose([a for _, _, a in drawn])
+        want = exact_compose(cf, t_f, [c for c, _, _ in drawn], m, t_a)
+        assert got.coeffs == reduced(want, p ** min(N_f, N_a))
+        assert got.eff_prec == min([ef or N_f]
+                                   + [e or N_a for _, e, _ in drawn])
+        assert (got.N, got.trunc, got.nvars) == (N_a, t_a, m)
+
+    @pytest.mark.parametrize("args,message", (
+        ([], "need 2 arguments, got 0"),
+        (["x", "x", "x"], "need 2 arguments, got 3"),
+        # the count first, then each argument's constant term, then its p
+        (["const", "x", "x"], "need 2 arguments, got 3"),
+        (["x", "const"], "composition argument has a constant term"),
+        (["p7", "const"], "mismatched p in composition"),
+        (["const", "p7"], "composition argument has a constant term"),
+        # then the args against args[0]
+        (["x", "N6"], "mismatched series parameters"),
+        (["x", "trunc5"], "mismatched series parameters"),
+        (["x", "nvars2"], "mismatched series parameters"),
+        (["N6", "p7"], "mismatched p in composition"),
+    ))
+    def test_compose_refusals_in_order(self, args, message):
+        made = {
+            "x": TruncSeries.variable(5, 4, 1, 6),
+            "const": TruncSeries(5, 4, 1, 6, {(0,): 1, (1,): 1}),
+            "p7": TruncSeries.variable(7, 4, 1, 6),
+            "N6": TruncSeries.variable(5, 6, 1, 6),
+            "trunc5": TruncSeries.variable(5, 4, 1, 5),
+            "nvars2": TruncSeries.variable(5, 4, 2, 6),
+        }
+        f = TruncSeries(5, 4, 2, 6, {(1, 1): 1})
+        with pytest.raises(ValidationError) as info:
+            f.compose([made[a] for a in args])
+        assert str(info.value) == message
+
+    def test_product_refuses_mismatched_series(self):
+        a = TruncSeries.variable(5, 4, 1, 6)
+        for b in (TruncSeries.variable(5, 6, 1, 6),
+                  TruncSeries.variable(5, 4, 1, 5),
+                  TruncSeries.variable(5, 4, 2, 6)):
+            with pytest.raises(ValidationError,
+                               match="^mismatched series parameters$"):
+                a * b
+
+
 def reference_compositional_inverse(f: TruncSeries) -> TruncSeries:
     """The inverse as first written: at degree k, compose f with the
     inverse so far in full and correct its degree-k part."""
