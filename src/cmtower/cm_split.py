@@ -81,8 +81,7 @@ class CMField(InRing):
     live in the ring ``R`` of (p, N).
     """
 
-    __slots__ = ("f", "R", "g", "roots", "conj", "cm_type",
-                 "auto_by_label", "perm_by_label")
+    __slots__ = ("f", "R", "g", "roots", "cm_type", "perm_by_label")
 
     def __init__(self, f, p, N, conj, cm_type, autos=None):
         f = list(f)
@@ -115,7 +114,6 @@ class CMField(InRing):
         cc = _zcompose_mod(conj, conj, f)
         if cc != [0, 1]:
             raise ValidationError("conjugation is not an involution")
-        self.conj = conj
 
         if autos is None:
             if self.g != 1:
@@ -127,7 +125,6 @@ class CMField(InRing):
         if len(autos) != deg:
             raise ValidationError(f"need {deg} automorphisms, got {len(autos)}")
 
-        self.auto_by_label = {}
         self.perm_by_label = {}
         for h in autos:
             if _ztrim(_zcompose_mod(f, h, f)):
@@ -135,11 +132,10 @@ class CMField(InRing):
             perm = tuple(self.root_index(self._eval_poly_at_root(h, i))
                          for i in range(deg))
             label = perm[0]
-            if label in self.auto_by_label:
+            if label in self.perm_by_label:
                 raise ValidationError("duplicate automorphism label")
-            self.auto_by_label[label] = h
             self.perm_by_label[label] = perm
-        if set(self.auto_by_label) != set(range(deg)):
+        if set(self.perm_by_label) != set(range(deg)):
             raise ValidationError("automorphisms do not act transitively on roots")
 
         conj_perm = self.perm_by_label[self.root_index(
@@ -154,7 +150,7 @@ class CMField(InRing):
         # automorphisms were checked exactly above and K is Galois
         covered = set()
         for i in cm_type:
-            if i not in self.auto_by_label:
+            if i not in self.perm_by_label:
                 raise ValidationError(f"unknown automorphism label {i}")
             j = conj_perm[i]
             if j in cm_type:

@@ -381,61 +381,53 @@ class DivisionState(namedtuple(
         return self.history[-1] if self.history else self.t0
 
 
-def _divide_once(tower: EisensteinTower, q: PadicInt) -> tuple:
-    """One division step for the value q = previous division value, as a
-    pair (kind, payload): ("split", root) with root a certified base-field
-    root of d - q, or ("ramified", polygon) with the certified single
-    slope 1/p polygon of d - q."""
-    d = tower.d
-    g = d + PadicPoly(d.p, d.N, [-tower.R.lift(q)])
-    vq = q.valuation()
-    if vq is None or vq < 1:
-        raise ValidationError("division value must have positive valuation")
-    if vq >= 2:
-        approx = q.divide_exact(tower.seed.pi_val)
-        root = hensel_root(g, approx)
-        return ("split", root)
-    poly = newton_polygon(g)
-    if poly.lowest_power == 0 and poly.single_slope() == Fraction(1, tower.p):
-        return ("ramified", poly)
-    raise PrecisionError(
-        f"division step inconclusive: polygon {poly.segments} is neither "
-        "a certified split nor a single slope 1/p"
-    )
-
-
 def divide_point(tower: EisensteinTower, state: DivisionState,
                  to_level: int) -> DivisionState:
-    """Divide the point up to the requested level.  Below the depth
-    invariant e every step has a certified base-field root; at level e
-    the step polynomial is certified Eisenstein of degree p (totally
-    ramified) and the state freezes there."""
+    """Divide the point up to the requested level, solving d(t) = q for
+    the previous division value q.  Below the depth invariant e every step
+    has a certified base-field root (Hensel, ord q >= 2); at level e the
+    step polynomial d - q is certified Eisenstein of degree p (a single
+    slope 1/p, totally ramified) and the state freezes there."""
     if state.ramified_at is not None:
         raise ValidationError(
             f"division already ramified at level {state.ramified_at}"
         )
+    d = tower.d
     cur = state
     while cur.level < to_level:
         n = cur.level + 1
-        kind, payload = _divide_once(tower, cur.last())
-        if kind == "split":
+        q = cur.last()
+        g = d + PadicPoly(d.p, d.N, [-tower.R.lift(q)])
+        vq = q.valuation()
+        if vq is None or vq < 1:
+            raise ValidationError(
+                "division value must have positive valuation")
+        if vq >= 2:
+            root = hensel_root(g, q.divide_exact(tower.seed.pi_val))
             if n >= cur.e:
                 raise InvariantError(
                     f"split certificate at level {n} but depth invariant "
                     f"is {cur.e}"
                 )
             cur = DivisionState(t0=cur.t0, e=cur.e, level=n,
-                                history=cur.history + (payload,))
-        else:
-            if n != cur.e:
-                raise InvariantError(
-                    f"ramification certificate at level {n} but depth "
-                    f"invariant is {cur.e}"
-                )
-            cur = DivisionState(t0=cur.t0, e=cur.e, level=n,
-                                history=cur.history,
-                                ramified_at=n, certificate=payload)
-            break
+                                history=cur.history + (root,))
+            continue
+        poly = newton_polygon(g)
+        if (poly.lowest_power != 0
+                or poly.single_slope() != Fraction(1, tower.p)):
+            raise PrecisionError(
+                f"division step inconclusive: polygon {poly.segments} is "
+                "neither a certified split nor a single slope 1/p"
+            )
+        if n != cur.e:
+            raise InvariantError(
+                f"ramification certificate at level {n} but depth "
+                f"invariant is {cur.e}"
+            )
+        cur = DivisionState(t0=cur.t0, e=cur.e, level=n,
+                            history=cur.history, ramified_at=n,
+                            certificate=poly)
+        break
     return cur
 
 

@@ -29,12 +29,12 @@ multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
 term by term: no report reaches them, and the tests check the dense
 Lubin-Tate solver's series through them.
 
-The determinant ``ring_det`` packs the coefficient lists of a tower level
-into integers (the Kronecker substitution X = 2^s), takes one integer
-determinant and reduces the result once, by h through ``rem_coeffs`` and
-mod p^N.  Past ``MAX_SLOT_BITS`` bits a slot, where packed integers cost
-more than reducing as it goes, its list kernel accumulates each sum of
-products in one list through ``mul_coeffs(a, b, out)`` and reduces it.
+The determinant ``ring_det`` works over Z or over Z/p^N[X]/(h), Z/p^N
+being h = X.  One Berkowitz recursion serves two entry forms: packed
+integers (the Kronecker substitution X = 2^s, one integer determinant
+reduced once, by h through ``rem_coeffs`` and mod p^N), and past
+``MAX_SLOT_BITS`` bits a slot coefficient lists, each sum of products
+added up through ``mul_coeffs(a, b, out)`` and reduced once.
 
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
@@ -46,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, isqrt
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, neg
 
 from .errors import HenselError, PrecisionError, ValidationError
 
@@ -501,78 +501,54 @@ def _slot_width(n: int, w: int, mod: int) -> int:
             + (factorial(n) * w ** max(n - 1, 0)).bit_length() + 1)
 
 
-def _berkowitz_ints(rows) -> int:
-    """The determinant of a square int matrix by Berkowitz's recursion
-    (see ``ring_det``), nothing reduced: every sum of products is one
-    ``sum(map(mul, ..))``."""
+def _berkowitz(rows, dot, neg, one):
+    """The determinant of a square matrix by Berkowitz's recursion (see
+    ``ring_det``) over the ring whose sum of products is ``dot(a, b)``,
+    negation ``neg`` and unit ``one``."""
     n = len(rows)
-    c = [1]  # coefficients of det(x - A_r), highest power first
+    c = [one]  # coefficients of det(x - A_r), highest power first
     for r in range(n):
         block = [row[:r] for row in rows[:r]]
         R = rows[r][:r]
         v = [row[r] for row in rows[:r]]  # M^k C, from k = 0
-        q = [1, -rows[r][r]]
+        q = [one, neg(rows[r][r])]
         for k in range(r):
             if k:
-                v = [sum(map(mul, row, v)) for row in block]
-            q.append(-sum(map(mul, R, v)))
+                v = [dot(row, v) for row in block]
+            q.append(neg(dot(R, v)))
         # c'_k = sum_j q_(k-j) c_j, q read backwards
         q.reverse()
-        c = [sum(map(mul, c, q[r + 1 - k:])) for k in range(r + 2)]
-    return c[n] if n % 2 == 0 else -c[n]
+        c = [dot(c, q[r + 1 - k:]) for k in range(r + 2)]
+    return c[n] if n % 2 == 0 else neg(c[n])
+
+
+def _int_dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _berkowitz_ints(rows) -> int:
+    """``_berkowitz`` over Z, nothing reduced."""
+    return _berkowitz(rows, _int_dot, neg, 1)
 
 
 def _berkowitz_lists(rows, mod, h) -> list:
-    """``ring_det`` over Z/mod[X]/(h), or Z/mod when ``h`` is None, on
-    coefficient lists: each sum of products (an entry of M^k C, a q_k, a
-    Toeplitz coefficient) is accumulated unreduced through
-    ``mul_coeffs(.., out)`` and reduced once, by h through ``rem_coeffs``,
-    then mod ``mod``.  Products with a zero factor (``not any(entry)``)
-    are skipped."""
-    w = len(h) - 1 if h else 1
-    inv = pow(h[-1], -1, mod) if h else None
+    """``_berkowitz`` over Z/mod[X]/(h) on coefficient lists: each sum of
+    products is accumulated unreduced through ``mul_coeffs(.., out)``,
+    skipping the products with a zero factor, and reduced once, by h
+    through ``rem_coeffs``, then mod ``mod``."""
+    w = len(h) - 1
+    inv = pow(h[-1], -1, mod)
 
-    def red(buf):
-        if h:
-            rem_coeffs(buf, h, inv, mod)
-            return buf[:w]
-        return [buf[0] % mod]
-
-    def dot(pairs, v, nz):
+    def dot(a, b):
         buf = [0] * (2 * w - 1)
-        for j, a in pairs:
-            if nz[j]:
-                mul_coeffs(a, v[j], buf)
-        return buf
+        for x, y in zip(a, b):
+            if any(x) and any(y):
+                mul_coeffs(x, y, buf)
+        rem_coeffs(buf, h, inv, mod)
+        return buf[:w]
 
-    n = len(rows)
-    # nonzero entries (j, a_ij) of each row, by increasing column
-    sparse = [[(j, a) for j, a in enumerate(row) if any(a)] for row in rows]
-    pad = [0] * (w - 1)
-    c = [[1] + pad]  # coefficients of det(x - A_0), highest power first
-    for r in range(n):
-        block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
-        R = [(j, a) for j, a in sparse[r] if j < r]
-        v = [rows[i][r] for i in range(r)]  # M^k C, from k = 0
-        q = [c[0], red([-x for x in rows[r][r]])]
-        nz = [any(x) for x in v]
-        for k in range(r):
-            if k:
-                v = [red(dot(row, v, nz)) for row in block]
-                nz = [any(x) for x in v]
-            q.append(red([-x for x in dot(R, v, nz)]))
-        # c'_k = sum_j q_(k-j) c_j, with q_0 = c_0 = 1 taken as is
-        cnz = [any(x) for x in c]
-        qnz = [any(x) for x in q]
-        out, c = [c[0]], c + [[0] * w]  # c_(r+1) = 0
-        for k in range(1, r + 2):
-            buf = [x + y for x, y in zip(q[k], c[k])] + pad
-            for j in range(1, min(k, r + 1)):
-                if cnz[j] and qnz[k - j]:
-                    mul_coeffs(q[k - j], c[j], buf)
-            out.append(red(buf))
-        c = out
-    return list(c[n]) if n % 2 == 0 else red([-x for x in c[n]])
+    return _berkowitz(rows, dot, lambda a: [-x % mod for x in a],
+                      [1] + [0] * (w - 1))
 
 
 def ring_det(rows, mod=None, h=None) -> list:
@@ -581,13 +557,16 @@ def ring_det(rows, mod=None, h=None) -> list:
     division, so the same ring element as Laplace expansion gives.
     Entries, and the result, are raw coefficient lists, lowest degree
     first: at most deg h residues over Z/mod[X]/(h) (h need not be monic,
-    but its leading coefficient must be a unit), one residue over Z/mod
-    when ``h`` is None, and one integer over Z when ``mod`` is None too.
+    but its leading coefficient must be a unit), and one integer over Z
+    when ``mod`` and ``h`` are both None.  Z/mod itself is the level
+    h = X, ``[0, 1]``.
 
     det(x - A_r) of the leading r x r block grows one row and column at a
     time.  Writing the next block as [[M, C], [R, a]], its coefficients
     are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
     -R M^(r-1) C] with those of det(x - M), and det A = (-1)^n c_n.
+    ``_berkowitz`` runs this recursion once for both entry forms below,
+    which supply only their sum of products, negation and unit.
 
     Being division-free, the recursion runs unchanged over Z after the
     Kronecker substitution X = 2^s (Schoenhage, EUROCAM 1982): each entry
@@ -601,7 +580,7 @@ def ring_det(rows, mod=None, h=None) -> list:
     ``_berkowitz_lists`` reduces every sum of products instead."""
     if mod is None:
         return [_berkowitz_ints([[a[0] for a in row] for row in rows])]
-    n, w = len(rows), len(h) - 1 if h else 1
+    n, w = len(rows), len(h) - 1
     s = _slot_width(n, w, mod)
     if s > MAX_SLOT_BITS:
         return _berkowitz_lists(rows, mod, h)
@@ -624,11 +603,9 @@ def ring_det(rows, mod=None, h=None) -> list:
             x -= mask + 1
             det += 1
         out.append(x % mod)
-    if h:
-        out += [0] * (w - len(out))
-        rem_coeffs(out, h, pow(h[-1], -1, mod), mod)
-        return out[:w]
-    return out
+    out += [0] * (w - len(out))
+    rem_coeffs(out, h, pow(h[-1], -1, mod), mod)
+    return out[:w]
 
 
 # ---------------------------------------------------------------------------

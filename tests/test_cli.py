@@ -611,7 +611,9 @@ class TestIniReader:
            st.lists(st.sampled_from(INI_PIECES), max_size=40))
     def test_same_sections_as_configparser(self, tmp_path_factory, head,
                                            pieces):
-        path = tmp_path_factory.getbasetemp() / "differential.ini"
+        # a fresh file per example: rewriting one file in place costs far
+        # more on some file systems than creating a new one
+        path = tmp_path_factory.mktemp("ini") / "differential.ini"
         # newline="" keeps each \r as written
         with open(path, "w", newline="") as fh:
             fh.write(head + "".join(pieces))

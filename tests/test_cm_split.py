@@ -65,7 +65,7 @@ class TestCMField:
     def test_degree4_labels_and_orbits(self):
         K = cyclotomic5_field()
         assert [r.residue(1) for r in K.roots] == [3, 4, 5, 9]
-        assert set(K.auto_by_label) == {0, 1, 2, 3}
+        assert set(K.perm_by_label) == {0, 1, 2, 3}
         assert sorted(K.cm_type) == [1, 2]
 
     def test_perms_compose_like_automorphisms(self):

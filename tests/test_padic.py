@@ -758,7 +758,7 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
         return v * other.degree
     fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
     rows = sylvester_rows(fr, gr, [0])
-    v = f.R.val(padic.ring_det(rows, f.R.mod)[0])
+    v = f.R.val(padic.ring_det(rows, f.R.mod, [0, 1])[0])
     if v is not None:
         return v
     if _poly_gcd_is_nontrivial(f, g):

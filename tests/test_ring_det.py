@@ -1,7 +1,8 @@
 """Differential tests: the raw-entry Berkowitz kernel ring_det against
 Laplace expansion and against Berkowitz on ring elements, over the
-integers, over Z/p^N (with zero divisors) and over the level-1 tower ring,
-on both sides of the packed kernel's cutover; the slot width against the
+integers, over Z/p^N (with zero divisors) and over tower levels 1 and 2
+(entries shorter than the level too), on both sides of the packed
+kernel's cutover; the slot width against the
 unreduced determinant over Z[X]; the discriminant's p x p norm
 determinant against the Sylvester determinant of the same resultant; and
 the precision ladder of that resultant and of level_disc."""
@@ -147,7 +148,7 @@ def test_residues_match_laplace(p, N, data):
                       st.integers(0, p ** (N - 1)).map(lambda x: p * x))
     rows = [[PadicInt(p, N, x) for x in row]
             for row in data.draw(square(entry, 6))]
-    assert_same(rows, PadicInt(p, N, 0), PadicInt(p, N, 1), p ** N)
+    assert_same(rows, PadicInt(p, N, 0), PadicInt(p, N, 1), p ** N, [0, 1])
 
 
 @lru_cache(maxsize=None)
@@ -165,20 +166,20 @@ def level1(p, coeffs=None, N=8):
 NON_MONIC = (5, (0, 5, 0, 0, 0, 6))
 
 
-def check_level1(tower, data):
-    d, ring = tower.degree(1), tower.ring(1)
+def check_level(tower, n, data):
+    d, ring = tower.degree(n), tower.ring(n)
     coeffs = st.lists(st.integers(0, tower.R.mod - 1), min_size=d,
                       max_size=d)
     rows = [[Elt(ring, c or []) for c in row]
             for row in data.draw(square(coeffs, 6))]
     assert_same(rows, Elt(ring), Elt(ring, [1]), tower.R.mod,
-                tower.h(1).coeffs)
+                tower.h(n).coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((3, 5)), st.data())
 def test_level1_elements_match_laplace(p, data):
-    check_level1(level1(p), data)
+    check_level(level1(p), 1, data)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +187,7 @@ def test_level1_elements_match_laplace(p, data):
 def test_non_monic_level1_matches_laplace(data):
     tower = level1(*NON_MONIC)
     assert tower.h(1).coeffs[-1] == 6
-    check_level1(tower, data)
+    check_level(tower, 1, data)
 
 
 # (p, N) on both sides of MAX_SLOT_BITS: the slot width grows with the
@@ -208,7 +209,37 @@ def test_cutover_grid_straddles_the_constant(p):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_level1_across_the_cutover_matches_laplace(p, N, data):
-    check_level1(level1(p, N=N), data)
+    check_level(level1(p, N=N), 1, data)
+
+
+@pytest.mark.parametrize("N", (8, 200))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_level2_elements_match_laplace(N, data):
+    """Level 2 at p = 3 (w = 6), built on the cached level-1 tower: at
+    N = 8 every matrix packs, at N = 200 those from 4 x 4 up run on the
+    lists."""
+    tower = level1(3, N=N)
+    assert [_slot_width(n, 6, 3 ** N) <= MAX_SLOT_BITS
+            for n in (3, 4)] == [True, N == 8]
+    check_level(tower, 2, data)
+
+
+@pytest.mark.parametrize("p, N", [(3, 8), (7, 200)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_entries_shorter_than_the_level_match_laplace(p, N, data):
+    """An entry may list fewer than deg h coefficients, the missing ones
+    zero.  At p = 3, N = 8 every matrix packs; at p = 7, N = 200 those
+    from 2 x 2 up run on the lists."""
+    tower = level1(p, N=N)
+    ring = tower.ring(1)
+    coeffs = st.lists(st.integers(0, tower.R.mod - 1), min_size=1,
+                      max_size=tower.degree(1))
+    rows = [[c or [0] for c in row] for row in data.draw(square(coeffs, 5))]
+    want = laplace_det([[Elt(ring, c) for c in row] for row in rows],
+                       Elt(ring), Elt(ring, [1]))
+    assert ring_det(rows, tower.R.mod, tower.h(1).coeffs) == raw(want)
 
 
 class ZX:
@@ -399,7 +430,7 @@ def test_disc_sylvester_matches_element_berkowitz(p, coeffs):
 
 @pytest.mark.parametrize("mod, h, one", [
     (None, None, [1]),
-    (5 ** 4, None, [1]),
+    (5 ** 4, [0, 1], [1]),
     (3 ** 8, (3, 0, 1), [1, 0]),
 ], ids=["Z", "Z-mod-pN", "level-1"])
 def test_empty_matrix_is_one(mod, h, one):
@@ -409,7 +440,7 @@ def test_empty_matrix_is_one(mod, h, one):
 def test_one_by_one():
     assert ring_det([[[7]]]) == [7]
     assert ring_det([[[0]]]) == [0]
-    assert ring_det([[[18]]], 3 ** 5) == [18]
+    assert ring_det([[[18]]], 3 ** 5, [0, 1]) == [18]
     tower = level1(3)
     lam = tower.lam(1)
     assert ring_det([[raw(lam)]], tower.R.mod,
