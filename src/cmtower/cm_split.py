@@ -4,7 +4,9 @@ A degree-2g field K = Q[x]/(f) with p split completely is handled
 entirely through the 2g Hensel-lifted roots of f: embeddings become
 coordinate evaluations, primes over p become root indices, and field
 automorphisms become permutations of the roots.  Reports read the
-coordinates (``embed``) and a uniformizer at one prime (``pick_pi``).
+coordinates (``embed``) and a uniformizer at one prime (``pick_pi``),
+which searches on the candidates' values at the roots mod p^2: they
+decide valuations 0 and 1, all the search asks about.
 
 Automorphisms are supplied as polynomials h(x) with f(h(x)) = 0 mod f
 and labeled by root indices: the automorphism sending the base root
@@ -14,6 +16,8 @@ validated on construction and feed no reported value.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import InvariantError, PrecisionError, ValidationError
 # endo is unused here; perfbench/spans.py patches this binding
@@ -215,24 +219,31 @@ def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
     """The smallest-coefficient element with valuation exactly 1 at the
     prime of fp_index and 0 at every other prime over p: coefficient
     vectors in [-bound, bound] are tried by increasing sum of absolute
-    values, lexicographically within one sum (existence is a CRT fact)."""
+    values, lexicographically within one sum (existence is a CRT fact).
+
+    A candidate's value at each root is read mod p^2, which decides both
+    valuations (0 is p not dividing it, 1 is p dividing it and p^2 not)
+    since N >= 2; only the winner becomes a ``FieldElement``."""
     K.prime_index(fp_index)
     if K.N < 2:
         raise PrecisionError(
             f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
     if bound is None:
         bound = K.p
+    p = K.p
+    p2 = p * p
     deg = 2 * K.g
+    # 1, r, ..., r^(deg - 1) mod p^2 at each root r
+    powers = [[pow(r.value, j, p2) for j in range(deg)] for r in K.roots]
+    pi_powers = powers.pop(fp_index)
     for s in range(1, deg * bound + 1):
         for coeffs in _shell(deg, bound, s):
-            alpha = K.element(coeffs)
-            vec = [x.valuation() for x in embed(K, alpha)]
-            if vec[fp_index] == 1 and all(
-                v == 0 for i, v in enumerate(vec) if i != fp_index
-            ):
-                return alpha
+            v = sum(map(mul, coeffs, pi_powers)) % p2
+            if v % p or not v:
+                continue
+            if all(sum(map(mul, coeffs, pw)) % p for pw in powers):
+                return K.element(coeffs)
     raise ValidationError(
         f"no uniformizer found with coefficients bounded by {bound}; "
         "enlarge the search box"
     )
-

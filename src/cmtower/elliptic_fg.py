@@ -22,7 +22,10 @@ exp(log X + log Y) binomially in the powers, and an endomorphism
 
 CM coefficients live in Q(i): a ``GaussSeries`` holds the real and
 imaginary numerators over one shared denominator; the split prime embeds
-i as a Hensel-lifted square root of -1.  The Lubin-Tate match reads the
+i as a Hensel-lifted square root of -1.  Frobenius selection checks the
+four associates of a Gaussian prime from one expansion: [u alpha] =
+u [alpha] for the units u = -1, i, -i, so each embedded series is the
+first one times a unit mod p^N.  The Lubin-Tate match reads the
 embedded [alpha_P] of a passing Frobenius report as a seed and returns
 the strict isomorphism to the standard seed as its series.
 """
@@ -79,6 +82,11 @@ def _inv_unit(a: list, D: int) -> list:
 def gmul(a, b):
     """The product of two Gaussian numbers given as (re, im) pairs."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+# the units 1, -1, i, -i of Z[i]: the order in which the four associates
+# of a Gaussian prime are listed and reported
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +325,9 @@ def point_count_ap(curve: WeierstrassCurve, p: int) -> int:
 
 def frobenius_candidates(a_p: int, root: PadicInt):
     """The four associates of the Gaussian prime x + y i with norm p and
-    trace a_p that lies over the embedded prime: the sign of y is the
-    one with x + y * root = 0 mod p, p being root's prime."""
+    trace a_p that lies over the embedded prime, x + y i times each of
+    ``UNITS`` in turn: the sign of y is the one with x + y * root = 0
+    mod p, p being root's prime."""
     p = root.p
     if a_p % 2:
         raise ValidationError("trace must be even for a Gaussian factor")
@@ -333,15 +342,23 @@ def frobenius_candidates(a_p: int, root: PadicInt):
         raise ValidationError(f"no Gaussian factor: {p} - {x}^2 not a square")
     if (x + y * root.value) % p:
         y = -y
-    base = (x, y)
-    return [base, (-x, -y), (-y, x), (y, -x)]
+    return [gmul((x, y), u) for u in UNITS]
 
 
-def frobenius_check(data: EllipticFormalData, alpha,
-                    root: PadicInt) -> dict:
-    """Whether [alpha](z) = z^p mod p through the truncation degree, p
-    being root's prime.  Returns a report with the first failing
-    coefficient if any; ``embedded`` holds the embedded [alpha] series."""
+def frobenius_reports(data: EllipticFormalData, alpha,
+                      root: PadicInt) -> list:
+    """The reports of alpha times each of ``UNITS`` in turn (alpha,
+    -alpha, i alpha, -i alpha, the order of ``frobenius_candidates``),
+    from one expansion of [alpha]; p is root's prime.  A report says
+    whether [u alpha](z) = z^p mod p through the truncation degree, with
+    the first failing coefficient if any; ``embedded`` holds the
+    embedded [u alpha] series.
+
+    On y^2 = x^3 + a x, [i](z) = i z and [-1](z) = -z (the automorphisms
+    (x, y) -> (-x, i y) and (x, -y); Silverman, GTM 106, ch. III.10), so
+    [u alpha] = u [alpha]: the other three embedded series are the
+    embedded [alpha] times -1, root and -root, exactly mod p^N since
+    root^2 = -1 there."""
     if data.curve.b != 0:
         raise ValidationError(
             "the Frobenius check needs CM by Z[i]: y^2 = x^3 + a x "
@@ -350,22 +367,32 @@ def frobenius_check(data: EllipticFormalData, alpha,
     re, im = alpha
     if re * re + im * im != p:
         raise ValidationError("candidate does not have norm p")
-    series = cm_endo_elliptic(data, alpha)
-    emb = embed_gauss_series(series, data.D, root)
-    first_fail = None
-    for k in range(1, data.D + 1):
-        c = emb.coefficient((k,)).residue(1)
-        want = 1 if k == p else 0
-        if c != want:
-            first_fail = (k, c)
-            break
-    return {
-        "alpha": (re, im),
-        "passes": first_fail is None,
-        "first_fail": first_fail,
-        "linear_valuation": emb.coefficient((1,)).valuation(),
-        "embedded": emb,
-    }
+    base = embed_gauss_series(cm_endo_elliptic(data, alpha), data.D, root)
+    reports = []
+    for u in UNITS:
+        unit = u[0] + u[1] * root.value
+        emb = base if u == (1, 0) else base.copy_with(
+            {e: c * unit for e, c in base.coeffs.items()})
+        first_fail = None
+        for k in range(1, data.D + 1):
+            c = emb.coeffs.get((k,), 0) % p
+            if c != (k == p):
+                first_fail = (k, c)
+                break
+        reports.append({
+            "alpha": gmul(alpha, u),
+            "passes": first_fail is None,
+            "first_fail": first_fail,
+            "linear_valuation": emb.coefficient((1,)).valuation(),
+            "embedded": emb,
+        })
+    return reports
+
+
+def frobenius_check(data: EllipticFormalData, alpha,
+                    root: PadicInt) -> dict:
+    """The report of alpha alone: the first of ``frobenius_reports``."""
+    return frobenius_reports(data, alpha, root)[0]
 
 
 def match_lubin_tate(data: EllipticFormalData, rep: dict) -> TruncSeries:

@@ -49,9 +49,6 @@ class TriElement(namedtuple("TriElement", "p m a b")):
         binv = pow(self.b, -1, mod)
         return TriElement(self.p, self.m, -self.a * binv, binv)
 
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b % (self.p ** self.m) == 1
-
 
 def identity(p: int, m: int) -> TriElement:
     return TriElement(p, m, 0, 1)

@@ -147,16 +147,28 @@ class LTSeed(InRing):
 def divisor_table(pi_val: PadicInt, D: int) -> list:
     """t[k] = the inverse of (pi^k - pi)/p mod p^N for k = 2..D (t[0] and
     t[1] are None), or None where pi^k - pi does not have valuation
-    exactly 1 and degree k cannot be corrected."""
+    exactly 1 and degree k cannot be corrected.
+
+    One modular inversion serves the whole table (Montgomery, Math.
+    Comp. 48 (1987)): the units are multiplied into prefix products, the
+    last product is inverted, and walking back each inverse is the
+    running inverse times the prefix before it."""
     R, pi = pi_val.R, pi_val.value
     p, mod = R.p, R.mod
-    table = [None, None]
-    pk = pi
-    for _ in range(2, D + 1):
+    table = [None, None] + [None] * (D - 1)
+    entries = []  # (degree, unit, product of the units before it)
+    acc, pk = 1, pi
+    for k in range(2, D + 1):
         pk = pk * pi % mod
         divisor = (pk - pi) % mod
-        table.append(pow(divisor // p, -1, mod) if R.val(divisor) == 1
-                     else None)
+        if R.val(divisor) == 1:
+            unit = divisor // p
+            entries.append((k, unit, acc))
+            acc = acc * unit % mod
+    inv = pow(acc, -1, mod)
+    for k, unit, before in reversed(entries):
+        table[k] = inv * before % mod
+        inv = inv * unit % mod
     return table
 
 

@@ -166,6 +166,75 @@ class TestPickPi:
             assert pick_pi(K, idx).coeffs == K.element(want).coeffs
 
 
+def oracle_pick_pi(K, fp_index, bound=None):
+    """The uniformizer search as first written: every candidate becomes
+    a field element, embedded at every root with its valuations read."""
+    K.prime_index(fp_index)
+    if K.N < 2:
+        raise PrecisionError(
+            f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
+    if bound is None:
+        bound = K.p
+    deg = 2 * K.g
+    for s in range(1, deg * bound + 1):
+        for coeffs in _shell(deg, bound, s):
+            alpha = K.element(coeffs)
+            vec = [x.valuation() for x in embed(K, alpha)]
+            if vec[fp_index] == 1 and all(
+                v == 0 for i, v in enumerate(vec) if i != fp_index
+            ):
+                return alpha
+    raise ValidationError(
+        f"no uniformizer found with coefficients bounded by {bound}; "
+        "enlarge the search box"
+    )
+
+
+def outcome(search, *args):
+    """The coefficients a search returns, or its refusal."""
+    try:
+        return search(*args).coeffs
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestPickPiOracle:
+    """The search on residues mod p^2 against the embed-and-valuation
+    search, element by element."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29))
+    @pytest.mark.parametrize("N", (2, 7))
+    def test_split_quadratics(self, p, N):
+        """x^2 + d for every d < 60 prime to p with -d a square mod p,
+        at both primes over p, in the default box and in boxes of
+        bound 1 and 2 (some of which hold no uniformizer)."""
+        for d in range(1, 60):
+            if d % p == 0 or pow(-d % p, (p - 1) // 2, p) != 1:
+                continue
+            K = CMField([d, 0, 1], p, N, conj=[0, -1], cm_type=[0])
+            for idx in (0, 1):
+                for bound in (None, 1, 2):
+                    assert outcome(pick_pi, K, idx, bound) == \
+                        outcome(oracle_pick_pi, K, idx, bound)
+
+    @pytest.mark.parametrize("idx", range(4))
+    @pytest.mark.parametrize("bound", (None, 1, 2))
+    @pytest.mark.parametrize("N", (2, 14))
+    def test_quartic(self, idx, bound, N):
+        K = cyclotomic5_field(N)
+        assert outcome(pick_pi, K, idx, bound) == \
+            outcome(oracle_pick_pi, K, idx, bound)
+
+    def test_exhausted_box(self):
+        """At p = 5 no c0 + c1 x with |c0|, |c1| <= 1 vanishes at a
+        root mod 5 (the roots are 2 and 3)."""
+        K = gauss_field()
+        want = (ValidationError, "no uniformizer found with coefficients "
+                "bounded by 1; enlarge the search box")
+        assert outcome(pick_pi, K, 0, 1) == want
+        assert outcome(oracle_pick_pi, K, 0, 1) == want
+
+
 class TestPrimeIndex:
     """Every operation that takes the index of a prime over p checks
     0 <= index < 2g: an index past the end or a negative one (which

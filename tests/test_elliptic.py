@@ -13,8 +13,8 @@ from cmtower.elliptic_fg import (EllipticFormalData, GaussSeries,
                                  WeierstrassCurve, cm_endo_elliptic,
                                  curve_group_law, embed_gauss_series,
                                  frobenius_candidates, frobenius_check,
-                                 gauss_embed_root, gmul, match_lubin_tate,
-                                 point_count_ap)
+                                 frobenius_reports, gauss_embed_root, gmul,
+                                 match_lubin_tate, point_count_ap)
 from cmtower.errors import (CmtowerError, InvariantError, PrecisionError,
                             ValidationError)
 from cmtower.lubin_tate import LTSeed, strict_iso
@@ -499,6 +499,87 @@ class TestFrobenius:
             GaussSeries([0, 1, 2], [0, 0, 1], 1), 5, root).coeffs
 
 
+def oracle_frobenius_check(data, alpha, root) -> dict:
+    """One expansion and one embedding per candidate, as the check was
+    first written."""
+    if data.curve.b != 0:
+        raise ValidationError(
+            "the Frobenius check needs CM by Z[i]: y^2 = x^3 + a x "
+            f"(b = 0, j = 1728), got b = {data.curve.b}")
+    p = root.p
+    re, im = alpha
+    if re * re + im * im != p:
+        raise ValidationError("candidate does not have norm p")
+    series = cm_endo_elliptic(data, alpha)
+    emb = embed_gauss_series(series, data.D, root)
+    first_fail = None
+    for k in range(1, data.D + 1):
+        c = emb.coefficient((k,)).residue(1)
+        want = 1 if k == p else 0
+        if c != want:
+            first_fail = (k, c)
+            break
+    return {
+        "alpha": (re, im),
+        "passes": first_fail is None,
+        "first_fail": first_fail,
+        "linear_valuation": emb.coefficient((1,)).valuation(),
+        "embedded": emb,
+    }
+
+
+def report_key(rep: dict) -> dict:
+    """A report with its embedded series spelled out, for comparison."""
+    emb = rep["embedded"]
+    return dict(rep, embedded=(emb.R, emb.nvars, emb.trunc, emb.eff_prec,
+                               emb.coeffs))
+
+
+class TestAssociateReports:
+    """The four reports from one expansion against one expansion per
+    associate."""
+
+    def check(self, data, root):
+        ap = point_count_ap(data.curve, root.p)
+        cands = frobenius_candidates(ap, root)
+        want = [report_key(oracle_frobenius_check(data, c, root))
+                for c in cands]
+        got = [report_key(r) for r in frobenius_reports(data, cands[0], root)]
+        assert got == want
+        assert [report_key(frobenius_check(data, c, root))
+                for c in cands] == want
+
+    @pytest.mark.parametrize("N", (2, 24, 40))
+    def test_p13_fixture(self, data, N):
+        self.check(data, gauss_embed_root(13, N))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((5, 13, 17, 29)), st.integers(-60, 60),
+           st.integers(1, 40), st.data())
+    def test_curves_with_cm_by_the_gaussians(self, p, a, N, data):
+        """y^2 = x^3 + a x with a prime to p, truncated below and past
+        the z^p term."""
+        if a % p == 0:
+            a += 1
+        D = data.draw(st.integers(1, p + 2))
+        self.check(curve_group_law(WeierstrassCurve(a, 0), D, p=p),
+                   gauss_embed_root(p, N))
+
+    def test_refusals_before_the_expansion(self, data, monkeypatch):
+        """b != 0, then the norm, are refused before any expansion."""
+        def refuse(*args):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(elliptic_fg, "cm_endo_elliptic", refuse)
+        root = gauss_embed_root(13, 24)
+        curved = curve_group_law(WeierstrassCurve(2, 3), 16, p=13)
+        for alpha in ((3, 2), (1, 1)):
+            with pytest.raises(ValidationError, match="needs CM by Z"):
+                frobenius_reports(curved, alpha, root)
+        with pytest.raises(ValidationError, match="norm p"):
+            frobenius_reports(data, (1, 1), root)
+
+
 def match(data, alpha, root):
     """The match read from the Frobenius report of alpha over root."""
     return match_lubin_tate(data, frobenius_check(data, alpha, root))
@@ -543,23 +624,29 @@ class TestMatch:
             match_lubin_tate(data, rep)
 
     def test_cli_checks_each_associate_once(self, monkeypatch):
-        """elliptic-match runs four Frobenius checks, one per associate,
-        and the match reads the passing one."""
+        """elliptic-match expands and embeds one associate, the first
+        candidate, and reports all four in candidate order."""
         from cmtower import cli
-        calls = []
-        check = elliptic_fg.frobenius_check
+        expanded, embedded = [], []
+        expand = elliptic_fg.cm_endo_elliptic
+        embed = elliptic_fg.embed_gauss_series
 
-        def counted(*args):
-            calls.append(args[1])
-            return check(*args)
+        def counted_expand(data, alpha):
+            expanded.append(alpha)
+            return expand(data, alpha)
 
-        monkeypatch.setattr(cli, "frobenius_check", counted)
-        monkeypatch.setattr(elliptic_fg, "frobenius_check", counted)
+        def counted_embed(*args):
+            embedded.append(args)
+            return embed(*args)
+
+        monkeypatch.setattr(elliptic_fg, "cm_endo_elliptic", counted_expand)
+        monkeypatch.setattr(elliptic_fg, "embed_gauss_series", counted_embed)
         cfg = cli.RunConfig.load("elliptic-match", CONFIG, {})
         res = cli.dispatch(cfg)["results"]
-        assert sorted(calls) == sorted(tuple(c["alpha"])
-                                       for c in res["candidates"])
-        assert len(calls) == 4
+        cands = frobenius_candidates(res["a_p"], gauss_embed_root(13, 2))
+        assert expanded == [cands[0]]
+        assert len(embedded) == 1
+        assert [tuple(c["alpha"]) for c in res["candidates"]] == cands
 
     @pytest.mark.parametrize("n,eff", ((21, 2), (24, 5), (30, 11)))
     def test_digits_come_from_the_root(self, data, n, eff):

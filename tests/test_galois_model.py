@@ -16,7 +16,7 @@ def element_order(x):
     acc = x
     n = 1
     bound = (x.p ** x.m) ** 2
-    while not acc.is_identity():
+    while acc != identity(x.p, x.m):
         acc = compose(acc, x)
         n += 1
         if n > bound:

@@ -406,3 +406,34 @@ def test_seeds_of_different_truncations_refused(src_trunc, dst_trunc):
     dst = LTSeed.multiplicative(5, 22, dst_trunc)
     with pytest.raises(ValidationError, match="truncation"):
         strict_iso(src, dst)
+
+
+def reference_divisor_table(pi_val, D):
+    """The divisor table as first written: one modular inverse per
+    degree."""
+    R, pi = pi_val.R, pi_val.value
+    p, mod = R.p, R.mod
+    table = [None, None]
+    pk = pi
+    for _ in range(2, D + 1):
+        pk = pk * pi % mod
+        divisor = (pk - pi) % mod
+        table.append(pow(divisor // p, -1, mod) if R.val(divisor) == 1
+                     else None)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.integers(1, 40),
+       st.integers(2, 60), st.data())
+def test_divisor_table_matches_one_inverse_per_degree(p, N, D, data):
+    """One inversion per table gives the per-degree inverses entry for
+    entry, with None where pi^k - pi is not of valuation exactly 1: pi
+    is drawn from all residues, from the multiples of p, and 0, 1, -1."""
+    pi = data.draw(st.one_of(
+        st.integers(0, p ** N - 1),
+        st.integers(0, p ** (N - 1) - 1).map(lambda u: p * u),
+        st.sampled_from((0, 1, p ** N - 1))))
+    pi_val = PadicInt(p, N, pi)
+    assert lubin_tate.divisor_table(pi_val, D) == \
+        reference_divisor_table(pi_val, D)
