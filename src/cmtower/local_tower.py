@@ -17,8 +17,9 @@ weights and one head valuation per Galois displacement.
 One ring class, ``TowerRing``, is a tower level, with its one product
 ``mul`` and its one valuation ``val``; ``LocalElement`` is the one
 element class.  The two certified invariants of the ramified step form
-no compositum: the discriminant's resultant is a p x p norm determinant
-over level 1, and the conductor values the head -a*lambda of each
+no compositum: the discriminant's resultant is (p d_p)^p times a
+(p - 1)-square norm determinant over level 1, d_p the seed's t^p
+coefficient, and the conductor values the head -a*lambda of each
 displacement with weights read off the two Eisenstein certificates
 (h_1 and d - q), against a tail bound on the terms it drops, with no
 Lubin-Tate solve.
@@ -130,7 +131,7 @@ class EisensteinTower(InRing):
                     f"level {k} polynomial is not Eisenstein: polygon "
                     f"{poly.segments}"
                 )
-            if q.coefficient(0).valuation() != 1:
+            if self.R.val(q.coeffs[0]) != 1:
                 raise InvariantError(
                     f"level {k} constant term does not have valuation 1"
                 )
@@ -170,8 +171,7 @@ class LocalElement:
     are in lambda_n units: ord(lambda_n) = 1, ord(p) = d_n.  The one
     operation is the product of two elements of the same level; a scalar,
     or an element of another level, is refused.  The library's own
-    products (the pi-action, the resultant's columns) run on raw lists
-    through ``TowerRing.mul``.
+    products (the pi-action) run on raw lists through ``TowerRing.mul``.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -272,54 +272,66 @@ def _disc_direct(tower: EisensteinTower) -> int:
 
 
 def _resultant_element(tower: EisensteinTower) -> list:
-    """Res(m, m') over the level-1 ring, as a raw level-1 element, for
-    m(t) = d(t) - lambda_1 and m' = d' of formal degree n.
+    """Res(m, d') over the level-1 ring, as a raw level-1 element, for
+    m(t) = d(t) - lambda_1 and d' of formal degree p - 1: the element of
+    the (2p - 1)-square Sylvester determinant, from a (p - 1)-square one.
 
-    m has degree p and a unit lead lc = d_p, so R_1[t]/(m) is free on
-    1, t, ..., t^(p-1), and Res(m, m') = lc^n det M, M the p x p matrix
-    of multiplication by m', whose column k is t^k m' mod m (Cohen,
-    GTM 138, section 3.3: the resultant as a norm).  That is a polynomial
-    identity over Z[coefficients, 1/lc], and ``ring_det`` is
-    division-free, whether it packs the entries into integers or reduces
-    as it goes, so the result is the same ring element as the
-    determinant of the (2p - 1)-square Sylvester matrix of m and m'.
-    The columns come by shift and reduce: t times a column is the column
-    shifted up plus its top entry times -m_i/lc in row i, and only
-    m_0 = d_0 - lambda_1 involves lambda_1."""
-    ring = tower.ring(1)
-    mod, size = tower.R.mod, ring.size
-    dp = tower.d.derivative().coeffs
-    d = tower.d.coeffs
-    p = len(d) - 1
-    linv = pow(d[p], -1, mod)
-    # -m_i/lc; for i = 0 the lambda_1/lc part is added apart
-    neg = [-c * linv % mod for c in d[:p]]
-    lam = ring.lam().coeffs
-    pad = [0] * (size - 1)
-    col = [[c] + pad for c in dp] + [[0] + pad] * (p - len(dp))
-    cols = [col]
-    for _ in range(p - 1):
+    A validated seed has d = u t^p mod p (Lubin and Tate, Ann. of Math.
+    81 (1965)): pi has valuation 1 and p divides d_k for 2 <= k < p, so
+    every residue of d' is p times an integer, d' = p e over Z, and e has
+    degree p - 1 and the unit lead u = d_p (mod p^(N-1)).  Res(m, d') =
+    Res(d', m), since p(p - 1) is even, and homogeneity in d' gives
+    p^p Res(e, m) = (p u)^p det M, M the (p - 1)-square matrix of
+    multiplication by m on R_1[t]/(e) (Cohen, GTM 138, section 3.3: the
+    resultant as a norm).  This is a polynomial identity over
+    Z[coefficients, 1/u], and ``ring_det`` is division-free, so the
+    result is the Sylvester determinant's ring element mod p^N.  The
+    residues of d' fix e only mod p^(N-1); the factor p^p makes up that
+    digit, and at N <= p it is 0 mod p^N, as the resultant then is.
+
+    m mod e is r - lambda_1, r = d mod e a list of scalars, and t^k is
+    reduced for k < p - 1, so column k of M is t^k r mod e minus lambda_1
+    in row k.  The columns t^k r come by shift and reduce on scalars:
+    t times a column is the column shifted up plus its top entry times
+    -e_i/u in row i.  Nothing multiplies two level-1 elements."""
+    h = tower.h(1).coeffs  # certifies the seed first
+    mod, p, d = tower.R.mod, tower.p, tower.d.coeffs
+    e = [c // p for c in tower.d.derivative().coeffs]
+    u = e[-1]
+    uinv = pow(u, -1, mod)
+    r = list(d)
+    rem_coeffs(r, e, uinv, mod)
+    neg = [-c * uinv % mod for c in e[:-1]]
+    cols = [r[:p - 1]]
+    for _ in range(p - 2):
+        col = cols[-1]
         top = col[-1]
-        top_lam = ring.mul(top, lam)
-        col = [[(x * neg[0] + y * linv) % mod
-                for x, y in zip(top, top_lam)]] + [
-            [(x * s + y) % mod for x, y in zip(top, prev)]
-            for s, prev in zip(neg[1:], col[:-1])]
-        cols.append(col)
-    # det M^T = det M: the columns go in as rows
-    det = ring_det(cols, mod, tower.h(1).coeffs)
-    scale = pow(d[p], len(dp) - 1, mod)
+        cols.append([top * neg[0] % mod] + [(x + top * s) % mod
+                                            for x, s in zip(col, neg[1:])])
+    # det M^T = det M: the columns go in as rows, of scalar entries but
+    # for -lambda_1 on the diagonal
+    rows = [[[c] for c in col] for col in cols]
+    for k, row in enumerate(rows):
+        row[k].append(mod - 1)
+    det = ring_det(rows, mod, h)
+    scale = pow(p * u, p, mod)
     return [scale * x % mod for x in det]
 
 
 def _disc_resultant(tower: EisensteinTower) -> int:
     """Same valuation, read off Res(d - lambda_1, d') over level 1
-    (``_resultant_element``)."""
+    (``_resultant_element``).  At N <= p its factor p^p is 0 mod p^N,
+    so the resultant vanishes and the message names N = p + 1, a
+    necessary bound: the valuation p(p - 1) is below the level-1 cap
+    (p - 1)N exactly from there."""
     val = tower.ring(1).val(_resultant_element(tower))
     if val is None:
+        p = tower.p
+        need = (f"raise --precision to at least {p + 1}" if tower.N <= p
+                else "raise N")
         raise PrecisionError(
             "resultant of the level-2 minimal polynomial vanished at "
-            "working precision; raise N"
+            f"working precision; {need}"
         )
     return val
 
@@ -328,11 +340,12 @@ def level_disc(tower: EisensteinTower) -> int:
     """Discriminant valuation of level 2 over level 1, in level-1
     uniformizer units.  Computed two independent ways (direct valuation
     at level 2, and the resultant of d - lambda_1 and d' over level 1 as
-    one p x p norm determinant) and cross-checked; p(p-1) for a valid
-    tower.  The resultant is the Sylvester determinant's ring element,
-    so the reports still name the "Sylvester resultant".  The certified
-    value is kept on the tower, so later calls return it without
-    rerunning either route."""
+    (p d_p)^p times one (p - 1)-square norm determinant over
+    R_1[t]/(d'/p)) and cross-checked; p(p-1) for a valid tower, and a
+    PrecisionError (exit 3) exactly for N <= p.  The resultant is the
+    Sylvester determinant's ring element, so the reports still name the
+    "Sylvester resultant".  The certified value is kept on the tower, so
+    later calls return it without rerunning either route."""
     if tower.disc is None:
         direct = _disc_direct(tower)
         resultant = _disc_resultant(tower)

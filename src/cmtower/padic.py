@@ -389,50 +389,42 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
 
     Zero residues in the low-order positions are treated as structural
     zeros and factored out as a power of the variable.  A zero residue
-    strictly inside the hull support is a precision problem (its true
-    valuation, >= N, could still fall below the hull) and raises.
+    past them is skipped: its true valuation is >= N, and no point of
+    the hull is that high, since a nonzero residue mod p^N has valuation
+    <= N - 1, so it cannot change the polygon.
+
+    One pass over the coefficients values each residue and grows the
+    lower hull, left to right.  The hull drops collinear points, so its
+    slopes strictly increase and the root valuations, their negatives,
+    strictly decrease: the segments come out reversed, not sorted.
     """
-    if f.is_zero():
+    c, p = f.coeffs, f.p
+    if not c:
         raise ValidationError("newton_polygon of the zero polynomial")
     lo = 0
-    while f.coeffs[lo] == 0:
+    while c[lo] == 0:
         lo += 1
-    pts = []  # (i, ord) for nonzero coefficients, relative to lo
-    capped = []
-    for i in range(lo, len(f.coeffs)):
-        v = f.R.val(f.coeffs[i])
-        if v is None:
-            capped.append(i - lo)
-        else:
-            pts.append((i - lo, v))
-    # lower convex hull, left to right
-    hull = []
-    for pt in pts:
+    hull = []  # (i, ord) for nonzero coefficients, relative to lo
+    for i in range(len(c) - lo):
+        x = c[lo + i]
+        if not x:
+            continue
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        # keep hull lower-convex: drop the last point while it is on or
+        # above the segment from the one before it to (i, v)
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep hull lower-convex: drop middle point if above segment
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (i - x1) >= (v - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
-    # certification: a capped coefficient strictly under the hull span must
-    # not be able to dip below the hull
-    for i in capped:
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 < i < x2:
-                hull_y = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
-                if Fraction(f.N) < hull_y:
-                    raise PrecisionError(
-                        f"coefficient {i + lo} is zero at precision {f.N} but the "
-                        f"hull needs valuation >= {hull_y} there"
-                    )
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y1 - y2, x2 - x1)  # root valuation
-        segments.append((slope, x2 - x1))
-    segments.sort(key=lambda sl: sl[0])
-    return NewtonPolygon(tuple(segments), lowest_power=lo)
+        hull.append((i, v))
+    segments = tuple((Fraction(y1 - y2, x2 - x1), x2 - x1)
+                     for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(segments[::-1], lowest_power=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +466,17 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 # The widest slot, in bits, at which ring_det packs a level ring into
 # integers.  A packed entry is about n times wider than a reduced one, so
 # past some width the packed determinant loses to the list kernel.  On
-# the tower's p x p norm matrices (w = p - 1, random Eisenstein seeds,
-# Python 3.11, packed time / list time) the ratio was, by slot width s:
+# the tower's former p x p norm matrices (w = p - 1, random Eisenstein
+# seeds, Python 3.11, packed time / list time) the ratio was, by slot
+# width s:
 # p = 7: 0.35 at s = 428 (N = 20), 0.60 at 820 (N = 40), 0.80 at 1016
 # (N = 50), 0.95 at 1212 (N = 60), 1.47 at 1604 (N = 80);
 # p = 5: 0.33 at 481 (N = 40), 0.61 at 946 (N = 80), 1.15 at 2341
 # (N = 200); p = 3: 0.47 at 957 (N = 200), 1.08 at 4761 (N = 1000).
 # p = 7 breaks even first, near s = 1250; below 1024 every shape packs
-# faster than the lists.
+# faster than the lists.  The tower now sends (p - 1) x (p - 1) norm
+# matrices, whose slots are narrower at the same N (1038 bits at p = 7,
+# N = 60); the constant is unchanged.
 MAX_SLOT_BITS = 1024
 
 

@@ -398,9 +398,11 @@ class TestDiscriminant:
         assert _disc_direct(t) == 20
 
     @pytest.mark.parametrize("p", (3, 5, 7))
-    def test_resultant_is_one_p_by_p_determinant(self, p, monkeypatch):
-        """The resultant route runs ring_det once, on the p x p norm
-        matrix, not on the (2p - 1)-square Sylvester matrix."""
+    def test_resultant_is_one_p_minus_1_square_determinant(self, p,
+                                                           monkeypatch):
+        """The resultant route runs ring_det once, on the (p - 1)-square
+        norm matrix over R_1[t]/(d'/p), not on the (2p - 1)-square
+        Sylvester matrix."""
         t = tower(p, N=20)
         dims = []
         det = local_tower.ring_det
@@ -411,7 +413,19 @@ class TestDiscriminant:
 
         monkeypatch.setattr(local_tower, "ring_det", recording)
         assert level_disc(t) == p * (p - 1)
-        assert dims == [(p, {p})]
+        assert dims == [(p - 1, {p - 1})]
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_resultant_multiplies_no_tower_elements(self, p, monkeypatch):
+        """Only scalars multiply level-1 elements in the resultant route:
+        it runs with the level product refused."""
+        t = tower(p, N=20)
+
+        def refusing(*args):
+            raise AssertionError("TowerRing.mul ran in the resultant route")
+
+        monkeypatch.setattr(TowerRing, "mul", refusing)
+        assert _disc_resultant(t) == p * (p - 1)
 
     def test_precision_cap_raises(self):
         """At p = 13, N = 12 the level-1 cap (p-1)N = 144 is below

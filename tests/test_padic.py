@@ -377,6 +377,71 @@ class TestHensel:
             hensel_root(f, PadicInt(5, 6, 0))
 
 
+def reference_newton_polygon(f):
+    """The two-pass Newton polygon: valuations through ``Zp.val``, then
+    the hull, then the segments sorted by slope.  The oracle for the
+    one-pass ``newton_polygon``."""
+    if f.is_zero():
+        raise ValidationError("newton_polygon of the zero polynomial")
+    lo = 0
+    while f.coeffs[lo] == 0:
+        lo += 1
+    pts = []
+    capped = []
+    for i in range(lo, len(f.coeffs)):
+        v = f.R.val(f.coeffs[i])
+        if v is None:
+            capped.append(i - lo)
+        else:
+            pts.append((i - lo, v))
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    for i in capped:
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 < i < x2:
+                hull_y = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
+                if Fraction(f.N) < hull_y:
+                    raise PrecisionError(
+                        f"coefficient {i + lo} is zero at precision {f.N} but the "
+                        f"hull needs valuation >= {hull_y} there"
+                    )
+    segments = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        segments.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
+    segments.sort(key=lambda sl: sl[0])
+    return NewtonPolygon(tuple(segments), lowest_power=lo)
+
+
+@st.composite
+def sparse_poly(draw):
+    """A nonzero polynomial of degree <= 9 at p in {3, 5, 7}, N in
+    [1, 8], whose residues are each zero (at the low end too) or p^v
+    times a unit, v < N: zero residues land inside the hull, above it
+    and under it."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(1, 8))
+    coeff = st.one_of(
+        st.just(0),
+        st.builds(lambda v, u: p ** v * u, st.integers(0, N - 1),
+                  st.integers(1, p ** 2).filter(lambda u: u % p)))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=10).filter(any))
+    return PadicPoly(p, N, coeffs)
+
+
+def polygon_outcome(route, f):
+    try:
+        return route(f)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
 class TestNewtonPolygon:
     def test_lubin_tate_shape(self):
         f = PadicPoly(5, 8, [0, 5, 0, 0, 0, 1])
@@ -411,12 +476,25 @@ class TestNewtonPolygon:
             assert pfg.lowest_power == pf.lowest_power + pg.lowest_power
 
     def test_capped_coefficient_inside_hull(self):
-        # t^2 + 0*t + p: the missing middle coefficient is above the
-        # hull, fine; but t^4 + 0*t^2 + p^9 at N=4 forces a precision
-        # error only if the hull needs more than N there
+        # zero residues inside the hull: their true valuation, >= N, is
+        # above every hull point, which is at most N - 1 high
         f = PadicPoly(3, 2, [3, 0, 0, 0, 1])
         poly = newton_polygon(f)  # hull needs ord >= 1/2 at i=2: fine
         assert total_length(poly) == 4
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_poly())
+    @example(PadicPoly(3, 2, [9, 0, 0, 0, 1]))  # 0 mod 3^2 at the low end
+    @example(PadicPoly(3, 1, [1, 0, 0, 0, 3, 0, 1]))
+    def test_one_pass_matches_the_two_pass_reference(self, f):
+        """Equal polygons on polynomials with zero residues inside the
+        hull and at its low end.  The reference's PrecisionError, for a
+        zero residue under the hull, would show here as an unequal
+        outcome: it never fires, as every hull point of reduced residues
+        is at most N - 1 high, and the one-pass polygon has no such
+        branch."""
+        assert (polygon_outcome(newton_polygon, f)
+                == polygon_outcome(reference_newton_polygon, f))
 
     def test_record(self):
         """A value record: the repr names its fields, a field cannot be

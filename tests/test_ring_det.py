@@ -3,10 +3,11 @@ Laplace expansion and against Berkowitz on ring elements, over the
 integers, over Z/p^N (with zero divisors) and over tower levels 1 and 2
 (entries shorter than the level too), on both sides of the packed
 kernel's cutover; the slot width against the
-unreduced determinant over Z[X]; the discriminant's p x p norm
+unreduced determinant over Z[X]; the discriminant's (p - 1)-square norm
 determinant against the Sylvester determinant of the same resultant; and
 the precision ladder of that resultant and of level_disc."""
 
+import json
 import random
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtower import padic
+from cmtower.cli import RunConfig, main
 from cmtower.errors import PrecisionError
 from cmtower.local_tower import (EisensteinTower, _disc_resultant,
                                  _resultant_element, level_disc)
@@ -370,7 +372,7 @@ def test_benchmark_norm_matrices_take_the_packed_path(monkeypatch):
         q = job.params
         seed = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
         _resultant_element(EisensteinTower(seed))
-    assert dims == [job.params["p"] for job in jobs]
+    assert dims == [job.params["p"] - 1 for job in jobs]
 
 
 @pytest.mark.parametrize("N, packed", [(20, True), (40, True),
@@ -396,9 +398,9 @@ def test_norm_matrix_at_p7_on_each_side_of_the_cutover(N, packed,
 @st.composite
 def any_top_seed(draw):
     """A polynomial seed at p in {3, 5, 7} with t^p coefficient 1 or
-    1 + p (non-monic h_1 and d - lambda_1), at N in [2, 20]."""
+    1 + p (non-monic h_1 and d - lambda_1), at N in [2, 40]."""
     p = draw(st.sampled_from((3, 5, 7)))
-    N = draw(st.integers(2, 20))
+    N = draw(st.integers(2, 40))
     pi = p * draw(st.integers(1, p ** 3).filter(lambda u: u % p))
     mid = [p * draw(st.integers(0, p ** 3)) for _ in range(2, p)]
     top = draw(st.sampled_from((1, 1 + p)))
@@ -408,9 +410,10 @@ def any_top_seed(draw):
 @settings(max_examples=60, deadline=None)
 @given(any_top_seed())
 def test_norm_matches_sylvester(seed):
-    """The p x p norm determinant times lc^n is the Sylvester
-    determinant's ring element, not only its valuation; where one route
-    raises, the other raises the same class."""
+    """The (p - 1)-square norm determinant over R_1[t]/(d'/p) times
+    (p d_p)^p is the Sylvester determinant's ring element, not only its
+    valuation, at N <= p (both 0) and past it; where one route raises,
+    the other raises the same class."""
     assert_norm_is_sylvester(EisensteinTower(seed))
 
 
@@ -501,3 +504,50 @@ def test_level_disc_agrees_or_raises_down_the_ladder(seed, N):
     low, high = (disc_or_short(p, n, coeffs) for n in (N, N + 5))
     if low is not None:
         assert high == low == p * (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# precision contract of the resultant route: exit 3 exactly for N <= p
+# ---------------------------------------------------------------------------
+
+def contract_seed(p, kind):
+    """The [seed] section of a standard, multiplicative or random
+    Eisenstein seed at p."""
+    if kind != "random":
+        return f"[seed]\np = {p}\nkind = {kind}\n"
+    rng = random.Random(p)
+    coeffs = ([0, p * rng.randrange(1, p)]
+              + [p * rng.randrange(p ** 3) for _ in range(2, p)]
+              + [1 + p * rng.randrange(p)])
+    return f"[seed]\np = {p}\ncoeffs = {' '.join(map(str, coeffs))}\n"
+
+
+@pytest.mark.parametrize("kind", ("standard", "multiplicative", "random"))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_level_disc_exits_3_exactly_up_to_n_equal_p(p, kind, tmp_path,
+                                                     capsys):
+    """The factor p^p of the resultant is 0 mod p^N for N <= p: level_disc
+    raises, and tower-disc exits 3, naming N = p + 1, which certifies
+    p(p - 1).  At N = 1 the seed itself is refused first (exit 3)."""
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text(contract_seed(p, kind))
+    need = f"raise --precision to at least {p + 1}"
+
+    def tower(N):
+        return EisensteinTower(RunConfig.load(
+            "tower-disc", str(cfg), {"precision": N}).seed())
+
+    for N in range(1, p + 2):
+        code = main(["tower-disc", "--config", str(cfg), "--precision",
+                     str(N)])
+        out, err = capsys.readouterr()
+        if N > p:
+            assert code == 0
+            assert json.loads(out)["results"]["disc"] == p * (p - 1)
+            assert level_disc(tower(N)) == p * (p - 1)
+        elif N > 1:
+            assert code == 3 and need in err, N
+            with pytest.raises(PrecisionError, match=need):
+                level_disc(tower(N))
+        else:
+            assert code == 3
