@@ -2,8 +2,8 @@
 
 Level n adjoins the n-th torsion of the seed: it is the totally ramified
 extension of Z_p cut out by h_n = [pi^n](t) / [pi^(n-1)](t), an
-Eisenstein polynomial of degree p^(n-1)(p-1) certified by its Newton
-polygon.  All is read off the seed polynomial d: h_1 = d/t, h_n =
+Eisenstein polynomial of degree p^(n-1)(p-1) certified by Eisenstein's
+criterion.  All is read off the seed polynomial d: h_1 = d/t, h_n =
 h_(n-1)(d) (one composition, no division), and the pi-action is d.
 Elements are written in the power basis of lambda_n; the candidate
 valuations i + d_n*ord_p(a_i) are pairwise distinct, so valuations of
@@ -17,12 +17,12 @@ weights and one head valuation per Galois displacement.
 One ring class, ``TowerRing``, is a tower level, with its one product
 ``mul`` and its one valuation ``val``; ``LocalElement`` is the one
 element class.  The two certified invariants of the ramified step form
-no compositum: the discriminant's resultant is (p d_p)^p times a
-(p - 1)-square norm determinant over level 1, d_p the seed's t^p
-coefficient, and the conductor values the head -a*lambda of each
-displacement with weights read off the two Eisenstein certificates
-(h_1 and d - q), against a tail bound on the terms it drops, with no
-Lubin-Tate solve.
+no compositum: the discriminant's resultant is (p d_p)^p chi_S(lambda_1)
+mod h_1, d_p the seed's t^p coefficient and chi_S the characteristic
+polynomial of a (p - 1)-square matrix S of scalars, and the conductor
+values the head -a*lambda of each displacement with weights read off
+the two Eisenstein certificates (h_1 and d - q), against a tail bound on
+the terms it drops, with no Lubin-Tate solve.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvariantError, PrecisionError, ValidationError
-# endo and group_law are unused here; perfbench/spans.py patches these
-# bindings
+# endo, group_law and ring_det are unused here; perfbench/spans.py
+# patches these bindings
 from .lubin_tate import LTSeed, endo, group_law
-from .padic import (InRing, PadicInt, PadicPoly, hensel_root, mul_coeffs,
-                    newton_polygon, rem_coeffs, ring_det)
+from .padic import (InRing, PadicInt, PadicPoly, char_poly, hensel_root,
+                    mul_coeffs, newton_polygon, rem_coeffs, ring_det)
 
 
 class TowerRing:
@@ -110,7 +110,10 @@ class EisensteinTower(InRing):
         [pi^k] = [pi^(k-1)](d), so the quotient h_k = [pi^k]/[pi^(k-1)]
         is h_(k-1)(d) exactly (Lubin and Tate, Ann. of Math. 81, 1965):
         h_1 is read off d and each later level is one composition.
-        Nothing is divided."""
+        Nothing is divided.  Each level is certified by Eisenstein's
+        criterion (``_eisenstein_defect``), which for degree d_k accepts
+        exactly the polynomials whose Newton polygon is the one segment
+        of slope 1/d_k from (0, 1)."""
         while len(self.levels) < n:
             k = len(self.levels) + 1
             dk = self.degree(k)
@@ -125,16 +128,10 @@ class EisensteinTower(InRing):
                     f"torsion polynomial at level {k} has degree {q.degree}, "
                     f"expected {dk}"
                 )
-            poly = newton_polygon(q)
-            if poly.lowest_power != 0 or poly.single_slope() != Fraction(1, dk):
+            defect = _eisenstein_defect(q.coeffs, self.p)
+            if defect is not None:
                 raise InvariantError(
-                    f"level {k} polynomial is not Eisenstein: polygon "
-                    f"{poly.segments}"
-                )
-            if self.R.val(q.coeffs[0]) != 1:
-                raise InvariantError(
-                    f"level {k} constant term does not have valuation 1"
-                )
+                    f"level {k} polynomial is not Eisenstein: {defect}")
             self.levels.append(q)
             self.rings.append(TowerRing(self.R, q.coeffs))
 
@@ -162,6 +159,23 @@ class EisensteinTower(InRing):
         if n < 1:
             raise ValidationError("lambda exists from level 1 up")
         return self.ring(n).lam()
+
+
+def _eisenstein_defect(coeffs, p):
+    """What breaks Eisenstein's criterion for a coefficient list reduced
+    mod p^N, lowest degree first, or None when it holds: p does not
+    divide the lead, p divides every coefficient below it, and p^2 does
+    not divide the constant term (a zero residue, capped, counts as
+    divisible)."""
+    *low, lead = coeffs
+    if lead % p == 0:
+        return f"p divides the lead coefficient {lead}"
+    for i, c in enumerate(low):
+        if c % p:
+            return f"p does not divide the t^{i} coefficient {c}"
+    if low[0] % (p * p) == 0:
+        return f"p^2 divides the constant term {low[0]}"
+    return None
 
 
 class LocalElement:
@@ -274,7 +288,8 @@ def _disc_direct(tower: EisensteinTower) -> int:
 def _resultant_element(tower: EisensteinTower) -> list:
     """Res(m, d') over the level-1 ring, as a raw level-1 element, for
     m(t) = d(t) - lambda_1 and d' of formal degree p - 1: the element of
-    the (2p - 1)-square Sylvester determinant, from a (p - 1)-square one.
+    the (2p - 1)-square Sylvester determinant, as
+    (p u)^p chi_S(lambda_1) mod h_1 for a (p - 1)-square scalar matrix S.
 
     A validated seed has d = u t^p mod p (Lubin and Tate, Ann. of Math.
     81 (1965)): pi has valuation 1 and p divides d_k for 2 <= k < p, so
@@ -283,18 +298,25 @@ def _resultant_element(tower: EisensteinTower) -> list:
     Res(d', m), since p(p - 1) is even, and homogeneity in d' gives
     p^p Res(e, m) = (p u)^p det M, M the (p - 1)-square matrix of
     multiplication by m on R_1[t]/(e) (Cohen, GTM 138, section 3.3: the
-    resultant as a norm).  This is a polynomial identity over
-    Z[coefficients, 1/u], and ``ring_det`` is division-free, so the
-    result is the Sylvester determinant's ring element mod p^N.  The
-    residues of d' fix e only mod p^(N-1); the factor p^p makes up that
-    digit, and at N <= p it is 0 mod p^N, as the resultant then is.
+    resultant as a norm).
 
-    m mod e is r - lambda_1, r = d mod e a list of scalars, and t^k is
-    reduced for k < p - 1, so column k of M is t^k r mod e minus lambda_1
-    in row k.  The columns t^k r come by shift and reduce on scalars:
-    t times a column is the column shifted up plus its top entry times
-    -e_i/u in row i.  Nothing multiplies two level-1 elements."""
-    h = tower.h(1).coeffs  # certifies the seed first
+    m mod e is r - lambda_1, r = d mod e a list of scalars, so
+    M = S - lambda_1 I, S the matrix of multiplication by r on
+    Z/p^N[t]/(e), and det M = chi_S(lambda_1) since p - 1 is even,
+    chi_S(x) = det(x - S) (Berkowitz, Inf. Process. Lett. 18 (1984)).
+    ``char_poly`` gives chi_S, monic of degree p - 1 = deg h_1, and one
+    division by h_1 evaluates it at lambda_1.  This is a polynomial
+    identity over Z[coefficients, 1/u], and the recursion is
+    division-free, so the result is the Sylvester determinant's ring
+    element mod p^N.  The residues of d' fix e only mod p^(N-1); the
+    factor p^p makes up that digit, and at N <= p it is 0 mod p^N, as
+    the resultant then is.
+
+    t^k is reduced for k < p - 1, so column k of S is t^k r mod e.  The
+    columns come by shift and reduce on scalars: t times a column is the
+    column shifted up plus its top entry times -e_i/u in row i.  No
+    level-1 element enters a product or a determinant."""
+    ring = tower.ring(1)  # certifies the seed first
     mod, p, d = tower.R.mod, tower.p, tower.d.coeffs
     e = [c // p for c in tower.d.derivative().coeffs]
     u = e[-1]
@@ -308,14 +330,12 @@ def _resultant_element(tower: EisensteinTower) -> list:
         top = col[-1]
         cols.append([top * neg[0] % mod] + [(x + top * s) % mod
                                             for x, s in zip(col, neg[1:])])
-    # det M^T = det M: the columns go in as rows, of scalar entries but
-    # for -lambda_1 on the diagonal
-    rows = [[[c] for c in col] for col in cols]
-    for k, row in enumerate(rows):
-        row[k].append(mod - 1)
-    det = ring_det(rows, mod, h)
+    # S^T has the characteristic polynomial of S: the columns go in as
+    # rows
+    chi = char_poly(cols, mod)
+    rem_coeffs(chi, ring.h, ring.hinv, mod)
     scale = pow(p * u, p, mod)
-    return [scale * x % mod for x in det]
+    return [scale * x % mod for x in chi[:p - 1]]
 
 
 def _disc_resultant(tower: EisensteinTower) -> int:
@@ -340,12 +360,13 @@ def level_disc(tower: EisensteinTower) -> int:
     """Discriminant valuation of level 2 over level 1, in level-1
     uniformizer units.  Computed two independent ways (direct valuation
     at level 2, and the resultant of d - lambda_1 and d' over level 1 as
-    (p d_p)^p times one (p - 1)-square norm determinant over
-    R_1[t]/(d'/p)) and cross-checked; p(p-1) for a valid tower, and a
-    PrecisionError (exit 3) exactly for N <= p.  The resultant is the
-    Sylvester determinant's ring element, so the reports still name the
-    "Sylvester resultant".  The certified value is kept on the tower, so
-    later calls return it without rerunning either route."""
+    (p d_p)^p chi_S(lambda_1) mod h_1, chi_S the characteristic
+    polynomial of multiplication by d on Z/p^N[t]/(d'/p)) and
+    cross-checked; p(p-1) for a valid tower, and a PrecisionError (exit
+    3) exactly for N <= p.  The resultant is the Sylvester determinant's
+    ring element, so the reports still name the "Sylvester resultant".
+    The certified value is kept on the tower, so later calls return it
+    without rerunning either route."""
     if tower.disc is None:
         direct = _disc_direct(tower)
         resultant = _disc_resultant(tower)

@@ -29,8 +29,11 @@ multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
 term by term: no report reaches them, and the tests check the dense
 Lubin-Tate solver's series through them.
 
-The determinant ``ring_det`` works over Z or over Z/p^N[X]/(h), Z/p^N
-being h = X.  One Berkowitz recursion serves two entry forms: packed
+One Berkowitz recursion, ``_berkowitz``, gives the characteristic
+polynomial det(x - A), and with it two entry points.  ``char_poly``
+takes a matrix of integers and returns its characteristic polynomial
+mod p^N.  The determinant ``ring_det`` works over Z or over
+Z/p^N[X]/(h), Z/p^N being h = X, and serves two entry forms: packed
 integers (the Kronecker substitution X = 2^s, one integer determinant
 reduced once, by h through ``rem_coeffs`` and mod p^N), and past
 ``MAX_SLOT_BITS`` bits a slot coefficient lists, each sum of products
@@ -474,9 +477,10 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 # p = 5: 0.33 at 481 (N = 40), 0.61 at 946 (N = 80), 1.15 at 2341
 # (N = 200); p = 3: 0.47 at 957 (N = 200), 1.08 at 4761 (N = 1000).
 # p = 7 breaks even first, near s = 1250; below 1024 every shape packs
-# faster than the lists.  The tower now sends (p - 1) x (p - 1) norm
-# matrices, whose slots are narrower at the same N (1038 bits at p = 7,
-# N = 60); the constant is unchanged.
+# faster than the lists.  No route in the library sends level-ring
+# matrices now: the tower's resultant is a characteristic polynomial of
+# scalars (``char_poly``), and the unit wedge takes determinants over
+# Z.  The table stays as the record of where the constant came from.
 MAX_SLOT_BITS = 1024
 
 
@@ -497,9 +501,10 @@ def _slot_width(n: int, w: int, mod: int) -> int:
 
 
 def _berkowitz(rows, dot, neg, one):
-    """The determinant of a square matrix by Berkowitz's recursion (see
-    ``ring_det``) over the ring whose sum of products is ``dot(a, b)``,
-    negation ``neg`` and unit ``one``."""
+    """The coefficients of det(x - A), highest power first, for a square
+    matrix A by Berkowitz's recursion (see ``ring_det``) over the ring
+    whose sum of products is ``dot(a, b)``, negation ``neg`` and unit
+    ``one``.  The last, c_n, is (-1)^n det A."""
     n = len(rows)
     c = [one]  # coefficients of det(x - A_r), highest power first
     for r in range(n):
@@ -514,16 +519,26 @@ def _berkowitz(rows, dot, neg, one):
         # c'_k = sum_j q_(k-j) c_j, q read backwards
         q.reverse()
         c = [dot(c, q[r + 1 - k:]) for k in range(r + 2)]
-    return c[n] if n % 2 == 0 else neg(c[n])
+    return c
 
 
 def _int_dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def char_poly(rows, mod: int) -> list:
+    """The characteristic polynomial det(x - A) mod ``mod`` of a square
+    matrix of integers, lowest degree first: ``_berkowitz`` once over Z,
+    each coefficient then reduced once.  It is monic of degree n, its
+    constant term is (-1)^n det A, and the empty matrix gives [1]."""
+    return [x % mod for x in reversed(_berkowitz(rows, _int_dot, neg, 1))]
+
+
 def _berkowitz_ints(rows) -> int:
-    """``_berkowitz`` over Z, nothing reduced."""
-    return _berkowitz(rows, _int_dot, neg, 1)
+    """The determinant over Z, (-1)^n c_n of ``_berkowitz``, nothing
+    reduced."""
+    c = _berkowitz(rows, _int_dot, neg, 1)
+    return c[-1] if len(rows) % 2 == 0 else -c[-1]
 
 
 def _berkowitz_lists(rows, mod, h) -> list:
@@ -542,8 +557,11 @@ def _berkowitz_lists(rows, mod, h) -> list:
         rem_coeffs(buf, h, inv, mod)
         return buf[:w]
 
-    return _berkowitz(rows, dot, lambda a: [-x % mod for x in a],
-                      [1] + [0] * (w - 1))
+    def negate(a):
+        return [-x % mod for x in a]
+
+    c = _berkowitz(rows, dot, negate, [1] + [0] * (w - 1))
+    return c[-1] if len(rows) % 2 == 0 else negate(c[-1])
 
 
 def ring_det(rows, mod=None, h=None) -> list:
@@ -559,9 +577,11 @@ def ring_det(rows, mod=None, h=None) -> list:
     det(x - A_r) of the leading r x r block grows one row and column at a
     time.  Writing the next block as [[M, C], [R, a]], its coefficients
     are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
-    -R M^(r-1) C] with those of det(x - M), and det A = (-1)^n c_n.
-    ``_berkowitz`` runs this recursion once for both entry forms below,
-    which supply only their sum of products, negation and unit.
+    -R M^(r-1) C] with those of det(x - M).  ``_berkowitz`` runs this
+    recursion once and returns the whole list c, the characteristic
+    polynomial that ``char_poly`` reads; each entry form below supplies
+    only its sum of products, negation and unit, and reads
+    det A = (-1)^n c_n off the list.
 
     Being division-free, the recursion runs unchanged over Z after the
     Kronecker substitution X = 2^s (Schoenhage, EUROCAM 1982): each entry

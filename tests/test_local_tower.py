@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmtower import local_tower, lubin_tate
 from cmtower.errors import (HenselError, InvariantError, PrecisionError,
@@ -13,7 +13,7 @@ from cmtower.errors import (HenselError, InvariantError, PrecisionError,
 from cmtower.local_tower import (DivisionState, EisensteinTower,
                                  LocalElement, TowerRing,
                                  _disc_direct, _disc_resultant,
-                                 _head_valuation,
+                                 _eisenstein_defect, _head_valuation,
                                  character_conductor_floor, divide_point,
                                  division_conductor, e_invariant,
                                  filtration_step, level_disc)
@@ -141,6 +141,81 @@ class TestTorsionPolys:
         seed = LTSeed.from_coeffs(3, 20, 8, [0, 3, 0, 1, 3])
         with pytest.raises(ValidationError):
             EisensteinTower(seed).build(1)
+
+
+def reference_is_eisenstein(q):
+    """The build's certificate as first written: a nonzero constant term
+    of valuation 1 and a Newton polygon of one segment, of slope
+    1/deg q."""
+    poly = newton_polygon(q)
+    return (poly.lowest_power == 0
+            and poly.single_slope() == Fraction(1, q.degree)
+            and q.R.val(q.coeffs[0]) == 1)
+
+
+@st.composite
+def near_eisenstein(draw):
+    """A polynomial of degree 1-12 at p in {3, 5, 7}, N in [1, 8], whose
+    coefficients strictly between the constant term and the lead are
+    zero (capped) or p times an integer, and for half of the draws
+    anything too; the lead is a unit or p times one, and the constant
+    term has valuation 0, 1, 2 or is capped."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    N = draw(st.integers(1, 8))
+    deg = draw(st.integers(1, 12))
+    mod = p ** N
+    unit = st.integers(1, mod - 1).filter(lambda x: x % p)
+    const = draw(st.one_of(st.just(0), unit)) * p ** draw(st.integers(0, 2))
+    kinds = [st.just(0), st.integers(0, mod).map(lambda x: p * x)]
+    if draw(st.booleans()):
+        kinds.append(st.integers(0, mod - 1))
+    mid = [draw(st.one_of(kinds)) for _ in range(1, deg)]
+    lead = draw(st.one_of(unit, unit.map(lambda x: p * x)))
+    q = PadicPoly(p, N, [const] + mid + [lead])
+    assume(q.degree == deg)  # a lead p u vanishes at N = 1
+    return q
+
+
+class TestEisensteinCriterion:
+    """The build certifies each level by Eisenstein's criterion, against
+    the Newton polygon certificate it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_eisenstein())
+    def test_criterion_accepts_what_the_polygon_accepts(self, q):
+        assert ((_eisenstein_defect(q.coeffs, q.p) is None)
+                == reference_is_eisenstein(q))
+
+    @pytest.mark.parametrize("coeffs, defect", [
+        ([3, 0, 1], None),
+        ([3, 6, 3], "p divides the lead coefficient 3"),
+        ([3, 1, 1], "p does not divide the t^1 coefficient 1"),
+        ([9, 3, 1], "p^2 divides the constant term 9"),
+        ([0, 3, 1], "p^2 divides the constant term 0"),
+    ])
+    def test_defect_names_the_coefficient(self, coeffs, defect):
+        assert _eisenstein_defect(coeffs, 3) == defect
+
+    @pytest.mark.parametrize("where", ("lead", "middle", "constant"))
+    def test_tampered_level_two_is_refused(self, where, monkeypatch):
+        """h_2 with its lead times p, a middle coefficient plus one, or
+        its constant term times p: the build refuses level 2 and keeps
+        level 1."""
+        compose = PadicPoly.compose_poly
+
+        def tampered(self, other):
+            c = list(compose(self, other).coeffs)
+            i = {"lead": -1, "middle": 1, "constant": 0}[where]
+            c[i] = c[i] + 1 if where == "middle" else c[i] * self.p
+            return PadicPoly(self.p, self.N, c)
+
+        monkeypatch.setattr(PadicPoly, "compose_poly", tampered)
+        for p in (3, 5, 7):
+            tw = tower(p)
+            with pytest.raises(InvariantError,
+                               match="level 2 polynomial is not Eisenstein"):
+                tw.build(2)
+            assert len(tw.levels) == 1
 
 
 def divided_torsion_polys(seed, n):
@@ -400,20 +475,26 @@ class TestDiscriminant:
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_resultant_is_one_p_minus_1_square_determinant(self, p,
                                                            monkeypatch):
-        """The resultant route runs ring_det once, on the (p - 1)-square
-        norm matrix over R_1[t]/(d'/p), not on the (2p - 1)-square
-        Sylvester matrix."""
+        """The resultant route takes one characteristic polynomial, of
+        the (p - 1)-square scalar matrix S of the norm matrix
+        S - lambda_1 I, and no determinant over a level ring: ring_det
+        does not run."""
         t = tower(p, N=20)
         dims = []
-        det = local_tower.ring_det
+        chi = local_tower.char_poly
 
-        def recording(rows, *ring):
-            dims.append((len(rows), {len(row) for row in rows}))
-            return det(rows, *ring)
+        def recording(rows, *mod):
+            dims.append((len(rows), {len(row) for row in rows},
+                         {type(x) for row in rows for x in row}))
+            return chi(rows, *mod)
 
-        monkeypatch.setattr(local_tower, "ring_det", recording)
+        def refusing(*args):
+            raise AssertionError("ring_det ran in the resultant route")
+
+        monkeypatch.setattr(local_tower, "char_poly", recording)
+        monkeypatch.setattr(local_tower, "ring_det", refusing)
         assert level_disc(t) == p * (p - 1)
-        assert dims == [(p - 1, {p - 1})]
+        assert dims == [(p - 1, {p - 1}, {int})]
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_resultant_multiplies_no_tower_elements(self, p, monkeypatch):

@@ -2,10 +2,12 @@
 Laplace expansion and against Berkowitz on ring elements, over the
 integers, over Z/p^N (with zero divisors) and over tower levels 1 and 2
 (entries shorter than the level too), on both sides of the packed
-kernel's cutover; the slot width against the
-unreduced determinant over Z[X]; the discriminant's (p - 1)-square norm
-determinant against the Sylvester determinant of the same resultant; and
-the precision ladder of that resultant and of level_disc."""
+kernel's cutover; the slot width against the unreduced determinant over
+Z[X]; char_poly against Laplace expansion of x I - A; the
+discriminant's resultant, (p u)^p chi_S(lambda_1) mod h_1, against the
+level-1 determinant of S - lambda_1 I and against the Sylvester
+determinant of the same resultant; and the precision ladder of that
+resultant and of level_disc."""
 
 import json
 import random
@@ -21,7 +23,7 @@ from cmtower.local_tower import (EisensteinTower, _disc_resultant,
                                  _resultant_element, level_disc)
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import (MAX_SLOT_BITS, PadicInt, _berkowitz_lists,
-                           _slot_width, rem_coeffs, ring_det)
+                           _slot_width, char_poly, rem_coeffs, ring_det)
 from test_bench_workloads import lib as bench
 from test_local_tower import Elt
 
@@ -151,6 +153,61 @@ def test_residues_match_laplace(p, N, data):
     rows = [[PadicInt(p, N, x) for x in row]
             for row in data.draw(square(entry, 6))]
     assert_same(rows, PadicInt(p, N, 0), PadicInt(p, N, 1), p ** N, [0, 1])
+
+
+def shifted(rows, x, zero):
+    """x I - A for a square matrix A, entries from any ring."""
+    return [[(x if i == j else zero) - a for j, a in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+# above twice every |det(x I - A)| at |x| <= 20 for entries in [-50, 50]
+# and n <= 6 (at most 6! 70^6 < 2^47), so congruence mod BIG is equality
+# over Z
+BIG = 3 ** 200
+
+
+@settings(max_examples=150, deadline=None)
+@given(square(st.integers(-50, 50), 6),
+       st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+def test_char_poly_over_z_matches_laplace(rows, xs):
+    """det(x I - A) by Laplace at three integers x is chi_A(x), chi_A is
+    monic of degree n, and chi_A(0) = (-1)^n det A."""
+    n, chi = len(rows), char_poly(rows, BIG)
+    assert len(chi) == n + 1 and chi[-1] == 1
+    for x in xs:
+        want = laplace_det(shifted(rows, x, 0), 0, 1)
+        assert padic._horner(chi, x, BIG) == want % BIG
+    det = ring_det([[[a] for a in row] for row in rows])
+    assert chi[0] == (-1) ** n * det[0] % BIG
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 6), st.data())
+def test_char_poly_mod_pn_matches_laplace(p, N, data):
+    """The same over Z/p^N, entries with zero divisors among them: every
+    coefficient comes out reduced."""
+    mod = p ** N
+    entry = st.one_of(st.integers(0, mod - 1),
+                      st.integers(0, p ** (N - 1)).map(lambda x: p * x))
+    rows = data.draw(square(entry, 6))
+    xs = data.draw(st.lists(st.integers(0, mod - 1), min_size=3,
+                            max_size=3))
+    n, chi = len(rows), char_poly(rows, mod)
+    assert len(chi) == n + 1 and chi[-1] == 1
+    assert all(0 <= c < mod for c in chi)
+    residues = [[PadicInt(p, N, a) for a in row] for row in rows]
+    zero, one = PadicInt(p, N, 0), PadicInt(p, N, 1)
+    for x in xs:
+        want = laplace_det(shifted(residues, PadicInt(p, N, x), zero),
+                           zero, one)
+        assert padic._horner(chi, x, mod) == want.value
+    det = ring_det([[[a] for a in row] for row in rows], mod, [0, 1])
+    assert chi[0] == (-1) ** n * det[0] % mod
+
+
+def test_char_poly_of_the_empty_matrix_is_one():
+    assert char_poly([], 7 ** 3) == [1]
 
 
 @lru_cache(maxsize=None)
@@ -340,6 +397,58 @@ def assert_norm_is_sylvester(tower):
     return want
 
 
+def norm_matrix(tower):
+    """S - lambda_1 I as ``ring_det``'s raw level-1 entries, with the
+    scale (p u)^p, as the resultant route first built it.  S is the
+    matrix of multiplication by r = d mod e on Z/p^N[t]/(e), e = d'/p of
+    lead u; its columns t^k r mod e go in as rows (det M^T = det M), one
+    residue per scalar entry, and -lambda_1 is added on the diagonal."""
+    tower.build(1)  # certifies the seed first
+    mod, p, d = tower.R.mod, tower.p, tower.d.coeffs
+    e = [c // p for c in tower.d.derivative().coeffs]
+    u = e[-1]
+    uinv = pow(u, -1, mod)
+    r = list(d)
+    rem_coeffs(r, e, uinv, mod)
+    neg = [-c * uinv % mod for c in e[:-1]]
+    cols = [r[:p - 1]]
+    for _ in range(p - 2):
+        col = cols[-1]
+        top = col[-1]
+        cols.append([top * neg[0] % mod] + [(x + top * s) % mod
+                                            for x, s in zip(col, neg[1:])])
+    rows = [[[c] for c in col] for col in cols]
+    for k, row in enumerate(rows):
+        row[k].append(mod - 1)
+    return rows, pow(p * u, p, mod)
+
+
+def reference_resultant_element(tower):
+    """Res(d - lambda_1, d') over level 1 as (p u)^p det(S - lambda_1 I),
+    the determinant taken by ``ring_det`` over the level-1 ring: the
+    oracle for the characteristic-polynomial route."""
+    rows, scale = norm_matrix(tower)
+    mod = tower.R.mod
+    det = ring_det(rows, mod, tower.h(1).coeffs)
+    return [scale * x % mod for x in det]
+
+
+def assert_char_poly_is_reference(tower):
+    want = outcome(reference_resultant_element, tower)
+    assert outcome(_resultant_element, tower) == want
+    return want
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_char_poly_route_matches_the_determinant_on_benchmark_towers(seed):
+    """The ``tower`` jobs of seeds 0-2: the same level-1 element."""
+    for job in bench.WORKLOADS["tower"].generate(seed, None):
+        q = job.params
+        lt = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
+        assert isinstance(assert_char_poly_is_reference(EisensteinTower(lt)),
+                          list), job.id
+
+
 def test_norm_matches_sylvester_on_the_benchmark_towers():
     """The seed-0 jobs of the benchmark's ``tower`` workload."""
     jobs = bench.WORKLOADS["tower"].generate(0, None)
@@ -352,9 +461,10 @@ def test_norm_matches_sylvester_on_the_benchmark_towers():
 
 
 def test_benchmark_norm_matrices_take_the_packed_path(monkeypatch):
-    """Every norm matrix of the benchmark's seed-0 ``tower`` batch goes
-    through one integer determinant, none through the lists: a change of
-    MAX_SLOT_BITS cannot quietly turn the packed kernel off there."""
+    """The level-1 matrix S - lambda_1 I of every job of the benchmark's
+    seed-0 ``tower`` batch goes through one integer determinant in
+    ``ring_det``, none through the lists: a change of MAX_SLOT_BITS
+    cannot quietly turn the packed kernel off on these shapes."""
     dims = []
     ints = padic._berkowitz_ints
 
@@ -371,7 +481,7 @@ def test_benchmark_norm_matrices_take_the_packed_path(monkeypatch):
     for job in jobs:
         q = job.params
         seed = LTSeed.from_coeffs(q["p"], q["N"], q["trunc"], q["coeffs"])
-        _resultant_element(EisensteinTower(seed))
+        reference_resultant_element(EisensteinTower(seed))
     assert dims == [job.params["p"] - 1 for job in jobs]
 
 
@@ -379,8 +489,10 @@ def test_benchmark_norm_matrices_take_the_packed_path(monkeypatch):
                                        (80, False), (200, False)])
 def test_norm_matrix_at_p7_on_each_side_of_the_cutover(N, packed,
                                                       monkeypatch):
-    """At p = 7 the norm matrix packs up to N = 40 and runs on the lists
-    from N = 80; either way it is the Sylvester determinant's element."""
+    """At p = 7 the level-1 determinant of S - lambda_1 I packs up to
+    N = 40 and runs on the lists from N = 80; either way it gives the
+    characteristic-polynomial route's element, which is the Sylvester
+    determinant's."""
     tower = level1(7, N=N)
     kernels = []
     for name in ("_berkowitz_ints", "_berkowitz_lists"):
@@ -388,19 +500,19 @@ def test_norm_matrix_at_p7_on_each_side_of_the_cutover(N, packed,
             kernels.append(_name)
             return _f(*args)
         monkeypatch.setattr(padic, name, counting)
-    _resultant_element(tower)
+    want = reference_resultant_element(tower)
     assert kernels == (["_berkowitz_ints"] if packed
                        else ["_berkowitz_lists"])
     monkeypatch.undo()
-    assert isinstance(assert_norm_is_sylvester(tower), list)
+    assert assert_norm_is_sylvester(tower) == want
 
 
 @st.composite
-def any_top_seed(draw):
+def any_top_seed(draw, max_N=40):
     """A polynomial seed at p in {3, 5, 7} with t^p coefficient 1 or
-    1 + p (non-monic h_1 and d - lambda_1), at N in [2, 40]."""
+    1 + p (non-monic h_1 and d - lambda_1), at N in [2, max_N]."""
     p = draw(st.sampled_from((3, 5, 7)))
-    N = draw(st.integers(2, 40))
+    N = draw(st.integers(2, max_N))
     pi = p * draw(st.integers(1, p ** 3).filter(lambda u: u % p))
     mid = [p * draw(st.integers(0, p ** 3)) for _ in range(2, p)]
     top = draw(st.sampled_from((1, 1 + p)))
@@ -415,6 +527,25 @@ def test_norm_matches_sylvester(seed):
     valuation, at N <= p (both 0) and past it; where one route raises,
     the other raises the same class."""
     assert_norm_is_sylvester(EisensteinTower(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_top_seed(max_N=90))
+def test_char_poly_route_matches_the_determinant(seed):
+    """(p u)^p chi_S(lambda_1) mod h_1 is (p u)^p det(S - lambda_1 I)
+    over level 1, element for element, at N <= p (both 0) and past it,
+    on both sides of ``ring_det``'s cutover."""
+    assert_char_poly_is_reference(EisensteinTower(seed))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_char_poly_route_is_zero_up_to_n_equal_p(p):
+    """N from 2 to p + 1 on the standard seed: both routes give the zero
+    element exactly for N <= p."""
+    for N in range(2, p + 2):
+        tower = EisensteinTower(LTSeed.standard(p, N, p + 2))
+        got = assert_char_poly_is_reference(tower)
+        assert (got == [0] * (p - 1)) == (N <= p), N
 
 
 @pytest.mark.parametrize("p, coeffs", [(7, None), NON_MONIC],
