@@ -29,15 +29,10 @@ multiply series truncated at D into ``[0] * (D + 1)``.  The sparse
 term by term: no report reaches them, and the tests check the dense
 Lubin-Tate solver's series through them.
 
-One Berkowitz recursion, ``_berkowitz``, gives the characteristic
-polynomial det(x - A), and with it two entry points.  ``char_poly``
-takes a matrix of integers and returns its characteristic polynomial
-mod p^N.  The determinant ``ring_det`` works over Z or over
-Z/p^N[X]/(h), Z/p^N being h = X, and serves two entry forms: packed
-integers (the Kronecker substitution X = 2^s, one integer determinant
-reduced once, by h through ``rem_coeffs`` and mod p^N), and past
-``MAX_SLOT_BITS`` bits a slot coefficient lists, each sum of products
-added up through ``mul_coeffs(a, b, out)`` and reduced once.
+One Berkowitz recursion over Z, ``_berkowitz``, gives the characteristic
+polynomial det(x - A) of an integer matrix, read by two entry points:
+``char_poly`` reduces its coefficients mod p^N, and ``ring_det`` takes
+the determinant (-1)^n c_n off it, nothing reduced.
 
 Valuation of the zero residue is reported as the capped marker ``None``
 ("unknown, >= N") and is never compared equal to a finite valuation.
@@ -48,8 +43,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial, isqrt
-from operator import add, attrgetter, mul, neg
+from math import isqrt
+from operator import add, attrgetter, mul
 
 from .errors import HenselError, PrecisionError, ValidationError
 
@@ -463,67 +458,35 @@ def hensel_root(f: PadicPoly, approx: PadicInt) -> PadicInt:
 
 
 # ---------------------------------------------------------------------------
-# Determinants and resultants
+# Characteristic polynomials and determinants
 # ---------------------------------------------------------------------------
 
-# The widest slot, in bits, at which ring_det packs a level ring into
-# integers.  A packed entry is about n times wider than a reduced one, so
-# past some width the packed determinant loses to the list kernel.  On
-# the tower's former p x p norm matrices (w = p - 1, random Eisenstein
-# seeds, Python 3.11, packed time / list time) the ratio was, by slot
-# width s:
-# p = 7: 0.35 at s = 428 (N = 20), 0.60 at 820 (N = 40), 0.80 at 1016
-# (N = 50), 0.95 at 1212 (N = 60), 1.47 at 1604 (N = 80);
-# p = 5: 0.33 at 481 (N = 40), 0.61 at 946 (N = 80), 1.15 at 2341
-# (N = 200); p = 3: 0.47 at 957 (N = 200), 1.08 at 4761 (N = 1000).
-# p = 7 breaks even first, near s = 1250; below 1024 every shape packs
-# faster than the lists.  No route in the library sends level-ring
-# matrices now: the tower's resultant is a characteristic polynomial of
-# scalars (``char_poly``), and the unit wedge takes determinants over
-# Z.  The table stays as the record of where the constant came from.
-MAX_SLOT_BITS = 1024
-
-
-def _slot_width(n: int, w: int, mod: int) -> int:
-    """Bits per slot s when ``ring_det`` packs an n x n matrix of entries
-    with w coefficients in [0, mod) at X = 2^s.  A coefficient of the
-    unreduced determinant over Z[X] is a signed sum of n! Leibniz terms.
-    Each term's coefficient is one of a product of n polynomials with w
-    coefficients, a sum of at most w^(n-1) products (the degrees taken
-    from the first n - 1 factors fix the last) of n factors at most
-    mod - 1.  So its absolute value is at most B = n! w^(n-1) (mod-1)^n
-    < 2^bitlen(B), and a signed slot of bitlen(B) + 1 bits holds it.
-    bitlen(xy) <= bitlen(x) + bitlen(y) bounds bitlen(B) without forming
-    (mod-1)^n, which took a tenth of a list-kernel call at p = 3,
-    N = 1000."""
-    return (n * (mod - 1).bit_length()
-            + (factorial(n) * w ** max(n - 1, 0)).bit_length() + 1)
-
-
-def _berkowitz(rows, dot, neg, one):
+def _berkowitz(rows) -> list:
     """The coefficients of det(x - A), highest power first, for a square
-    matrix A by Berkowitz's recursion (see ``ring_det``) over the ring
-    whose sum of products is ``dot(a, b)``, negation ``neg`` and unit
-    ``one``.  The last, c_n, is (-1)^n det A."""
+    integer matrix A, by Berkowitz's division-free algorithm (Inf.
+    Process. Lett. 18 (1984)): O(n^4) integer products and no division,
+    so the same polynomial as Laplace expansion of x I - A gives.  The
+    last, c_n, is (-1)^n det A.
+
+    det(x - A_r) of the leading r x r block grows one row and column at a
+    time.  Writing the next block as [[M, C], [R, a]], its coefficients
+    are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
+    -R M^(r-1) C] with those of det(x - M)."""
     n = len(rows)
-    c = [one]  # coefficients of det(x - A_r), highest power first
+    c = [1]  # coefficients of det(x - A_r), highest power first
     for r in range(n):
         block = [row[:r] for row in rows[:r]]
         R = rows[r][:r]
         v = [row[r] for row in rows[:r]]  # M^k C, from k = 0
-        q = [one, neg(rows[r][r])]
+        q = [1, -rows[r][r]]
         for k in range(r):
             if k:
-                v = [dot(row, v) for row in block]
-            q.append(neg(dot(R, v)))
+                v = [sum(map(mul, row, v)) for row in block]
+            q.append(-sum(map(mul, R, v)))
         # c'_k = sum_j q_(k-j) c_j, q read backwards
         q.reverse()
-        c = [dot(c, q[r + 1 - k:]) for k in range(r + 2)]
+        c = [sum(map(mul, c, q[r + 1 - k:])) for k in range(r + 2)]
     return c
-
-
-def _int_dot(a, b) -> int:
-    return sum(map(mul, a, b))
 
 
 def char_poly(rows, mod: int) -> list:
@@ -531,96 +494,14 @@ def char_poly(rows, mod: int) -> list:
     matrix of integers, lowest degree first: ``_berkowitz`` once over Z,
     each coefficient then reduced once.  It is monic of degree n, its
     constant term is (-1)^n det A, and the empty matrix gives [1]."""
-    return [x % mod for x in reversed(_berkowitz(rows, _int_dot, neg, 1))]
+    return [x % mod for x in reversed(_berkowitz(rows))]
 
 
-def _berkowitz_ints(rows) -> int:
-    """The determinant over Z, (-1)^n c_n of ``_berkowitz``, nothing
-    reduced."""
-    c = _berkowitz(rows, _int_dot, neg, 1)
-    return c[-1] if len(rows) % 2 == 0 else -c[-1]
-
-
-def _berkowitz_lists(rows, mod, h) -> list:
-    """``_berkowitz`` over Z/mod[X]/(h) on coefficient lists: each sum of
-    products is accumulated unreduced through ``mul_coeffs(.., out)``,
-    skipping the products with a zero factor, and reduced once, by h
-    through ``rem_coeffs``, then mod ``mod``."""
-    w = len(h) - 1
-    inv = pow(h[-1], -1, mod)
-
-    def dot(a, b):
-        buf = [0] * (2 * w - 1)
-        for x, y in zip(a, b):
-            if any(x) and any(y):
-                mul_coeffs(x, y, buf)
-        rem_coeffs(buf, h, inv, mod)
-        return buf[:w]
-
-    def negate(a):
-        return [-x % mod for x in a]
-
-    c = _berkowitz(rows, dot, negate, [1] + [0] * (w - 1))
-    return c[-1] if len(rows) % 2 == 0 else negate(c[-1])
-
-
-def ring_det(rows, mod=None, h=None) -> list:
-    """Determinant over Z/mod[X]/(h) by Berkowitz's division-free
-    algorithm (Inf. Process. Lett. 18 (1984)): O(n^4) ring products and no
-    division, so the same ring element as Laplace expansion gives.
-    Entries, and the result, are raw coefficient lists, lowest degree
-    first: at most deg h residues over Z/mod[X]/(h) (h need not be monic,
-    but its leading coefficient must be a unit), and one integer over Z
-    when ``mod`` and ``h`` are both None.  Z/mod itself is the level
-    h = X, ``[0, 1]``.
-
-    det(x - A_r) of the leading r x r block grows one row and column at a
-    time.  Writing the next block as [[M, C], [R, a]], its coefficients
-    are the Toeplitz product of q = [1, -a, -R C, -R M C, ...,
-    -R M^(r-1) C] with those of det(x - M).  ``_berkowitz`` runs this
-    recursion once and returns the whole list c, the characteristic
-    polynomial that ``char_poly`` reads; each entry form below supplies
-    only its sum of products, negation and unit, and reads
-    det A = (-1)^n c_n off the list.
-
-    Being division-free, the recursion runs unchanged over Z after the
-    Kronecker substitution X = 2^s (Schoenhage, EUROCAM 1982): each entry
-    is reduced mod ``mod`` and packed into one integer with slots of s
-    bits (``_slot_width``), ``_berkowitz_ints`` takes one integer
-    determinant, and its n(w - 1) + 1 signed slots are unpacked, reduced
-    mod ``mod`` and divided by h once.  Evaluation at 2^s is a ring
-    homomorphism and no slot carries, so this is the determinant
-    polynomial's remainder mod (h, mod), which is unique since h has a
-    unit lead.  Above ``MAX_SLOT_BITS`` the list kernel
-    ``_berkowitz_lists`` reduces every sum of products instead."""
-    if mod is None:
-        return [_berkowitz_ints([[a[0] for a in row] for row in rows])]
-    n, w = len(rows), len(h) - 1
-    s = _slot_width(n, w, mod)
-    if s > MAX_SLOT_BITS:
-        return _berkowitz_lists(rows, mod, h)
-    packed = []
-    for row in rows:
-        prow = []
-        for a in row:
-            x = 0
-            for c in reversed(a):
-                x = x << s | c % mod
-            prow.append(x)
-        packed.append(prow)
-    det = _berkowitz_ints(packed)
-    mask, half = (1 << s) - 1, 1 << (s - 1)
-    out = []
-    for _ in range(n * (w - 1) + 1):
-        x = det & mask
-        det >>= s
-        if x >= half:  # a negative slot borrowed from the next one
-            x -= mask + 1
-            det += 1
-        out.append(x % mod)
-    out += [0] * (w - len(out))
-    rem_coeffs(out, h, pow(h[-1], -1, mod), mod)
-    return out[:w]
+def ring_det(rows) -> int:
+    """The determinant of a square integer matrix, (-1)^n c_n of
+    ``_berkowitz``, nothing reduced; the empty matrix gives 1."""
+    c = _berkowitz(rows)[-1]
+    return c if len(rows) % 2 == 0 else -c
 
 
 # ---------------------------------------------------------------------------

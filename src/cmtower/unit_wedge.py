@@ -176,8 +176,7 @@ class WedgeTranscript:
         return tuple(UnitJet(p, tuple(r)) for r in jets)
 
     def cumulative_det(self) -> int:
-        return ring_det([[[a] for a in row]
-                         for row in self.transform])[0]
+        return ring_det(self.transform)
 
     def check(self) -> None:
         """Certify the transcript: the replay reaches the final jets and

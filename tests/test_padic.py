@@ -834,9 +834,8 @@ def resultant_valuation(f: PadicPoly, g: PadicPoly):
         if v is None:
             raise PrecisionError("constant polynomial is zero at precision N")
         return v * other.degree
-    fr, gr = ([[x] for x in c.coeffs] for c in (f, g))
-    rows = sylvester_rows(fr, gr, [0])
-    v = f.R.val(padic.ring_det(rows, f.R.mod, [0, 1])[0])
+    rows = sylvester_rows(f.coeffs, g.coeffs, 0)
+    v = f.R.val(padic.ring_det(rows) % f.R.mod)
     if v is not None:
         return v
     if _poly_gcd_is_nontrivial(f, g):
