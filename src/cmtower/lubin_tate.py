@@ -19,17 +19,20 @@ Each object is held as its series: a seed as d, its uniformizer read
 from d's linear coefficient; a group law as F(X, Y); a homomorphism (an
 [a] or a strict isomorphism) as the one-variable series phi.
 
-A seed owns the two tables that the recursion reads: its power table
+A seed owns the three tables that the recursion reads: its power table
 1, d, d^2, ..., d^(D-1), dense coefficient lists from
-``padic.power_table``, and its divisor table, the inverses of
-(pi^k - pi)/p for k = 2..D from ``divisor_table``.  The first solve from
-the seed builds them, and the group law, every [a] and every strict
-isomorphism out of that seed share them.
+``padic.power_table``; the same rows packed into one integer each
+(``pack_rows``), which the right-hand side adds whole; and its divisor
+table, the inverses of (pi^k - pi)/p for k = 2..D from
+``divisor_table``.  The first solve from the seed builds them, and the
+group law, every [a] and every strict isomorphism out of that seed share
+them.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from math import comb
+from operator import mul
 
 from .errors import InvariantError, PrecisionError, ValidationError
 from .padic import InRing, PadicInt, PadicPoly, TruncSeries, Zp, power_table
@@ -47,7 +50,8 @@ class LTSeed(InRing):
     """A Lubin-Tate seed: a one-variable series d over its ring, with the
     uniformizer pi_val read from d's linear coefficient."""
 
-    __slots__ = ("pi_val", "d", "_d_powers", "_divisor_inverses")
+    __slots__ = ("pi_val", "d", "_d_powers", "_d_packed",
+                 "_divisor_inverses")
     R = property(lambda self: self.d.R)
 
     def __init__(self, d: TruncSeries):
@@ -95,6 +99,17 @@ class LTSeed(InRing):
             self._d_powers = power_table(self.d)
             return self._d_powers
 
+    def d_packed(self) -> list:
+        """``d_powers()`` with each row packed into one integer, the
+        coefficient of t^f at slot f of ``_slot_widths(p^N, D)[2]`` bits,
+        built on the first call and kept on the seed."""
+        try:
+            return self._d_packed
+        except AttributeError:
+            self._d_packed = pack_rows(
+                self.d_powers(), _slot_widths(self.R.mod, self.trunc)[2])
+            return self._d_packed
+
     def divisor_inverses(self) -> list:
         """``divisor_table(pi, D)``: the inverses of (pi^k - pi)/p that
         the recursion divides by, built on the first call and kept on
@@ -127,8 +142,6 @@ class LTSeed(InRing):
     @classmethod
     def multiplicative(cls, p, N, trunc):
         """The seed (1+t)^p - 1, whose group law is X + Y + XY."""
-        from math import comb
-
         return cls.from_coeffs(
             p, N, trunc, [0] + [comb(p, k) for k in range(1, p + 1)]
         )
@@ -195,32 +208,44 @@ class FormalGroupLaw:
 def _slot_widths(mod: int, D: int) -> tuple:
     """Bits per packed slot in ``_lt_solve`` at p^N = mod and truncation
     D: (one-variable anti-diagonal, symmetric part in sigma coordinates,
-    X^f Y^g bucket of the right-hand side).  Each width holds the most
-    products of two residues below mod that a slot of its layout adds
-    (the solver's docstring counts them), so no slot carries."""
+    right-hand side).  Each width holds the most products of two residues
+    below mod that a slot of its layout adds (the solver's docstring
+    counts them), so no slot carries.  The third is the width of the
+    seed's packed power rows (``LTSeed.d_packed``), which the right-hand
+    side adds in one variable and in two."""
     b = 2 * mod.bit_length()
     return (b + (D + 1).bit_length(), b + 2 * (D + 4).bit_length() - 3,
             b + 2 * (D + 2).bit_length() - 2)
 
 
-def _pascal(D: int) -> list:
-    """C(r, u) for r <= D and u <= D/2 by Pascal's rule, laid out row
-    after row in rows of W = D // 2 + 1: C(r, u) = B[rW + u]."""
-    W = D // 2 + 1
-    row = [1] + [0] * (W - 1)
-    B = row[:]
-    for _ in range(D):
-        row = [1, *map(add, row[1:], row)]
-        B += row
-    return B
+def pack_rows(rows: list, width: int) -> list:
+    """Each row of a power table of a series with no constant term as one
+    integer, entry f at bit f * width.  Row a vanishes below entry a, so
+    it is packed from there and shifted once, which halves the work."""
+    packed = []
+    for a, row in enumerate(rows):
+        x = 0
+        for c in reversed(row[a:]):
+            x = x << width | c
+        packed.append(x << a * width)
+    return packed
 
 
-def _sigma_rows(B: list, W: int, k: int) -> list:
+# _SIGMA_ROWS[k] = _sigma_rows(k): binomials that depend on k alone, so
+# the list is extended when a larger k is first needed and never shrinks
+_SIGMA_ROWS = []
+
+
+def _sigma_rows(k: int) -> list:
     """Row f <= k/2 of the degree-k change of basis from sigma1^(k-2j)
-    sigma2^j to X^f Y^(k-f): [C(k - 2j, f - j) for j = 0..f], read from
-    B = ``_pascal(D)``, where C(k - 2j, f - j) is B[kW + f - j(2W + 1)].
-    The matrix is unit-triangular: row f ends in C(k - 2f, 0) = 1."""
-    return [B[k * W + f::-2 * W - 1][:f + 1] for f in range(k // 2 + 1)]
+    sigma2^j to X^f Y^(k-f): [C(k - 2j, f - j) for j = 0..f].  The matrix
+    is unit-triangular: row f ends in C(k - 2f, 0) = 1.  Built once per
+    process and k; later calls return the same lists."""
+    while len(_SIGMA_ROWS) <= k:
+        s = len(_SIGMA_ROWS)
+        _SIGMA_ROWS.append([[comb(s - 2 * j, f - j) for j in range(f + 1)]
+                            for f in range(s // 2 + 1)])
+    return _SIGMA_ROWS[k]
 
 
 def _unit_obstruction(k: int) -> InvariantError:
@@ -287,23 +312,28 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
     X^f Y^(k-f) in sigma1^(k-2j) sigma2^j; it is unit-triangular.  So
     per f, one row takes total_k's coefficient of X^f Y^(k-f) from its
     sigma slots, and after the division gives phi_k's sigma coefficient
-    f by forward substitution.  The binomials are Pascal's triangle
-    through row D (``_pascal``), built once per solve.
+    f by forward substitution.  The rows depend on k alone and are
+    built once per process.
 
     The right-hand side is linear in phi: when phi_j is fixed, its
     monomials times the powers of src.d are added into per-degree
     buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
-    what the divisor accounts for.  Those powers are src's own table
-    (``LTSeed.d_powers``), dense lists.  In two variables the bucket of
-    X^f, for f <= D/2 only, is one integer packed over the exponent g of
-    Y, as src.d^a is packed, and a monomial c X^i Y^(j-i) adds
-    (c [src.d^i]_f mod p^N) times src.d^(j-i) packed to it, for each f.
-    The slot of X^f Y^g, read at degree f + g <= D, adds one product of
-    two residues per (j, i) with i <= f and j - i <= g: at most
-    (f + 1)(g + 1) <= (D + 2)^2 / 4, within 2 bitlen(p^N) +
-    2 bitlen(D + 2) - 2 bits.  Slots of degree above D are never read;
-    their carries run only into slots of higher g, which are not read
-    either.
+    what the divisor accounts for.  Those powers are src's own tables:
+    ``LTSeed.d_powers``, dense lists, and ``LTSeed.d_packed``, the same
+    rows packed at the third width of ``_slot_widths``.  In one
+    variable the right-hand side is one integer of D + 1 slots: phi_j
+    adds phi_j times src.d^j packed, and degree k reads slot k, which
+    then holds one product of two residues per j < k.  Slot j also
+    receives phi_j [src.d^j]_j, but only after degree j has read it; so
+    no slot ever adds more than D products.  In two variables the bucket
+    of X^f, for f <= D/2 only, is one integer packed over the exponent g
+    of Y, and a monomial c X^i Y^(j-i) adds (c [src.d^i]_f mod p^N)
+    times src.d^(j-i) packed to it, for each f.  The slot of X^f Y^g,
+    read at degree f + g <= D, adds one product of two residues per
+    (j, i) with i <= f and j - i <= g: at most (f + 1)(g + 1) <=
+    (D + 2)^2 / 4.  Both fit 2 bitlen(p^N) + 2 bitlen(D + 2) - 2 bits.
+    Slots of degree above D are never read; their carries run only into
+    slots of higher g, which are not read either.
     """
     if src.R is not dst.R:
         raise ValidationError("seeds disagree on (p, N)")
@@ -323,64 +353,42 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
     slot = widths[1] if two else widths[0]
     mask = (1 << slot) - 1
     shifts = [slot * i for i in range(D + 1)]
-
-    def exponent(j, i):
-        # of coefficient i of a degree-j part
-        return (i, j - i) if two else (j,)
-
-    # phi[j] is the part of degree j as a dense list over the exponent of
-    # X (one coefficient in one variable), P[j] the same part packed in
-    # sigma coordinates (in one variable, its one coefficient)
-    phi = [None] * (D + 1)
-    phi[1] = [a] * n
+    xmask = (1 << widths[2]) - 1
+    xshifts = [widths[2] * i for i in range(D + 1)]
+    # P[j]: the part of degree j, packed in sigma coordinates in two
+    # variables, its one coefficient in one
     P = [0] * (D + 1)
     P[1] = a
     inv = src.divisor_inverses()
-    sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
-    # rhs[f]: the right-hand side's term of degree f, or in two variables
-    # its terms X^f Y^g packed over g, as sy[a] packs src.d^a
-    rhs = [0] * (D + 1)
+    sy = src.d_packed()  # sy[a] = src.d^a through degree D, packed
     if two:
+        # phi[j]: the part of degree j as a dense list over the exponent
+        # of X; rhs[f]: the right-hand side's terms X^f Y^g packed over g
+        phi = [None] * (D + 1)
+        phi[1] = [a, a]
+        sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
+        rhs = [0] * (D // 2 + 1)
         # G[m][s] = [G_m]_s packed, G[m][0] = d_m (G[1][0] is never read)
         G = [None] + [[d[m]] + [0] * D for m in range(1, M + 1)]
-        xslot = widths[2]
-        xmask = (1 << xslot) - 1
-        xshifts = [xslot * i for i in range(D + 1)]
-        sy = []
-        for row in sp:
-            x = 0
-            for c in reversed(row):
-                x = x << xslot | c
-            sy.append(x)
-        B, W = _pascal(D), D // 2 + 1
     else:
         A = [0] * (D + 1)  # A[t]: the anti-diagonal t, packed
-
-    def push_rhs(j):
-        # add phi_j(src.d(X)) or phi_j(src.d(X), src.d(Y)) above degree j
-        # to rhs; in two variables the terms of degree j, which are spent,
-        # land too, and only X^f with f <= D/2
-        if not two:
-            c = P[j]
-            if c:
-                for f in range(j + 1, D + 1):
-                    rhs[f] += c * sp[j][f]
-            return
-        for i, c in enumerate(phi[j][:D // 2 + 1]):
-            if c:
-                xs, ys = sp[i], sy[j - i]
-                for f in range(i, min(D - j + i, D // 2) + 1):
-                    cx = c * xs[f] % mod
-                    if cx:
-                        rhs[f] += cx * ys
+        rhs = 0  # slot f: the right-hand side's term of degree f
 
     eff = src.N
     for k in range(2, D + 1):
-        push_rhs(k - 1)
         u = inv[k]
         if u is None:
             raise InvariantError("correction divisor lost valuation 1")
+        j = k - 1  # phi_j(src.d(X)) or phi_j(src.d(X), src.d(Y)) goes in
         if two:
+            # only X^f with f <= D/2, and the terms of degree j land too
+            for i, c in enumerate(phi[j][:D // 2 + 1]):
+                if c:
+                    xs, ys = sp[i], sy[j - i]
+                    for f in range(i, min(D - j + i, D // 2) + 1):
+                        cx = c * xs[f] % mod
+                        if cx:
+                            rhs[f] += cx * ys
             for m in range(min(k, M) - 1, 0, -1):
                 s = k - m
                 acc = sum(map(mul, P[1:s + 1], G[m + 1][s - 1::-1]))
@@ -393,7 +401,7 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
             # for f <= k/2: R_k's coefficient of X^f Y^(k-f), checked and
             # divided, then phi_k's coefficient of sigma1^(k-2f) sigma2^f
             part, sigma, x = [], [], 0
-            for f, row in enumerate(_sigma_rows(B, W, k)):
+            for f, row in enumerate(_sigma_rows(k)):
                 c = (sum(map(mul, ts, row))
                      - (rhs[f] >> xshifts[k - f] & xmask)) % mod
                 if c % p:
@@ -406,6 +414,8 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
             phi[k] = part + part[(k - 1) // 2::-1]
             P[k] = x
         else:
+            # slot j, spent at degree j, takes phi_j [src.d^j]_j here
+            rhs += P[j] * sy[j]
             O = sum(map(mul, P[2:k], A[k - 1:1:-1]))
             # x runs down the levels m = min(k, M), ..., 1 and is packed
             # below the levels above it; the top one is d_k at k <= M,
@@ -415,18 +425,20 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
                 x = (a * x + (O >> sh & mask)) % mod
                 ak = ak << slot | x
             A[k] = ak
-            c = (a * x + (O & mask) - rhs[k]) % mod  # R_k
+            # R_k, the right-hand side's term read from slot k
+            c = (a * x + (O & mask) - (rhs >> xshifts[k] & xmask)) % mod
             if c % p:
                 raise _unit_obstruction(k)
             P[k] = c // p * u % mod
-            phi[k] = [P[k]]
         eff -= 1
         if eff <= 0:
             raise PrecisionError("effective precision exhausted")
-    return TruncSeries._reduced(src.R, n, D, {
-        exponent(j, i): c
-        for j in range(1, D + 1) for i, c in enumerate(phi[j]) if c
-    }, eff)
+    if two:
+        coeffs = {(i, j - i): c for j in range(1, D + 1)
+                  for i, c in enumerate(phi[j]) if c}
+    else:
+        coeffs = {(j,): c for j, c in enumerate(P) if c}
+    return TruncSeries._reduced(src.R, n, D, coeffs, eff)
 
 
 def solve_intertwine(a: PadicInt, src: LTSeed, dst: LTSeed) -> TruncSeries:

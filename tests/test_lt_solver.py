@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cmtower import lubin_tate
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
-from cmtower.lubin_tate import (LTSeed, _lt_solve, _pascal, _sigma_rows,
-                                _slot_widths, endo, group_law, strict_iso)
+from cmtower.lubin_tate import (LTSeed, _lt_solve, _sigma_rows, _slot_widths,
+                                endo, group_law, strict_iso)
 from cmtower.padic import PadicInt, TruncSeries
 
 
@@ -174,17 +174,19 @@ def test_group_law_matches_reference_at_14(p):
 def test_top_of_the_residue_range(p, nvars):
     """Every coefficient at the top of its allowed range (pi = p^N - p,
     the t^p coefficient p^N - p + 1, the rest p^N - p, the linear
-    coefficient p^N - 1) fills the packed slots as far as they go."""
-    D = 20
-    N = D + 4
-    top = p ** N - p
-    seed = LTSeed.from_coeffs(p, N, D, [0, top] + [
-        top + 1 if k == p else top for k in range(2, D + 1)])
-    linear = TruncSeries(p, N, nvars, D, {
-        tuple(int(i == j) for i in range(nvars)): p ** N - 1
-        for j in range(nvars)})
-    coeffs, eff = assert_same(linear, seed, seed)
-    assert eff == N - (D - 1) and coeffs
+    coefficient p^N - 1) fills the packed slots as far as they go; in
+    one variable also at D = 40, where the right-hand side packs 41
+    slots."""
+    for D in (20, 40) if nvars == 1 else (20,):
+        N = D + 4
+        top = p ** N - p
+        seed = LTSeed.from_coeffs(p, N, D, [0, top] + [
+            top + 1 if k == p else top for k in range(2, D + 1)])
+        linear = TruncSeries(p, N, nvars, D, {
+            tuple(int(i == j) for i in range(nvars)): p ** N - 1
+            for j in range(nvars)})
+        coeffs, eff = assert_same(linear, seed, seed)
+        assert eff == N - (D - 1) and coeffs
 
 
 def pack(part, width):
@@ -264,17 +266,46 @@ def test_rhs_bucket_slot_holds_the_worst_sum(p):
                 assert unpack(bucket, width, D - f + 1) == want, (p, N, D, f)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_one_variable_rhs_slot_holds_the_worst_sum(p):
+    """The one-variable right-hand side, one integer to which degree j
+    adds phi_j times src.d^j packed: with every phi_j and every
+    coefficient of src.d^a (a >= 1, from degree a on) at p^N - 1, the
+    slot read at degree k, after the pushes j = 1..k-1, must come out as
+    the exact sum, (p^N - 1)^2 (k - 1), with no carry from the slots
+    below it, spent slots included."""
+    for N in range(1, 13):
+        top = p ** N - 1
+        for D in range(3, 41):
+            width = _slot_widths(p ** N, D)[2]
+            powers = [[1] + [0] * D] + [[0] * a + [top] * (D + 1 - a)
+                                        for a in range(1, D + 1)]
+            packed = lubin_tate.pack_rows(powers, width)
+            assert packed == [pack(row, width) for row in powers]
+            rhs = 0
+            for k in range(2, D + 1):
+                rhs += top * packed[k - 1]
+                got = rhs >> width * k & ((1 << width) - 1)
+                assert got == top * top * (k - 1), (p, N, D, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 24), st.data())
 def test_sigma_and_xy_round_trip(k, data):
     """A random symmetric degree-k part, written in sigma1 = X + Y and
     sigma2 = XY, goes through the rows of ``_sigma_rows`` to its
     X^f Y^(k-f) coefficients (f <= k/2), as the expansion of the sigma
-    monomials gives them, and back by forward substitution."""
+    monomials gives them, and back by forward substitution.  The rows
+    are built once per k: a second call at any k up to the largest seen
+    returns the same row objects."""
     mod = 7 ** 6
-    D = data.draw(st.integers(k, 26))
-    B, W = _pascal(D), D // 2 + 1
-    assert B == [comb(r, u) for r in range(D + 1) for u in range(W)]
+    # the tables built so far, by earlier examples, and their rows
+    held = {j: (table, list(table))
+            for j, table in enumerate(lubin_tate._SIGMA_ROWS)}
+    rows = _sigma_rows(k)
+    held.setdefault(k, (rows, list(rows)))
+    assert rows == [[comb(k - 2 * j, f - j) for j in range(f + 1)]
+                    for f in range(k // 2 + 1)]
     c = data.draw(st.lists(st.integers(0, mod - 1), min_size=k // 2 + 1,
                            max_size=k // 2 + 1))
     xy = [0] * (k + 1)
@@ -282,13 +313,16 @@ def test_sigma_and_xy_round_trip(k, data):
         for i in range(k - 2 * j + 1):
             xy[i + j] += cj * comb(k - 2 * j, i)
     assert xy == xy[::-1]
-    rows = _sigma_rows(B, W, k)
     assert [sum(map(mul, c, row)) for row in rows] == xy[:k // 2 + 1]
     back = []
     for x, row in zip(xy, rows):
         assert row[-1] == 1
         back.append((x - sum(map(mul, back, row))) % mod)
     assert back == c
+    for j, (table, row_objects) in held.items():
+        again = _sigma_rows(j)
+        assert again is table
+        assert all(new is old for new, old in zip(again, row_objects))
 
 
 @pytest.mark.parametrize("c", (0, 3, 5 ** 12 - 1))
@@ -304,39 +338,50 @@ def test_symmetric_linear_part_matches_reference(c):
 @given(seed_pair(max_D=12), st.integers(2, 7 ** 4))
 def test_one_seed_shares_its_power_table(pair, a):
     """group_law, endo(a), endo(pi) and strict_iso in sequence on one
-    seed object: the first solve builds the seed's table of d's powers
-    and its table of divisor inverses, the later ones from that seed read
-    them, so the four solves build one table of each, src's; every
-    result equals the reference."""
+    seed object: the first solve builds the seed's table of d's powers,
+    its packed rows and its table of divisor inverses, the later ones
+    from that seed read them, so the four solves build one table of
+    each, src's; every result equals the reference."""
     src, dst = pair
     assume(src.N >= src.trunc)  # precision runs out below that
     builds = []
+    pack_builds = []
     divisor_builds = []
     build = lubin_tate.power_table
+    pack_build = lubin_tate.pack_rows
     divisor_build = lubin_tate.divisor_table
 
     def counting(f):
         builds.append(f)
         return build(f)
 
+    def counting_packs(rows, width):
+        pack_builds.append(rows)
+        return pack_build(rows, width)
+
     def counting_divisors(pi, D):
         divisor_builds.append(pi)
         return divisor_build(pi, D)
 
     lubin_tate.power_table = counting
+    lubin_tate.pack_rows = counting_packs
     lubin_tate.divisor_table = counting_divisors
     try:
         law = group_law(src).F
         table = src.d_powers()
+        packed = src.d_packed()
         divisors = src.divisor_inverses()
         phis = [endo(src, PadicInt(src.p, src.N, b))
                 for b in (a, src.pi_val.value)]
         iso = strict_iso(src, dst)
     finally:
         lubin_tate.power_table = build
+        lubin_tate.pack_rows = pack_build
         lubin_tate.divisor_table = divisor_build
     assert len(builds) == 1 and builds[0] is src.d
     assert src.d_powers() is table
+    assert len(pack_builds) == 1 and pack_builds[0] is table
+    assert src.d_packed() is packed
     assert len(divisor_builds) == 1 and divisor_builds[0] is src.pi_val
     assert src.divisor_inverses() is divisors
     assert (law.coeffs, law.eff_prec) == outcome(
