@@ -50,10 +50,6 @@ class TriElement(namedtuple("TriElement", "p m a b")):
         return TriElement(self.p, self.m, -self.a * binv, binv)
 
 
-def identity(p: int, m: int) -> TriElement:
-    return TriElement(p, m, 0, 1)
-
-
 def compose(x: TriElement, y: TriElement) -> TriElement:
     """Matrix product: (1 a; 0 b)(1 a'; 0 b') = (1, a' + a b'; 0, b b')."""
     if (x.p, x.m) != (y.p, y.m):

@@ -69,11 +69,8 @@ class TowerRing:
         return min((i + e * val(c) for i, c in enumerate(x) if c),
                    default=None)
 
-    def zero(self):
-        return LocalElement._reduced(self, [0] * self.size)
-
     def lam(self):
-        x = self.zero()
+        x = LocalElement._reduced(self, [0] * self.size)
         x.coeffs[1] = 1
         return x
 

@@ -19,14 +19,14 @@ Each object is held as its series: a seed as d, its uniformizer read
 from d's linear coefficient; a group law as F(X, Y); a homomorphism (an
 [a] or a strict isomorphism) as the one-variable series phi.
 
-A seed owns the three tables that the recursion reads: its power table
-1, d, d^2, ..., d^(D-1), dense coefficient lists from
-``padic.power_table``; the same rows packed into one integer each
-(``pack_rows``), which the right-hand side adds whole; and its divisor
-table, the inverses of (pi^k - pi)/p for k = 2..D from
-``divisor_table``.  The first solve from the seed builds them, and the
-group law, every [a] and every strict isomorphism out of that seed share
-them.
+A seed keeps the three tables that the recursion reads in one cache,
+``LTSeed.tables()``: its power table 1, d, d^2, ..., d^(D-1), dense
+coefficient lists from ``padic.power_table``; the same rows packed into
+one integer each (``pack_rows``), which the right-hand side adds whole;
+and its divisor table, the inverses of (pi^k - pi)/p for k = 2..D from
+``divisor_table``.  The first solve from the seed builds all three, and
+the group law, every [a] and every strict isomorphism out of that seed
+share them.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class LTSeed(InRing):
     """A Lubin-Tate seed: a one-variable series d over its ring, with the
     uniformizer pi_val read from d's linear coefficient."""
 
-    __slots__ = ("pi_val", "d", "_d_powers", "_d_packed",
-                 "_divisor_inverses")
+    __slots__ = ("pi_val", "d", "_tables")
     R = property(lambda self: self.d.R)
 
     def __init__(self, d: TruncSeries):
@@ -71,17 +70,13 @@ class LTSeed(InRing):
         if not d.constant_term().is_zero():
             raise ValidationError("seed has a constant term")
         for (k,), c in d.coeffs.items():
-            if k == p:
-                if c % p != 1:
-                    raise ValidationError(
-                        "coefficient of t^p must be 1 mod p"
-                    )
-            elif k >= 2 and c % p != 0:
+            if k >= 2 and k != p and c % p != 0:
                 raise ValidationError(
                     f"coefficient of t^{k} must vanish mod p"
                 )
+        # a missing t^p term reads 0 here
         if d.coeffs.get((p,), 0) % p != 1:
-            raise ValidationError("d must reduce to t^p mod p")
+            raise ValidationError("coefficient of t^p must be 1 mod p")
         self.pi_val = pi_val
         self.d = d
 
@@ -89,36 +84,23 @@ class LTSeed(InRing):
     def trunc(self) -> int:
         return self.d.trunc
 
-    def d_powers(self) -> list:
-        """``power_table(d)``: [1, d, ..., d^(D-1)] as dense coefficient
-        lists through the truncation degree D, built on the first call
-        and kept on the seed."""
+    def tables(self) -> tuple:
+        """(powers, packed, inverses), built together on the first call
+        and kept on the seed: ``power_table(d)``, [1, d, ..., d^(D-1)] as
+        dense coefficient lists through the truncation degree D; the same
+        rows packed into one integer each, the coefficient of t^f at slot
+        f of ``_slot_widths(p^N, D)[2]`` bits; and ``divisor_table(pi,
+        D)``, the inverses of (pi^k - pi)/p that the recursion divides
+        by."""
         try:
-            return self._d_powers
+            return self._tables
         except AttributeError:
-            self._d_powers = power_table(self.d)
-            return self._d_powers
-
-    def d_packed(self) -> list:
-        """``d_powers()`` with each row packed into one integer, the
-        coefficient of t^f at slot f of ``_slot_widths(p^N, D)[2]`` bits,
-        built on the first call and kept on the seed."""
-        try:
-            return self._d_packed
-        except AttributeError:
-            self._d_packed = pack_rows(
-                self.d_powers(), _slot_widths(self.R.mod, self.trunc)[2])
-            return self._d_packed
-
-    def divisor_inverses(self) -> list:
-        """``divisor_table(pi, D)``: the inverses of (pi^k - pi)/p that
-        the recursion divides by, built on the first call and kept on
-        the seed."""
-        try:
-            return self._divisor_inverses
-        except AttributeError:
-            self._divisor_inverses = divisor_table(self.pi_val, self.trunc)
-            return self._divisor_inverses
+            powers = power_table(self.d)
+            self._tables = (
+                powers,
+                pack_rows(powers, _slot_widths(self.R.mod, self.trunc)[2]),
+                divisor_table(self.pi_val, self.trunc))
+            return self._tables
 
     @property
     def is_polynomial(self) -> bool:
@@ -195,11 +177,6 @@ class FormalGroupLaw:
     def __init__(self, F: TruncSeries):
         self.F = F
 
-    def add(self, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-        """The formal sum F(x, y) of two series in one common ambient
-        variable space."""
-        return self.F.compose([x, y])
-
 
 # ---------------------------------------------------------------------------
 # The fundamental recursion
@@ -211,7 +188,7 @@ def _slot_widths(mod: int, D: int) -> tuple:
     right-hand side).  Each width holds the most products of two residues
     below mod that a slot of its layout adds (the solver's docstring
     counts them), so no slot carries.  The third is the width of the
-    seed's packed power rows (``LTSeed.d_packed``), which the right-hand
+    seed's packed power rows (``LTSeed.tables()``), which the right-hand
     side adds in one variable and in two."""
     b = 2 * mod.bit_length()
     return (b + (D + 1).bit_length(), b + 2 * (D + 4).bit_length() - 3,
@@ -261,7 +238,7 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
     Degree k corrects by R_k / (pi^k - pi); the divisor has valuation
     exactly 1 and the obstruction must be divisible by pi, else the
     seeds fail the defining congruences.  The inverses of
-    (pi^k - pi) / p are src's own table (``LTSeed.divisor_inverses``).
+    (pi^k - pi) / p are src's own table (``LTSeed.tables()``).
 
     The solver is online (van der Hoeven, "Relax, but don't be too
     lazy", JSC 34 (2002)).  With phi_j the homogeneous parts of phi and
@@ -318,9 +295,9 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
     The right-hand side is linear in phi: when phi_j is fixed, its
     monomials times the powers of src.d are added into per-degree
     buckets.  phi_k enters degree k only as (pi - pi^k) phi_k, which is
-    what the divisor accounts for.  Those powers are src's own tables:
-    ``LTSeed.d_powers``, dense lists, and ``LTSeed.d_packed``, the same
-    rows packed at the third width of ``_slot_widths``.  In one
+    what the divisor accounts for.  Those powers are src's own tables
+    (``LTSeed.tables()``): dense lists, and the same rows packed at the
+    third width of ``_slot_widths``.  In one
     variable the right-hand side is one integer of D + 1 slots: phi_j
     adds phi_j times src.d^j packed, and degree k reads slot k, which
     then holds one product of two residues per j < k.  Slot j also
@@ -359,14 +336,13 @@ def _lt_solve(a: int, n: int, src: LTSeed, dst: LTSeed) -> TruncSeries:
     # variables, its one coefficient in one
     P = [0] * (D + 1)
     P[1] = a
-    inv = src.divisor_inverses()
-    sy = src.d_packed()  # sy[a] = src.d^a through degree D, packed
+    # sp[a], sy[a] = src.d^a through degree D, dense and packed
+    sp, sy, inv = src.tables()
     if two:
         # phi[j]: the part of degree j as a dense list over the exponent
         # of X; rhs[f]: the right-hand side's terms X^f Y^g packed over g
         phi = [None] * (D + 1)
         phi[1] = [a, a]
-        sp = src.d_powers()  # sp[a] = src.d^a through degree D, dense
         rhs = [0] * (D // 2 + 1)
         # G[m][s] = [G_m]_s packed, G[m][0] = d_m (G[1][0] is never read)
         G = [None] + [[d[m]] + [0] * D for m in range(1, M + 1)]
@@ -461,7 +437,6 @@ def endo(seed: LTSeed, a: PadicInt) -> TruncSeries:
 
 def strict_iso(src: LTSeed, dst: LTSeed) -> TruncSeries:
     """The strict isomorphism phi(t) = t + higher between the group laws
-    of two seeds sharing a uniformizer.  Its compositional inverse is
-    ``padic.compositional_inverse(phi)``."""
+    of two seeds sharing a uniformizer."""
     return solve_intertwine(1, src, dst)
 

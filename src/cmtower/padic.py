@@ -290,10 +290,6 @@ class PadicPoly(InRing):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> PadicInt:
-        v = self.coeffs[i] if i < len(self.coeffs) else 0
-        return PadicInt(self.p, self.N, v)
-
     def _check(self, other: "PadicPoly"):
         if self.R is not other.R:
             raise ValidationError("mismatched (p, N) between polynomials")
@@ -304,10 +300,6 @@ class PadicPoly(InRing):
         a = self.coeffs + [0] * (n - len(self.coeffs))
         b = other.coeffs + [0] * (n - len(other.coeffs))
         return PadicPoly(self.p, self.N, [x + y for x, y in zip(a, b)])
-
-    def __mul__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check(other)
-        return PadicPoly(self.p, self.N, mul_coeffs(self.coeffs, other.coeffs))
 
     def derivative(self) -> "PadicPoly":
         return PadicPoly(self.p, self.N, [i * x for i, x in enumerate(self.coeffs)][1:])
@@ -542,15 +534,6 @@ class TruncSeries(InRing):
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def variable(cls, p, N, nvars, trunc, index=0):
-        e = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(p, N, nvars, trunc, {e: 1})
-
-    @classmethod
-    def constant(cls, p, N, nvars, trunc, c):
-        return cls(p, N, nvars, trunc, {(0,) * nvars: c})
-
-    @classmethod
     def from_coeff_list(cls, p, N, trunc, coeffs):
         """One-variable series from a dense coefficient list."""
         return cls(p, N, 1, trunc, {(i,): c for i, c in enumerate(coeffs)})
@@ -584,26 +567,6 @@ class TruncSeries(InRing):
         return self.coefficient((0,) * self.nvars)
 
     # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        mod = self.R.mod
-        for e, c in other.coeffs.items():
-            v = (out.get(e, 0) + c) % mod
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return TruncSeries(self.p, self.N, self.nvars, self.trunc, out,
-                           min(self.eff_prec, other.eff_prec))
-
-    def __neg__(self):
-        mod = self.R.mod
-        return self.copy_with({e: mod - c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Term by term, a pair skipped when its degrees sum past trunc;
@@ -713,29 +676,3 @@ def power_table(f: TruncSeries) -> list:
                       mul_coeffs(table[-1], base, [0] * (D + 1))])
     return table
 
-
-def compositional_inverse(f: TruncSeries) -> TruncSeries:
-    """Inverse of a 1-variable series with unit linear coefficient under
-    composition, through the truncation degree.
-
-    g(f(z)) = z is triangular in the powers of f: [f^n]_n = a1^n, so
-    degree n fixes g_n = -(sum over k < n of g_k [f^k]_n) / a1^n, read
-    from ``power_table(f)``."""
-    if f.nvars != 1:
-        raise ValidationError("compositional inverse needs one variable")
-    a1 = f.coefficient((1,))
-    if not a1.is_unit():
-        raise ValidationError("linear coefficient is not a unit")
-    if not f.constant_term().is_zero():
-        raise ValidationError("series has a constant term")
-    D, mod = f.trunc, f.R.mod
-    powers = power_table(f)
-    inv_a1 = a1.inverse().value
-    g = [0, inv_a1]
-    scale = inv_a1
-    for n in range(2, D + 1):
-        scale = scale * inv_a1 % mod
-        s = sum(g[k] * powers[k][n] for k in range(1, n))
-        g.append(-s * scale % mod)
-    return TruncSeries(f.p, f.N, 1, D, {(k,): c for k, c in enumerate(g)},
-                       f.eff_prec)

@@ -114,14 +114,6 @@ def _pivot(alpha: int, beta: int):
     return ((a, b), (-old_g, old_f))
 
 
-def combine(v: UnitJet, w: UnitJet, i: int):
-    """Exponents (a, b), gcd 1, with the jet of v^a w^b vanishing at
-    prime i: the first row of the step matrix."""
-    if v.p != w.p:
-        raise ValidationError("jets have different p")
-    return _pivot(v.coeff(i), w.coeff(i))[0]
-
-
 def wedge_step(x, y, i: int, p: int):
     """One step of the ladder on the coefficient rows x, y: the rows of
     v^a w^b and v^c w^d mod p, with ad - bc = 1 and the first trivial to

@@ -11,9 +11,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower import cli, elliptic_fg, galois_model, padic, unit_wedge
+from cmtower import (cli, elliptic_fg, galois_model, local_tower, padic,
+                     unit_wedge)
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
-from cmtower.errors import PrecisionError, ValidationError
+from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.lubin_tate import LTSeed
 from cmtower.padic import TruncSeries
 
@@ -440,6 +441,54 @@ class TestMain:
         assert main([command, "--config",
                      os.path.join(CONFIG_DIR, "wedge_p5_s2.ini")]) == 4
         assert "invariant falsified" in capsys.readouterr().err
+
+    def test_disagreeing_discriminant_routes_are_invariant_error(
+            self, monkeypatch, capsys):
+        """A resultant one above the direct valuation: ``level_disc``
+        names both, and tower-disc exits 4."""
+        direct = local_tower._disc_direct
+        monkeypatch.setattr(local_tower, "_disc_resultant",
+                            lambda tower: direct(tower) + 1)
+        message = "discriminant routes disagree: direct 20, resultant 21"
+        tower = local_tower.EisensteinTower(LTSeed.multiplicative(5, 12, 7))
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            local_tower.level_disc(tower)
+        assert main(["tower-disc", "--config",
+                     os.path.join(CONFIG_DIR, "tower_mult_p5.ini")]) == 4
+        assert capsys.readouterr().err == f"invariant falsified: {message}\n"
+
+    def test_discriminant_off_the_multiples_of_p_minus_1_is_invariant_error(
+            self, monkeypatch, capsys):
+        """A discriminant p(p - 1) + 1 has no conductor floor: the
+        conductor-discriminant identity refuses it, and tower-disc exits
+        4."""
+        monkeypatch.setattr(local_tower, "level_disc",
+                            lambda tower: tower.p * (tower.p - 1) + 1)
+        message = "discriminant 21 is not a multiple of p-1 = 4"
+        tower = local_tower.EisensteinTower(LTSeed.multiplicative(5, 12, 7))
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            local_tower.character_conductor_floor(tower)
+        assert main(["tower-disc", "--config",
+                     os.path.join(CONFIG_DIR, "tower_mult_p5.ini")]) == 4
+        assert capsys.readouterr().err == f"invariant falsified: {message}\n"
+
+    @pytest.mark.parametrize("passing", (0, 2))
+    def test_elliptic_match_needs_one_passing_associate(
+            self, monkeypatch, capsys, passing):
+        """Four associate reports of which none or two pass: no Frobenius
+        is singled out, and elliptic-match exits 4."""
+        reports = cli.frobenius_reports
+
+        def tampered(*args):
+            return [dict(r, passes=i < passing)
+                    for i, r in enumerate(reports(*args))]
+
+        monkeypatch.setattr(cli, "frobenius_reports", tampered)
+        assert main(["elliptic-match", "--config",
+                     os.path.join(CONFIG_DIR, "elliptic_p13.ini")]) == 4
+        assert capsys.readouterr().err == (
+            "invariant falsified: expected exactly one passing associate, "
+            f"got {passing}\n")
 
     @pytest.mark.parametrize("command,body,message", (
         ("cm-pi --precision 1", GAUSS + "fp_index = 0\n",

@@ -8,7 +8,7 @@ import pytest
 
 from cmtower.errors import InvariantError, ValidationError
 from cmtower.galois_model import (SubgroupSpec, TriElement, check_normal,
-                                  compose, identity, tower_indices)
+                                  compose, tower_indices)
 
 
 def element_order(x):
@@ -16,7 +16,7 @@ def element_order(x):
     acc = x
     n = 1
     bound = (x.p ** x.m) ** 2
-    while acc != identity(x.p, x.m):
+    while acc != TriElement(x.p, x.m, 0, 1):
         acc = compose(acc, x)
         n += 1
         if n > bound:
@@ -50,7 +50,7 @@ class TestTriElement:
                 b = rng.randrange(1, mod)
             return TriElement(p, m, rng.randrange(mod), b)
 
-        e = identity(p, m)
+        e = TriElement(p, m, 0, 1)
         for _ in range(100):
             x, y, z = rand(), rand(), rand()
             assert compose(compose(x, y), z) == compose(x, compose(y, z))
@@ -98,7 +98,8 @@ class TestSubgroups:
             for j in range(m + 1):
                 for k in range(m + 1):
                     gens = SubgroupSpec(p, m, j, k).generators()
-                    seen, todo = {identity(p, m)}, [identity(p, m)]
+                    one = TriElement(p, m, 0, 1)
+                    seen, todo = {one}, [one]
                     while todo:
                         x = todo.pop()
                         for g in gens:
