@@ -215,11 +215,16 @@ def _shell(n: int, bound: int, s: int):
                 yield (v,) + rest
 
 
-def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
+def pick_pi(K: CMField, fp_index: int) -> FieldElement:
     """The smallest-coefficient element with valuation exactly 1 at the
     prime of fp_index and 0 at every other prime over p: coefficient
-    vectors in [-bound, bound] are tried by increasing sum of absolute
-    values, lexicographically within one sum (existence is a CRT fact).
+    vectors in the box [-p, p] are tried by increasing sum of absolute
+    values, lexicographically within one sum.
+
+    The box always holds one, since deg 2g >= 2.  For the prime's root r
+    take c = -r mod p in [-(p - 1)/2, (p - 1)/2], moved by p across 0 if
+    p^2 divides c + r, so still in the box; then c + x has valuation 1 at
+    r and 0 at every other root, because the roots are distinct mod p.
 
     A candidate's value at each root is read mod p^2, which decides both
     valuations (0 is p not dividing it, 1 is p dividing it and p^2 not)
@@ -228,22 +233,21 @@ def pick_pi(K: CMField, fp_index: int, bound=None) -> FieldElement:
     if K.N < 2:
         raise PrecisionError(
             f"valuation 1 needs N >= 2 (got N = {K.N}); raise N")
-    if bound is None:
-        bound = K.p
     p = K.p
     p2 = p * p
     deg = 2 * K.g
     # 1, r, ..., r^(deg - 1) mod p^2 at each root r
     powers = [[pow(r.value, j, p2) for j in range(deg)] for r in K.roots]
     pi_powers = powers.pop(fp_index)
-    for s in range(1, deg * bound + 1):
-        for coeffs in _shell(deg, bound, s):
+    for s in range(1, deg * p + 1):
+        for coeffs in _shell(deg, p, s):
             v = sum(map(mul, coeffs, pi_powers)) % p2
             if v % p or not v:
                 continue
             if all(sum(map(mul, coeffs, pw)) % p for pw in powers):
                 return K.element(coeffs)
-    raise ValidationError(
-        f"no uniformizer found with coefficients bounded by {bound}; "
-        "enlarge the search box"
-    )
+    raise InvariantError(
+        f"no uniformizer at prime {fp_index} in the box [-{p}, {p}], yet "
+        "c + x is one: c = -r mod p for the prime's root r, moved by p if "
+        "p^2 divides c + r, has valuation 1 at r and 0 at the other roots, "
+        "which are distinct mod p")

@@ -226,14 +226,14 @@ class EllipticFormalData:
             raise InvariantError("F(X, 0) != X")
 
 
-def curve_group_law(curve: WeierstrassCurve, D: int, p=None) -> EllipticFormalData:
-    """Formal data through degree D >= 1; if p is given, good reduction
-    there is required."""
-    if p is not None:
-        Zp(p, 1)  # p an odd prime, or ValidationError
+def curve_group_law(curve: WeierstrassCurve, D: int,
+                    p: int) -> EllipticFormalData:
+    """Formal data through degree D >= 1 of a curve with good reduction
+    at the odd prime p."""
+    Zp(p, 1)  # p an odd prime, or ValidationError
     if D < 1:
         raise ValidationError(f"truncation degree must be at least 1, got {D}")
-    if p is not None and not curve.good_reduction_at(p):
+    if not curve.good_reduction_at(p):
         raise ValidationError(
             f"curve has bad reduction at {p} (discriminant "
             f"{curve.discriminant})"

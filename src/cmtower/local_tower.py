@@ -423,18 +423,19 @@ def divide_point(tower: EisensteinTower, state: DivisionState,
         raise ValidationError(
             f"division already ramified at level {state.ramified_at}"
         )
-    d = tower.d
+    d, R = tower.d, tower.R
     cur = state
     while cur.level < to_level:
         n = cur.level + 1
-        q = cur.last()
-        g = d + PadicPoly(d.p, d.N, [-tower.R.lift(q)])
-        vq = q.valuation()
+        q = R.lift(cur.last())  # refuses a value of another ring
+        # d has no constant term, so d - q replaces it by -q
+        g = PadicPoly(d.p, d.N, [-q] + d.coeffs[1:])
+        vq = R.val(q)
         if vq is None or vq < 1:
             raise ValidationError(
                 "division value must have positive valuation")
         if vq >= 2:
-            root = hensel_root(g, q.divide_exact(tower.seed.pi_val))
+            root = hensel_root(g, R.divide_exact(q, tower.seed.pi_val.value))
             if n >= cur.e:
                 raise InvariantError(
                     f"split certificate at level {n} but depth invariant "

@@ -11,7 +11,10 @@ Every residue lives in one ring object:
 Three carriers live here, each holding its ring as ``R`` (``p`` and
 ``N`` are views of it):
 
-* ``PadicInt``      -- residues mod p^N with exact valuation bookkeeping,
+* ``PadicInt``      -- the record of a residue mod p^N that the library
+  returns (a root, a coefficient, a point): its ``value`` and valuation.
+  It has no arithmetic: computations run on raw ints mod ``R.mod`` and
+  on ``Zp``'s ``val``, ``lift`` and ``divide_exact``,
 * ``PadicPoly``     -- dense polynomials over a fixed (p, N),
 * ``TruncSeries``   -- sparse truncated power series in one or more
   variables, with ``eff_prec``, the digits known of every coefficient
@@ -119,7 +122,8 @@ class InRing:
 
 class PadicInt(InRing):
     """A residue in Z/p^N Z for an odd prime p, viewed as a p-adic integer
-    known to N digits."""
+    known to N digits: a record with no arithmetic.  Computations take its
+    raw ``value`` and work mod ``R.mod``."""
 
     __slots__ = ("R", "value")
 
@@ -127,82 +131,13 @@ class PadicInt(InRing):
         R = self.R = Zp(p, N)
         self.value = value % R.mod
 
-    # -- helpers -------------------------------------------------------
-
-    def _coerce(self, other):
-        """The raw residue of an int or a residue of this ring."""
-        if isinstance(other, (int, PadicInt)):
-            return self.R.lift(other)
-        return NotImplemented
-
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
 
     def valuation(self):
         """Exact valuation for a nonzero residue; ``None`` (meaning
         ">= N", the capped marker) for the zero residue."""
         return self.R.val(self.value)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PadicInt(self.p, self.N, self.value + o)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicInt(self.p, self.N, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PadicInt(self.p, self.N, self.value - o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PadicInt(self.p, self.N, self.value * o)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PadicInt(self.p, self.N, pow(self.value, k, self.R.mod))
-
-    def inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise ValidationError("cannot invert a non-unit residue")
-        return PadicInt(self.p, self.N, pow(self.value, -1, self.R.mod))
-
-    def divide_exact(self, other: "PadicInt") -> "PadicInt":
-        """Exact division by an element of valuation v.
-
-        The result is only guaranteed to N - v digits; the caller is
-        responsible for tracking that loss.  Raises if the dividend is
-        not divisible.
-        """
-        return PadicInt(self.p, self.N,
-                        self.R.divide_exact(self.value, self._coerce(other)))
-
-    # -- comparisons / misc -------------------------------------------
-
-    def residue(self, k: int) -> int:
-        """The residue mod p^k (0 <= k <= N)."""
-        if not 0 <= k <= self.N:
-            raise ValidationError(f"asked for {k} digits of {self.N}")
-        return self.value % (self.p ** k)
-
-    def congruent(self, other, k: int) -> bool:
-        return self.residue(k) == self._coerce(other) % (self.p ** k)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -294,13 +229,6 @@ class PadicPoly(InRing):
         if self.R is not other.R:
             raise ValidationError("mismatched (p, N) between polynomials")
 
-    def __add__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return PadicPoly(self.p, self.N, [x + y for x, y in zip(a, b)])
-
     def derivative(self) -> "PadicPoly":
         return PadicPoly(self.p, self.N, [i * x for i, x in enumerate(self.coeffs)][1:])
 
@@ -388,7 +316,7 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
     slopes strictly increase and the root valuations, their negatives,
     strictly decrease: the segments come out reversed, not sorted.
     """
-    c, p = f.coeffs, f.p
+    c, val = f.coeffs, f.R.val
     if not c:
         raise ValidationError("newton_polygon of the zero polynomial")
     lo = 0
@@ -399,10 +327,7 @@ def newton_polygon(f: PadicPoly) -> NewtonPolygon:
         x = c[lo + i]
         if not x:
             continue
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
+        v = val(x)
         # keep hull lower-convex: drop the last point while it is on or
         # above the segment from the one before it to (i, v)
         while len(hull) >= 2:

@@ -85,8 +85,8 @@ def test_criterion_2_random_seed_axioms():
                 fx0 = G.F.compose([x, z])
                 assert fx0.coeffs == x.coeffs
                 # endo ring laws on random multipliers
-                a = PadicInt(p, seed.N, rng.randrange(1, p ** 3))
-                b = PadicInt(p, seed.N, rng.randrange(1, p ** 3))
+                a = rng.randrange(1, p ** 3)
+                b = rng.randrange(1, p ** 3)
                 ea, eb = endo(seed, a), endo(seed, b)
                 sum_series = G.F.compose([ea, eb])
                 assert sum_series.congruent(endo(seed, a + b))
@@ -276,7 +276,7 @@ def test_criterion_9_elliptic_bridge():
         assert series == ([0] * 21, [0, 1] + [0] * 19, 1)
         iso = match_lubin_tate(data, passing[0])
         assert iso.coefficient((1,)).value == 1
-        assert iso.coefficient((1,)).is_unit()
+        assert iso.coefficient((1,)).value % 13 != 0
         comp = iso.compose([reference_compositional_inverse(iso)])
         assert comp.coeffs == {(1,): 1}
 

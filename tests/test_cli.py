@@ -7,16 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtower import (cli, elliptic_fg, galois_model, local_tower, padic,
-                     unit_wedge)
+from cmtower import (cli, cm_split, elliptic_fg, galois_model, local_tower,
+                     padic, unit_wedge)
 from cmtower.cli import COMMANDS, RunConfig, dispatch, main
 from cmtower.errors import InvariantError, PrecisionError, ValidationError
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import TruncSeries
+from cmtower.padic import NewtonPolygon, PadicInt, PadicPoly, TruncSeries
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -489,6 +490,61 @@ class TestMain:
         assert capsys.readouterr().err == (
             "invariant falsified: expected exactly one passing associate, "
             f"got {passing}\n")
+
+    def test_empty_uniformizer_box_is_invariant_error(self, monkeypatch,
+                                                      capsys):
+        """A search that yields no candidate: ``pick_pi`` names the
+        element c + x that the box [-p, p] always holds, and cm-pi exits
+        4."""
+        monkeypatch.setattr(cm_split, "_shell", lambda n, bound, s: iter(()))
+        assert main(["cm-pi", "--config",
+                     os.path.join(CONFIG_DIR, "gauss_p5.ini")]) == 4
+        assert capsys.readouterr().err == (
+            "invariant falsified: no uniformizer at prime 1 in the box "
+            "[-5, 5], yet c + x is one: c = -r mod p for the prime's root "
+            "r, moved by p if p^2 divides c + r, has valuation 1 at r and 0 "
+            "at the other roots, which are distinct mod p\n")
+
+    def test_value_off_every_root_is_invariant_error(self, monkeypatch,
+                                                     capsys):
+        """A value congruent to no root mod p has no root index: the
+        roots of x^2 + 1 at p = 5 are 2 and 3 mod 5, and cm-embed, whose
+        automorphisms all evaluate to 1 here, exits 4."""
+        K = cm_split.CMField([1, 0, 1], 5, 14, conj=[0, -1], cm_type=[0])
+        message = "value 1 is not near any root"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            K.root_index(PadicInt(5, 14, 1))
+        evaluate = cm_split.CMField._eval_poly_at_root
+        monkeypatch.setattr(cm_split.CMField, "_eval_poly_at_root",
+                            lambda K, coeffs, idx: evaluate(K, [1], idx))
+        assert main(["cm-embed", "--config",
+                     os.path.join(CONFIG_DIR, "gauss_p5.ini")]) == 4
+        assert capsys.readouterr().err == f"invariant falsified: {message}\n"
+
+    def test_vanishing_derivative_is_inconclusive(self, monkeypatch,
+                                                  capsys):
+        """d' read as 0 mod p^N: the direct discriminant route has no
+        valuation to report, and tower-disc exits 3."""
+        monkeypatch.setattr(PadicPoly, "derivative",
+                            lambda f: PadicPoly(f.p, f.N, []))
+        assert main(["tower-disc", "--config",
+                     os.path.join(CONFIG_DIR, "tower_mult_p5.ini")]) == 3
+        assert capsys.readouterr().err == (
+            "inconclusive at this precision: derivative at the level-2 "
+            "uniformizer vanished at working precision; raise N\n")
+
+    def test_two_segment_division_polygon_is_inconclusive(self, monkeypatch,
+                                                          capsys):
+        """A division step d - q whose polygon has two segments is
+        neither a certified split nor Eisenstein, and divide exits 3."""
+        polygon = NewtonPolygon(((Fraction(1, 2), 2), (Fraction(0), 3)), 0)
+        monkeypatch.setattr(local_tower, "newton_polygon", lambda g: polygon)
+        assert main(["divide", "--config",
+                     os.path.join(CONFIG_DIR, "tower_mult_p5.ini")]) == 3
+        assert capsys.readouterr().err == (
+            "inconclusive at this precision: division step inconclusive: "
+            f"polygon {polygon.segments} is neither a certified split nor "
+            "a single slope 1/p\n")
 
     @pytest.mark.parametrize("command,body,message", (
         ("cm-pi --precision 1", GAUSS + "fp_index = 0\n",

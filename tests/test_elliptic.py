@@ -446,8 +446,8 @@ class TestFrobenius:
 
     def test_embed_root(self):
         root = gauss_embed_root(13, 24)
-        assert root.residue(1) == 5
-        assert ((root * root).value + 1) % 13 ** 24 == 0
+        assert root.value % 13 == 5
+        assert (root.value ** 2 + 1) % 13 ** 24 == 0
         with pytest.raises(ValidationError):
             gauss_embed_root(7, 10)
 
@@ -475,7 +475,7 @@ class TestFrobenius:
         series = cm_endo_elliptic(data, (13, 0))
         emb = embed_gauss_series(series, data.D, root)
         pattern = all(
-            emb.coefficient((k,)).residue(1) == (1 if k == 13 else 0)
+            emb.coefficient((k,)).value % 13 == (1 if k == 13 else 0)
             for k in range(1, data.D + 1)
         )
         assert not pattern
@@ -515,7 +515,7 @@ def oracle_frobenius_check(data, alpha, root) -> dict:
     emb = embed_gauss_series(series, data.D, root)
     first_fail = None
     for k in range(1, data.D + 1):
-        c = emb.coefficient((k,)).residue(1)
+        c = emb.coefficient((k,)).value % p
         want = 1 if k == p else 0
         if c != want:
             first_fail = (k, c)
@@ -591,7 +591,7 @@ class TestMatch:
         root = gauss_embed_root(13, 24)
         iso = match(data, (3, 2), root)
         assert iso.coefficient((1,)).value == 1
-        assert iso.coefficient((1,)).is_unit()
+        assert iso.coefficient((1,)).value % 13 != 0
         comp = iso.compose([reference_compositional_inverse(iso)])
         assert comp.coeffs == {(1,): 1}
 

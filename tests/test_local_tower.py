@@ -555,7 +555,7 @@ class TestDivide:
         # the division value actually divides: d(root) = t0
         root = st1.history[0]
         d = t.seed.to_poly()
-        assert d.evaluate(root).congruent(st.t0, t.N - 2)
+        assert (d.evaluate(root).value - st.t0.value) % 5 ** (t.N - 2) == 0
         assert root.valuation() == 1
         st2 = divide_point(t, st1, 5)
         assert st2.ramified_at == 2
@@ -749,7 +749,8 @@ class TestCompositum:
         seed = non_monic_seed(p, 20)
         q = PadicInt(p, seed.N, p)
         ref = ReferenceCompositum(EisensteinTower(seed), q)
-        assert ref.dq == (seed.to_poly() + PadicPoly(p, seed.N, [-p])).coeffs
+        d = seed.to_poly().coeffs
+        assert ref.dq == [(d[0] - p) % seed.R.mod] + d[1:]
         lam, theta = ref.lam(), ref.theta()
         assert not any(reference_eval_series(seed.d, [lam]).coeffs)
         d_theta = reference_eval_series(seed.d, [theta])

@@ -34,8 +34,8 @@ def reference_lt_solve(linear, src, dst):
     p, N = src.p, src.N
     n = linear.nvars
     D = linear.trunc
-    pi = src.pi_val
-    mod = p ** N
+    R, pi = src.R, src.pi_val.value
+    mod = R.mod
     src_args = [
         TruncSeries(p, N, n, D,
                     {tuple(k if j == i else 0 for j in range(n)): c
@@ -45,8 +45,8 @@ def reference_lt_solve(linear, src, dst):
     phi = linear
     for k in range(2, D + 1):
         diff = series_difference(dst.d.compose([phi]), phi.compose(src_args))
-        divisor = pi ** k - pi
-        if divisor.valuation() != 1:
+        divisor = (pow(pi, k, mod) - pi) % mod
+        if R.val(divisor) != 1:
             raise InvariantError("correction divisor lost valuation 1")
         new_coeffs = dict(phi.coeffs)
         for e, c in diff.coeffs.items():
@@ -60,8 +60,8 @@ def reference_lt_solve(linear, src, dst):
                     f"obstruction at degree {k} is a unit: input is not a "
                     "valid Lubin-Tate seed pair"
                 )
-            corr = ce.divide_exact(divisor)
-            v = (new_coeffs.get(e, 0) + corr.value) % mod
+            corr = R.divide_exact(ce.value, divisor)
+            v = (new_coeffs.get(e, 0) + corr) % mod
             if v:
                 new_coeffs[e] = v
             elif e in new_coeffs:

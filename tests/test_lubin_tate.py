@@ -150,8 +150,8 @@ class TestEndo:
         seed = LTSeed.standard(p, N, D)
         G = group_law(seed)
         for _ in range(5):
-            a = PadicInt(p, N, rng.randrange(1, p ** 4))
-            b = PadicInt(p, N, rng.randrange(1, p ** 4))
+            a = rng.randrange(1, p ** 4)
+            b = rng.randrange(1, p ** 4)
             ea, eb = endo(seed, a), endo(seed, b)
             sum_series = G.F.compose([ea, eb])
             assert sum_series.congruent(endo(seed, a + b))
@@ -204,7 +204,7 @@ class TestStrictIso:
         lhs = dst.d.compose([phi])
         rhs = phi.compose([src.d])
         assert lhs.congruent(rhs)
-        assert phi.coefficient((1,)).is_unit()
+        assert phi.coefficient((1,)).value % p != 0
 
     def test_iso_round_trip(self):
         p, N, D = 3, 18, 10
@@ -235,7 +235,7 @@ class TestHom:
     def test_pi_endo_not_invertible(self):
         seed = LTSeed.standard(5, 14, 10)
         h = endo(seed, seed.pi_val)
-        assert not h.coefficient((1,)).is_unit()
+        assert h.coefficient((1,)).value % 5 == 0
         with pytest.raises(ValidationError):
             reference_compositional_inverse(h)
 
@@ -244,7 +244,7 @@ class TestHom:
         F = group_law(seed).F
         h = endo(seed, PadicInt(5, 14, 2))
         check_hom(h, F, F)
-        assert h.coefficient((1,)).is_unit()
+        assert h.coefficient((1,)).value % 5 != 0
         comp = h.compose([reference_compositional_inverse(h)])
         assert comp.coeffs == {(1,): 1}
 

@@ -3,6 +3,7 @@ resultants."""
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -92,6 +93,14 @@ class TestRing:
             with pytest.raises(ValidationError):
                 R.lift(other)
 
+    def test_divide_exact(self):
+        R = Zp(5, 6)
+        assert R.divide_exact(50, 10) == 5
+        assert R.divide_exact(15, 35) * 7 % R.mod == 3  # 15/35 = 3/7
+        for x, y in ((3, 5), (3, 0), (0, 0)):
+            with pytest.raises(ValidationError):
+                R.divide_exact(x, y)
+
 
 class TestForeignResidues:
     """A residue of another ring is refused, never read as a raw value
@@ -100,13 +109,6 @@ class TestForeignResidues:
     def test_poly_evaluate(self):
         with pytest.raises(ValidationError):
             PadicPoly(5, 30, [1, 0, 1]).evaluate(PadicInt(7, 6, 2))
-
-    def test_residue_arithmetic(self):
-        x = PadicInt(5, 6, 3)
-        for op in (lambda y: x + y, lambda y: y - x, lambda y: x * y,
-                   lambda y: x.divide_exact(y)):
-            with pytest.raises(ValidationError):
-                op(PadicInt(5, 7, 1))
 
     def test_resultant(self):
         with pytest.raises(ValidationError):
@@ -144,56 +146,17 @@ class TestPadicInt:
         assert PadicInt(5, 6, 0).valuation() is None
         assert PadicInt(5, 3, 125).valuation() is None
 
-    def test_ring_axioms_random(self):
-        rng = random.Random(7)
-        p, N = 5, 8
-        mod = p ** N
-        for _ in range(1000):
-            a, b, c = (PadicInt(p, N, rng.randrange(mod)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
-
-    def test_ord_multiplicative(self):
-        rng = random.Random(8)
-        p, N = 3, 12
-        for _ in range(300):
-            a = PadicInt(p, N, rng.randrange(1, p ** N))
-            b = PadicInt(p, N, rng.randrange(1, p ** N))
-            va, vb = a.valuation(), b.valuation()
-            prod = a * b
-            if va is not None and vb is not None and va + vb < N:
-                assert prod.valuation() == va + vb
-
-    def test_divide_exact_tracks_unit(self):
-        p, N = 5, 6
-        x = PadicInt(p, N, 50)
-        d = PadicInt(p, N, 10)
-        assert (x.divide_exact(d) * d).residue(N - 1) == x.residue(N - 1)
-        with pytest.raises(ValidationError):
-            PadicInt(p, N, 3).divide_exact(PadicInt(p, N, 5))
-
-    def test_inverse(self):
-        x = PadicInt(7, 5, 3)
-        assert (x * x.inverse()).value == 1
-        with pytest.raises(ValidationError):
-            PadicInt(7, 5, 7).inverse()
-
-    def test_digit_count_outside_precision_rejected(self):
-        # a negative count once gave the float 7 % 5**-1 instead of a residue
-        x = PadicInt(5, 4, 7)
-        assert x.residue(0) == 0 and x.residue(4) == 7
-        assert x.congruent(2, 1) and not x.congruent(2, 2)
-        for k in (-1, -3, 5):
-            with pytest.raises(ValidationError):
-                x.residue(k)
-            with pytest.raises(ValidationError):
-                x.congruent(2, k)
-
 
 def poly_mul(f, g):
     """The product of two polynomials of one ring, by ``mul_coeffs``."""
     return PadicPoly(f.p, f.N, mul_coeffs(f.coeffs, g.coeffs))
+
+
+def poly_add(f, g):
+    """The sum of two polynomials of one ring, coefficient by
+    coefficient."""
+    return PadicPoly(f.p, f.N, [x + y for x, y in zip_longest(
+        f.coeffs, g.coeffs, fillvalue=0)])
 
 
 def compose_by_polys(f, g):
@@ -201,7 +164,7 @@ def compose_by_polys(f, g):
     written: the oracle of the raw-list ``compose_poly``."""
     acc = PadicPoly(f.p, f.N, [])
     for c in reversed(f.coeffs):
-        acc = poly_mul(acc, g) + PadicPoly(f.p, f.N, [c])
+        acc = poly_add(poly_mul(acc, g), PadicPoly(f.p, f.N, [c]))
     return acc
 
 
@@ -229,7 +192,7 @@ class TestPadicPoly:
         f = PadicPoly(p, N, [2, 0, 1, 1])
         g = PadicPoly(p, N, [1, 1])
         q, r = f.divmod_unit(g)
-        assert (poly_mul(q, g) + r).coeffs == f.coeffs
+        assert poly_add(poly_mul(q, g), r).coeffs == f.coeffs
         assert r.degree < g.degree
 
     def test_compose(self):
@@ -320,7 +283,7 @@ class TestKernels:
         f = PadicPoly(p, N, [5, 7, 2, 9, 1])
         g = PadicPoly(p, N, [1, 3, 4])
         q, r = f.divmod_unit(g)
-        assert (poly_mul(q, g) + r).coeffs == f.coeffs
+        assert poly_add(poly_mul(q, g), r).coeffs == f.coeffs
         assert r.degree < g.degree
         with pytest.raises(ValidationError):
             f.divmod_unit(PadicPoly(p, N, [1, 3]))
@@ -331,12 +294,12 @@ class TestHensel:
         f = PadicPoly(5, 6, [1, 0, 1])
         r = hensel_root(f, PadicInt(5, 6, 2))
         assert f.evaluate(r).is_zero()
-        assert r.residue(3) == 57
+        assert r.value % 5 ** 3 == 57
 
     def test_sqrt_minus_one_from_3(self):
         f = PadicPoly(5, 6, [1, 0, 1])
         r = hensel_root(f, PadicInt(5, 6, 3))
-        assert r.residue(3) == 68
+        assert r.value % 5 ** 3 == 68
 
     def test_exact_root(self):
         f = PadicPoly(5, 6, [-7, 1])
@@ -353,7 +316,7 @@ class TestHensel:
         monkeypatch.setattr(PadicPoly, "derivative", counted)
         f = PadicPoly(5, 12, [1, 0, 1])
         r = hensel_root(f, PadicInt(5, 12, 2))
-        assert f.evaluate(r).is_zero() and r.residue(1) == 2
+        assert f.evaluate(r).is_zero() and r.value % 5 == 2
         assert calls == [f]
 
     def test_steps_build_no_residues(self, monkeypatch):
@@ -371,7 +334,7 @@ class TestHensel:
         monkeypatch.setattr(PadicInt, "__init__", counted)
         r = hensel_root(f, approx)
         monkeypatch.undo()
-        assert f.evaluate(r).is_zero() and r.residue(1) == 2
+        assert f.evaluate(r).is_zero() and r.value % 5 == 2
         assert built == [(5, 12, r.value)]
 
     def test_hypothesis_violated(self):
@@ -740,20 +703,20 @@ def reference_compositional_inverse(f: TruncSeries) -> TruncSeries:
     part.  The tests invert the library's series with it."""
     if f.nvars != 1:
         raise ValidationError("compositional inverse needs one variable")
-    a1 = f.coefficient((1,))
-    if not a1.is_unit():
+    a1 = f.coefficient((1,)).value
+    if a1 % f.p == 0:
         raise ValidationError("linear coefficient is not a unit")
     if not f.constant_term().is_zero():
         raise ValidationError("series has a constant term")
-    p, N, D = f.p, f.N, f.trunc
-    inv_a1 = a1.inverse()
-    g = TruncSeries(p, N, 1, D, {(1,): inv_a1.value}, f.eff_prec)
+    p, N, D, mod = f.p, f.N, f.trunc, f.R.mod
+    inv_a1 = pow(a1, -1, mod)
+    g = TruncSeries(p, N, 1, D, {(1,): inv_a1}, f.eff_prec)
     for k in range(2, D + 1):
-        c = f.compose([g]).coefficient((k,))
-        b = (-c) * inv_a1
-        if not b.is_zero():
+        c = f.compose([g]).coefficient((k,)).value
+        b = -c * inv_a1 % mod
+        if b:
             nc = dict(g.coeffs)
-            nc[(k,)] = b.value
+            nc[(k,)] = b
             g = g.copy_with(nc)
     return g
 

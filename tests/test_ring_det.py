@@ -20,7 +20,7 @@ from cmtower.errors import PrecisionError
 from cmtower.local_tower import (EisensteinTower, _disc_resultant,
                                  _resultant_element, level_disc)
 from cmtower.lubin_tate import LTSeed
-from cmtower.padic import PadicInt, char_poly, rem_coeffs, ring_det
+from cmtower.padic import char_poly, rem_coeffs, ring_det
 from test_bench_workloads import lib as bench
 from test_local_tower import Elt
 
@@ -106,18 +106,13 @@ def berkowitz_det(rows, zero, one):
     return c[n] if n % 2 == 0 else -c[n]
 
 
-def assert_same(rows, p=None, N=None):
-    """ring_det of an integer matrix is Laplace's determinant over Z and,
-    reduced once mod p^N, Laplace's over Z/p^N on residues: reduction mod
+def assert_same(rows):
+    """ring_det of an integer matrix is Laplace's determinant over Z, so
+    reduced once mod p^N it is the determinant over Z/p^N: reduction mod
     p^N is a ring homomorphism."""
     got = ring_det(rows)
     assert type(got) is int
-    if p is None:
-        assert got == laplace_det(rows, 0, 1)
-        return
-    residues = [[PadicInt(p, N, a) for a in row] for row in rows]
-    want = laplace_det(residues, PadicInt(p, N, 0), PadicInt(p, N, 1))
-    assert got % p ** N == want.value
+    assert got == laplace_det(rows, 0, 1)
 
 
 @st.composite
@@ -144,7 +139,7 @@ def test_residues_match_laplace(p, N, data):
     # entries divisible by p are zero divisors of Z/p^N
     entry = st.one_of(st.integers(0, p ** N - 1),
                       st.integers(0, p ** (N - 1)).map(lambda x: p * x))
-    assert_same(data.draw(square(entry, 6)), p, N)
+    assert_same(data.draw(square(entry, 6)))
 
 
 def shifted(rows, x, zero):
@@ -187,12 +182,9 @@ def test_char_poly_mod_pn_matches_laplace(p, N, data):
     n, chi = len(rows), char_poly(rows, mod)
     assert len(chi) == n + 1 and chi[-1] == 1
     assert all(0 <= c < mod for c in chi)
-    residues = [[PadicInt(p, N, a) for a in row] for row in rows]
-    zero, one = PadicInt(p, N, 0), PadicInt(p, N, 1)
     for x in xs:
-        want = laplace_det(shifted(residues, PadicInt(p, N, x), zero),
-                           zero, one)
-        assert padic._horner(chi, x, mod) == want.value
+        want = laplace_det(shifted(rows, x, 0), 0, 1) % mod
+        assert padic._horner(chi, x, mod) == want
     assert chi[0] == (-1) ** n * ring_det(rows) % mod
 
 
